@@ -50,7 +50,7 @@ __all__ = [
 EPS = 1e-7
 ALPHA_FLOOR = 1e-3
 
-_BINARY_VARIANTS = ("scaled_sjs", "kl", "js_fixed")
+_BINARY_VARIANTS = ("scaled_sjs", "kl")
 _MULTI_VARIANTS = ("ce", "bs", "gce", "sce", "js")
 
 # Reverse cross-entropy clamps ln(0) at -4, i.e. zero entries of the one-hot
@@ -99,8 +99,8 @@ class BinaryLossKind:
     """Which binary loss the PU risks evaluate.
 
     ``scaled_sjs`` uses the scaled stochastic JS divergence; its alpha is
-    resampled per iteration when ``fixed_alpha`` is None. ``js_fixed`` pins
-    alpha (0.5 by default, the classical JS point). ``kl`` is binary
+    resampled per iteration when ``fixed_alpha`` is None and pinned
+    otherwise (0.5 is the classical JS point). ``kl`` is binary
     cross-entropy and takes no alpha.
     """
 
@@ -115,8 +115,6 @@ class BinaryLossKind:
                 raise ValueError("kl takes no alpha")
         elif self.fixed_alpha is not None and not (0.0 < self.fixed_alpha <= 0.5):
             raise ValueError(f"fixed alpha must lie in (0, 0.5], got {self.fixed_alpha}")
-        if self.variant == "js_fixed" and self.fixed_alpha is None:
-            raise ValueError("js_fixed requires fixed_alpha")
 
     @classmethod
     def scaled_sjs(cls, fixed_alpha: float | None = None) -> "BinaryLossKind":
@@ -125,10 +123,6 @@ class BinaryLossKind:
     @classmethod
     def kl(cls) -> "BinaryLossKind":
         return cls("kl")
-
-    @classmethod
-    def js_fixed(cls, alpha: float = 0.5) -> "BinaryLossKind":
-        return cls("js_fixed", alpha)
 
     @property
     def needs_alpha(self) -> bool:
@@ -259,40 +253,43 @@ def _sjs_pos_parts(sig: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     return loss, dloss
 
 
-def _binary_eval(
-    kind: BinaryLossKind, logit, target: int, alpha: float | None, want_grad: bool
-):
-    x = np.asarray(logit, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
+def _binary_parts(kind: BinaryLossKind, logit, alpha: float | None):
+    """Losses and logit gradients against both targets from one sigmoid
+    pass: (loss_pos, loss_neg, grad_pos, grad_neg), each shaped like the
+    (at least 1-d) logits. binary_loss, binary_loss_grad and the class-wise
+    risk all evaluate through it."""
+    x = np.atleast_1d(np.asarray(logit, dtype=np.float64))
     if not np.all(np.isfinite(x)):
         raise ValueError("logit must be finite")
-    if target not in (1, -1):
-        raise ValueError(f"target must be +1 or -1, got {target}")
 
     sig = _stable_sigmoid(x)
     interior = (sig > EPS) & (sig < 1.0 - EPS)
     sigc = np.clip(sig, EPS, 1.0 - EPS)
+    one_m_sigc = 1.0 - sigc
     a = kind.resolve_alpha(alpha)
 
     if kind.variant == "kl":
         # One-hot target makes KL(t||q) the negative log of the target side.
-        loss = -np.log(sigc) if target == 1 else -np.log(1.0 - sigc)
-        if want_grad:
-            dls = -1.0 / sigc if target == 1 else 1.0 / (1.0 - sigc)
+        loss_pos, loss_neg = -np.log(sigc), -np.log(one_m_sigc)
+        dls_pos, dls_neg = -1.0 / sigc, 1.0 / one_m_sigc
     else:
         scale = sjs_scale(a)
-        if target == 1:
-            raw, draw = _sjs_pos_parts(sigc, a)
-            loss, dls = scale * raw, scale * draw
-        else:
-            raw, draw = _sjs_pos_parts(1.0 - sigc, a)
-            loss, dls = scale * raw, -scale * draw
+        raw_pos, draw_pos = _sjs_pos_parts(sigc, a)
+        raw_neg, draw_neg = _sjs_pos_parts(one_m_sigc, a)
+        loss_pos, loss_neg = scale * raw_pos, scale * raw_neg
+        dls_pos, dls_neg = scale * draw_pos, -scale * draw_neg
 
-    if not want_grad:
-        return float(loss[0]) if scalar else loss
-    grad = np.where(interior, dls * sig * (1.0 - sig), 0.0)
-    return float(grad[0]) if scalar else grad
+    one_m_sig = 1.0 - sig
+    grad_pos = np.where(interior, dls_pos * sig * one_m_sig, 0.0)
+    grad_neg = np.where(interior, dls_neg * sig * one_m_sig, 0.0)
+    return loss_pos, loss_neg, grad_pos, grad_neg
+
+
+def _binary_select(kind: BinaryLossKind, logit, target: int, alpha: float | None, grad: bool):
+    if target not in (1, -1):
+        raise ValueError(f"target must be +1 or -1, got {target}")
+    out = _binary_parts(kind, logit, alpha)[(2 if grad else 0) + (0 if target == 1 else 1)]
+    return float(out[0]) if np.ndim(logit) == 0 else out
 
 
 def binary_loss(kind: BinaryLossKind, logit, target: int, alpha: float | None = None):
@@ -300,15 +297,15 @@ def binary_loss(kind: BinaryLossKind, logit, target: int, alpha: float | None = 
 
     The logit is squashed through a sigmoid into a two-point distribution q
     (a ``BernoulliPair``); the target becomes the one-hot (1,0) or (0,1).
-    KL yields binary cross-entropy; the SJS kinds evaluate the scaled
+    KL yields binary cross-entropy; scaled SJS evaluates the scaled
     weighted JS between target and q. Accepts scalars or arrays.
     """
-    return _binary_eval(kind, logit, target, alpha, want_grad=False)
+    return _binary_select(kind, logit, target, alpha, grad=False)
 
 
 def binary_loss_grad(kind: BinaryLossKind, logit, target: int, alpha: float | None = None):
     """d(binary_loss)/d(logit); exact derivative of the clamped forward."""
-    return _binary_eval(kind, logit, target, alpha, want_grad=True)
+    return _binary_select(kind, logit, target, alpha, grad=True)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

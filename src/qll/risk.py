@@ -7,6 +7,10 @@ rest). Three empirical risks per class:
     r_u_minus = mean loss of U logits against -1
     r_p_minus = mean loss of P logits against -1
 
+All three, and their gradients, come from one sigmoid pass over the (n, c)
+batch logits, which yields every loss and gradient against both +1 and -1;
+class masks then reduce them per class.
+
 The unbiased PU risk is  pi * r_p_plus + r_u_minus - pi * r_p_minus  and may
 go negative. The non-negative class-wise estimator with two practical priors
 clamps the tail:
@@ -28,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ClassPriors
-from .losses import BinaryLossKind, binary_loss, binary_loss_grad
+# binary_loss_grad is unused here but stays importable from this module:
+# perfbench's tracer wraps qll.risk.binary_loss and qll.risk.binary_loss_grad.
+from .losses import BinaryLossKind, _binary_parts, binary_loss, binary_loss_grad  # noqa: F401
 
 __all__ = [
     "ClassRiskBreakdown",
@@ -139,7 +145,7 @@ def _check_batch(batch_logits, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need (n, c) logits with n labels, got {z.shape} and {y.shape}")
     if z.shape[0] < 2:
         raise ValueError("batch must contain at least 2 examples")
-    if np.unique(y).size < 2:
+    if (y == y[0]).all():
         raise ValueError("batch must span at least 2 classes; resample")
     if y.min() < 0 or y.max() >= z.shape[1]:
         raise ValueError(f"labels must lie in [0, {z.shape[1]})")
@@ -169,8 +175,7 @@ def _cpu_core(
         raise ValueError("some class has an empty unlabeled side; resample the batch")
     n_p_safe = np.maximum(n_p, 1.0)
 
-    loss_pos = binary_loss(loss, z, +1, alpha)
-    loss_neg = binary_loss(loss, z, -1, alpha)
+    loss_pos, loss_neg, grad_pos, grad_neg = _binary_parts(loss, z, alpha)
     r_p_plus = (pos_mask * loss_pos).sum(axis=0) / n_p_safe
     r_p_minus = (pos_mask * loss_neg).sum(axis=0) / n_p_safe
     r_u_minus = (unl_mask * loss_neg).sum(axis=0) / n_u
@@ -181,22 +186,20 @@ def _cpu_core(
     objectives = np.where(corrected, -neg_part, priors.pi1 * r_p_plus + neg_part)
 
     per_class = tuple(
-        ClassRiskBreakdown(
-            float(r_p_plus[j]),
-            float(r_u_minus[j]),
-            float(r_p_minus[j]),
-            int(n_p[j]),
-            int(n_u[j]),
-            bool(corrected[j]),
+        map(
+            ClassRiskBreakdown,
+            r_p_plus.tolist(),
+            r_u_minus.tolist(),
+            r_p_minus.tolist(),
+            n_p.astype(np.int64).tolist(),
+            n_u.astype(np.int64).tolist(),
+            corrected.tolist(),
         )
-        for j in range(c)
     )
     report = CpuRiskReport(float(values.mean()), per_class, float(objectives.mean()))
     if not want_grad:
         return report, None
 
-    grad_pos = binary_loss_grad(loss, z, +1, alpha)
-    grad_neg = binary_loss_grad(loss, z, -1, alpha)
     # Branch-dependent per-class coefficients; corrected classes drop the
     # positive term and flip the sign of the clamped part.
     coef_pp = np.where(corrected, 0.0, priors.pi1) / n_p_safe

@@ -140,7 +140,7 @@ def _epoch_batches(
     for _ in range(_BATCH_RESAMPLE_LIMIT):
         order = rng.permutation(n)
         batches = [order[i : i + batch_size] for i in range(0, n, batch_size)]
-        if not need_two_classes or all(np.unique(labels[b]).size >= 2 for b in batches):
+        if not need_two_classes or all((labels[b] != labels[b[0]]).any() for b in batches):
             return batches
     raise RuntimeError(
         "could not shuffle the dataset into batches spanning >= 2 classes; "

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from qll.losses import binary_loss
+from qll.losses import EPS, binary_loss
 
 
 def brute_force_cpu_risk(logits, labels, pi1, pi2, loss, alpha=None, u_mode="complement"):
@@ -31,6 +31,36 @@ def brute_force_cpu_risk(logits, labels, pi1, pi2, loss, alpha=None, u_mode="com
         else:
             objectives.append(pi1 * r_pp + neg)
     return float(np.mean(values)), float(np.mean(objectives)), corrected
+
+
+def per_target_binary_loss(kind, logits, target, alpha=None):
+    """Binary loss and its logit gradient against one target, written out
+    one target at a time. The fused production pass must match it bit for
+    bit: any change to the float operation order changes metrics.csv."""
+    x = np.atleast_1d(np.asarray(logits, dtype=np.float64))
+    sig = np.empty_like(x)
+    nonneg = x >= 0
+    sig[nonneg] = 1.0 / (1.0 + np.exp(-x[nonneg]))
+    ex = np.exp(x[~nonneg])
+    sig[~nonneg] = ex / (1.0 + ex)
+    interior = (sig > EPS) & (sig < 1.0 - EPS)
+    sigc = np.clip(sig, EPS, 1.0 - EPS)
+    if kind.variant == "kl":
+        loss = -np.log(sigc) if target == 1 else -np.log(1.0 - sigc)
+        dls = -1.0 / sigc if target == 1 else 1.0 / (1.0 - sigc)
+    else:
+        a = kind.resolve_alpha(alpha)
+        s = sigc if target == 1 else 1.0 - sigc
+        one_m_a, log1m_a = 1.0 - a, math.log1p(-a)
+        m1 = a + one_m_a * s
+        kl_t = -np.log(m1)
+        kl_q = s * np.log(s / m1) - (1.0 - s) * log1m_a
+        draw = -a * one_m_a / m1 + one_m_a * (np.log(s / m1) + log1m_a + 1.0 - one_m_a * s / m1)
+        scale = -1.0 / ((1.0 - a) * math.log1p(-a))
+        loss = scale * (a * kl_t + one_m_a * kl_q)
+        dls = scale * draw if target == 1 else -scale * draw
+    grad = np.where(interior, dls * sig * (1.0 - sig), 0.0)
+    return loss, grad
 
 
 def classical_js(p, q):

@@ -26,7 +26,7 @@ ALL_BINARY = [
     (BinaryLossKind.kl(), None),
     (BinaryLossKind.scaled_sjs(), 0.37),
     (BinaryLossKind.scaled_sjs(0.2), None),
-    (BinaryLossKind.js_fixed(0.5), None),
+    (BinaryLossKind.scaled_sjs(0.5), None),
 ]
 
 ALL_MULTI = [
@@ -164,11 +164,11 @@ class TestBinaryLoss:
         loss = binary_loss(BinaryLossKind.scaled_sjs(0.5), 0.0, 1)
         assert loss == pytest.approx(0.62258, abs=1e-3)
 
-    def test_js_fixed_matches_scaled_sjs_at_same_alpha(self):
+    def test_pinned_alpha_matches_per_call_alpha(self):
         rng = np.random.default_rng(5)
         for x in rng.normal(size=10) * 3:
-            a = binary_loss(BinaryLossKind.js_fixed(0.5), x, -1)
-            b = binary_loss(BinaryLossKind.scaled_sjs(0.5), x, -1)
+            a = binary_loss(BinaryLossKind.scaled_sjs(0.5), x, -1)
+            b = binary_loss(BinaryLossKind.scaled_sjs(), x, -1, 0.5)
             assert a == pytest.approx(b, abs=1e-14)
 
     def test_monotone_in_logit(self):

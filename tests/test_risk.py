@@ -4,12 +4,13 @@ import pytest
 from _oracles import (
     brute_force_cpu_risk,
     central_diff,
+    per_target_binary_loss,
     rel_err,
     solve_kl_logit_minus,
     solve_kl_logits,
 )
 from qll.core import ClassPriors
-from qll.losses import BinaryLossKind
+from qll.losses import ALPHA_FLOOR, BinaryLossKind, binary_loss, binary_loss_grad
 from qll.risk import (
     class_partition,
     cpu_risk,
@@ -72,8 +73,6 @@ class TestPuRiskUnbiased:
         assert pu_risk_unbiased(pos, unl, 0.4, KL) == pytest.approx(0.14, abs=1e-9)
 
     def test_brute_force_equivalence(self):
-        from qll.losses import binary_loss
-
         rng = np.random.default_rng(1)
         for _ in range(50):
             n_p, n_u = int(rng.integers(1, 6)), int(rng.integers(1, 6))
@@ -269,8 +268,6 @@ class TestCpuRiskGrad:
         z = np.array([[0.2, -0.1, 0.4], [0.1, 0.3, -0.2], [-0.4, 0.2, 0.1]])
         y = np.array([0, 1, 1])  # class 2 absent
         g = cpu_risk_grad(z, y, ClassPriors(0.1, 0.5), KL)
-        from qll.losses import binary_loss_grad
-
         expected_col2 = binary_loss_grad(KL, z[:, 2], -1) / 3 / 3  # (1/n_u)(1/c)
         assert np.allclose(g[:, 2], expected_col2, atol=1e-12)
 
@@ -283,3 +280,75 @@ class TestCpuRiskGrad:
         grad2 = cpu_risk_grad(z, y, pr, SJS, 0.2)
         assert rep1 == rep2
         assert np.array_equal(grad1, grad2)
+
+
+# Both clamp regions (+-40), the sigmoid's branch point (0, +-1e-9) and
+# ordinary logits; class 3 is absent, so its P side is empty.
+EDGE_LOGITS = np.array(
+    [
+        [0.0, 1e-9, -1e-9, 40.0],
+        [-40.0, 0.0, 40.0, -1e-9],
+        [1e-9, -40.0, 0.0, 2.5],
+        [3.0, -0.7, -40.0, 40.0],
+        [-2.0, 40.0, 1.3, 0.0],
+        [0.4, -1e-9, 1e-9, -3.1],
+    ]
+)
+EDGE_LABELS = np.array([0, 1, 2, 0, 1, 2])
+FUSED_CASES = [(KL, None)] + [(SJS, a) for a in (ALPHA_FLOOR, 0.25, 0.5)]
+
+
+def four_call_cpu_risk(z, y, pr, loss, alpha, u_mode):
+    """The class-wise risk from separate per-target binary_loss /
+    binary_loss_grad calls, with the masks and arithmetic of the fused pass."""
+    n, c = z.shape
+    pos_mask = np.zeros((n, c))
+    pos_mask[np.arange(n), y] = 1.0
+    unl_mask = np.ones((n, c)) if u_mode == "full" else 1.0 - pos_mask
+    n_p_safe = np.maximum(pos_mask.sum(axis=0), 1.0)
+    n_u = unl_mask.sum(axis=0)
+    r_p_plus = (pos_mask * binary_loss(loss, z, +1, alpha)).sum(axis=0) / n_p_safe
+    r_p_minus = (pos_mask * binary_loss(loss, z, -1, alpha)).sum(axis=0) / n_p_safe
+    r_u_minus = (unl_mask * binary_loss(loss, z, -1, alpha)).sum(axis=0) / n_u
+    neg_part = r_u_minus - pr.pi2 * r_p_minus
+    corrected = neg_part < 0.0
+    values = pr.pi1 * r_p_plus + np.maximum(neg_part, 0.0)
+    objectives = np.where(corrected, -neg_part, pr.pi1 * r_p_plus + neg_part)
+    grad_pos = binary_loss_grad(loss, z, +1, alpha)
+    grad_neg = binary_loss_grad(loss, z, -1, alpha)
+    coef_pp = np.where(corrected, 0.0, pr.pi1) / n_p_safe
+    coef_pm = np.where(corrected, pr.pi2, -pr.pi2) / n_p_safe
+    coef_um = np.where(corrected, -1.0, 1.0) / n_u
+    grad = (pos_mask * (grad_pos * coef_pp + grad_neg * coef_pm) + unl_mask * grad_neg * coef_um) / c
+    components = np.stack([r_p_plus, r_u_minus, r_p_minus])
+    return float(values.mean()), float(objectives.mean()), components, corrected, grad
+
+
+class TestFusedPassBitExact:
+    @pytest.mark.parametrize("u_mode", ["complement", "full"])
+    @pytest.mark.parametrize("loss,alpha", FUSED_CASES)
+    def test_matches_four_call_composition(self, loss, alpha, u_mode):
+        branches = set()
+        for pr in (ClassPriors(0.1, 0.2), ClassPriors(0.1, 0.9)):
+            rep, grad = cpu_risk_with_grad(EDGE_LOGITS, EDGE_LABELS, pr, loss, alpha, u_mode)
+            value, objective, components, corrected, ref_grad = four_call_cpu_risk(
+                EDGE_LOGITS, EDGE_LABELS, pr, loss, alpha, u_mode
+            )
+            got = np.array([[b.r_p_plus, b.r_u_minus, b.r_p_minus] for b in rep.per_class]).T
+            assert rep.value == value
+            assert rep.objective_value == objective
+            assert np.array_equal(got, components)
+            assert [b.corrected for b in rep.per_class] == corrected.tolist()
+            assert np.array_equal(grad, ref_grad)
+            branches.update(corrected.tolist())
+        assert branches == {True, False}
+
+    @pytest.mark.parametrize("loss,alpha", FUSED_CASES)
+    def test_binary_loss_matches_per_target_oracle(self, loss, alpha):
+        for target in (+1, -1):
+            ref_loss, ref_grad = per_target_binary_loss(loss, EDGE_LOGITS, target, alpha)
+            for fn, ref in ((binary_loss, ref_loss), (binary_loss_grad, ref_grad)):
+                batch = fn(loss, EDGE_LOGITS, target, alpha)
+                scalar = [[fn(loss, float(x), target, alpha) for x in row] for row in EDGE_LOGITS]
+                assert np.array_equal(batch, ref)
+                assert np.array_equal(np.array(scalar), ref)
