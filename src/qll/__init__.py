@@ -73,6 +73,14 @@ from .risk import (
     nnpu_class_risk,
     pu_risk_unbiased,
 )
-from .training import TrainConfig, TrainReport, evaluate, sgd_step, train, write_metrics
+from .training import (
+    TrainConfig,
+    TrainReport,
+    evaluate,
+    sgd_step,
+    train,
+    train_runs,
+    write_metrics,
+)
 
 __version__ = "0.1.0"

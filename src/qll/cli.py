@@ -30,7 +30,7 @@ from .dataio import atomic_write_text, load_dataset, save_dataset
 from .datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
 from .losses import BinaryLossKind, MulticlassLossKind
 from .models import save_model
-from .training import TrainConfig, train, write_metrics
+from .training import TrainConfig, train, train_runs, write_metrics
 
 __all__ = ["main", "METHODS", "ExperimentConfig", "build_loss"]
 
@@ -203,27 +203,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _train_once(
-    data_path: Path,
-    test_path: Path,
-    method: str,
-    pi1: float,
-    pi2_spec,
-    train_kw: dict,
-    seed: int,
-    run_dir: Path,
-) -> dict:
-    train_ds = load_dataset(data_path)
-    test_ds = load_dataset(test_path)
-    loss = build_loss(method, train_kw.get("method_params"))
+def _train_config(
+    method: str, pi1: float, pi2_spec, train_kw: dict, seed: int, train_ds: AmbiguousDataset
+) -> TrainConfig:
     priors = None
-    pi2_value = None
     if method in CPU_METHODS:
-        pi2_value = resolve_pi2(pi2_spec, train_ds)
-        priors = ClassPriors(pi1, pi2_value)
-    cfg = TrainConfig(
+        priors = ClassPriors(pi1, resolve_pi2(pi2_spec, train_ds))
+    return TrainConfig(
         epochs=int(train_kw.get("epochs", 60)),
-        loss=loss,
+        loss=build_loss(method, train_kw.get("method_params")),
         priors=priors,
         batch_size=int(train_kw.get("batch_size", 16)),
         lr=float(train_kw.get("lr", 0.1)),
@@ -234,8 +222,18 @@ def _train_once(
         hidden_dim=int(train_kw.get("hidden", 32)),
         u_mode=train_kw.get("u_mode", "complement"),
     )
-    report = train(train_ds, test_ds, cfg)
 
+
+def _write_run(
+    run_dir: Path,
+    method: str,
+    cfg: TrainConfig,
+    report,
+    train_ds: AmbiguousDataset,
+    data_path: Path,
+    test_path: Path,
+) -> dict:
+    """Write metrics.csv, model.ckpt and run.json; returns the run record."""
     run_dir.mkdir(parents=True, exist_ok=True)
     write_metrics(report, run_dir / "metrics.csv")
     save_model(report.final_model, run_dir / "model.ckpt")
@@ -244,9 +242,9 @@ def _train_once(
         "dataset": dataset_tag(train_ds),
         "data": str(data_path),
         "test_data": str(test_path),
-        "seed": seed,
-        "pi1": pi1 if priors else None,
-        "pi2": pi2_value,
+        "seed": cfg.seed,
+        "pi1": cfg.priors.pi1 if cfg.priors else None,
+        "pi2": cfg.priors.pi2 if cfg.priors else None,
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
         "lr": cfg.lr,
@@ -283,16 +281,12 @@ def _train_kw_from_args(args) -> dict:
 
 def cmd_train(args) -> int:
     run_dir = Path(args.out) if args.out else _out_root() / "runs" / f"{args.method}-seed{args.seed}"
-    record = _train_once(
-        Path(args.data),
-        Path(args.test),
-        args.method,
-        args.pi1,
-        args.pi2,
-        _train_kw_from_args(args),
-        args.seed,
-        run_dir,
-    )
+    data_path, test_path = Path(args.data), Path(args.test)
+    train_ds = load_dataset(data_path)
+    test_ds = load_dataset(test_path)
+    cfg = _train_config(args.method, args.pi1, args.pi2, _train_kw_from_args(args), args.seed, train_ds)
+    report = train(train_ds, test_ds, cfg)
+    record = _write_run(run_dir, args.method, cfg, report, train_ds, data_path, test_path)
     print(
         f"{record['method']} seed={record['seed']} "
         f"best_test_accuracy={record['best_test_accuracy']:.4f} -> {run_dir}"
@@ -354,21 +348,30 @@ def cmd_sweep(args) -> int:
         pi2_grid = _parse_grid(args.pi2_grid, args.pi2)
         data_by_seed = {seed: (Path(args.data), Path(args.test)) for seed in seeds}
 
+    # The prior grid of one (method, seed) trains as one stacked run: its
+    # members share init, batches and alpha draws.
     rows = []
     for method in methods:
         grid = [(p1, p2) for p1 in pi1_grid for p2 in pi2_grid] if method in CPU_METHODS else [(None, None)]
-        for p1, p2 in grid:
-            accs = []
-            for seed in seeds:
-                data_path, test_path = data_by_seed[seed]
+        accs = [[] for _ in grid]
+        for seed in seeds:
+            data_path, test_path = data_by_seed[seed]
+            train_ds = load_dataset(data_path)
+            test_ds = load_dataset(test_path)
+            cfgs = [
+                _train_config(
+                    method, p1 if p1 is not None else 0.1, p2 if p2 is not None else "auto",
+                    train_kw, seed, train_ds,
+                )
+                for p1, p2 in grid
+            ]
+            reports = train_runs(train_ds, test_ds, cfgs)
+            for (p1, p2), run_cfg, report, point_accs in zip(grid, cfgs, reports, accs):
                 tag = f"{method}" + (f"-pi1_{p1}-pi2_{p2}" if p1 is not None else "")
                 run_dir = out_dir / "runs" / f"{tag}-seed{seed}"
-                record = _train_once(
-                    data_path, test_path, method, p1 if p1 is not None else 0.1, p2 if p2 is not None else "auto",
-                    train_kw, seed, run_dir,
-                )
-                accs.append(record["best_test_accuracy"])
-            rows.append((method, p1, p2, accs))
+                record = _write_run(run_dir, method, run_cfg, report, train_ds, data_path, test_path)
+                point_accs.append(record["best_test_accuracy"])
+        rows += [(method, p1, p2, point_accs) for (p1, p2), point_accs in zip(grid, accs)]
 
     headers = ["method", "pi1", "pi2", "best_test_accuracy", "n_seeds"]
     table_rows = []

@@ -266,12 +266,16 @@ def quantize_label(s: SoftLabel, rng: RngStream) -> int:
     return min(k, s.num_classes - 1)
 
 
-def zero_one_test_risk(predictions, labels) -> float:
-    """Fraction of mismatched predictions. Accuracy is 1 minus this value."""
+def zero_one_test_risk(predictions, labels):
+    """Fraction of mismatched predictions. Accuracy is 1 minus this value.
+
+    (n,) predictions give a float; (K, n) predictions of K stacked runs give
+    a (K,) array, one risk per run."""
     p = np.asarray(predictions)
     y = np.asarray(labels)
-    if p.ndim != 1 or p.shape != y.shape:
+    if p.ndim not in (1, 2) or y.ndim != 1 or p.shape[-1] != y.shape[0]:
         raise ValueError(f"predictions {p.shape} and labels {y.shape} must be equal-length vectors")
-    if p.size == 0:
+    if y.size == 0:
         raise ValueError("cannot evaluate on an empty set")
-    return float(np.mean(p != y))
+    risk = np.mean(p != y, axis=-1)
+    return float(risk) if risk.ndim == 0 else risk

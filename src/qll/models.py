@@ -4,10 +4,16 @@ A linear map and a one-hidden-layer rectifier network, with hand-written
 forward/backward passes. The per-class outputs are raw logits; prediction is
 argmax (ties go to the smallest index). Parameters live in plain numpy
 arrays exposed through ``params`` dicts so the optimizer stays generic.
+
+A model may also hold K models stacked on a leading axis (weights (K, c, d),
+biases (K, c), and so on): forward and backward work on the trailing two
+axes, so one call serves all K, and member k's slices equal what the same
+call computes for that member alone, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,16 +42,16 @@ _KIND_CODES = {"linear": 1, "mlp": 2}
 
 @dataclass
 class LinearModel:
-    weights: np.ndarray  # (c, d)
-    bias: np.ndarray  # (c,)
+    weights: np.ndarray  # (c, d), or (K, c, d) stacked
+    bias: np.ndarray  # (c,), or (K, c) stacked
 
     @property
     def class_count(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def feature_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}
@@ -53,22 +59,22 @@ class LinearModel:
 
 @dataclass
 class MlpModel:
-    hidden_w: np.ndarray  # (h, d)
-    hidden_b: np.ndarray  # (h,)
-    out_w: np.ndarray  # (c, h)
-    out_b: np.ndarray  # (c,)
+    hidden_w: np.ndarray  # (h, d), or (K, h, d) stacked
+    hidden_b: np.ndarray  # (h,), or (K, h) stacked
+    out_w: np.ndarray  # (c, h), or (K, c, h) stacked
+    out_b: np.ndarray  # (c,), or (K, c) stacked
 
     @property
     def class_count(self) -> int:
-        return self.out_w.shape[0]
+        return self.out_w.shape[-2]
 
     @property
     def feature_dim(self) -> int:
-        return self.hidden_w.shape[1]
+        return self.hidden_w.shape[-1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.hidden_w.shape[0]
+        return self.hidden_w.shape[-2]
 
     def params(self) -> dict[str, np.ndarray]:
         return {
@@ -84,9 +90,7 @@ class ForwardCache:
     """Activations retained for the backward pass."""
 
     x: np.ndarray  # (n, d)
-    pre_hidden: np.ndarray | None = None  # (n, h), mlp only
-    hidden: np.ndarray | None = None  # (n, h), mlp only
-    squeezed: bool = False  # input was a single example
+    hidden: np.ndarray | None = None  # (n, h) or (K, n, h), mlp only
 
 
 def init_model(
@@ -112,52 +116,58 @@ def init_model(
 
 
 def forward(model, x) -> tuple[np.ndarray, ForwardCache]:
-    """Logits for one example (d,) or a batch (n, d)."""
+    """Logits for a batch x of shape (n, d): (n, c), or (K, n, c) when the
+    model is stacked."""
     x = np.asarray(x, dtype=np.float64)
-    squeezed = x.ndim == 1
-    xb = x[None, :] if squeezed else x
-    if xb.ndim != 2 or xb.shape[1] != model.feature_dim:
-        raise ValueError(f"expected features of dim {model.feature_dim}, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] != model.feature_dim:
+        raise ValueError(
+            f"expected an (n, {model.feature_dim}) feature batch, got shape {x.shape}"
+        )
 
+    # Biases and the rectifier apply in place, so a stacked evaluation
+    # holds one (K, n, h) array at a time.
     if isinstance(model, LinearModel):
-        logits = xb @ model.weights.T + model.bias
-        cache = ForwardCache(xb, squeezed=squeezed)
-    else:
-        pre = xb @ model.hidden_w.T + model.hidden_b
-        act = np.maximum(pre, 0.0)
-        logits = act @ model.out_w.T + model.out_b
-        cache = ForwardCache(xb, pre_hidden=pre, hidden=act, squeezed=squeezed)
-    return (logits[0] if squeezed else logits), cache
+        logits = x @ model.weights.swapaxes(-1, -2)
+        logits += model.bias[..., None, :]
+        return logits, ForwardCache(x)
+    act = x @ model.hidden_w.swapaxes(-1, -2)
+    act += model.hidden_b[..., None, :]
+    np.maximum(act, 0.0, out=act)  # hidden > 0 is then the ReLU mask
+    logits = act @ model.out_w.swapaxes(-1, -2)
+    logits += model.out_b[..., None, :]
+    return logits, ForwardCache(x, hidden=act)
 
 
 def backward(model, cache: ForwardCache, d_logits) -> dict[str, np.ndarray]:
-    """Parameter gradients from d(loss)/d(logits) via the chain rule."""
+    """Parameter gradients from d(loss)/d(logits) via the chain rule;
+    d_logits has the shape of the logits the forward pass returned."""
     g = np.asarray(d_logits, dtype=np.float64)
-    if cache.squeezed:
-        g = g[None, :]
-    if g.shape != (cache.x.shape[0], model.class_count):
-        raise ValueError(f"d_logits shape {d_logits.shape} does not match the forward pass")
+    bias = model.bias if isinstance(model, LinearModel) else model.out_b
+    if g.shape != (*bias.shape[:-1], cache.x.shape[0], model.class_count):
+        raise ValueError(f"d_logits shape {g.shape} does not match the forward pass")
 
+    g_t = g.swapaxes(-1, -2)
     if isinstance(model, LinearModel):
-        return {"weights": g.T @ cache.x, "bias": g.sum(axis=0)}
+        return {"weights": g_t @ cache.x, "bias": g.sum(axis=-2)}
     d_act = g @ model.out_w
-    d_pre = d_act * (cache.pre_hidden > 0.0)
+    d_pre = d_act * (cache.hidden > 0.0)
     return {
-        "out_w": g.T @ cache.hidden,
-        "out_b": g.sum(axis=0),
-        "hidden_w": d_pre.T @ cache.x,
-        "hidden_b": d_pre.sum(axis=0),
+        "out_w": g_t @ cache.hidden,
+        "out_b": g.sum(axis=-2),
+        "hidden_w": d_pre.swapaxes(-1, -2) @ cache.x,
+        "hidden_b": d_pre.sum(axis=-2),
     }
 
 
 def predict(logits):
-    """Argmax class index; ties break toward the smallest index."""
+    """Argmax class index over the last axis; ties break toward the smallest
+    index. One logit vector gives an int, a batch an index array."""
     z = np.asarray(logits)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
     if z.ndim == 1:
         return int(np.argmax(z))
-    return np.argmax(z, axis=1)
+    return np.argmax(z, axis=-1)
 
 
 def save_model(model, path) -> Path:
@@ -185,28 +195,37 @@ def save_model(model, path) -> Path:
 
 
 def load_model(path):
+    """Read a checkpoint written by ``save_model``."""
     raw = Path(path).read_bytes()
     if raw[:4] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a model checkpoint")
-    kind = raw[4]
+    if len(raw) < 5:
+        raise ValueError(f"{path}: truncated header")
+    code = raw[4]
+    if code == _KIND_CODES["linear"]:
+        dims_fmt = "<II"
+    elif code == _KIND_CODES["mlp"]:
+        dims_fmt = "<III"
+    else:
+        raise ValueError(f"{path}: unknown model kind code {code}")
+    off = 5 + struct.calcsize(dims_fmt)
+    if len(raw) < off:
+        raise ValueError(f"{path}: truncated header")
+    dims = struct.unpack_from(dims_fmt, raw, 5)
+    if code == _KIND_CODES["linear"]:
+        c, d = dims
+        shapes = [(c, d), (c,)]
+    else:
+        c, d, h = dims
+        shapes = [(h, d), (h,), (c, h), (c,)]
+    expected = off + 4 * sum(math.prod(shape) for shape in shapes)
+    if len(raw) != expected:
+        raise ValueError(f"{path}: size mismatch (expected {expected} bytes)")
 
-    def take(offset: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        return arr.reshape(shape).astype(np.float64), offset + 4 * count
-
-    if kind == _KIND_CODES["linear"]:
-        c, d = struct.unpack_from("<II", raw, 5)
-        off = 5 + 8
-        w, off = take(off, (c, d))
-        b, off = take(off, (c,))
-        return LinearModel(w, b)
-    if kind == _KIND_CODES["mlp"]:
-        c, d, h = struct.unpack_from("<III", raw, 5)
-        off = 5 + 12
-        w1, off = take(off, (h, d))
-        b1, off = take(off, (h,))
-        w2, off = take(off, (c, h))
-        b2, off = take(off, (c,))
-        return MlpModel(w1, b1, w2, b2)
-    raise ValueError(f"{path}: unknown model kind code {kind}")
+    blocks = []
+    for shape in shapes:
+        count = math.prod(shape)
+        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
+        blocks.append(arr.reshape(shape).astype(np.float64))
+        off += 4 * count
+    return (LinearModel if code == _KIND_CODES["linear"] else MlpModel)(*blocks)

@@ -23,10 +23,16 @@ once r_u_minus - pi2 * r_p_minus < 0 (the class is "corrected") the objective
 switches to  pi2 * r_p_minus - r_u_minus, which drops the positive term and
 ascends the negative part. Reported values always use the clamped estimator;
 gradients always follow the branch objective.
+
+K runs that share a batch but not their priors evaluate in one call: logits
+(K, n, c) with K ``ClassPriors``, one per run. The masks and the sigmoid pass
+are shared; every per-run result equals the one a (n, c) call with that
+run's logits and priors gives, bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +74,13 @@ class CpuRiskReport:
 
     ``value`` is the reported (clamped, nonnegative) estimator;
     ``objective_value`` is the branch objective the gradients follow. The
-    two agree exactly whenever no class is corrected.
+    two agree exactly whenever no class is corrected. For K stacked runs
+    both are (K,) arrays and ``per_class`` lists K*c breakdowns, run-major.
     """
 
-    value: float
+    value: float | np.ndarray
     per_class: tuple[ClassRiskBreakdown, ...]
-    objective_value: float
+    objective_value: float | np.ndarray
 
 
 def class_partition(labels, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,21 +148,23 @@ def nnpu_class_risk(
 def _check_batch(batch_logits, labels) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(batch_logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 2 or y.shape != (z.shape[0],):
-        raise ValueError(f"need (n, c) logits with n labels, got {z.shape} and {y.shape}")
-    if z.shape[0] < 2:
+    if z.ndim not in (2, 3) or y.shape != z.shape[-2:-1]:
+        raise ValueError(
+            f"need (n, c) or (K, n, c) logits with n labels, got {z.shape} and {y.shape}"
+        )
+    if y.size < 2:
         raise ValueError("batch must contain at least 2 examples")
     if (y == y[0]).all():
         raise ValueError("batch must span at least 2 classes; resample")
-    if y.min() < 0 or y.max() >= z.shape[1]:
-        raise ValueError(f"labels must lie in [0, {z.shape[1]})")
+    if y.min() < 0 or y.max() >= z.shape[-1]:
+        raise ValueError(f"labels must lie in [0, {z.shape[-1]})")
     return z, y
 
 
 def _cpu_core(
     batch_logits,
     labels,
-    priors: ClassPriors,
+    priors: ClassPriors | Sequence[ClassPriors],
     loss: BinaryLossKind,
     alpha: float | None,
     u_mode: str,
@@ -164,8 +173,18 @@ def _cpu_core(
     if u_mode not in U_MODES:
         raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
     z, y = _check_batch(batch_logits, labels)
-    n, c = z.shape
+    n, c = z.shape[-2:]
+    single = isinstance(priors, ClassPriors)
+    if single != (z.ndim == 2) or (not single and len(priors) != z.shape[0]):
+        raise ValueError("(n, c) logits take one ClassPriors; (K, n, c) logits a sequence of K")
+    if single:
+        pi1, pi2 = priors.pi1, priors.pi2
+    else:  # (K, 1) columns, one row per run
+        pi1 = np.array([[p.pi1] for p in priors], dtype=np.float64)
+        pi2 = np.array([[p.pi2] for p in priors], dtype=np.float64)
 
+    # Masks and class counts depend on the labels alone: one (n, c) copy
+    # broadcasts over the run axis.
     pos_mask = np.zeros((n, c))
     pos_mask[np.arange(n), y] = 1.0
     unl_mask = np.ones((n, c)) if u_mode == "full" else 1.0 - pos_mask
@@ -176,35 +195,39 @@ def _cpu_core(
     n_p_safe = np.maximum(n_p, 1.0)
 
     loss_pos, loss_neg, grad_pos, grad_neg = _binary_parts(loss, z, alpha)
-    r_p_plus = (pos_mask * loss_pos).sum(axis=0) / n_p_safe
-    r_p_minus = (pos_mask * loss_neg).sum(axis=0) / n_p_safe
-    r_u_minus = (unl_mask * loss_neg).sum(axis=0) / n_u
+    r_p_plus = (pos_mask * loss_pos).sum(axis=-2) / n_p_safe
+    r_p_minus = (pos_mask * loss_neg).sum(axis=-2) / n_p_safe
+    r_u_minus = (unl_mask * loss_neg).sum(axis=-2) / n_u
 
-    neg_part = r_u_minus - priors.pi2 * r_p_minus
+    neg_part = r_u_minus - pi2 * r_p_minus
     corrected = neg_part < 0.0
-    values = priors.pi1 * r_p_plus + np.maximum(neg_part, 0.0)
-    objectives = np.where(corrected, -neg_part, priors.pi1 * r_p_plus + neg_part)
+    values = pi1 * r_p_plus + np.maximum(neg_part, 0.0)
+    objectives = np.where(corrected, -neg_part, pi1 * r_p_plus + neg_part)
 
+    runs = values.size // c
     per_class = tuple(
         map(
             ClassRiskBreakdown,
-            r_p_plus.tolist(),
-            r_u_minus.tolist(),
-            r_p_minus.tolist(),
-            n_p.astype(np.int64).tolist(),
-            n_u.astype(np.int64).tolist(),
-            corrected.tolist(),
+            r_p_plus.ravel().tolist(),
+            r_u_minus.ravel().tolist(),
+            r_p_minus.ravel().tolist(),
+            n_p.astype(np.int64).tolist() * runs,
+            n_u.astype(np.int64).tolist() * runs,
+            corrected.ravel().tolist(),
         )
     )
-    report = CpuRiskReport(float(values.mean()), per_class, float(objectives.mean()))
+    value, objective = values.mean(axis=-1), objectives.mean(axis=-1)
+    if single:
+        value, objective = float(value), float(objective)
+    report = CpuRiskReport(value, per_class, objective)
     if not want_grad:
         return report, None
 
     # Branch-dependent per-class coefficients; corrected classes drop the
     # positive term and flip the sign of the clamped part.
-    coef_pp = np.where(corrected, 0.0, priors.pi1) / n_p_safe
-    coef_pm = np.where(corrected, priors.pi2, -priors.pi2) / n_p_safe
-    coef_um = np.where(corrected, -1.0, 1.0) / n_u
+    coef_pp = (np.where(corrected, 0.0, pi1) / n_p_safe)[..., None, :]
+    coef_pm = (np.where(corrected, pi2, -pi2) / n_p_safe)[..., None, :]
+    coef_um = (np.where(corrected, -1.0, 1.0) / n_u)[..., None, :]
     grad = (pos_mask * (grad_pos * coef_pp + grad_neg * coef_pm) + unl_mask * grad_neg * coef_um) / c
     return report, grad
 
@@ -212,7 +235,7 @@ def _cpu_core(
 def cpu_risk(
     batch_logits,
     labels,
-    priors: ClassPriors,
+    priors: ClassPriors | Sequence[ClassPriors],
     loss: BinaryLossKind,
     alpha: float | None = None,
     u_mode: str = "complement",
@@ -225,7 +248,7 @@ def cpu_risk(
 def cpu_risk_grad(
     batch_logits,
     labels,
-    priors: ClassPriors,
+    priors: ClassPriors | Sequence[ClassPriors],
     loss: BinaryLossKind,
     alpha: float | None = None,
     u_mode: str = "complement",
@@ -238,7 +261,7 @@ def cpu_risk_grad(
 def cpu_risk_with_grad(
     batch_logits,
     labels,
-    priors: ClassPriors,
+    priors: ClassPriors | Sequence[ClassPriors],
     loss: BinaryLossKind,
     alpha: float | None = None,
     u_mode: str = "complement",

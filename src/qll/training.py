@@ -7,12 +7,19 @@ stream, so e.g. switching the model kind never changes the batch order.
 Learning rate follows the step-decay schedule: 0.1x the initial rate from
 the 50% epoch boundary and 0.01x from the 75% boundary. Weight decay folds
 into the gradient before the momentum update (classical coupling).
+
+Runs whose configs differ only in ``priors`` share their init, batch order
+and alpha draws, so ``train_runs`` trains K of them at once: parameters
+carry a leading run axis of K, and every step is one stacked forward, risk,
+backward and SGD call. Each member's report equals its solo ``train`` run
+bit for bit. ``train`` is the K=1 case and keeps unstacked parameters.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +44,7 @@ __all__ = [
     "sgd_step",
     "lr_at_epoch",
     "train",
+    "train_runs",
     "evaluate",
     "write_metrics",
     "METRICS_HEADER",
@@ -148,8 +156,9 @@ def _epoch_batches(
     )
 
 
-def evaluate(model, test_set: AmbiguousDataset) -> float:
-    """Clean-test accuracy of argmax predictions."""
+def evaluate(model, test_set: AmbiguousDataset):
+    """Clean-test accuracy of argmax predictions: a float, or a (K,) array
+    of per-run accuracies for a stacked model."""
     if test_set.n_examples == 0:
         raise ValueError("empty test set")
     logits, _ = forward(model, test_set.features.astype(np.float64))
@@ -164,8 +173,30 @@ def train(
     Per iteration: draw alpha when the loss is stochastic, compute the
     objective and its logit gradients (branch-objective gradients for PU
     methods, mean baseline loss otherwise), backprop, and apply one SGD
-    step. Test accuracy is evaluated after every epoch.
+    step. Test accuracy is evaluated after every epoch. This is the K=1
+    case of ``train_runs``.
     """
+    return train_runs(train_set, test_set, [cfg])[0]
+
+
+def train_runs(
+    train_set: AmbiguousDataset, test_set: AmbiguousDataset, cfgs: Sequence[TrainConfig]
+) -> list[TrainReport]:
+    """Train K runs that differ only in ``priors`` as one stacked run.
+
+    Returns one report per config, in order, each equal to what ``train``
+    returns for that config alone. Only PU methods stack (K > 1); a baseline
+    has no priors to vary. Every report carries the group's wall time.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("need at least one config")
+    cfg = cfgs[0]
+    if any(replace(c, priors=cfg.priors) != cfg for c in cfgs[1:]):
+        raise ValueError("stacked runs may differ only in priors")
+    runs = len(cfgs)
+    if runs > 1 and not cfg.is_cpu_method:
+        raise ValueError("only PU methods stack; baseline runs differ in nothing")
     if train_set.n_examples == 0 or test_set.n_examples == 0:
         raise ValueError("datasets must be nonempty")
     if (train_set.class_count, train_set.feature_dim) != (
@@ -186,6 +217,12 @@ def train(
         init_rng,
         hidden_dim=cfg.hidden_dim,
     )
+    # A single run keeps 2-D parameters and scalar priors: a leading axis of
+    # one costs time on every step.
+    priors = cfg.priors
+    if runs > 1:
+        model = type(model)(**{k: np.stack([v] * runs) for k, v in model.params().items()})
+        priors = tuple(c.priors for c in cfgs)
     params = model.params()
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
 
@@ -195,7 +232,7 @@ def train(
     is_cpu = cfg.is_cpu_method
     needs_alpha = is_cpu and cfg.loss.needs_alpha
 
-    stats: list[EpochStats] = []
+    objectives, accuracies = [], []
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(cfg, epoch)
         objective_sum = 0.0
@@ -205,7 +242,7 @@ def train(
             if is_cpu:
                 alpha = sample_alpha(alpha_rng) if needs_alpha else None
                 report, d_logits = cpu_risk_with_grad(
-                    logits, yb, cfg.priors, cfg.loss, alpha, u_mode=cfg.u_mode
+                    logits, yb, priors, cfg.loss, alpha, u_mode=cfg.u_mode
                 )
                 objective = report.objective_value
             else:
@@ -215,12 +252,25 @@ def train(
             grad_params = backward(model, cache, d_logits)
             sgd_step(params, grad_params, velocity, lr, cfg.momentum, cfg.weight_decay)
             objective_sum += objective * batch.size
-        acc = evaluate(model, test_set)
-        stats.append(EpochStats(epoch + 1, objective_sum / n, acc))
+        objectives.append(objective_sum / n)
+        accuracies.append(evaluate(model, test_set))
 
-    best = max(s.test_accuracy for s in stats)
-    last5 = float(np.mean([s.test_accuracy for s in stats[-5:]]))
-    return TrainReport(stats, best, last5, model, time.perf_counter() - t0)
+    wall = time.perf_counter() - t0
+    objectives = np.array(objectives).reshape(cfg.epochs, runs)
+    accuracies = np.array(accuracies).reshape(cfg.epochs, runs)
+    reports = []
+    for k in range(runs):
+        stats = [
+            EpochStats(epoch + 1, float(obj), float(acc))
+            for epoch, (obj, acc) in enumerate(zip(objectives[:, k], accuracies[:, k]))
+        ]
+        best = max(s.test_accuracy for s in stats)
+        last5 = float(np.mean([s.test_accuracy for s in stats[-5:]]))
+        final = model
+        if runs > 1:
+            final = type(model)(**{name: v[k].copy() for name, v in params.items()})
+        reports.append(TrainReport(stats, best, last5, final, wall))
+    return reports
 
 
 def write_metrics(report: TrainReport, path) -> None:

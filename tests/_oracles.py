@@ -63,6 +63,19 @@ def per_target_binary_loss(kind, logits, target, alpha=None):
     return loss, grad
 
 
+def masked_stable_sigmoid(x):
+    """The logistic function by boolean-mask indexing: 1 / (1 + exp(-x))
+    where x >= 0, exp(x) / (1 + exp(x)) below. The branch-free production
+    form must match it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def classical_js(p, q):
     """Textbook Jensen-Shannon divergence with the equal-weight midpoint."""
     p = np.asarray(p, dtype=np.float64)

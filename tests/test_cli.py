@@ -158,6 +158,21 @@ class TestSweep:
         assert len([l for l in csv if l.startswith("cpu-kl")]) == 2
         assert csv[-1].startswith("spread,")
 
+    def test_grid_runs_equal_solo_train(self, datadir, tmp_path):
+        data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
+        common = ["--method", "cpu-sjs", "--epochs", "2"]
+        out = tmp_path / "sweep3"
+        assert run("sweep", *data, *common, "--pi2-grid", "0.3,0.6", "--seeds", "1,2", "--out", str(out)) == 0
+        for pi2 in ("0.3", "0.6"):
+            for seed in ("1", "2"):
+                solo = tmp_path / f"solo-{pi2}-{seed}"
+                assert run("train", *data, *common, "--pi2", pi2, "--seed", seed, "--out", str(solo)) == 0
+                swept = out / "runs" / f"cpu-sjs-pi1_0.1-pi2_{pi2}-seed{seed}"
+                for name in ("metrics.csv", "model.ckpt", "run.json"):
+                    assert (swept / name).read_bytes() == (solo / name).read_bytes()
+        rows = (out / "sweep_table.csv").read_text().splitlines()[1:-1]
+        assert [r.split(",")[:3] for r in rows] == [["cpu-sjs", "0.1", "0.3"], ["cpu-sjs", "0.1", "0.6"]]
+
     def test_config_driven_sweep(self, tmp_path):
         cfg = {
             "base": {"c": 3, "d": 6, "n_per_class": 15, "test_n_per_class": 15},

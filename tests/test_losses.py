@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import classical_js, rel_err
+from _oracles import classical_js, masked_stable_sigmoid, rel_err
 from qll.core import RngStream
 from qll.losses import (
     ALPHA_FLOOR,
     EPS,
     BernoulliPair,
+    _stable_sigmoid,
     BinaryLossKind,
     MulticlassLossKind,
     baseline_loss,
@@ -151,6 +152,21 @@ class TestBernoulliPair:
         assert BernoulliPair.from_logit(0.0).p_pos == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(ValueError):
             BernoulliPair.from_logit(float("nan"))
+
+
+class TestStableSigmoid:
+    def test_matches_masked_form_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        edges = np.array([0.0, -0.0, 1e-9, -1e-9, 40.0, -40.0, 800.0, -800.0])
+        cases = [
+            rng.normal(size=(16, 4)) * 3.0,
+            rng.normal(size=(3, 16, 4)) * 3.0,
+            np.concatenate([edges, rng.normal(size=200_000) * 10.0]),
+        ]
+        for x in cases:
+            assert np.array_equal(_stable_sigmoid(x), masked_stable_sigmoid(x))
+        # -0.0 lands on the x >= 0 side in both forms
+        assert _stable_sigmoid(np.array([-0.0]))[0] == 0.5
 
 
 class TestBinaryLoss:

@@ -45,16 +45,16 @@ class TestInitModel:
 class TestForward:
     def test_zero_weights_give_bias(self):
         m = LinearModel(np.zeros((3, 4)), np.array([0.5, -1.0, 2.0]))
-        logits, _ = forward(m, np.ones(4))
+        logits, _ = forward(m, np.ones((1, 4)))
         assert np.allclose(logits, m.bias)
 
     def test_linear_algebra(self):
         w = np.arange(12, dtype=np.float64).reshape(3, 4)
         m = LinearModel(w, np.zeros(3))
-        e1 = np.zeros(4)
-        e1[0] = 1.0
+        e1 = np.zeros((1, 4))
+        e1[0, 0] = 1.0
         logits, _ = forward(m, e1)
-        assert np.allclose(logits, w[:, 0])
+        assert np.allclose(logits[0], w[:, 0])
 
     def test_batch_matches_per_example(self):
         rng = RngStream(4, 3)
@@ -62,8 +62,30 @@ class TestForward:
         x = np.random.default_rng(4).normal(size=(9, 6))
         batch_logits, _ = forward(m, x)
         for i in range(9):
-            single, _ = forward(m, x[i])
-            assert np.allclose(batch_logits[i], single, atol=1e-12)
+            single, _ = forward(m, x[i : i + 1])
+            assert np.allclose(batch_logits[i], single[0], atol=1e-12)
+
+    def test_single_example_vector_rejected(self):
+        m = init_model("linear", 3, 4, RngStream(4, 3))
+        with pytest.raises(ValueError):
+            forward(m, np.ones(4))
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_stacked_members_match_solo_bit_for_bit(self, kind):
+        members = [init_model(kind, 4, 6, RngStream(s, 3), hidden_dim=8) for s in (1, 2, 3)]
+        stacked = type(members[0])(
+            **{k: np.stack([m.params()[k] for m in members]) for k in members[0].params()}
+        )
+        x = np.random.default_rng(5).normal(size=(7, 6))
+        g = np.random.default_rng(6).normal(size=(3, 7, 4))
+        logits, cache = forward(stacked, x)
+        grads = backward(stacked, cache, g)
+        assert logits.shape == (3, 7, 4)
+        for k, m in enumerate(members):
+            solo_logits, solo_cache = forward(m, x)
+            assert np.array_equal(logits[k], solo_logits)
+            for name, solo_grad in backward(m, solo_cache, g[k]).items():
+                assert np.array_equal(grads[name][k], solo_grad)
 
     def test_batch_order_independence(self):
         m = init_model("linear", 3, 5, RngStream(5, 3))
@@ -94,6 +116,8 @@ class TestBackward:
         _, cache = forward(m, np.ones((2, 4)))
         with pytest.raises(ValueError):
             backward(m, cache, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=r"\(3, 3\)"):
+            backward(m, cache, np.zeros((3, 3)).tolist())  # a list has no .shape
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_cpu_risk_pipeline_matches_fd(self, kind):
@@ -217,4 +241,27 @@ class TestCheckpoint:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError):
+            load_model(bad)
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_truncated_or_padded_rejected(self, tmp_path, kind):
+        m = init_model(kind, 4, 6, RngStream(14, 3), hidden_dim=5)
+        raw = save_model(m, tmp_path / "m.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        # inside the magic, at the kind code, inside the dims, at the end of
+        # the header, inside a parameter block, one byte short
+        for cut in (2, 4, 5, 9, 13, 20, len(raw) - 1):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(ValueError):
+                load_model(bad)
+        bad.write_bytes(raw + b"\x00")
+        with pytest.raises(ValueError, match="size mismatch"):
+            load_model(bad)
+
+    def test_unknown_kind_code_rejected(self, tmp_path):
+        raw = bytearray(save_model(init_model("linear", 3, 4, RngStream(15, 3)), tmp_path / "m.ckpt").read_bytes())
+        raw[4] = 9
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="kind code"):
             load_model(bad)

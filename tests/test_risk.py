@@ -352,3 +352,37 @@ class TestFusedPassBitExact:
                 scalar = [[fn(loss, float(x), target, alpha) for x in row] for row in EDGE_LOGITS]
                 assert np.array_equal(batch, ref)
                 assert np.array_equal(np.array(scalar), ref)
+
+
+class TestStackedRuns:
+    """K runs' logits stacked on a leading axis, each with its own priors,
+    in one call: every member equals its own (n, c) call bit for bit."""
+
+    PRIORS = [ClassPriors(0.1, 0.2), ClassPriors(0.1, 0.2), ClassPriors(0.1, 0.9)]
+
+    @pytest.mark.parametrize("u_mode", ["complement", "full"])
+    @pytest.mark.parametrize("loss,alpha", FUSED_CASES)
+    def test_members_match_solo_calls(self, loss, alpha, u_mode):
+        rng = np.random.default_rng(31)
+        z = np.stack([EDGE_LOGITS, 0.5 * EDGE_LOGITS, rng.normal(size=EDGE_LOGITS.shape) * 3.0])
+        rep, grad = cpu_risk_with_grad(z, EDGE_LABELS, self.PRIORS, loss, alpha, u_mode)
+        c = z.shape[-1]
+        assert rep.value.shape == rep.objective_value.shape == (3,)
+        assert len(rep.per_class) == 3 * c
+        for k, pr in enumerate(self.PRIORS):
+            solo, solo_grad = cpu_risk_with_grad(z[k], EDGE_LABELS, pr, loss, alpha, u_mode)
+            assert rep.value[k] == solo.value
+            assert rep.objective_value[k] == solo.objective_value
+            assert rep.per_class[k * c : (k + 1) * c] == solo.per_class
+            assert np.array_equal(grad[k], solo_grad)
+
+    def test_prior_count_must_match_runs(self):
+        z = np.stack([EDGE_LOGITS] * 3)
+        with pytest.raises(ValueError):
+            cpu_risk(z, EDGE_LABELS, ClassPriors(0.1, 0.5), KL)
+        with pytest.raises(ValueError):
+            cpu_risk(z, EDGE_LABELS, self.PRIORS[:2], KL)
+        with pytest.raises(ValueError):
+            cpu_risk(EDGE_LOGITS, EDGE_LABELS, self.PRIORS, KL)
+        with pytest.raises(ValueError):
+            cpu_risk(z, EDGE_LABELS[:-1], self.PRIORS, KL)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from qll.core import (
 )
 from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
 from qll.losses import BinaryLossKind, MulticlassLossKind
-from qll.models import LinearModel, forward, predict
+from qll.models import LinearModel, forward, predict, save_model
 from qll.training import (
     METRICS_HEADER,
     TrainConfig,
@@ -19,6 +21,7 @@ from qll.training import (
     lr_at_epoch,
     sgd_step,
     train,
+    train_runs,
     write_metrics,
 )
 
@@ -193,3 +196,50 @@ class TestMetricsFile:
         assert first[0] == "1"
         assert float(first[1]) == report.per_epoch[0].train_objective
         assert float(first[2]) == report.per_epoch[0].test_accuracy
+
+
+class TestTrainRuns:
+    """A stacked group's members write the bytes of their solo runs."""
+
+    PRIORS = (ClassPriors(0.1, 0.25), ClassPriors(0.1, 0.25), ClassPriors(0.1, 0.75))
+
+    def _files(self, report, path):
+        path.mkdir()
+        write_metrics(report, path / "metrics.csv")
+        save_model(report.final_model, path / "model.ckpt")
+        return (path / "metrics.csv").read_bytes(), (path / "model.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("u_mode", ["complement", "full"])
+    @pytest.mark.parametrize("model_kind", ["mlp", "linear"])
+    @pytest.mark.parametrize("loss", [BinaryLossKind.scaled_sjs(), BinaryLossKind.kl()])
+    def test_members_byte_identical_to_solo(self, tmp_path, loss, model_kind, u_mode, runs):
+        _, test, ambig = small_data()
+        cfgs = [
+            TrainConfig(epochs=3, loss=loss, priors=pr, seed=4, model_kind=model_kind,
+                        hidden_dim=8, u_mode=u_mode)
+            for pr in self.PRIORS[:runs]
+        ]
+        reports = train_runs(ambig, test, cfgs)
+        assert len(reports) == runs
+        for k, (cfg, report) in enumerate(zip(cfgs, reports)):
+            solo = train(ambig, test, cfg)
+            assert report.per_epoch == solo.per_epoch
+            assert self._files(report, tmp_path / f"stacked{k}") == self._files(solo, tmp_path / f"solo{k}")
+
+    def test_configs_must_differ_only_in_priors(self):
+        _, test, ambig = small_data()
+        base = TrainConfig(epochs=1, loss=BinaryLossKind.kl(), priors=ClassPriors(0.1, 0.5), seed=1)
+        others = [
+            replace(base, seed=2),
+            replace(base, epochs=2),
+            replace(base, loss=BinaryLossKind.scaled_sjs()),
+        ]
+        for other in others:
+            with pytest.raises(ValueError, match="only in priors"):
+                train_runs(ambig, test, [base, other])
+        with pytest.raises(ValueError):
+            train_runs(ambig, test, [])
+        ce = TrainConfig(epochs=1, loss=MulticlassLossKind.ce())
+        with pytest.raises(ValueError, match="only PU methods stack"):
+            train_runs(ambig, test, [ce, ce])
