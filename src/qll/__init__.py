@@ -40,10 +40,8 @@ from .datagen import (
 )
 from .dataio import load_dataset, save_dataset
 from .losses import (
-    BernoulliPair,
     BinaryLossKind,
     MulticlassLossKind,
-    baseline_loss,
     baseline_loss_batch,
     binary_loss,
     binary_loss_grad,
@@ -66,12 +64,9 @@ from .models import (
 from .risk import (
     ClassRiskBreakdown,
     CpuRiskReport,
-    class_partition,
     cpu_risk,
     cpu_risk_grad,
     cpu_risk_with_grad,
-    nnpu_class_risk,
-    pu_risk_unbiased,
 )
 from .training import (
     TrainConfig,

@@ -348,30 +348,41 @@ def cmd_sweep(args) -> int:
         pi2_grid = _parse_grid(args.pi2_grid, args.pi2)
         data_by_seed = {seed: (Path(args.data), Path(args.test)) for seed in seeds}
 
-    # The prior grid of one (method, seed) trains as one stacked run: its
-    # members share init, batches and alpha draws.
+    # Each file is read once. Seeds whose train sets share a shape form one
+    # group, and each method trains a group's seeds x prior grid as one
+    # stacked run (in practice every seed has the same shape: one group).
+    paths = dict.fromkeys(p for pair in data_by_seed.values() for p in pair)
+    loaded = {path: load_dataset(path) for path in paths}
+    groups: dict[tuple, list[int]] = {}
+    for seed in seeds:
+        ds = loaded[data_by_seed[seed][0]]
+        groups.setdefault((ds.class_count, ds.feature_dim, ds.n_examples), []).append(seed)
+
     rows = []
     for method in methods:
         grid = [(p1, p2) for p1 in pi1_grid for p2 in pi2_grid] if method in CPU_METHODS else [(None, None)]
-        accs = [[] for _ in grid]
-        for seed in seeds:
-            data_path, test_path = data_by_seed[seed]
-            train_ds = load_dataset(data_path)
-            test_ds = load_dataset(test_path)
+        best = {}  # (seed, grid index) -> best test accuracy
+        for group in groups.values():
+            members = [(seed, j, p1, p2) for seed in group for j, (p1, p2) in enumerate(grid)]
+            trains = [loaded[data_by_seed[seed][0]] for seed, *_ in members]
+            tests = [loaded[data_by_seed[seed][1]] for seed, *_ in members]
             cfgs = [
                 _train_config(
                     method, p1 if p1 is not None else 0.1, p2 if p2 is not None else "auto",
                     train_kw, seed, train_ds,
                 )
-                for p1, p2 in grid
+                for (seed, _, p1, p2), train_ds in zip(members, trains)
             ]
-            reports = train_runs(train_ds, test_ds, cfgs)
-            for (p1, p2), run_cfg, report, point_accs in zip(grid, cfgs, reports, accs):
+            reports = train_runs(trains, tests, cfgs)
+            for (seed, j, p1, p2), run_cfg, report, train_ds in zip(members, cfgs, reports, trains):
                 tag = f"{method}" + (f"-pi1_{p1}-pi2_{p2}" if p1 is not None else "")
-                run_dir = out_dir / "runs" / f"{tag}-seed{seed}"
-                record = _write_run(run_dir, method, run_cfg, report, train_ds, data_path, test_path)
-                point_accs.append(record["best_test_accuracy"])
-        rows += [(method, p1, p2, point_accs) for (p1, p2), point_accs in zip(grid, accs)]
+                data_path, test_path = data_by_seed[seed]
+                record = _write_run(
+                    out_dir / "runs" / f"{tag}-seed{seed}", method, run_cfg, report,
+                    train_ds, data_path, test_path,
+                )
+                best[seed, j] = record["best_test_accuracy"]
+        rows += [(method, p1, p2, [best[seed, j] for seed in seeds]) for j, (p1, p2) in enumerate(grid)]
 
     headers = ["method", "pi1", "pi2", "best_test_accuracy", "n_seeds"]
     table_rows = []

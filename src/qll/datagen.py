@@ -88,7 +88,10 @@ class MixWeights:
         c = np.asarray(self.counts, dtype=np.int64)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("counts must be a vector of length >= 2")
-        if np.any(c < 0) or int(c.sum()) != int(self.r):
+        # Python's min and sum over the short list beat numpy's per-call
+        # overhead; both are exact on ints.
+        values = c.tolist()
+        if min(values) < 0 or sum(values) != int(self.r):
             raise ValueError(f"counts must be nonnegative and sum to r={self.r}")
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "r", int(self.r))
@@ -113,7 +116,8 @@ class BlockAssignment:
         a = np.asarray(self.assign, dtype=np.int64)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("assign must be a nonempty vector")
-        if np.any(a < 0) or np.any(a >= int(self.m)):
+        values = a.tolist()  # one min / max pass in Python, as in MixWeights
+        if min(values) < 0 or max(values) >= int(self.m):
             raise ValueError(f"assignments must lie in [0, {self.m})")
         object.__setattr__(self, "assign", a)
         object.__setattr__(self, "m", int(self.m))

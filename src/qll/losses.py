@@ -33,7 +33,6 @@ from .core import RngStream
 __all__ = [
     "EPS",
     "ALPHA_FLOOR",
-    "BernoulliPair",
     "BinaryLossKind",
     "MulticlassLossKind",
     "kl_div",
@@ -43,7 +42,6 @@ __all__ = [
     "sample_alpha",
     "binary_loss",
     "binary_loss_grad",
-    "baseline_loss",
     "baseline_loss_batch",
 ]
 
@@ -62,33 +60,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x) below.
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-@dataclass(frozen=True)
-class BernoulliPair:
-    """Two-point distribution (p_pos, 1 - p_pos) with entries clamped to
-    [EPS, 1 - EPS] at construction so downstream logarithms stay finite."""
-
-    p_pos: float
-
-    def __post_init__(self) -> None:
-        p = float(self.p_pos)
-        if not math.isfinite(p):
-            raise ValueError("p_pos must be finite")
-        object.__setattr__(self, "p_pos", min(max(p, EPS), 1.0 - EPS))
-
-    @property
-    def p_neg(self) -> float:
-        return 1.0 - self.p_pos
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_pos, self.p_neg])
-
-    @classmethod
-    def from_logit(cls, logit: float) -> "BernoulliPair":
-        if not math.isfinite(logit):
-            raise ValueError("logit must be finite")
-        return cls(float(_stable_sigmoid(np.asarray([logit], dtype=np.float64))[0]))
 
 
 @dataclass(frozen=True)
@@ -125,16 +96,20 @@ class BinaryLossKind:
     def needs_alpha(self) -> bool:
         return self.variant == "scaled_sjs" and self.fixed_alpha is None
 
-    def resolve_alpha(self, alpha: float | None) -> float | None:
-        """Alpha to evaluate with, preferring the pinned value."""
+    def resolve_alpha(self, alpha):
+        """Alpha to evaluate with, preferring the pinned value: a float, or a
+        list of floats when ``alpha`` holds one per stacked run."""
         if self.variant == "kl":
             return None
         a = self.fixed_alpha if self.fixed_alpha is not None else alpha
         if a is None:
             raise ValueError(f"{self.variant} requires alpha")
-        if not (0.0 < a <= 0.5):
-            raise ValueError(f"alpha must lie in (0, 0.5], got {a}")
-        return float(a)
+        stacked = not isinstance(a, (int, float)) and np.ndim(a) > 0
+        values = [float(v) for v in a] if stacked else [float(a)]
+        for v in values:
+            if not (0.0 < v <= 0.5):
+                raise ValueError(f"alpha must lie in (0, 0.5], got {v}")
+        return values if stacked else values[0]
 
 
 @dataclass(frozen=True)
@@ -234,11 +209,20 @@ def sample_alpha(rng: RngStream) -> float:
     return max(u / 2.0, ALPHA_FLOOR)
 
 
-def _sjs_pos_parts(sig: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def _alpha_terms(a):
+    """(alpha, 1 - alpha, ln(1 - alpha), sjs_scale(alpha)) of a float. For a
+    list of per-run alphas each term is a (K, 1, 1) column whose elements are
+    the same ``math`` operations as the float case, so a stacked run computes
+    bit for bit what its solo run does."""
+    if isinstance(a, float):
+        return a, 1.0 - a, math.log1p(-a), sjs_scale(a)
+    return tuple(np.array(t).reshape(-1, 1, 1) for t in zip(*map(_alpha_terms, a)))
+
+
+def _sjs_pos_parts(sig: np.ndarray, alpha, one_m_a, log1m_a) -> tuple[np.ndarray, np.ndarray]:
     """Loss and d(loss)/d(sigma) of D_sjs(t || (sigma, 1-sigma)) for the
-    positive one-hot target t = (1, 0). ``sig`` must already be clamped."""
-    one_m_a = 1.0 - alpha
-    log1m_a = math.log1p(-alpha)
+    positive one-hot target t = (1, 0), given ``_alpha_terms``. ``sig`` must
+    already be clamped."""
     m1 = alpha + one_m_a * sig
     # KL(t||M) = -ln m1 ; KL(q||M) = sig*ln(sig/m1) - (1-sig)*ln(1-alpha)
     kl_t = -np.log(m1)
@@ -250,29 +234,32 @@ def _sjs_pos_parts(sig: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     return loss, dloss
 
 
-def _binary_parts(kind: BinaryLossKind, logit, alpha: float | None):
+def _binary_parts(kind: BinaryLossKind, logit, alpha):
     """Losses and logit gradients against both targets from one sigmoid
     pass: (loss_pos, loss_neg, grad_pos, grad_neg), each shaped like the
     (at least 1-d) logits. binary_loss, binary_loss_grad and the class-wise
-    risk all evaluate through it."""
+    risk all evaluate through it. ``alpha`` is a float, or K floats for
+    (K, n, c) logits of K stacked runs."""
     x = np.atleast_1d(np.asarray(logit, dtype=np.float64))
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("logit must be finite")
+    a = kind.resolve_alpha(alpha)
+    if isinstance(a, list) and (x.ndim != 3 or x.shape[0] != len(a)):
+        raise ValueError(f"{len(a)} per-run alphas need (K={len(a)}, n, c) logits, got {x.shape}")
 
     sig = _stable_sigmoid(x)
     interior = (sig > EPS) & (sig < 1.0 - EPS)
     sigc = np.clip(sig, EPS, 1.0 - EPS)
     one_m_sigc = 1.0 - sigc
-    a = kind.resolve_alpha(alpha)
 
     if kind.variant == "kl":
         # One-hot target makes KL(t||q) the negative log of the target side.
         loss_pos, loss_neg = -np.log(sigc), -np.log(one_m_sigc)
         dls_pos, dls_neg = -1.0 / sigc, 1.0 / one_m_sigc
     else:
-        scale = sjs_scale(a)
-        raw_pos, draw_pos = _sjs_pos_parts(sigc, a)
-        raw_neg, draw_neg = _sjs_pos_parts(one_m_sigc, a)
+        a, one_m_a, log1m_a, scale = _alpha_terms(a)
+        raw_pos, draw_pos = _sjs_pos_parts(sigc, a, one_m_a, log1m_a)
+        raw_neg, draw_neg = _sjs_pos_parts(one_m_sigc, a, one_m_a, log1m_a)
         loss_pos, loss_neg = scale * raw_pos, scale * raw_neg
         dls_pos, dls_neg = scale * draw_pos, -scale * draw_neg
 
@@ -293,7 +280,7 @@ def binary_loss(kind: BinaryLossKind, logit, target: int, alpha: float | None = 
     """Loss of a one-vs-rest logit against target +1 or -1.
 
     The logit is squashed through a sigmoid into a two-point distribution q
-    (a ``BernoulliPair``); the target becomes the one-hot (1,0) or (0,1).
+    = (sigma, 1 - sigma); the target becomes the one-hot (1,0) or (0,1).
     KL yields binary cross-entropy; scaled SJS evaluates the scaled
     weighted JS between target and q. Accepts scalars or arrays.
     """
@@ -306,56 +293,59 @@ def binary_loss_grad(kind: BinaryLossKind, logit, target: int, alpha: float | No
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def baseline_loss_batch(kind: MulticlassLossKind, logits, labels):
     """Vectorized multiclass baseline losses.
 
     Returns per-example losses (n,) and the gradient of each loss with
-    respect to its own logits row (n, c).
+    respect to its own logits row (n, c). K stacked runs pass (K, n, c)
+    logits with (K, n) labels and get (K, n) losses and (K, n, c)
+    gradients; every op works along the last axis, so member k's rows equal
+    its own (n, c) call bit for bit.
     """
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 2 or y.shape != (z.shape[0],):
-        raise ValueError(f"logits must be (n, c) with n labels, got {z.shape} and {y.shape}")
-    if not np.all(np.isfinite(z)):
+    if z.ndim not in (2, 3) or y.shape != z.shape[:-1]:
+        raise ValueError(f"need (n, c) or (K, n, c) logits with matching labels, got {z.shape} and {y.shape}")
+    if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
-    n, c = z.shape
+    c = z.shape[-1]
     if y.size and (y.min() < 0 or y.max() >= c):
         raise ValueError(f"labels must lie in [0, {c})")
 
     p = _softmax(z)
     pc = np.clip(p, EPS, 1.0)
     interior = p > EPS
-    rows = np.arange(n)
-    onehot = np.zeros((n, c))
-    onehot[rows, y] = 1.0
+    at = (*np.indices(y.shape, sparse=True), y)  # each row's entry at its label
+    onehot = np.zeros(z.shape)
+    onehot[at] = 1.0
     log_pc = np.log(pc)
 
     v = kind.variant
     if v == "ce":
-        loss = -log_pc[rows, y]
-        g_p = np.zeros((n, c))
-        g_p[rows, y] = np.where(interior[rows, y], -1.0 / pc[rows, y], 0.0)
+        loss = -log_pc[at]
+        g_p = np.zeros(z.shape)
+        g_p[at] = np.where(interior[at], -1.0 / pc[at], 0.0)
     elif v == "bs":
         beta = kind.beta
         target = beta * onehot + (1.0 - beta) * p
-        loss = -(target * log_pc).sum(axis=1)
+        loss = -(target * log_pc).sum(axis=-1)
         g_p = -(1.0 - beta) * log_pc - np.where(interior, target / pc, 0.0)
     elif v == "gce":
         q = kind.q
-        py = p[rows, y]
+        py = p[at]
         loss = (1.0 - py**q) / q
-        g_p = np.zeros((n, c))
-        g_p[rows, y] = -np.maximum(py, EPS) ** (q - 1.0)
+        g_p = np.zeros(z.shape)
+        g_p[at] = -np.maximum(py, EPS) ** (q - 1.0)
     elif v == "sce":
         a, b = kind.a, kind.b
-        py = p[rows, y]
-        loss = -a * log_pc[rows, y] + b * _RCE_LOG_FLOOR * (1.0 - py)
-        g_p = np.zeros((n, c))
-        g_p[rows, y] = np.where(interior[rows, y], -a / pc[rows, y], 0.0) - b * _RCE_LOG_FLOOR
+        py = p[at]
+        loss = -a * log_pc[at] + b * _RCE_LOG_FLOOR * (1.0 - py)
+        g_p = np.zeros(z.shape)
+        g_p[at] = np.where(interior[at], -a / pc[at], 0.0) - b * _RCE_LOG_FLOOR
     else:  # js
         w = kind.pi1
         m = w * onehot + (1.0 - w) * p
@@ -363,7 +353,7 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels):
         m_int = m > EPS
         log_ratio = log_pc - np.log(mc)
         # D = w * KL(onehot||m) + (1-w) * KL(p||m), with KL(onehot||m) = -ln m_y
-        loss = -w * np.log(mc[rows, y]) + (1.0 - w) * (p * log_ratio).sum(axis=1)
+        loss = -w * np.log(mc[at]) + (1.0 - w) * (p * log_ratio).sum(axis=-1)
         g_p = -w * (1.0 - w) * np.where(m_int, onehot / mc, 0.0) + (1.0 - w) * (
             log_ratio
             + np.where(interior, 1.0, 0.0)
@@ -375,15 +365,7 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels):
             g_p = s * g_p
 
     # Chain through softmax: dL/dz_j = p_j * (g_j - sum_k g_k p_k).
-    inner = (g_p * p).sum(axis=1, keepdims=True)
+    inner = (g_p * p).sum(axis=-1, keepdims=True)
     grad = p * (g_p - inner)
     return loss, grad
 
-
-def baseline_loss(kind: MulticlassLossKind, logits, label: int):
-    """Single-example baseline loss; returns (loss, gradient wrt logits)."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError(f"logits must be a vector, got shape {z.shape}")
-    losses, grads = baseline_loss_batch(kind, z[None, :], np.asarray([label]))
-    return float(losses[0]), grads[0]

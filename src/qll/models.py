@@ -89,7 +89,7 @@ class MlpModel:
 class ForwardCache:
     """Activations retained for the backward pass."""
 
-    x: np.ndarray  # (n, d)
+    x: np.ndarray  # (n, d) or (K, n, d)
     hidden: np.ndarray | None = None  # (n, h) or (K, n, h), mlp only
 
 
@@ -117,11 +117,13 @@ def init_model(
 
 def forward(model, x) -> tuple[np.ndarray, ForwardCache]:
     """Logits for a batch x of shape (n, d): (n, c), or (K, n, c) when the
-    model is stacked."""
+    model is stacked. A stacked model also takes (K, n, d), one batch per
+    member."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.feature_dim:
+    if x.ndim not in (2, 3) or x.shape[-1] != model.feature_dim:
         raise ValueError(
-            f"expected an (n, {model.feature_dim}) feature batch, got shape {x.shape}"
+            f"expected an (n, {model.feature_dim}) or (K, n, {model.feature_dim}) "
+            f"feature batch, got shape {x.shape}"
         )
 
     # Biases and the rectifier apply in place, so a stacked evaluation
@@ -143,7 +145,7 @@ def backward(model, cache: ForwardCache, d_logits) -> dict[str, np.ndarray]:
     d_logits has the shape of the logits the forward pass returned."""
     g = np.asarray(d_logits, dtype=np.float64)
     bias = model.bias if isinstance(model, LinearModel) else model.out_b
-    if g.shape != (*bias.shape[:-1], cache.x.shape[0], model.class_count):
+    if g.shape != (*bias.shape[:-1], cache.x.shape[-2], model.class_count):
         raise ValueError(f"d_logits shape {g.shape} does not match the forward pass")
 
     g_t = g.swapaxes(-1, -2)

@@ -24,30 +24,31 @@ switches to  pi2 * r_p_minus - r_u_minus, which drops the positive term and
 ascends the negative part. Reported values always use the clamped estimator;
 gradients always follow the branch objective.
 
-K runs that share a batch but not their priors evaluate in one call: logits
-(K, n, c) with K ``ClassPriors``, one per run. The masks and the sigmoid pass
-are shared; every per-run result equals the one a (n, c) call with that
-run's logits and priors gives, bit for bit.
+K stacked runs evaluate in one call: logits (K, n, c) with K ``ClassPriors``,
+and either one batch's (n,) labels shared by every run or (K, n) labels, one
+row per run, so runs of different seeds and datasets stack too. A stochastic
+loss takes one alpha for all runs or a sequence of K. Every per-run result
+equals the one a (n, c) call with that run's logits, labels, priors and
+alpha gives, bit for bit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import ClassPriors
-# binary_loss_grad is unused here but stays importable from this module:
-# perfbench's tracer wraps qll.risk.binary_loss and qll.risk.binary_loss_grad.
+# binary_loss and binary_loss_grad are unused here but stay importable from
+# this module: perfbench's tracer wraps qll.risk.binary_loss and
+# qll.risk.binary_loss_grad.
 from .losses import BinaryLossKind, _binary_parts, binary_loss, binary_loss_grad  # noqa: F401
 
 __all__ = [
     "ClassRiskBreakdown",
     "CpuRiskReport",
-    "class_partition",
-    "pu_risk_unbiased",
-    "nnpu_class_risk",
     "cpu_risk",
     "cpu_risk_grad",
     "cpu_risk_with_grad",
@@ -79,83 +80,30 @@ class CpuRiskReport:
     """
 
     value: float | np.ndarray
-    per_class: tuple[ClassRiskBreakdown, ...]
     objective_value: float | np.ndarray
+    # (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected) arrays; training
+    # never reads the breakdowns, so they are built on first access.
+    parts: tuple = field(repr=False, compare=False)
 
-
-def class_partition(labels, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split batch indices into P (label == j) and U (label != j)."""
-    y = np.asarray(labels, dtype=np.int64)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("labels must be a nonempty vector")
-    idx = np.arange(y.size)
-    mask = y == j
-    return idx[mask], idx[~mask]
-
-
-def _mean_or_zero(values: np.ndarray) -> float:
-    return float(values.mean()) if values.size else 0.0
-
-
-def pu_risk_unbiased(
-    pos_logits, unl_logits, pi_p: float, loss: BinaryLossKind, alpha: float | None = None
-) -> float:
-    """Unbiased PU risk  pi*R_p^+ + R_u^- - pi*R_p^-;  may be negative.
-
-    An empty side contributes zero to its mean terms; both sides empty is an
-    error.
-    """
-    if not (0.0 < pi_p <= 1.0):
-        raise ValueError(f"pi_p must lie in (0, 1], got {pi_p}")
-    pos = np.asarray(pos_logits, dtype=np.float64).ravel()
-    unl = np.asarray(unl_logits, dtype=np.float64).ravel()
-    if pos.size == 0 and unl.size == 0:
-        raise ValueError("need at least one positive or unlabeled logit")
-    r_p_plus = _mean_or_zero(binary_loss(loss, pos, +1, alpha)) if pos.size else 0.0
-    r_p_minus = _mean_or_zero(binary_loss(loss, pos, -1, alpha)) if pos.size else 0.0
-    r_u_minus = _mean_or_zero(binary_loss(loss, unl, -1, alpha)) if unl.size else 0.0
-    return pi_p * r_p_plus + r_u_minus - pi_p * r_p_minus
-
-
-def nnpu_class_risk(
-    pos_logits,
-    unl_logits,
-    priors: ClassPriors,
-    loss: BinaryLossKind,
-    alpha: float | None = None,
-) -> tuple[ClassRiskBreakdown, float]:
-    """Non-negative class risk for one class; returns (breakdown, value).
-
-    An empty P contributes zero positive-side means. An empty U is an error:
-    the caller must resample a batch that spans at least two classes.
-    """
-    pos = np.asarray(pos_logits, dtype=np.float64).ravel()
-    unl = np.asarray(unl_logits, dtype=np.float64).ravel()
-    if unl.size == 0:
-        raise ValueError("unlabeled side is empty; resample a batch spanning >= 2 classes")
-    r_p_plus = _mean_or_zero(binary_loss(loss, pos, +1, alpha)) if pos.size else 0.0
-    r_p_minus = _mean_or_zero(binary_loss(loss, pos, -1, alpha)) if pos.size else 0.0
-    r_u_minus = _mean_or_zero(binary_loss(loss, unl, -1, alpha))
-    neg_part = r_u_minus - priors.pi2 * r_p_minus
-    corrected = neg_part < 0.0
-    value = priors.pi1 * r_p_plus + max(neg_part, 0.0)
-    breakdown = ClassRiskBreakdown(
-        r_p_plus, r_u_minus, r_p_minus, int(pos.size), int(unl.size), corrected
-    )
-    return breakdown, value
+    @cached_property
+    def per_class(self) -> tuple[ClassRiskBreakdown, ...]:
+        *risks, n_p, n_u, corrected = self.parts
+        repeat = corrected.size // n_p.size  # K when the runs share one batch's counts
+        counts = (k.astype(np.int64).ravel().tolist() * repeat for k in (n_p, n_u))
+        columns = [a.ravel().tolist() for a in risks]
+        return tuple(map(ClassRiskBreakdown, *columns, *counts, corrected.ravel().tolist()))
 
 
 def _check_batch(batch_logits, labels) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(batch_logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if z.ndim not in (2, 3) or y.shape != z.shape[-2:-1]:
+    if z.ndim not in (2, 3) or y.shape not in (z.shape[:-1], z.shape[-2:-1]):
         raise ValueError(
-            f"need (n, c) or (K, n, c) logits with n labels, got {z.shape} and {y.shape}"
+            f"need (n, c) or (K, n, c) logits with (n,) or (K, n) labels, "
+            f"got {z.shape} and {y.shape}"
         )
-    if y.size < 2:
+    if y.shape[-1] < 2:
         raise ValueError("batch must contain at least 2 examples")
-    if (y == y[0]).all():
-        raise ValueError("batch must span at least 2 classes; resample")
     if y.min() < 0 or y.max() >= z.shape[-1]:
         raise ValueError(f"labels must lie in [0, {z.shape[-1]})")
     return z, y
@@ -166,14 +114,14 @@ def _cpu_core(
     labels,
     priors: ClassPriors | Sequence[ClassPriors],
     loss: BinaryLossKind,
-    alpha: float | None,
+    alpha: float | Sequence[float] | None,
     u_mode: str,
     want_grad: bool,
 ):
     if u_mode not in U_MODES:
         raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
     z, y = _check_batch(batch_logits, labels)
-    n, c = z.shape[-2:]
+    c = z.shape[-1]
     single = isinstance(priors, ClassPriors)
     if single != (z.ndim == 2) or (not single and len(priors) != z.shape[0]):
         raise ValueError("(n, c) logits take one ClassPriors; (K, n, c) logits a sequence of K")
@@ -183,14 +131,16 @@ def _cpu_core(
         pi1 = np.array([[p.pi1] for p in priors], dtype=np.float64)
         pi2 = np.array([[p.pi2] for p in priors], dtype=np.float64)
 
-    # Masks and class counts depend on the labels alone: one (n, c) copy
-    # broadcasts over the run axis.
-    pos_mask = np.zeros((n, c))
-    pos_mask[np.arange(n), y] = 1.0
-    unl_mask = np.ones((n, c)) if u_mode == "full" else 1.0 - pos_mask
-    n_p = pos_mask.sum(axis=0)
-    n_u = unl_mask.sum(axis=0)
-    if np.any(n_u == 0):
+    # Masks and class counts follow the labels: (n, c) when the runs share
+    # one batch's labels (broadcast over the run axis), (K, n, c) per run.
+    pos_mask = np.zeros((*y.shape, c))
+    pos_mask[(*np.indices(y.shape, sparse=True), y)] = 1.0
+    unl_mask = np.ones_like(pos_mask) if u_mode == "full" else 1.0 - pos_mask
+    n_p = pos_mask.sum(axis=-2)
+    n_u = unl_mask.sum(axis=-2)
+    if (n_p == y.shape[-1]).any():  # one class holds a whole batch
+        raise ValueError("batch must span at least 2 classes; resample")
+    if (n_u == 0).any():
         raise ValueError("some class has an empty unlabeled side; resample the batch")
     n_p_safe = np.maximum(n_p, 1.0)
 
@@ -204,22 +154,10 @@ def _cpu_core(
     values = pi1 * r_p_plus + np.maximum(neg_part, 0.0)
     objectives = np.where(corrected, -neg_part, pi1 * r_p_plus + neg_part)
 
-    runs = values.size // c
-    per_class = tuple(
-        map(
-            ClassRiskBreakdown,
-            r_p_plus.ravel().tolist(),
-            r_u_minus.ravel().tolist(),
-            r_p_minus.ravel().tolist(),
-            n_p.astype(np.int64).tolist() * runs,
-            n_u.astype(np.int64).tolist() * runs,
-            corrected.ravel().tolist(),
-        )
-    )
     value, objective = values.mean(axis=-1), objectives.mean(axis=-1)
     if single:
         value, objective = float(value), float(objective)
-    report = CpuRiskReport(value, per_class, objective)
+    report = CpuRiskReport(value, objective, (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected))
     if not want_grad:
         return report, None
 
@@ -237,7 +175,7 @@ def cpu_risk(
     labels,
     priors: ClassPriors | Sequence[ClassPriors],
     loss: BinaryLossKind,
-    alpha: float | None = None,
+    alpha: float | Sequence[float] | None = None,
     u_mode: str = "complement",
 ) -> CpuRiskReport:
     """Class-wise PU risk over a batch: mean of per-class clamped values."""
@@ -250,7 +188,7 @@ def cpu_risk_grad(
     labels,
     priors: ClassPriors | Sequence[ClassPriors],
     loss: BinaryLossKind,
-    alpha: float | None = None,
+    alpha: float | Sequence[float] | None = None,
     u_mode: str = "complement",
 ) -> np.ndarray:
     """Gradient of the branch objective with respect to every logit."""
@@ -263,7 +201,7 @@ def cpu_risk_with_grad(
     labels,
     priors: ClassPriors | Sequence[ClassPriors],
     loss: BinaryLossKind,
-    alpha: float | None = None,
+    alpha: float | Sequence[float] | None = None,
     u_mode: str = "complement",
 ) -> tuple[CpuRiskReport, np.ndarray]:
     """Report and gradient in one pass (the training loop's entry point)."""

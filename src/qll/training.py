@@ -8,11 +8,16 @@ Learning rate follows the step-decay schedule: 0.1x the initial rate from
 the 50% epoch boundary and 0.01x from the 75% boundary. Weight decay folds
 into the gradient before the momentum update (classical coupling).
 
-Runs whose configs differ only in ``priors`` share their init, batch order
-and alpha draws, so ``train_runs`` trains K of them at once: parameters
-carry a leading run axis of K, and every step is one stacked forward, risk,
-backward and SGD call. Each member's report equals its solo ``train`` run
-bit for bit. ``train`` is the K=1 case and keeps unstacked parameters.
+``train_runs`` trains K runs whose configs differ only in ``seed`` and
+``priors``, each on its own train and test set of one shared shape, at
+once: parameters carry a leading run axis of K, each step gathers every
+run's batch into one (K, B, d) array, and forward, risk or baseline loss,
+backward and SGD are one stacked call each. Every step stays independent
+per run: a run's batch order and alpha draws come from its own seed's
+streams (runs of one seed on one train set share them), and its alpha
+terms, masks and reductions are the same float operations as alone. So
+each member's report equals its solo ``train`` run bit for bit. ``train``
+is the K=1 case and keeps unstacked parameters, scalar priors and alpha.
 """
 
 from __future__ import annotations
@@ -139,30 +144,34 @@ def lr_at_epoch(cfg: TrainConfig, epoch_index: int) -> float:
     return cfg.lr
 
 
-def _epoch_batches(
+def _epoch_order(
     labels: np.ndarray, batch_size: int, rng: RngStream, need_two_classes: bool
-) -> list[np.ndarray]:
-    """Shuffled batches, final partial batch kept. When the PU objective is
-    in use, permutations are redrawn until every batch spans >= 2 classes."""
+) -> np.ndarray:
+    """A shuffled order whose consecutive ``batch_size`` slices are the
+    epoch's batches, final partial batch kept. When the PU objective is in
+    use, permutations are redrawn until every batch spans >= 2 classes."""
     n = labels.shape[0]
+    starts = np.arange(0, n, batch_size)
     for _ in range(_BATCH_RESAMPLE_LIMIT):
         order = rng.permutation(n)
-        batches = [order[i : i + batch_size] for i in range(0, n, batch_size)]
-        if not need_two_classes or all((labels[b] != labels[b[0]]).any() for b in batches):
-            return batches
+        if not need_two_classes:
+            return order
+        # A batch spans >= 2 classes iff some label differs from its first.
+        differs = labels[order] != np.repeat(labels[order[starts]], np.diff(starts, append=n))
+        if np.logical_or.reduceat(differs, starts).all():
+            return order
     raise RuntimeError(
         "could not shuffle the dataset into batches spanning >= 2 classes; "
         "the label distribution is too degenerate for PU training"
     )
 
 
-def evaluate(model, test_set: AmbiguousDataset):
-    """Clean-test accuracy of argmax predictions: a float, or a (K,) array
-    of per-run accuracies for a stacked model."""
-    if test_set.n_examples == 0:
-        raise ValueError("empty test set")
-    logits, _ = forward(model, test_set.features.astype(np.float64))
-    return 1.0 - zero_one_test_risk(predict(logits), test_set.labels)
+def evaluate(model, features, labels):
+    """Clean-test accuracy of argmax predictions on (N, d) features and (N,)
+    labels: a float, or a (K,) array of per-run accuracies for a stacked
+    model."""
+    logits, _ = forward(model, features)
+    return 1.0 - zero_one_test_risk(predict(logits), labels)
 
 
 def train(
@@ -179,81 +188,140 @@ def train(
     return train_runs(train_set, test_set, [cfg])[0]
 
 
-def train_runs(
-    train_set: AmbiguousDataset, test_set: AmbiguousDataset, cfgs: Sequence[TrainConfig]
-) -> list[TrainReport]:
-    """Train K runs that differ only in ``priors`` as one stacked run.
+def _per_run(datasets, runs: int) -> list[AmbiguousDataset]:
+    datasets = [datasets] * runs if isinstance(datasets, AmbiguousDataset) else list(datasets)
+    if len(datasets) != runs:
+        raise ValueError(f"got {len(datasets)} datasets for {runs} runs")
+    return datasets
 
-    Returns one report per config, in order, each equal to what ``train``
-    returns for that config alone. Only PU methods stack (K > 1); a baseline
-    has no priors to vary. Every report carries the group's wall time.
+
+def _distinct(items, key=id) -> tuple[list, list[int]]:
+    """Distinct items in first-seen order, and each item's index among them."""
+    seen: dict = {}
+    index = [seen.setdefault(key(item), (len(seen), item))[0] for item in items]
+    return [item for _, item in seen.values()], index
+
+
+def _raise_if_diverged(cfgs, epoch: int, iteration: int, arrays) -> None:
+    """Turn a failed step into a RuntimeError naming the epoch, iteration and
+    every run whose logits or parameters went non-finite, if any did."""
+    bad = np.zeros(len(cfgs), dtype=bool)
+    for a in arrays:
+        bad |= ~np.isfinite(a).reshape(len(cfgs), -1).all(axis=1)
+    names = [
+        f"seed={c.seed}" + (f" pi1={c.priors.pi1} pi2={c.priors.pi2}" if c.priors else "")
+        for c, b in zip(cfgs, bad) if b
+    ]
+    if names:
+        raise RuntimeError(
+            f"training diverged at epoch {epoch + 1}, iteration {iteration + 1}: non-finite "
+            f"logits or parameters in run(s) {'; '.join(names)}; try a lower lr"
+        )
+
+
+def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[TrainReport]:
+    """Train K runs that differ only in seed, priors and datasets as one
+    stacked run.
+
+    ``train_sets`` and ``test_sets`` are each one dataset for every run or a
+    sequence of K, one per config. Train sets must share one shape, so that
+    every run's batches line up. Returns one report per config, in order,
+    each equal to what ``train`` returns for that config and its datasets
+    alone. Every report carries the group's wall time. A non-finite logit
+    raises a RuntimeError that names the epoch, the iteration and the runs.
     """
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("need at least one config")
     cfg = cfgs[0]
-    if any(replace(c, priors=cfg.priors) != cfg for c in cfgs[1:]):
-        raise ValueError("stacked runs may differ only in priors")
+    if any(replace(c, seed=cfg.seed, priors=cfg.priors) != cfg for c in cfgs[1:]):
+        raise ValueError("stacked runs may differ only in seed and priors")
     runs = len(cfgs)
-    if runs > 1 and not cfg.is_cpu_method:
-        raise ValueError("only PU methods stack; baseline runs differ in nothing")
-    if train_set.n_examples == 0 or test_set.n_examples == 0:
-        raise ValueError("datasets must be nonempty")
-    if (train_set.class_count, train_set.feature_dim) != (
-        test_set.class_count,
-        test_set.feature_dim,
-    ):
+    trains, tests = _per_run(train_sets, runs), _per_run(test_sets, runs)
+    c, d, n = trains[0].class_count, trains[0].feature_dim, trains[0].n_examples
+    if any((t.class_count, t.feature_dim, t.n_examples) != (c, d, n) for t in trains):
+        raise ValueError("stacked runs need train sets of one shape")
+    if any((t.class_count, t.feature_dim) != (c, d) for t in tests):
         raise ValueError("train and test sets must share (class_count, feature_dim)")
+    if n == 0 or any(t.n_examples == 0 for t in tests):
+        raise ValueError("datasets must be nonempty")
 
     t0 = time.perf_counter()
-    init_rng = RngStream(cfg.seed, STREAM_INIT)
-    batch_rng = RngStream(cfg.seed, STREAM_BATCHING)
-    alpha_rng = RngStream(cfg.seed, STREAM_ALPHA)
-
-    model = init_model(
-        cfg.model_kind,
-        train_set.class_count,
-        train_set.feature_dim,
-        init_rng,
-        hidden_dim=cfg.hidden_dim,
-    )
+    models = [
+        init_model(cfg.model_kind, c, d, RngStream(r.seed, STREAM_INIT), hidden_dim=cfg.hidden_dim)
+        for r in cfgs
+    ]
     # A single run keeps 2-D parameters and scalar priors: a leading axis of
     # one costs time on every step.
-    priors = cfg.priors
+    model, priors = models[0], cfg.priors
     if runs > 1:
-        model = type(model)(**{k: np.stack([v] * runs) for k, v in model.params().items()})
-        priors = tuple(c.priors for c in cfgs)
+        model = type(model)(**{k: np.stack([m.params()[k] for m in models]) for k in model.params()})
+        priors = tuple(r.priors for r in cfgs)
     params = model.params()
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
 
-    x_all = train_set.features.astype(np.float64)
-    y_all = train_set.labels
-    n = train_set.n_examples
+    # Distinct train sets are stacked once, as blocks of n rows. Each
+    # distinct (seed, train set) pair is a stream: it draws one batch order
+    # per epoch and one alpha per step, shared by its runs.
+    datas, data_of = _distinct(trains)
+    x_all = np.concatenate([t.features for t in datas], dtype=np.float64)
+    y_all = np.concatenate([t.labels for t in datas])
+    streams, stream_of = _distinct(zip((r.seed for r in cfgs), data_of), key=tuple)
+    batch_rngs = [RngStream(seed, STREAM_BATCHING) for seed, _ in streams]
+    alpha_rngs = [RngStream(seed, STREAM_ALPHA) for seed, _ in streams]
+    # Evaluation makes one forward pass per distinct test set, over the runs
+    # it serves, so activations stay (runs per test set, N, h).
+    test_sets, test_of = _distinct(tests)
+    evals = [
+        (np.flatnonzero(np.array(test_of) == j) if len(test_sets) > 1 else slice(None),
+         t.features.astype(np.float64), t.labels)
+        for j, t in enumerate(test_sets)
+    ]
+
     is_cpu = cfg.is_cpu_method
     needs_alpha = is_cpu and cfg.loss.needs_alpha
-
+    # Picks each run's stream from the (S, n) epoch orders: a single run
+    # reads stream 0 as one (n,) order, K runs read a (K, n) block.
+    pick = stream_of if runs > 1 else 0
     objectives, accuracies = [], []
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(cfg, epoch)
+        # Row indices into x_all, one order per stream.
+        orders = np.stack([
+            _epoch_order(y_all[k * n : (k + 1) * n], cfg.batch_size, rng, is_cpu) + k * n
+            for (_, k), rng in zip(streams, batch_rngs)
+        ])
         objective_sum = 0.0
-        for batch in _epoch_batches(y_all, cfg.batch_size, batch_rng, need_two_classes=is_cpu):
-            xb, yb = x_all[batch], y_all[batch]
-            logits, cache = forward(model, xb)
-            if is_cpu:
-                alpha = sample_alpha(alpha_rng) if needs_alpha else None
-                report, d_logits = cpu_risk_with_grad(
-                    logits, yb, priors, cfg.loss, alpha, u_mode=cfg.u_mode
-                )
-                objective = report.objective_value
-            else:
-                losses, grads = baseline_loss_batch(cfg.loss, logits, yb)
-                objective = float(losses.mean())
-                d_logits = grads / batch.size
-            grad_params = backward(model, cache, d_logits)
-            sgd_step(params, grad_params, velocity, lr, cfg.momentum, cfg.weight_decay)
-            objective_sum += objective * batch.size
+        try:
+            for it, start in enumerate(range(0, n, cfg.batch_size)):
+                rows = orders[pick, start : start + cfg.batch_size]
+                xb, yb = x_all[rows], y_all[rows]
+                logits, cache = forward(model, xb)
+                if is_cpu:
+                    alpha = None
+                    if needs_alpha:
+                        draws = [sample_alpha(rng) for rng in alpha_rngs]
+                        alpha = draws[0] if runs == 1 else [draws[s] for s in stream_of]
+                    report, d_logits = cpu_risk_with_grad(
+                        logits, yb, priors, cfg.loss, alpha, u_mode=cfg.u_mode
+                    )
+                    objective = report.objective_value
+                else:
+                    losses, grads = baseline_loss_batch(cfg.loss, logits, yb)
+                    objective = losses.mean(axis=-1)
+                    d_logits = grads / rows.shape[-1]
+                grad_params = backward(model, cache, d_logits)
+                sgd_step(params, grad_params, velocity, lr, cfg.momentum, cfg.weight_decay)
+                objective_sum += objective * rows.shape[-1]
+            accuracy = np.empty(runs)
+            for index, x, y in evals:
+                members = type(model)(**{k: v[index] for k, v in params.items()})
+                accuracy[index] = evaluate(members, x, y)
+        except ValueError:
+            _raise_if_diverged(cfgs, epoch, it, [logits, *params.values()])
+            raise
         objectives.append(objective_sum / n)
-        accuracies.append(evaluate(model, test_set))
+        accuracies.append(accuracy)
 
     wall = time.perf_counter() - t0
     objectives = np.array(objectives).reshape(cfg.epochs, runs)

@@ -5,10 +5,13 @@ vectorized production paths they check.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from qll.losses import EPS, binary_loss
+from qll.core import ClassPriors
+from qll.losses import EPS, BinaryLossKind, binary_loss
+from qll.risk import ClassRiskBreakdown
 
 
 def brute_force_cpu_risk(logits, labels, pi1, pi2, loss, alpha=None, u_mode="complement"):
@@ -31,6 +34,68 @@ def brute_force_cpu_risk(logits, labels, pi1, pi2, loss, alpha=None, u_mode="com
         else:
             objectives.append(pi1 * r_pp + neg)
     return float(np.mean(values)), float(np.mean(objectives)), corrected
+
+
+def class_partition(labels, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split batch indices into P (label == j) and U (label != j)."""
+    y = np.asarray(labels, dtype=np.int64)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError("labels must be a nonempty vector")
+    idx = np.arange(y.size)
+    mask = y == j
+    return idx[mask], idx[~mask]
+
+
+def _mean_or_zero(values: np.ndarray) -> float:
+    return float(values.mean()) if values.size else 0.0
+
+
+def pu_risk_unbiased(
+    pos_logits, unl_logits, pi_p: float, loss: BinaryLossKind, alpha: float | None = None
+) -> float:
+    """Unbiased PU risk  pi*R_p^+ + R_u^- - pi*R_p^-;  may be negative.
+
+    An empty side contributes zero to its mean terms; both sides empty is an
+    error.
+    """
+    if not (0.0 < pi_p <= 1.0):
+        raise ValueError(f"pi_p must lie in (0, 1], got {pi_p}")
+    pos = np.asarray(pos_logits, dtype=np.float64).ravel()
+    unl = np.asarray(unl_logits, dtype=np.float64).ravel()
+    if pos.size == 0 and unl.size == 0:
+        raise ValueError("need at least one positive or unlabeled logit")
+    r_p_plus = _mean_or_zero(binary_loss(loss, pos, +1, alpha)) if pos.size else 0.0
+    r_p_minus = _mean_or_zero(binary_loss(loss, pos, -1, alpha)) if pos.size else 0.0
+    r_u_minus = _mean_or_zero(binary_loss(loss, unl, -1, alpha)) if unl.size else 0.0
+    return pi_p * r_p_plus + r_u_minus - pi_p * r_p_minus
+
+
+def nnpu_class_risk(
+    pos_logits,
+    unl_logits,
+    priors: ClassPriors,
+    loss: BinaryLossKind,
+    alpha: float | None = None,
+) -> tuple[ClassRiskBreakdown, float]:
+    """Non-negative class risk for one class; returns (breakdown, value).
+
+    An empty P contributes zero positive-side means. An empty U is an error:
+    the caller must resample a batch that spans at least two classes.
+    """
+    pos = np.asarray(pos_logits, dtype=np.float64).ravel()
+    unl = np.asarray(unl_logits, dtype=np.float64).ravel()
+    if unl.size == 0:
+        raise ValueError("unlabeled side is empty; resample a batch spanning >= 2 classes")
+    r_p_plus = _mean_or_zero(binary_loss(loss, pos, +1, alpha)) if pos.size else 0.0
+    r_p_minus = _mean_or_zero(binary_loss(loss, pos, -1, alpha)) if pos.size else 0.0
+    r_u_minus = _mean_or_zero(binary_loss(loss, unl, -1, alpha))
+    neg_part = r_u_minus - priors.pi2 * r_p_minus
+    corrected = neg_part < 0.0
+    value = priors.pi1 * r_p_plus + max(neg_part, 0.0)
+    breakdown = ClassRiskBreakdown(
+        r_p_plus, r_u_minus, r_p_minus, int(pos.size), int(unl.size), corrected
+    )
+    return breakdown, value
 
 
 def per_target_binary_loss(kind, logits, target, alpha=None):
@@ -74,6 +139,33 @@ def masked_stable_sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+@dataclass(frozen=True)
+class BernoulliPair:
+    """Two-point distribution (p_pos, 1 - p_pos) with entries clamped to
+    [EPS, 1 - EPS] at construction so downstream logarithms stay finite."""
+
+    p_pos: float
+
+    def __post_init__(self) -> None:
+        p = float(self.p_pos)
+        if not math.isfinite(p):
+            raise ValueError("p_pos must be finite")
+        object.__setattr__(self, "p_pos", min(max(p, EPS), 1.0 - EPS))
+
+    @property
+    def p_neg(self) -> float:
+        return 1.0 - self.p_pos
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.p_pos, self.p_neg])
+
+    @classmethod
+    def from_logit(cls, logit: float) -> "BernoulliPair":
+        if not math.isfinite(logit):
+            raise ValueError("logit must be finite")
+        return cls(float(masked_stable_sigmoid(np.asarray([logit]))[0]))
 
 
 def classical_js(p, q):

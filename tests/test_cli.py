@@ -189,6 +189,52 @@ class TestSweep:
         assert len(runs) == 4  # 2 methods x 2 seeds
         assert (tmp_path / "exp" / "sweep_table.txt").exists()
 
+    def test_config_sweep_runs_equal_solo_train(self, tmp_path):
+        # One stacked run per method spans both seeds (and, for cpu-kl, the
+        # prior grid); each member must write what a solo train writes on
+        # its seed's generated data.
+        cfg = {
+            "base": {"c": 3, "d": 6, "n_per_class": 15, "test_n_per_class": 15},
+            "mix": {"kind": "mixup", "m": 2, "r": 4, "n_out": 60},
+            "train": {"epochs": 2, "pi1": 0.1},
+            "methods": ["ce", "cpu-kl"],
+            "seeds": [3, 1],
+            "pi2_grid": [0.6, 0.3],
+            "out": str(tmp_path / "exp"),
+        }
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("sweep", "--config", str(cfg_path)) == 0
+        exp = tmp_path / "exp"
+        solo_args = [("ce", [], "ce")] + [
+            ("cpu-kl", ["--pi2", pi2], f"cpu-kl-pi1_0.1-pi2_{pi2}") for pi2 in ("0.6", "0.3")
+        ]
+        for seed in (3, 1):
+            data = exp / "data" / f"seed{seed}"
+            for method, extra, tag in solo_args:
+                solo = tmp_path / f"solo-{tag}-{seed}"
+                assert run(
+                    "train", "--data", str(data / "ambig_train.qll"), "--test", str(data / "base_test.qll"),
+                    "--method", method, "--epochs", "2", "--seed", str(seed), *extra, "--out", str(solo),
+                ) == 0
+                for name in ("metrics.csv", "model.ckpt", "run.json"):
+                    swept = exp / "runs" / f"{tag}-seed{seed}" / name
+                    assert swept.read_bytes() == (solo / name).read_bytes()
+        rows = (exp / "sweep_table.csv").read_text().splitlines()[1:-1]
+        assert [r.split(",")[:3] for r in rows] == [["ce", "", ""], ["cpu-kl", "0.1", "0.6"], ["cpu-kl", "0.1", "0.3"]]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_2_naming_the_runs(self, datadir, tmp_path, capsys):
+        data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
+        common = ["--method", "cpu-sjs", "--epochs", "40", "--lr", "1e8"]
+        assert run("train", *data, *common, "--pi2", "0.5", "--seed", "2", "--out", str(tmp_path / "t")) == 2
+        err = capsys.readouterr().err
+        assert "diverged at epoch" in err and "seed=2 pi1=0.1 pi2=0.5" in err
+        assert run(
+            "sweep", *data, *common, "--pi2-grid", "0.3,0.6", "--seeds", "1,2", "--out", str(tmp_path / "s")
+        ) == 2
+        assert "diverged at epoch" in capsys.readouterr().err
+
     def test_config_validation(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"base": {}, "mix": {}, "methods": ["nope"]}))

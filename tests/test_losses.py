@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import classical_js, masked_stable_sigmoid, rel_err
+from _oracles import BernoulliPair, classical_js, masked_stable_sigmoid, rel_err
 from qll.core import RngStream
 from qll.losses import (
     ALPHA_FLOOR,
     EPS,
-    BernoulliPair,
     _stable_sigmoid,
     BinaryLossKind,
     MulticlassLossKind,
-    baseline_loss,
     baseline_loss_batch,
     binary_loss,
     binary_loss_grad,
@@ -22,6 +20,12 @@ from qll.losses import (
     sjs_div,
     sjs_scale,
 )
+
+def baseline_loss(kind, logits, label):
+    """One example through baseline_loss_batch: (loss, gradient row)."""
+    losses, grads = baseline_loss_batch(kind, np.asarray(logits, dtype=np.float64)[None, :], [label])
+    return float(losses[0]), grads[0]
+
 
 ALL_BINARY = [
     (BinaryLossKind.kl(), None),
@@ -304,6 +308,22 @@ class TestBaselineLoss:
                 li, gi = baseline_loss(kind, z[i], int(y[i]))
                 assert losses[i] == pytest.approx(li, abs=1e-12)
                 assert np.allclose(grads[i], gi, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ALL_MULTI, ids=lambda k: f"{k.variant}-{k.scaled}")
+    def test_stacked_runs_match_per_run_calls(self, kind):
+        # Saturated rows (|z| = 40) put softmax entries under EPS, so the
+        # clamped branches are covered too.
+        rng = np.random.default_rng(12)
+        z = rng.normal(size=(3, 9, 4)) * np.array([1.0, 5.0, 40.0])[:, None, None]
+        y = rng.integers(0, 4, size=(3, 9))
+        losses, grads = baseline_loss_batch(kind, z, y)
+        assert losses.shape == (3, 9) and grads.shape == (3, 9, 4)
+        for k in range(3):
+            lk, gk = baseline_loss_batch(kind, z[k], y[k])
+            assert np.array_equal(losses[k], lk)
+            assert np.array_equal(grads[k], gk)
+        with pytest.raises(ValueError):
+            baseline_loss_batch(kind, z, y[0])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

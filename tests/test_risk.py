@@ -4,21 +4,17 @@ import pytest
 from _oracles import (
     brute_force_cpu_risk,
     central_diff,
+    class_partition,
+    nnpu_class_risk,
     per_target_binary_loss,
+    pu_risk_unbiased,
     rel_err,
     solve_kl_logit_minus,
     solve_kl_logits,
 )
 from qll.core import ClassPriors
 from qll.losses import ALPHA_FLOOR, BinaryLossKind, binary_loss, binary_loss_grad
-from qll.risk import (
-    class_partition,
-    cpu_risk,
-    cpu_risk_grad,
-    cpu_risk_with_grad,
-    nnpu_class_risk,
-    pu_risk_unbiased,
-)
+from qll.risk import cpu_risk, cpu_risk_grad, cpu_risk_with_grad
 
 KL = BinaryLossKind.kl()
 SJS = BinaryLossKind.scaled_sjs()

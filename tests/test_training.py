@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -105,7 +106,7 @@ class TestEvaluate:
     def test_constant_predictor_hits_chance(self):
         _, test, _ = small_data()
         model = LinearModel(np.zeros((4, 8)), np.array([5.0, 0.0, 0.0, 0.0]))
-        assert evaluate(model, test) == pytest.approx(0.25, abs=1e-12)
+        assert evaluate(model, test.features, test.labels) == pytest.approx(0.25, abs=1e-12)
 
     def test_manual_confusion_count(self):
         x = np.zeros((10, 2), dtype=np.float32)
@@ -117,7 +118,7 @@ class TestEvaluate:
         logits, _ = forward(model, x.astype(np.float64))
         preds = predict(logits)
         manual_acc = np.mean(preds == labels)
-        assert evaluate(model, ds) == pytest.approx(manual_acc, abs=1e-12)
+        assert evaluate(model, ds.features, ds.labels) == pytest.approx(manual_acc, abs=1e-12)
 
 
 class TestTrain:
@@ -227,19 +228,104 @@ class TestTrainRuns:
             assert report.per_epoch == solo.per_epoch
             assert self._files(report, tmp_path / f"stacked{k}") == self._files(solo, tmp_path / f"solo{k}")
 
-    def test_configs_must_differ_only_in_priors(self):
+    # (seed, dataset, priors) per member: two members share seed 4 on data A,
+    # seed 4 also runs on data B, and seed 5 runs twice on data B.
+    MIXED = ((4, 0, 0), (5, 1, 1), (4, 0, 2), (6, 0, 0), (5, 1, 2), (4, 1, 1))
+    METHODS = (
+        BinaryLossKind.scaled_sjs(),
+        BinaryLossKind.kl(),
+        MulticlassLossKind.ce(),
+        MulticlassLossKind.bootstrap(),
+        MulticlassLossKind.gce(),
+        MulticlassLossKind.sce(),
+        MulticlassLossKind.js_pi(),
+    )
+
+    @pytest.mark.parametrize("model_kind", ["mlp", "linear"])
+    @pytest.mark.parametrize("loss", METHODS, ids=lambda k: k.variant)
+    def test_mixed_seeds_and_datasets_byte_identical_to_solo(self, tmp_path, loss, model_kind):
+        data = [small_data(seed=3)[1:], small_data(seed=8)[1:]]  # (test, ambig) pairs
+        cpu = isinstance(loss, BinaryLossKind)
+        cfgs = [
+            TrainConfig(epochs=3, loss=loss, priors=self.PRIORS[pr] if cpu else None, seed=seed,
+                        model_kind=model_kind, hidden_dim=8)
+            for seed, _, pr in self.MIXED
+        ]
+        trains = [data[d][1] for _, d, _ in self.MIXED]
+        tests = [data[d][0] for _, d, _ in self.MIXED]
+        reports = train_runs(trains, tests, cfgs)
+        assert len(reports) == len(cfgs)
+        for k, (cfg, report) in enumerate(zip(cfgs, reports)):
+            solo = train(trains[k], tests[k], cfg)
+            assert report.per_epoch == solo.per_epoch
+            assert self._files(report, tmp_path / f"stacked{k}") == self._files(solo, tmp_path / f"solo{k}")
+
+    def test_configs_must_differ_only_in_seed_and_priors(self):
         _, test, ambig = small_data()
         base = TrainConfig(epochs=1, loss=BinaryLossKind.kl(), priors=ClassPriors(0.1, 0.5), seed=1)
         others = [
-            replace(base, seed=2),
             replace(base, epochs=2),
+            replace(base, lr=0.05),
             replace(base, loss=BinaryLossKind.scaled_sjs()),
+            replace(base, loss=MulticlassLossKind.ce(), priors=None),
         ]
         for other in others:
-            with pytest.raises(ValueError, match="only in priors"):
+            with pytest.raises(ValueError, match="only in seed and priors"):
                 train_runs(ambig, test, [base, other])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one config"):
             train_runs(ambig, test, [])
-        ce = TrainConfig(epochs=1, loss=MulticlassLossKind.ce())
-        with pytest.raises(ValueError, match="only PU methods stack"):
-            train_runs(ambig, test, [ce, ce])
+
+    def test_datasets_must_share_a_shape(self):
+        _, test, ambig = small_data()
+        _, _, shorter = small_data(n_out=230)
+        cfgs = [TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), seed=s) for s in (1, 2)]
+        with pytest.raises(ValueError, match="train sets of one shape"):
+            train_runs([ambig, shorter], test, cfgs)
+        narrow = AmbiguousDataset(4, 5, np.zeros((8, 5), dtype=np.float32), np.arange(8) % 4)
+        with pytest.raises(ValueError, match="share"):
+            train_runs(ambig, [test, narrow], cfgs)
+        with pytest.raises(ValueError, match="2 runs"):
+            train_runs([ambig], test, cfgs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDivergence:
+    """A non-finite logit stops training with a RuntimeError that names the
+    epoch, the iteration and every run that diverged there."""
+
+    PATTERN = r"diverged at epoch (\d+), iteration (\d+): .* in run\(s\) (.*); try"
+
+    def _cfg(self, seed, pi2):
+        return TrainConfig(epochs=40, loss=BinaryLossKind.scaled_sjs(), priors=ClassPriors(0.1, pi2),
+                           seed=seed, lr=1e8)
+
+    def _failure(self, ambig, test, cfgs):
+        with pytest.raises(RuntimeError) as info:
+            train_runs(ambig, test, cfgs)
+        m = re.search(self.PATTERN, str(info.value))
+        assert m, str(info.value)
+        return (int(m.group(1)), int(m.group(2))), m.group(3).split("; ")
+
+    def test_solo_and_stacked(self):
+        _, test, ambig = small_data()
+        # Runs on the scaled copy overflow a few steps before the others.
+        scaled = AmbiguousDataset(4, 8, ambig.features * 1e20, ambig.labels)
+        members = [(seed, pi2, data) for seed in (1, 2) for pi2 in (0.25, 0.75) for data in (ambig, scaled)]
+        cfgs = [self._cfg(seed, pi2) for seed, pi2, _ in members]
+        trains = [data for *_, data in members]
+        solo = [self._failure(data, test, [cfg]) for cfg, data in zip(cfgs, trains)]
+        for cfg, (_, names) in zip(cfgs, solo):
+            assert names == [f"seed={cfg.seed} pi1=0.1 pi2={cfg.priors.pi2}"]
+        # Members run as they do alone, so the group stops where the first of
+        # them does and names exactly the members that fail there.
+        first = min(where for where, _ in solo)
+        assert max(where for where, _ in solo) > first
+        where, names = self._failure(trains, test, cfgs)
+        assert where == first
+        assert names == [name for w, (name,) in solo if w == first]
+
+    def test_baseline(self):
+        _, test, ambig = small_data()
+        cfg = TrainConfig(epochs=40, loss=MulticlassLossKind.ce(), seed=2, lr=1e8)
+        with pytest.raises(RuntimeError, match=r"iteration \d+: .* run\(s\) seed=2; try"):
+            train(ambig, test, cfg)
