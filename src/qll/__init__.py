@@ -12,7 +12,6 @@ from .core import (
     AmbiguousDataset,
     ClassPriors,
     GenMeta,
-    LabeledExample,
     RngStream,
     STREAM_ALPHA,
     STREAM_BATCHING,
@@ -21,6 +20,7 @@ from .core import (
     SoftLabel,
     entropy,
     quantize_label,
+    quantize_labels,
     zero_one_test_risk,
 )
 from .datagen import (
@@ -32,6 +32,7 @@ from .datagen import (
     generate_ambiguous_dataset,
     induced_weights,
     mixed_soft_label,
+    mixed_soft_labels,
     mixup,
     patchmix,
     sample_block_assignment,

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import STREAM_DATAGEN, AmbiguousDataset, ClassPriors, RngStream
+from .core import STREAM_DATAGEN, AmbiguousDataset, ClassPriors, RngStream, entropy
 from .dataio import atomic_write_text, load_dataset, save_dataset
 from .datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
 from .losses import BinaryLossKind, MulticlassLossKind
@@ -126,15 +126,6 @@ class ExperimentConfig:
         return cls(**raw)
 
 
-def _entropy_summary(diag: np.ndarray) -> tuple[float, float, float]:
-    p = diag.astype(np.float64)
-    p = p / p.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(p), 0.0)
-    ent = -terms.sum(axis=1)
-    return float(ent.mean()), float(ent.min()), float(ent.max())
-
-
 def _generate_datasets(
     base_kw: dict, mix_kw: dict, seed: int, out_dir: Path
 ) -> tuple[Path, Path, Path | None]:
@@ -172,10 +163,10 @@ def _generate_datasets(
         n_out = int(mix_kw.get("n_out", 2000))
         ambig = generate_ambiguous_dataset(base_train, mspec, n_out, root.substream(2))
         ambig_path = save_dataset(ambig, out_dir / "ambig_train.qll")
-        mean_e, min_e, max_e = _entropy_summary(ambig.diagnostics)
+        ent = entropy(ambig.diagnostics)
     else:
-        mean_e, min_e, max_e = _entropy_summary(base_train.diagnostics)
-    print(f"diagnostic entropy: mean={mean_e:.4f} min={min_e:.4f} max={max_e:.4f}")
+        ent = entropy(base_train.diagnostics)
+    print(f"diagnostic entropy: mean={ent.mean():.4f} min={ent.min():.4f} max={ent.max():.4f}")
     return train_path, test_path, ambig_path
 
 

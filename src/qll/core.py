@@ -1,8 +1,8 @@
 """Core domain types shared by every other module.
 
-Soft labels, labeled examples, dataset containers, class priors for the
-positive-unlabeled decomposition, and the deterministic stream-splitting
-RNG that every randomized operation draws from.
+Soft labels, dataset containers, class priors for the positive-unlabeled
+decomposition, and the deterministic stream-splitting RNG that every
+randomized operation draws from.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "SoftLabel",
-    "LabeledExample",
     "AmbiguousDataset",
     "GenMeta",
     "ClassPriors",
@@ -24,6 +23,7 @@ __all__ = [
     "STREAM_ALPHA",
     "entropy",
     "quantize_label",
+    "quantize_labels",
     "zero_one_test_risk",
 ]
 
@@ -48,6 +48,15 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _child_id(stream_id: int, key: int) -> int:
+    return _mix64(_mix64(stream_id) + (int(key) & _MASK64))
+
+
+def _philox_key(seed: int, stream_id: int) -> tuple[int, int]:
+    k0 = _mix64(seed)
+    return k0, _mix64(k0 ^ stream_id)
+
+
 class RngStream:
     """Deterministic random stream keyed by (seed, stream_id).
 
@@ -66,15 +75,26 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        k0 = _mix64(self.seed)
-        k1 = _mix64(k0 ^ self.stream_id)
-        key = np.array([k0, k1], dtype=np.uint64)
+        key = np.array(_philox_key(self.seed, self.stream_id), dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, key: int) -> "RngStream":
         """Derive an independent child stream; same (parent, key) -> same child."""
-        child = _mix64(_mix64(self.stream_id) + (int(key) & _MASK64))
-        return RngStream(self.seed, child)
+        return RngStream(self.seed, _child_id(self.stream_id, key))
+
+    def _rekey_as_substream(self, parent: "RngStream", key: int) -> None:
+        """Become a fresh ``parent.substream(key)`` in place (counter 0, empty
+        buffer, no cached 32-bit half). Unlike a new Philox, this seeds no
+        unused SeedSequence from OS entropy."""
+        self.seed, self.stream_id = parent.seed, _child_id(parent.stream_id, key)
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": _philox_key(self.seed, self.stream_id)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     # Thin wrappers over the numpy generator so call sites stay explicit
     # about which stream they consume.
@@ -118,40 +138,10 @@ class SoftLabel:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 2:
             raise ValueError(f"soft label needs at least 2 classes, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("soft label weights must be finite")
-        if np.any(w < 0.0):
-            raise ValueError("soft label weights must be nonnegative")
-        total = float(w.sum())
-        if total <= 0.0:
-            raise ValueError("soft label weights must have positive total mass")
-        object.__setattr__(self, "weights", w / total)
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.weights.size)
+        object.__setattr__(self, "weights", _normalize_rows(w[None].copy())[0])
 
     def is_onehot(self) -> bool:
         return int(np.count_nonzero(self.weights)) == 1
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledExample:
-    """One instance with its observed (quantized) hard label."""
-
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self) -> None:
-        f = np.asarray(self.features, dtype=np.float64)
-        if f.ndim != 1:
-            raise ValueError(f"features must be a vector, got shape {f.shape}")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("features must be finite")
-        if int(self.label) < 0:
-            raise ValueError("label must be a nonnegative class index")
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "label", int(self.label))
 
 
 @dataclass
@@ -216,18 +206,6 @@ class AmbiguousDataset:
     def n_examples(self) -> int:
         return int(self.labels.shape[0])
 
-    @property
-    def examples(self) -> list[LabeledExample]:
-        return [
-            LabeledExample(self.features[i], int(self.labels[i]))
-            for i in range(self.n_examples)
-        ]
-
-    def diagnostic_soft_labels(self) -> list[SoftLabel] | None:
-        if self.diagnostics is None:
-            return None
-        return [SoftLabel(row) for row in self.diagnostics]
-
 
 @dataclass(frozen=True)
 class ClassPriors:
@@ -247,23 +225,53 @@ class ClassPriors:
                 raise ValueError(f"{name} must lie in (0, 1], got {v}")
 
 
-def entropy(s: SoftLabel) -> float:
-    """Shannon entropy of a soft label in nats.
+def _normalize_rows(w: np.ndarray) -> np.ndarray:
+    """Scale the rows of a (n, c) float64 array to unit mass, in place, with
+    SoftLabel's checks and messages."""
+    if w.ndim != 2 or w.shape[1] < 2:
+        raise ValueError(f"soft label needs at least 2 classes, got shape {w.shape[1:]}")
+    if not np.isfinite(w).all():
+        raise ValueError("soft label weights must be finite")
+    if (w < 0.0).any():
+        raise ValueError("soft label weights must be nonnegative")
+    total = w.sum(axis=1, keepdims=True)
+    if (total <= 0.0).any():
+        raise ValueError("soft label weights must have positive total mass")
+    w /= total
+    return w
+
+
+def entropy(s):
+    """Shannon entropy in nats: of a soft label or (c,) weights a float, of
+    (n, c) weight rows an (n,) array. Weights are normalized per row first.
 
     Measures instance ambiguity: 0 for a one-hot label (0*log 0 := 0), up
-    to ln(num_classes) at the uniform label.
+    to ln(c) at the uniform label.
     """
-    w = s.weights
-    nz = w[w > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    w = s.weights if isinstance(s, SoftLabel) else np.asarray(s, dtype=np.float64)
+    p = _normalize_rows(np.array(w, dtype=np.float64, ndmin=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=1)
+    return ent if w.ndim == 2 else float(ent[0])
+
+
+def quantize_labels(weights, u) -> np.ndarray:
+    """Hard labels of (n, c) soft labels from n uniform draws; P(y=k) = s_k.
+
+    Row i's label is the number of its cdf entries <= u[i] (the right-sided
+    search of the sorted cdf), capped at c - 1; counting only the first
+    c - 1 entries applies the cap. A (c,) label and a scalar draw give a
+    0-d array."""
+    w = np.asarray(weights, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    if w.ndim not in (1, 2) or u.shape != w.shape[:-1]:
+        raise ValueError(f"need (n, c) weights and (n,) draws, got {w.shape} and {u.shape}")
+    return np.add.reduce(np.add.accumulate(w[..., :-1], axis=-1) <= u[..., None], axis=-1)
 
 
 def quantize_label(s: SoftLabel, rng: RngStream) -> int:
     """Sample a hard label with P(y=k) = s_k; consumes exactly one draw."""
-    u = float(rng.random())
-    cdf = np.cumsum(s.weights)
-    k = int(np.searchsorted(cdf, u, side="right"))
-    return min(k, s.num_classes - 1)
+    return int(quantize_labels(s.weights, rng.random()))
 
 
 def zero_one_test_risk(predictions, labels):

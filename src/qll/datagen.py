@@ -6,6 +6,10 @@ stitches contiguous feature blocks from different sources. Both strategies
 produce a ground-truth soft label from the mixing weights, and the observed
 hard label is sampled from it.
 
+Only the random draws run per example; the features, soft labels and hard
+labels of all examples then come from batched kernels, which the
+single-example helpers (``mixup``, ``mixed_soft_label``, ...) also call.
+
 Also provides a synthetic Gaussian-cluster base dataset so the whole
 pipeline runs at desk scale without any external data.
 """
@@ -21,7 +25,8 @@ from .core import (
     GenMeta,
     RngStream,
     SoftLabel,
-    quantize_label,
+    _normalize_rows,
+    quantize_labels,
 )
 
 __all__ = [
@@ -36,6 +41,7 @@ __all__ = [
     "induced_weights",
     "patchmix",
     "mixed_soft_label",
+    "mixed_soft_labels",
     "generate_ambiguous_dataset",
     "synth_base",
 ]
@@ -43,6 +49,8 @@ __all__ = [
 MIX_KINDS = ("mixup", "patchmix")
 
 _DEGENERATE_RETRIES = 100
+# Groups mixed per batched call: bounds the (rows, m, d) float64 temporaries.
+_MIX_ROWS = 2048
 # Fixed tag for the substream that draws class-mean directions, so train and
 # test splits generated from different stream ids share the same geometry.
 _STREAM_CLASS_MEANS = 0x4D45414E53
@@ -158,6 +166,13 @@ def sample_mix_weights(m: int, r: int, rng: RngStream) -> MixWeights:
     return MixWeights(counts, r)
 
 
+def _mix_rows(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Mixup of n groups, row i = lam[i] @ x[i], for (n, m) weights and (n,
+    m, d) sources. Stacked matmul makes one group's vector-matrix BLAS call
+    per row, so rows keep its bits; a reordered sum (einsum) would not."""
+    return np.matmul(lam[:, None, :], x)[:, 0]
+
+
 def mixup(instances, w: MixWeights) -> np.ndarray:
     """Convex combination sum_i lam_i * x_i of m equal-length vectors."""
     x = np.asarray(instances, dtype=np.float64)
@@ -165,7 +180,7 @@ def mixup(instances, w: MixWeights) -> np.ndarray:
         raise ValueError(f"instances must be a (m, d) stack, got shape {x.shape}")
     if x.shape[0] != w.m:
         raise ValueError(f"got {x.shape[0]} instances for {w.m} weights")
-    return w.lam @ x
+    return _mix_rows(w.lam[None], x[None])[0]
 
 
 def sample_block_assignment(m: int, r: int, rng: RngStream) -> BlockAssignment:
@@ -189,10 +204,22 @@ def block_bounds(d: int, r: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)))
 
 
+def _block_counts(assign: np.ndarray, m: int) -> np.ndarray:
+    """(n, m) blocks per source of n (n, r) block assignments."""
+    return np.count_nonzero(assign[:, :, None] == np.arange(m), axis=1)
+
+
 def induced_weights(a: BlockAssignment) -> MixWeights:
     """Mixing weights implied by a block assignment: block share per source."""
-    counts = np.bincount(a.assign, minlength=a.m)
-    return MixWeights(counts, a.r)
+    return MixWeights(_block_counts(a.assign[None], a.m)[0], a.r)
+
+
+def _patch_rows(x: np.ndarray, picks: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """PatchMix of n groups as one gather from the rows of ``x``: coordinate
+    j of group i comes from row picks[i, assign[i, b]], b the block of j."""
+    d = x.shape[1]
+    src = np.repeat(assign, np.diff(block_bounds(d, assign.shape[1])), axis=1)
+    return x[np.take_along_axis(picks, src, axis=1), np.arange(d)]
 
 
 def patchmix(instances, a: BlockAssignment) -> np.ndarray:
@@ -203,11 +230,27 @@ def patchmix(instances, a: BlockAssignment) -> np.ndarray:
         raise ValueError(f"instances must be a (m, d) stack, got shape {x.shape}")
     if x.shape[0] != a.m:
         raise ValueError(f"got {x.shape[0]} instances for m={a.m}")
-    d = x.shape[1]
-    bounds = block_bounds(d, a.r)
-    sizes = np.diff(bounds)
-    src_per_coord = np.repeat(a.assign, sizes)
-    return x[src_per_coord, np.arange(d)]
+    return _patch_rows(x, np.arange(a.m)[None], a.assign[None])[0]
+
+
+def _class_mass(src_labels, counts, c: int) -> np.ndarray:
+    """(n, c) float64: the (n, m) source counts summed per source label."""
+    y = np.asarray(src_labels, dtype=np.int64)
+    k = np.asarray(counts)
+    if y.ndim != 2 or y.shape != k.shape:
+        raise ValueError(f"need {k.shape} source labels, got shape {y.shape}")
+    if (y < 0).any() or (y >= c).any():
+        raise ValueError(f"labels must lie in [0, {c})")
+    mass, rows = np.zeros((y.shape[0], c)), np.arange(y.shape[0])
+    for j in range(y.shape[1]):  # no row repeats within one source column
+        mass[rows, y[:, j]] += k[:, j]
+    return mass
+
+
+def mixed_soft_labels(src_labels, counts, c: int) -> np.ndarray:
+    """(n, c) soft labels of n groups from (n, m) source labels and integer
+    mixing counts; exact, as each row's class masses sum to r exactly."""
+    return _normalize_rows(_class_mass(src_labels, counts, c))
 
 
 def mixed_soft_label(labels, w: MixWeights, c: int) -> SoftLabel:
@@ -216,26 +259,12 @@ def mixed_soft_label(labels, w: MixWeights, c: int) -> SoftLabel:
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (w.m,):
         raise ValueError(f"need {w.m} labels, got shape {y.shape}")
-    if np.any(y < 0) or np.any(y >= c):
-        raise ValueError(f"labels must lie in [0, {c})")
-    numer = np.zeros(c, dtype=np.float64)
-    np.add.at(numer, y, w.counts.astype(np.float64))
-    return SoftLabel(numer)
+    return SoftLabel(_class_mass(y[None], w.counts[None], c)[0])
 
 
-def _draw_group(base: AmbiguousDataset, spec: MixSpec, rng: RngStream):
-    """One candidate mixed example: (features, soft label)."""
-    idx = rng.choice(base.n_examples, size=spec.m, replace=False)
-    feats = base.features[idx].astype(np.float64)
-    labels = base.labels[idx]
-    if spec.kind == "mixup":
-        w = sample_mix_weights(spec.m, spec.r, rng)
-        x = mixup(feats, w)
-    else:
-        a = sample_block_assignment(spec.m, spec.r, rng)
-        x = patchmix(feats, a)
-        w = induced_weights(a)
-    return x, mixed_soft_label(labels, w, base.class_count)
+def _is_onehot_mix(src_labels: np.ndarray, counts: np.ndarray) -> bool:
+    """Whether all sources with a positive count share one label."""
+    return len({y for y, k in zip(src_labels.tolist(), counts.tolist()) if k}) == 1
 
 
 def generate_ambiguous_dataset(
@@ -243,12 +272,13 @@ def generate_ambiguous_dataset(
 ) -> AmbiguousDataset:
     """Produce n_out ambiguous examples with quantized labels from a clean base.
 
-    Each output draws its own substream (keyed by the example index), so the
-    result is a pure function of (base, spec, n_out, rng) and examples could
-    be generated concurrently. Per example: sample m distinct base indices,
-    draw weights or a block assignment, mix the features, form the mixed
-    soft label, and quantize it into the observed hard label. The exact soft
-    labels are retained as diagnostics.
+    Example i draws from its own substream ``rng.substream(i)``, so the
+    result is a pure function of (base, spec, n_out, rng). It draws, in this
+    order, m distinct base indices, mixing weights or a block assignment
+    (both redrawn while ``reject_degenerate`` sees a one-hot soft label),
+    and the uniform that quantizes its label. The mixed features, the soft
+    labels (kept as diagnostics) and the hard labels are then computed for
+    all examples at once.
     """
     if n_out < 1:
         raise ValueError("n_out must be >= 1")
@@ -257,26 +287,43 @@ def generate_ambiguous_dataset(
     if spec.kind == "patchmix" and spec.r > base.feature_dim:
         raise ValueError(f"patchmix needs r <= feature_dim, got r={spec.r}, d={base.feature_dim}")
 
-    d = base.feature_dim
-    c = base.class_count
-    feats = np.empty((n_out, d), dtype=np.float32)
-    labels = np.empty(n_out, dtype=np.int64)
-    soft = np.empty((n_out, c), dtype=np.float32)
+    m, r, c = spec.m, spec.r, base.class_count
+    is_mixup = spec.kind == "mixup"
+    picks = np.empty((n_out, m), dtype=np.int64)
+    draws = np.empty((n_out, m if is_mixup else r), dtype=np.int64)  # counts or assignment
+    u = np.empty(n_out)
 
+    ex_rng = rng.substream(0)
     for i in range(n_out):
-        ex_rng = rng.substream(i)
-        for attempt in range(_DEGENERATE_RETRIES + 1):
-            x, s = _draw_group(base, spec, ex_rng)
-            if not (spec.reject_degenerate and s.is_onehot()):
+        ex_rng._rekey_as_substream(rng, i)
+        for _ in range(_DEGENERATE_RETRIES + 1):
+            pick = ex_rng.choice(base.n_examples, size=m, replace=False)
+            if is_mixup:
+                draw = counts = sample_mix_weights(m, r, ex_rng).counts
+            else:
+                draw = sample_block_assignment(m, r, ex_rng).assign
+                counts = _block_counts(draw[None], m)[0] if spec.reject_degenerate else None
+            if not (spec.reject_degenerate and _is_onehot_mix(base.labels[pick], counts)):
                 break
         else:
             raise RuntimeError(
                 f"mix spec {spec} kept producing one-hot soft labels after "
                 f"{_DEGENERATE_RETRIES} retries; the spec is degenerate for this base"
             )
-        feats[i] = x.astype(np.float32)
-        soft[i] = s.weights.astype(np.float32)
-        labels[i] = quantize_label(s, ex_rng)
+        picks[i] = pick
+        draws[i] = draw
+        u[i] = ex_rng.random()
+
+    feats = np.empty((n_out, base.feature_dim), dtype=np.float32)
+    for lo in range(0, n_out, _MIX_ROWS):
+        p, k = picks[lo : lo + _MIX_ROWS], draws[lo : lo + _MIX_ROWS]
+        if is_mixup:
+            feats[lo : lo + _MIX_ROWS] = _mix_rows(k / float(r), base.features[p].astype(np.float64))
+        else:
+            feats[lo : lo + _MIX_ROWS] = _patch_rows(base.features, p, k)
+    counts = draws if is_mixup else _block_counts(draws, m)
+    soft = mixed_soft_labels(base.labels[picks], counts, c)
+    labels = quantize_labels(soft, u)
 
     meta = GenMeta(
         kind=spec.kind,
@@ -285,7 +332,7 @@ def generate_ambiguous_dataset(
         seed=rng.seed,
         extra={"n_out": str(n_out), "reject_degenerate": str(spec.reject_degenerate)},
     )
-    return AmbiguousDataset(c, d, feats, labels, diagnostics=soft, gen_meta=meta)
+    return AmbiguousDataset(c, base.feature_dim, feats, labels, diagnostics=soft, gen_meta=meta)
 
 
 def _class_means(spec: BaseSpec, seed: int) -> tuple[np.ndarray, str]:

@@ -216,18 +216,20 @@ def load_model(path):
     dims = struct.unpack_from(dims_fmt, raw, 5)
     if code == _KIND_CODES["linear"]:
         c, d = dims
-        shapes = [(c, d), (c,)]
+        shapes = {"weights": (c, d), "bias": (c,)}
     else:
         c, d, h = dims
-        shapes = [(h, d), (h,), (c, h), (c,)]
-    expected = off + 4 * sum(math.prod(shape) for shape in shapes)
+        shapes = {"hidden_w": (h, d), "hidden_b": (h,), "out_w": (c, h), "out_b": (c,)}
+    expected = off + 4 * sum(math.prod(shape) for shape in shapes.values())
     if len(raw) != expected:
         raise ValueError(f"{path}: size mismatch (expected {expected} bytes)")
 
     blocks = []
-    for shape in shapes:
+    for name, shape in shapes.items():
         count = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: block {name} holds non-finite values")
         blocks.append(arr.reshape(shape).astype(np.float64))
         off += 4 * count
     return (LinearModel if code == _KIND_CODES["linear"] else MlpModel)(*blocks)

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qll.core import ClassPriors
+from qll.core import AmbiguousDataset, ClassPriors, GenMeta
+from qll.datagen import sample_block_assignment, sample_mix_weights
 from qll.losses import EPS, BinaryLossKind, binary_loss
 from qll.risk import ClassRiskBreakdown
 
@@ -224,3 +225,77 @@ def central_diff(f, x, h=1e-5):
         xm[i] -= h
         g[i] = (f(xp) - f(xm)) / (2.0 * h)
     return g
+
+
+# -- the per-example generator: one fresh substream, one soft label and one
+# quantization per example. The batched generator must reproduce its
+# features, labels and diagnostics bit for bit.
+
+_DEGENERATE_RETRIES = 100
+
+
+def reference_soft_label(labels, counts, c):
+    """Normalized soft label of one mixed group, as SoftLabel(numer)."""
+    numer = np.zeros(c, dtype=np.float64)
+    np.add.at(numer, np.asarray(labels, dtype=np.int64), np.asarray(counts).astype(np.float64))
+    return numer / float(numer.sum())
+
+
+def reference_quantize(weights, rng) -> int:
+    """One uniform draw, then a right-sided search of the cdf."""
+    u = float(rng.random())
+    cdf = np.cumsum(weights)
+    k = int(np.searchsorted(cdf, u, side="right"))
+    return min(k, weights.size - 1)
+
+
+def reference_draw_group(base, spec, rng):
+    """One candidate mixed example: (float64 features, soft label weights)."""
+    idx = rng.choice(base.n_examples, size=spec.m, replace=False)
+    feats = base.features[idx].astype(np.float64)
+    labels = base.labels[idx]
+    if spec.kind == "mixup":
+        w = sample_mix_weights(spec.m, spec.r, rng)
+        x = w.lam @ feats
+        counts = w.counts
+    else:
+        a = sample_block_assignment(spec.m, spec.r, rng)
+        d = feats.shape[1]
+        q, rem = divmod(d, a.r)
+        sizes = np.full(a.r, q, dtype=np.int64)
+        sizes[:rem] += 1
+        x = feats[np.repeat(a.assign, sizes), np.arange(d)]
+        counts = np.bincount(a.assign, minlength=a.m)
+    return x, reference_soft_label(labels, counts, base.class_count)
+
+
+def reference_generate(base, spec, n_out, rng):
+    """The per-example generation loop: substream i, draw (and redraw while
+    rejecting one-hot labels), mix, soft label, quantize."""
+    d = base.feature_dim
+    c = base.class_count
+    feats = np.empty((n_out, d), dtype=np.float32)
+    labels = np.empty(n_out, dtype=np.int64)
+    soft = np.empty((n_out, c), dtype=np.float32)
+    for i in range(n_out):
+        ex_rng = rng.substream(i)
+        for attempt in range(_DEGENERATE_RETRIES + 1):
+            x, s = reference_draw_group(base, spec, ex_rng)
+            if not (spec.reject_degenerate and np.count_nonzero(s) == 1):
+                break
+        else:
+            raise RuntimeError(
+                f"mix spec {spec} kept producing one-hot soft labels after "
+                f"{_DEGENERATE_RETRIES} retries; the spec is degenerate for this base"
+            )
+        feats[i] = x.astype(np.float32)
+        soft[i] = s.astype(np.float32)
+        labels[i] = reference_quantize(s, ex_rng)
+    meta = GenMeta(
+        kind=spec.kind,
+        m=spec.m,
+        r=spec.r,
+        seed=rng.seed,
+        extra={"n_out": str(n_out), "reject_degenerate": str(spec.reject_degenerate)},
+    )
+    return AmbiguousDataset(c, d, feats, labels, diagnostics=soft, gen_meta=meta)

@@ -7,11 +7,11 @@ from scipy import stats
 from qll.core import (
     AmbiguousDataset,
     ClassPriors,
-    LabeledExample,
     RngStream,
     SoftLabel,
     entropy,
     quantize_label,
+    quantize_labels,
     zero_one_test_risk,
 )
 
@@ -58,6 +58,20 @@ class TestEntropy:
             assert entropy(SoftLabel(np.flip(w))) == pytest.approx(e, abs=1e-12)
             assert entropy(SoftLabel(rng.permutation(w))) == pytest.approx(e, abs=1e-12)
 
+    def test_rows_match_soft_labels(self):
+        rng = np.random.default_rng(7)
+        raw = rng.random((30, 5)) * (rng.random((30, 5)) > 0.3) + np.eye(5)[np.arange(30) % 5]
+        ents = entropy(raw)
+        assert ents.shape == (30,)
+        for i in range(30):
+            assert entropy(raw[i]) == ents[i]
+            assert entropy(SoftLabel(raw[i])) == pytest.approx(ents[i], abs=1e-15)
+        assert entropy([[0.0, 3.0, 0.0]]).tolist() == [0.0]
+        with pytest.raises(ValueError, match="nonnegative"):
+            entropy([0.5, -0.5, 1.0])
+        with pytest.raises(ValueError):
+            entropy(np.ones((2, 2, 2)))
+
     def test_bounds(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -95,6 +109,17 @@ class TestQuantizeLabel:
         quantize_label(s, a)
         b.random()
         assert a.random() == b.random()
+
+    def test_batched_matches_capped_search_at_cdf_edges(self):
+        rows = np.array([[0.2, 0.3, 0.5], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.1, 0.0, 0.9]])
+        for row in rows:
+            cdf = np.cumsum(row)
+            for u in (0.0, *cdf, *np.nextafter(cdf, 0.0), 0.9999999999999999):
+                want = min(int(np.searchsorted(cdf, u, side="right")), row.size - 1)
+                assert quantize_labels(row, u) == want
+                assert quantize_labels(rows, np.full(4, u)).tolist() == [
+                    min(int(np.searchsorted(np.cumsum(r), u, side="right")), 2) for r in rows
+                ]
 
     def test_bit_for_bit_reproducible(self):
         s = SoftLabel([0.1, 0.2, 0.3, 0.4])
@@ -153,18 +178,18 @@ class TestRngStream:
 
 
 class TestDatasetTypes:
-    def test_labeled_example_validation(self):
-        with pytest.raises(ValueError):
-            LabeledExample([1.0, np.inf], 0)
-        with pytest.raises(ValueError):
-            LabeledExample([1.0, 2.0], -1)
+    def test_dataset_rejects_nonfinite_features_and_negative_labels(self):
+        with pytest.raises(ValueError, match="finite"):
+            AmbiguousDataset(2, 2, np.array([[1.0, np.inf]]), np.array([0]))
+        with pytest.raises(ValueError, match="labels must lie"):
+            AmbiguousDataset(2, 2, np.array([[1.0, 2.0]]), np.array([-1]))
 
     def test_dataset_validation(self):
         x = np.zeros((4, 3), dtype=np.float32)
         y = np.array([0, 1, 2, 1])
         ds = AmbiguousDataset(3, 3, x, y)
         assert ds.n_examples == 4
-        assert ds.examples[1].label == 1
+        assert ds.labels[1] == 1
         with pytest.raises(ValueError):
             AmbiguousDataset(3, 3, x, np.array([0, 1, 2, 3]))  # label out of range
         with pytest.raises(ValueError):
@@ -176,7 +201,7 @@ class TestDatasetTypes:
         x = np.zeros((2, 2), dtype=np.float32)
         diag = np.array([[0.5, 0.25, 0.25], [1, 0, 0]], dtype=np.float32)
         ds = AmbiguousDataset(3, 2, x, np.array([0, 0]), diagnostics=diag)
-        softs = ds.diagnostic_soft_labels()
+        softs = [SoftLabel(row) for row in ds.diagnostics]
         assert len(softs) == 2
         assert softs[1].is_onehot()
 

@@ -1,26 +1,37 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from _oracles import reference_draw_group, reference_generate
 from scipy import stats
 
-from qll.core import AmbiguousDataset, RngStream, entropy
+from qll.core import (
+    AmbiguousDataset,
+    RngStream,
+    SoftLabel,
+    entropy,
+    quantize_label,
+    quantize_labels,
+)
 from qll.datagen import (
     BaseSpec,
     BlockAssignment,
     MixSpec,
     MixWeights,
-    _draw_group,
+    _is_onehot_mix,
     block_bounds,
     generate_ambiguous_dataset,
     induced_weights,
     mixed_soft_label,
+    mixed_soft_labels,
     mixup,
     patchmix,
     sample_block_assignment,
     sample_mix_weights,
     synth_base,
 )
+from qll.dataio import save_dataset
 
 
 def two_class_base(n=40, d=4, seed=0):
@@ -177,8 +188,10 @@ class TestGenerateAmbiguous:
     def test_output_more_ambiguous_than_base(self):
         base = two_class_base()
         out = generate_ambiguous_dataset(base, MixSpec("mixup", 2, 4), 300, RngStream(2, 1))
-        ents = [entropy(s) for s in out.diagnostic_soft_labels()]
+        ents = entropy(out.diagnostics)
+        assert ents.shape == (300,)
         assert np.mean(ents) > 0.0
+        assert ents.tolist() == [entropy(row) for row in out.diagnostics]
 
     def test_deterministic(self):
         base = two_class_base()
@@ -204,11 +217,10 @@ class TestGenerateAmbiguous:
         s = out.diagnostics[target].astype(np.float64)
         # replay the group draw, then quantize repeatedly with fresh streams
         ex_rng = RngStream(4, 1).substream(target)
-        x, soft = _draw_group(base, MixSpec("mixup", 2, 4), ex_rng)
+        x, weights = reference_draw_group(base, MixSpec("mixup", 2, 4), ex_rng)
+        soft = SoftLabel(weights)
         assert np.allclose(soft.weights, s, atol=1e-6)
         n = 10_000
-        from qll.core import quantize_label
-
         draws = np.array([quantize_label(soft, RngStream(900 + k, 0)) for k in range(n)])
         counts = np.bincount(draws, minlength=2)
         res = stats.chisquare(counts, f_exp=soft.weights * n)
@@ -220,9 +232,9 @@ class TestGenerateAmbiguous:
         rng = RngStream(8, 2)
         out = generate_ambiguous_dataset(base, spec, 25, rng)
         for i in range(25):
-            x, soft = _draw_group(base, spec, RngStream(8, 2).substream(i))
+            x, weights = reference_draw_group(base, spec, RngStream(8, 2).substream(i))
             assert np.allclose(out.features[i], x.astype(np.float32))
-            assert np.allclose(out.diagnostics[i], soft.weights.astype(np.float32))
+            assert np.allclose(out.diagnostics[i], weights.astype(np.float32))
 
     def test_reject_degenerate_errors_when_unavoidable(self):
         # single-class base: every mixed soft label is one-hot
@@ -236,8 +248,8 @@ class TestGenerateAmbiguous:
         base = two_class_base()
         spec = MixSpec("mixup", 2, 4, reject_degenerate=True)
         out = generate_ambiguous_dataset(base, spec, 150, RngStream(6, 1))
-        for s in out.diagnostic_soft_labels():
-            assert not s.is_onehot()
+        for row in out.diagnostics:
+            assert not SoftLabel(row).is_onehot()
 
     def test_patchmix_r_greater_than_d_rejected(self):
         base = two_class_base(d=3)
@@ -245,12 +257,121 @@ class TestGenerateAmbiguous:
             generate_ambiguous_dataset(base, MixSpec("patchmix", 2, 8), 5, RngStream(7, 1))
 
 
+def _qll_bytes(ds, path):
+    save_dataset(ds, path)
+    return path.read_bytes(), path.with_suffix(".meta").read_bytes()
+
+
+class TestBatchedGeneratorBitExact:
+    """The draw-only loop plus batched kernels against the per-example
+    reference loop in ``_oracles``: equal arrays and equal file bytes."""
+
+    # d = 7, so r in {3, 4} leaves unequal blocks
+    BASE = synth_base(BaseSpec(c=4, d=7, n_per_class=20), RngStream(21, 1))
+
+    @pytest.mark.parametrize("reject", [False, True])
+    @pytest.mark.parametrize("r", [1, 3, 4, 7])
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
+    def test_matches_per_example_loop(self, kind, m, r, reject, tmp_path):
+        spec = MixSpec(kind, m, r, reject_degenerate=reject)
+        for seed in (3, 17, 2**40 + 1):
+            rng = RngStream(seed, 2)
+            if reject and r == 1:  # one source holds all mass: always one-hot
+                with pytest.raises(RuntimeError) as got:
+                    generate_ambiguous_dataset(self.BASE, spec, 50, rng)
+                with pytest.raises(RuntimeError) as want:
+                    reference_generate(self.BASE, spec, 50, rng)
+                assert str(got.value) == str(want.value)
+                continue
+            got = generate_ambiguous_dataset(self.BASE, spec, 150, rng)
+            want = reference_generate(self.BASE, spec, 150, rng)
+            assert np.array_equal(got.features, want.features)
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.diagnostics, want.diagnostics)
+            assert _qll_bytes(got, tmp_path / "got.qll") == _qll_bytes(want, tmp_path / "want.qll")
+
+    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
+    def test_single_class_base_raises_as_per_example_loop(self, kind):
+        x = np.random.default_rng(0).normal(size=(10, 4)).astype(np.float32)
+        base = AmbiguousDataset(2, 4, x, np.zeros(10, dtype=int))
+        spec = MixSpec(kind, 2, 4, reject_degenerate=True)
+        with pytest.raises(RuntimeError, match="degenerate") as got:
+            generate_ambiguous_dataset(base, spec, 3, RngStream(5, 1))
+        with pytest.raises(RuntimeError) as want:
+            reference_generate(base, spec, 3, RngStream(5, 1))
+        assert str(got.value) == str(want.value)
+
+    def test_onehot_test_agrees_with_soft_label(self):
+        for m in (2, 3, 4):
+            for labels in itertools.product(range(3), repeat=m):
+                for counts in itertools.product(range(3), repeat=m):
+                    if not sum(counts):
+                        continue
+                    s = mixed_soft_label(labels, MixWeights(np.array(counts), sum(counts)), 3)
+                    assert _is_onehot_mix(np.array(labels), np.array(counts)) == s.is_onehot()
+
+    def test_scalar_helpers_are_rows_of_the_batched_kernels(self):
+        gen = np.random.default_rng(8)
+        labels = gen.integers(0, 5, size=(40, 3))
+        counts = gen.multinomial(7, [1 / 3] * 3, size=40)
+        rows = mixed_soft_labels(labels, counts, 5)
+        for i in range(40):
+            s = mixed_soft_label(labels[i], MixWeights(counts[i], 7), 5)
+            assert np.array_equal(s.weights, rows[i])
+            assert quantize_label(s, RngStream(i, 9)) == quantize_labels(
+                rows[i : i + 1], [RngStream(i, 9).random()]
+            )[0]
+
+    def test_batched_kernels_validate(self):
+        with pytest.raises(ValueError, match="labels must lie"):
+            mixed_soft_labels([[0, 4]], [[1, 1]], 4)
+        with pytest.raises(ValueError, match="source labels"):
+            mixed_soft_labels([[0, 1]], [[1, 1, 0]], 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            mixed_soft_labels([[0, 1]], [[2, -1]], 4)
+        with pytest.raises(ValueError, match="positive total mass"):
+            mixed_soft_labels([[0, 1], [1, 2]], [[1, 1], [0, 0]], 4)
+        with pytest.raises(ValueError, match="draws"):
+            quantize_labels(np.full((3, 2), 0.5), [0.1, 0.2])
+
+
+class TestRekeyedStream:
+    """A stream re-keyed in place draws exactly what a new substream does."""
+
+    DRAWS = {
+        "random": lambda g: g.random(5),
+        "integers": lambda g: g.integers(0, 3, size=7),
+        "standard_normal": lambda g: g.standard_normal(4),
+        "multinomial": lambda g: g.multinomial(7, [0.2, 0.3, 0.5]),
+        "beta": lambda g: g.beta(0.5, 0.5),
+        "permutation": lambda g: g.permutation(9),
+        "choice": lambda g: g.choice(50, size=4, replace=False),
+    }
+
+    @pytest.mark.parametrize("method", sorted(DRAWS))
+    def test_equals_new_substream(self, method):
+        draw = self.DRAWS[method]
+        parents = (RngStream(13, 5), RngStream(2**64 - 1, 0), RngStream(13, 5).substream(3))
+        stream = parents[0].substream(0)
+        for parent in parents:
+            for key in (0, 1, 77, 2**64 - 1):
+                # leave a part-used Philox buffer and a cached 32-bit half behind
+                stream.random(3)
+                stream.integers(0, 5, size=3)
+                stream._rekey_as_substream(parent, key)
+                fresh = parent.substream(key)
+                assert (stream.seed, stream.stream_id) == (fresh.seed, fresh.stream_id)
+                assert np.array_equal(draw(stream), draw(fresh))
+                assert np.array_equal(draw(stream), draw(fresh))
+
+
 class TestSynthBase:
     def test_counts(self):
         ds = synth_base(BaseSpec(c=4, d=8, n_per_class=50), RngStream(1, 1))
         assert ds.n_examples == 200
         assert np.array_equal(np.bincount(ds.labels), [50, 50, 50, 50])
-        assert all(s.is_onehot() for s in ds.diagnostic_soft_labels())
+        assert all(SoftLabel(row).is_onehot() for row in ds.diagnostics)
 
     def test_small_noise_collapses_to_means(self):
         spec = BaseSpec(c=3, d=5, n_per_class=20, separation=4.0, noise_sigma=1e-9)

@@ -258,6 +258,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="size mismatch"):
             load_model(bad)
 
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_rejected(self, tmp_path, kind, value):
+        m = init_model(kind, 4, 6, RngStream(16, 3), hidden_dim=5)
+        raw = save_model(m, tmp_path / "m.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        off = 13 if kind == "linear" else 17
+        for name, block in m.params().items():
+            # the last value of each block
+            at = off + 4 * (block.size - 1)
+            bad.write_bytes(raw[:at] + np.float32(value).tobytes() + raw[at + 4 :])
+            with pytest.raises(ValueError, match=f"block {name} holds non-finite"):
+                load_model(bad)
+            off += 4 * block.size
+
     def test_unknown_kind_code_rejected(self, tmp_path):
         raw = bytearray(save_model(init_model("linear", 3, 4, RngStream(15, 3)), tmp_path / "m.ckpt").read_bytes())
         raw[4] = 9

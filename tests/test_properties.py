@@ -1,0 +1,118 @@
+"""Property tests: byte-exact file round trips, errors on damaged files,
+and the label invariants of generated data."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qll.core import RngStream
+from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
+from qll.dataio import load_dataset, save_dataset
+from qll.models import init_model, load_model, save_model
+
+
+@st.composite
+def generated_datasets(draw):
+    c = draw(st.integers(3, 5))
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["mixup", "patchmix"]))
+    m = draw(st.integers(2, 4))
+    r = draw(st.integers(1, d if kind == "patchmix" else 8))
+    reject = r > 1 and draw(st.booleans())  # r = 1 mixes are always one-hot
+    seed = draw(st.integers(0, 2**64 - 1))
+    base = synth_base(BaseSpec(c=c, d=d, n_per_class=draw(st.integers(2, 6))), RngStream(seed, 1))
+    n = draw(st.integers(1, 30))
+    return generate_ambiguous_dataset(base, MixSpec(kind, m, r, reject), n, RngStream(seed, 2))
+
+
+@st.composite
+def models(draw):
+    kind = draw(st.sampled_from(["linear", "mlp"]))
+    c, d, h = draw(st.integers(2, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    model = init_model(kind, c, d, RngStream(seed, 3), hidden_dim=h)
+    scale = draw(st.sampled_from([1e-30, 1e-3, 1.0, 1e3, 1e30]))
+    gen = np.random.default_rng(seed)
+    for p in model.params().values():
+        p[...] = gen.standard_normal(p.shape) * scale
+    return model
+
+
+@st.composite
+def damaged(draw, raw: bytes):
+    """``raw`` cut short, with 1-4 bytes overwritten, or with bytes appended."""
+    how = draw(st.sampled_from(["cut", "overwrite", "append"]))
+    if how == "cut":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if how == "append":
+        return raw + draw(st.binary(min_size=1, max_size=8))
+    out = bytearray(raw)
+    for _ in range(draw(st.integers(1, 4))):
+        out[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("props")
+
+
+@given(ds=generated_datasets())
+def test_qll_round_trip_is_byte_identical(ds, workdir):
+    raw = save_dataset(ds, workdir / "a.qll").read_bytes()
+    back = load_dataset(workdir / "a.qll")
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(back.diagnostics, ds.diagnostics)
+    assert save_dataset(back, workdir / "b.qll").read_bytes() == raw
+
+
+@given(model=models())
+def test_ckpt_round_trip_is_byte_identical(model, workdir):
+    raw = save_model(model, workdir / "a.ckpt").read_bytes()
+    back = load_model(workdir / "a.ckpt")
+    assert type(back) is type(model)
+    assert save_model(back, workdir / "b.ckpt").read_bytes() == raw
+
+
+@given(ds=generated_datasets())
+def test_soft_labels_sum_to_one_with_mass_on_the_observed_label(ds):
+    soft = ds.diagnostics.astype(np.float64)
+    assert np.allclose(soft.sum(axis=1), 1.0, rtol=0.0, atol=1e-6)
+    assert (soft[np.arange(ds.n_examples), ds.labels] > 0.0).all()
+
+
+def _valid_qll(tmp_path_factory):
+    base = synth_base(BaseSpec(c=3, d=3, n_per_class=3), RngStream(1, 1))
+    ds = generate_ambiguous_dataset(base, MixSpec("mixup", 2, 4), 4, RngStream(1, 2))
+    return save_dataset(ds, tmp_path_factory.mktemp("qll") / "ok.qll").read_bytes()
+
+
+def _valid_ckpt(tmp_path_factory):
+    model = init_model("mlp", 3, 2, RngStream(1, 3), hidden_dim=2)
+    return save_model(model, tmp_path_factory.mktemp("ckpt") / "ok.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make_raw, load", [(_valid_qll, load_dataset), (_valid_ckpt, load_model)], ids=["qll", "ckpt"]
+)
+def test_damaged_files_raise_only_value_error(make_raw, load, tmp_path_factory):
+    raw = make_raw(tmp_path_factory)
+    path = tmp_path_factory.mktemp("bad") / "bad.bin"
+
+    @given(bad=damaged(raw))
+    def check(bad):
+        path.write_bytes(bad)
+        if len(bad) != len(raw):
+            with pytest.raises(ValueError):
+                load(path)
+            return
+        try:
+            out = load(path)
+        except ValueError:
+            return
+        arrays = out.params().values() if load is load_model else (out.features, out.diagnostics)
+        assert all(np.isfinite(a).all() for a in arrays)
+
+    check()
