@@ -20,31 +20,62 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import STREAM_DATAGEN, AmbiguousDataset, ClassPriors, RngStream, entropy
 from .dataio import atomic_write_text, load_dataset, save_dataset
-from .datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
+from .datagen import MIX_KINDS, BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
 from .losses import BinaryLossKind, MulticlassLossKind
-from .models import save_model
+from .models import MODEL_KINDS, save_model
+from .risk import U_MODES
 from .training import TrainConfig, train, train_runs, write_metrics
 
-__all__ = ["main", "METHODS", "ExperimentConfig", "build_loss"]
+__all__ = ["main", "METHODS", "ExperimentConfig", "TrainSettings", "build_loss"]
 
-METHODS = ("ce", "bs", "gce", "sce", "js", "cpu-sjs", "cpu-kl")
-CPU_METHODS = ("cpu-sjs", "cpu-kl")
 
-_DEFAULT_METHOD_PARAMS = {
-    "bs_beta": 0.4,
-    "gce_q": 0.7,
-    "sce_a": 0.1,
-    "sce_b": 1.0,
-    "js_pi1": 0.1,
-    "js_scaled": True,
+@dataclass(frozen=True)
+class TrainSettings:
+    """A training run's settings but its method and seed. Each field is a
+    flag of `train` and `sweep` (``--batch-size`` sets ``batch_size``) and a
+    key of a sweep config's "train" section. A setting is its default here
+    (TrainConfig's where it has one), replaced by the config file's value,
+    replaced by a given flag."""
+
+    pi1: float = 0.1  # positive-risk prior of the CPU methods
+    pi2: str | float = "auto"  # negative-risk prior; "auto" is m/c of the train set
+    epochs: int = 60
+    batch_size: int = TrainConfig.batch_size
+    lr: float = TrainConfig.lr
+    momentum: float = TrainConfig.momentum
+    weight_decay: float = TrainConfig.weight_decay
+    model: str = TrainConfig.model_kind
+    hidden: int = TrainConfig.hidden_dim
+    u_mode: str = TrainConfig.u_mode
+    bs_beta: float = 0.4
+    gce_q: float = 0.7
+    sce_a: float = 0.1
+    sce_b: float = 1.0
+    js_pi1: float = 0.1
+    js_unscaled: bool = False
+
+
+_TRAIN_CHOICES = {"model": MODEL_KINDS, "u_mode": U_MODES}
+# Method name -> its loss kind, given the train settings.
+_LOSSES = {
+    "ce": lambda s: MulticlassLossKind.ce(),
+    "bs": lambda s: MulticlassLossKind.bootstrap(s.bs_beta),
+    "gce": lambda s: MulticlassLossKind.gce(s.gce_q),
+    "sce": lambda s: MulticlassLossKind.sce(s.sce_a, s.sce_b),
+    "js": lambda s: MulticlassLossKind.js_pi(s.js_pi1, not s.js_unscaled),
+    "cpu-sjs": lambda s: BinaryLossKind.scaled_sjs(),
+    "cpu-kl": lambda s: BinaryLossKind.kl(),
 }
+METHODS = tuple(_LOSSES)
+CPU_METHODS = ("cpu-sjs", "cpu-kl")
 
 
 class UsageError(Exception):
@@ -55,25 +86,11 @@ def _out_root() -> Path:
     return Path(os.environ.get("QLL_OUT", "qll-out"))
 
 
-def build_loss(method: str, params: dict | None = None):
-    """Map a method name to its loss kind."""
-    p = dict(_DEFAULT_METHOD_PARAMS)
-    p.update(params or {})
-    if method == "ce":
-        return MulticlassLossKind.ce()
-    if method == "bs":
-        return MulticlassLossKind.bootstrap(p["bs_beta"])
-    if method == "gce":
-        return MulticlassLossKind.gce(p["gce_q"])
-    if method == "sce":
-        return MulticlassLossKind.sce(p["sce_a"], p["sce_b"])
-    if method == "js":
-        return MulticlassLossKind.js_pi(p["js_pi1"], p["js_scaled"])
-    if method == "cpu-sjs":
-        return BinaryLossKind.scaled_sjs()
-    if method == "cpu-kl":
-        return BinaryLossKind.kl()
-    raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
+def build_loss(method: str, settings: TrainSettings | None = None):
+    """Map a method name to its loss kind, with its parameters from ``settings``."""
+    if method not in _LOSSES:
+        raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
+    return _LOSSES[method](settings or TrainSettings())
 
 
 def resolve_pi2(spec: str | float, dataset: AmbiguousDataset) -> float:
@@ -93,125 +110,131 @@ def dataset_tag(ds: AmbiguousDataset) -> str:
     return f"{meta.kind}-m{meta.m}-r{meta.r}"
 
 
+class DataSpecs(NamedTuple):  # what _generate_datasets makes from one seed
+    base: BaseSpec
+    test: BaseSpec
+    mix: MixSpec | None  # None: no ambiguous set, train on the clean base
+    n_out: int
+
+
+_CASTS = {"int": int, "float": float, "bool": bool, "str": str}
+
+
+def _build(cls, section: str, kw: dict):
+    """``cls(**kw)``, an int, float, bool or str field's value cast to that
+    type as a flag's text is; a missing or unknown key is a ValueError that
+    names it."""
+    casts = {f.name: _CASTS[f.type] for f in fields(cls) if f.type in _CASTS}
+    try:
+        return cls(**{k: casts[k](v) if k in casts else v for k, v in kw.items()})
+    except TypeError as e:
+        raise ValueError(f"{section}: {e}") from None
+
+
+def _data_specs(base: dict, mix: dict) -> DataSpecs:
+    """Specs from a config's ``base`` and ``mix`` sections, whose keys are
+    the BaseSpec and MixSpec fields plus ``test_n_per_class`` (default:
+    n_per_class) and ``n_out``. A mix of kind "none" makes no ambiguous set.
+    ``qll generate`` passes its flags under the same names."""
+    base = {"n_per_class": 250, **base}
+    mix = {"kind": "none", "n_out": 2000, **mix}
+    test_n = base.pop("test_n_per_class", base["n_per_class"])
+    n_out = int(mix.pop("n_out"))
+    spec = _build(BaseSpec, "base", base)
+    mix_spec = None if mix["kind"] == "none" else _build(MixSpec, "mix", mix)
+    return DataSpecs(spec, replace(spec, n_per_class=int(test_n)), mix_spec, n_out)
+
+
 @dataclass
 class ExperimentConfig:
-    """Structured experiment description loaded from a JSON file."""
+    """A sweep: methods x seeds x prior grid. A config file's ``base`` and
+    ``mix`` sections become ``data``, the specs of the data generated for
+    each seed; without them the data comes as files. The ``train`` section
+    becomes ``settings``."""
 
-    base: dict
-    mix: dict
-    train: dict = field(default_factory=dict)
+    base: InitVar[dict | None] = None
+    mix: InitVar[dict | None] = None
+    train: InitVar[dict | None] = None
     methods: list[str] = field(default_factory=lambda: ["cpu-sjs"])
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
     out: str | None = None
     pi1_grid: list[float] | None = None
     pi2_grid: list | None = None  # floats or "auto"
+    settings: TrainSettings = field(init=False)
+    data: DataSpecs | None = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, base, mix, train) -> None:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} in config; known: {', '.join(METHODS)}")
         if not self.seeds:
             raise ValueError("config needs a nonempty seed list")
+        self.seeds = [int(s) for s in self.seeds]
+        self.settings = _build(TrainSettings, "train", train or {})
+        self.data = None if base is None else _data_specs(base, mix or {})
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, **flags) -> "ExperimentConfig":
+        """Load a config file. ``flags`` replace its top-level values, and
+        ``flags["train"]`` replaces single train settings."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        known = {"base", "mix", "train", "methods", "seeds", "out", "pi1_grid", "pi2_grid"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "base" not in raw or "mix" not in raw:
             raise ValueError("config needs 'base' and 'mix' sections")
-        return cls(**raw)
+        train_kw = {**raw.pop("train", {}), **flags.pop("train", {})}
+        return _build(cls, "config", {**raw, **flags, "train": train_kw})
 
 
-def _generate_datasets(
-    base_kw: dict, mix_kw: dict, seed: int, out_dir: Path
-) -> tuple[Path, Path, Path | None]:
-    """Shared by cmd_generate and config-driven sweeps."""
-    spec = BaseSpec(
-        c=int(base_kw["c"]),
-        d=int(base_kw["d"]),
-        n_per_class=int(base_kw.get("n_per_class", 250)),
-        separation=float(base_kw.get("separation", 6.0)),
-        noise_sigma=float(base_kw.get("noise_sigma", 1.0)),
-    )
-    test_spec = BaseSpec(
-        c=spec.c,
-        d=spec.d,
-        n_per_class=int(base_kw.get("test_n_per_class", spec.n_per_class)),
-        separation=spec.separation,
-        noise_sigma=spec.noise_sigma,
-    )
+def _generate_datasets(specs: DataSpecs, seed: int, out_dir: Path) -> tuple[Path, Path]:
+    """Write one seed's base train and test sets and, with a mix spec, its
+    ambiguous set; returns the paths of the (train, test) sets to train on."""
     root = RngStream(seed, STREAM_DATAGEN)
-    base_train = synth_base(spec, root.substream(0))
-    base_test = synth_base(test_spec, root.substream(1))
+    base_train = synth_base(specs.base, root.substream(0))
+    base_test = synth_base(specs.test, root.substream(1))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     train_path = save_dataset(base_train, out_dir / "base_train.qll")
     test_path = save_dataset(base_test, out_dir / "base_test.qll")
-
-    ambig_path = None
-    if mix_kw.get("kind", "none") != "none":
-        mspec = MixSpec(
-            kind=mix_kw["kind"],
-            m=int(mix_kw.get("m", 2)),
-            r=int(mix_kw.get("r", 4)),
-            reject_degenerate=bool(mix_kw.get("reject_degenerate", False)),
-        )
-        n_out = int(mix_kw.get("n_out", 2000))
-        ambig = generate_ambiguous_dataset(base_train, mspec, n_out, root.substream(2))
-        ambig_path = save_dataset(ambig, out_dir / "ambig_train.qll")
-        ent = entropy(ambig.diagnostics)
-    else:
-        ent = entropy(base_train.diagnostics)
+    written = [train_path, test_path]
+    diagnostics = base_train.diagnostics
+    if specs.mix is not None:
+        ambig = generate_ambiguous_dataset(base_train, specs.mix, specs.n_out, root.substream(2))
+        train_path = save_dataset(ambig, out_dir / "ambig_train.qll")
+        written.append(train_path)
+        diagnostics = ambig.diagnostics
+    ent = entropy(diagnostics)
     print(f"diagnostic entropy: mean={ent.mean():.4f} min={ent.min():.4f} max={ent.max():.4f}")
-    return train_path, test_path, ambig_path
+    for path in written:
+        print(f"wrote {path}")
+    return train_path, test_path
 
 
 def cmd_generate(args) -> int:
-    base_kw = {
-        "c": args.c,
-        "d": args.d,
-        "n_per_class": args.n_per_class,
-        "test_n_per_class": args.test_n_per_class or args.n_per_class,
-        "separation": args.separation,
-        "noise_sigma": args.noise_sigma,
-    }
-    mix_kw = {
-        "kind": args.mix,
-        "m": args.m,
-        "r": args.r,
-        "n_out": args.n,
-        "reject_degenerate": args.reject_degenerate,
-    }
+    flags = vars(args)  # data flags not given are absent (see build_parser)
+    base_keys = ("c", "d", "n_per_class", "test_n_per_class", "separation", "noise_sigma")
+    base = {k: flags[k] for k in base_keys if k in flags}
+    mix = {k: flags[k] for k in ("kind", "m", "r", "n_out", "reject_degenerate") if k in flags}
     out_dir = Path(args.out) if args.out else _out_root() / "data"
-    paths = _generate_datasets(base_kw, mix_kw, args.seed, out_dir)
-    for p in paths:
-        if p is not None:
-            print(f"wrote {p}")
+    _generate_datasets(_data_specs(base, mix), args.seed, out_dir)
     return 0
 
 
-def _train_config(
-    method: str, pi1: float, pi2_spec, train_kw: dict, seed: int, train_ds: AmbiguousDataset
-) -> TrainConfig:
+def _train_config(method: str, s: TrainSettings, seed: int, train_ds: AmbiguousDataset) -> TrainConfig:
     priors = None
     if method in CPU_METHODS:
-        priors = ClassPriors(pi1, resolve_pi2(pi2_spec, train_ds))
+        priors = ClassPriors(s.pi1, resolve_pi2(s.pi2, train_ds))
     return TrainConfig(
-        epochs=int(train_kw.get("epochs", 60)),
-        loss=build_loss(method, train_kw.get("method_params")),
+        epochs=s.epochs,
+        loss=build_loss(method, s),
         priors=priors,
-        batch_size=int(train_kw.get("batch_size", 16)),
-        lr=float(train_kw.get("lr", 0.1)),
-        momentum=float(train_kw.get("momentum", 0.9)),
-        weight_decay=float(train_kw.get("weight_decay", 1e-4)),
+        batch_size=s.batch_size,
+        lr=s.lr,
+        momentum=s.momentum,
+        weight_decay=s.weight_decay,
         seed=seed,
-        model_kind=train_kw.get("model", "mlp"),
-        hidden_dim=int(train_kw.get("hidden", 32)),
-        u_mode=train_kw.get("u_mode", "complement"),
+        model_kind=s.model,
+        hidden_dim=s.hidden,
+        u_mode=s.u_mode,
     )
 
 
@@ -221,8 +244,7 @@ def _write_run(
     cfg: TrainConfig,
     report,
     train_ds: AmbiguousDataset,
-    data_path: Path,
-    test_path: Path,
+    paths: tuple[Path, Path],
 ) -> dict:
     """Write metrics.csv, model.ckpt and run.json; returns the run record."""
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -231,8 +253,8 @@ def _write_run(
     record = {
         "method": method,
         "dataset": dataset_tag(train_ds),
-        "data": str(data_path),
-        "test_data": str(test_path),
+        "data": str(paths[0]),
+        "test_data": str(paths[1]),
         "seed": cfg.seed,
         "pi1": cfg.priors.pi1 if cfg.priors else None,
         "pi2": cfg.priors.pi2 if cfg.priors else None,
@@ -249,35 +271,15 @@ def _write_run(
     return record
 
 
-def _train_kw_from_args(args) -> dict:
-    return {
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "momentum": args.momentum,
-        "weight_decay": args.weight_decay,
-        "model": args.model,
-        "hidden": args.hidden,
-        "u_mode": args.u_mode,
-        "method_params": {
-            "bs_beta": args.bs_beta,
-            "gce_q": args.gce_q,
-            "sce_a": args.sce_a,
-            "sce_b": args.sce_b,
-            "js_pi1": args.js_pi1,
-            "js_scaled": not args.js_unscaled,
-        },
-    }
-
-
 def cmd_train(args) -> int:
     run_dir = Path(args.out) if args.out else _out_root() / "runs" / f"{args.method}-seed{args.seed}"
-    data_path, test_path = Path(args.data), Path(args.test)
-    train_ds = load_dataset(data_path)
-    test_ds = load_dataset(test_path)
-    cfg = _train_config(args.method, args.pi1, args.pi2, _train_kw_from_args(args), args.seed, train_ds)
+    paths = (Path(args.data), Path(args.test))
+    train_ds = load_dataset(paths[0])
+    test_ds = load_dataset(paths[1])
+    settings = _build(TrainSettings, "train", _train_flags(args))
+    cfg = _train_config(args.method, settings, args.seed, train_ds)
     report = train(train_ds, test_ds, cfg)
-    record = _write_run(run_dir, args.method, cfg, report, train_ds, data_path, test_path)
+    record = _write_run(run_dir, args.method, cfg, report, train_ds, paths)
     print(
         f"{record['method']} seed={record['seed']} "
         f"best_test_accuracy={record['best_test_accuracy']:.4f} -> {run_dir}"
@@ -292,6 +294,12 @@ def _fmt_cell(accs: list[float]) -> str:
     return f"{mean:.4f} ± n/a"
 
 
+def _csv_stats(accs: list[float]) -> str:
+    """The mean, std and n_seeds cells of a csv row; std is empty for one seed."""
+    std = repr(float(np.std(accs, ddof=1))) if len(accs) >= 2 else ""
+    return f"{float(np.mean(accs))!r},{std},{len(accs)}"
+
+
 def _render_table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
     def line(cells):
@@ -299,45 +307,31 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join([line(headers)] + [line(r) for r in rows]) + "\n"
 
 
-def _parse_grid(text: str | None, fallback) -> list:
-    if text is None:
-        return [fallback]
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        out.append("auto" if tok.lower() == "auto" else float(tok))
-    if not out:
-        raise ValueError("empty grid")
-    return out
-
-
 def cmd_sweep(args) -> int:
+    # Flags not given are absent from args; a given one replaces the config
+    # file's value for its setting.
+    flags = vars(args)
+    over = {k: flags[k] for k in ("seeds", "out", "pi1_grid", "pi2_grid") if k in flags}
+    if "method" in flags:
+        over["methods"] = [flags["method"]]
+    over["train"] = _train_flags(args)
     if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-        out_dir = Path(cfg.out) if cfg.out else _out_root() / "sweep"
-        methods = cfg.methods
-        seeds = [int(s) for s in cfg.seeds]
-        train_kw = dict(cfg.train)
-        pi1_grid = cfg.pi1_grid or [float(train_kw.get("pi1", 0.1))]
-        pi2_grid = cfg.pi2_grid or [train_kw.get("pi2", "auto")]
-        data_by_seed = {}
-        for seed in seeds:
-            _, test_path, ambig_path = _generate_datasets(
-                cfg.base, cfg.mix, seed, out_dir / "data" / f"seed{seed}"
-            )
-            data_by_seed[seed] = (ambig_path or (out_dir / "data" / f"seed{seed}" / "base_train.qll"), test_path)
+        if args.data or args.test:
+            raise UsageError("--config cannot be combined with --data/--test")
+        exp = ExperimentConfig.from_file(args.config, **over)
+    elif args.data and args.test:
+        exp = ExperimentConfig(**over)
     else:
-        if not (args.data and args.test):
-            raise UsageError("sweep needs --data and --test (or --config)")
-        out_dir = Path(args.out) if args.out else _out_root() / "sweep"
-        methods = [args.method]
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        if not seeds:
-            raise UsageError("empty --seeds")
-        train_kw = _train_kw_from_args(args)
-        pi1_grid = _parse_grid(args.pi1_grid, args.pi1)
-        pi2_grid = _parse_grid(args.pi2_grid, args.pi2)
-        data_by_seed = {seed: (Path(args.data), Path(args.test)) for seed in seeds}
+        raise UsageError("sweep needs --data and --test (or --config)")
+    if len(set(exp.seeds)) < len(exp.seeds):
+        raise UsageError(f"duplicate seeds in {exp.seeds}")
+
+    out_dir = Path(exp.out) if exp.out else _out_root() / "sweep"
+    data_by_seed = {  # seed -> (train path, test path)
+        seed: (Path(args.data), Path(args.test)) if exp.data is None
+        else _generate_datasets(exp.data, seed, out_dir / "data" / f"seed{seed}")
+        for seed in exp.seeds
+    }
 
     # Each file is read once. Seeds whose train sets share a shape form one
     # group, and each method trains a group's seeds x prior grid as one
@@ -345,12 +339,14 @@ def cmd_sweep(args) -> int:
     paths = dict.fromkeys(p for pair in data_by_seed.values() for p in pair)
     loaded = {path: load_dataset(path) for path in paths}
     groups: dict[tuple, list[int]] = {}
-    for seed in seeds:
+    for seed in exp.seeds:
         ds = loaded[data_by_seed[seed][0]]
         groups.setdefault((ds.class_count, ds.feature_dim, ds.n_examples), []).append(seed)
 
+    pi1_grid = exp.pi1_grid or [exp.settings.pi1]
+    pi2_grid = exp.pi2_grid or [exp.settings.pi2]
     rows = []
-    for method in methods:
+    for method in exp.methods:
         grid = [(p1, p2) for p1 in pi1_grid for p2 in pi2_grid] if method in CPU_METHODS else [(None, None)]
         best = {}  # (seed, grid index) -> best test accuracy
         for group in groups.values():
@@ -358,38 +354,26 @@ def cmd_sweep(args) -> int:
             trains = [loaded[data_by_seed[seed][0]] for seed, *_ in members]
             tests = [loaded[data_by_seed[seed][1]] for seed, *_ in members]
             cfgs = [
-                _train_config(
-                    method, p1 if p1 is not None else 0.1, p2 if p2 is not None else "auto",
-                    train_kw, seed, train_ds,
-                )
+                _train_config(method, replace(exp.settings, pi1=p1, pi2=p2), seed, train_ds)
                 for (seed, _, p1, p2), train_ds in zip(members, trains)
             ]
             reports = train_runs(trains, tests, cfgs)
             for (seed, j, p1, p2), run_cfg, report, train_ds in zip(members, cfgs, reports, trains):
                 tag = f"{method}" + (f"-pi1_{p1}-pi2_{p2}" if p1 is not None else "")
-                data_path, test_path = data_by_seed[seed]
                 record = _write_run(
-                    out_dir / "runs" / f"{tag}-seed{seed}", method, run_cfg, report,
-                    train_ds, data_path, test_path,
+                    out_dir / "runs" / f"{tag}-seed{seed}", method, run_cfg, report, train_ds, data_by_seed[seed]
                 )
                 best[seed, j] = record["best_test_accuracy"]
-        rows += [(method, p1, p2, [best[seed, j] for seed in seeds]) for j, (p1, p2) in enumerate(grid)]
+        rows += [(method, p1, p2, [best[seed, j] for seed in exp.seeds]) for j, (p1, p2) in enumerate(grid)]
 
     headers = ["method", "pi1", "pi2", "best_test_accuracy", "n_seeds"]
     table_rows = []
     csv_lines = ["method,pi1,pi2,mean_best_accuracy,std_best_accuracy,n_seeds"]
-    means = []
     for method, p1, p2, accs in rows:
-        mean = float(np.mean(accs))
-        std = float(np.std(accs, ddof=1)) if len(accs) >= 2 else None
-        means.append(mean)
-        table_rows.append(
-            [method, "-" if p1 is None else f"{p1}", "-" if p2 is None else f"{p2}", _fmt_cell(accs), str(len(accs))]
-        )
-        csv_lines.append(
-            f"{method},{'' if p1 is None else p1},{'' if p2 is None else p2},"
-            f"{mean!r},{'' if std is None else repr(std)},{len(accs)}"
-        )
+        priors = ["" if p is None else f"{p}" for p in (p1, p2)]
+        table_rows.append([method] + [p or "-" for p in priors] + [_fmt_cell(accs), str(len(accs))])
+        csv_lines.append(",".join([method, *priors, _csv_stats(accs)]))
+    means = [float(np.mean(accs)) for *_, accs in rows]
     spread = max(means) - min(means) if means else 0.0
     text = _render_table(headers, table_rows) + f"spread (max-min of means) = {spread:.4f}\n"
     atomic_write_text(out_dir / "sweep_table.txt", text)
@@ -400,16 +384,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     root = Path(args.runs)
-    records = []
-    for path in sorted(root.rglob("run.json")):
-        with open(path, "r", encoding="utf-8") as fh:
-            records.append(json.load(fh))
-    if not records:
-        raise RuntimeError(f"no completed runs found under {root}")
-
     by_cell: dict[tuple[str, str], list[float]] = {}
-    for rec in records:
+    for path in sorted(root.rglob("run.json")):
+        rec = json.loads(path.read_text(encoding="utf-8"))
         by_cell.setdefault((rec["method"], rec["dataset"]), []).append(rec["best_test_accuracy"])
+    if not by_cell:
+        raise RuntimeError(f"no completed runs found under {root}")
     datasets = sorted({ds for _, ds in by_cell})
     methods = sorted({m for m, _ in by_cell})
 
@@ -427,8 +407,7 @@ def cmd_report(args) -> int:
             accs = by_cell.get((m, ds))
             row.append(_fmt_cell(accs) if accs else "-")
             if accs:
-                std = repr(float(np.std(accs, ddof=1))) if len(accs) >= 2 else ""
-                csv_lines.append(f"{m},{ds},{float(np.mean(accs))!r},{std},{len(accs)}")
+                csv_lines.append(f"{m},{ds},{_csv_stats(accs)}")
         table_rows.append(row)
 
     text = _render_table(headers, table_rows)
@@ -445,60 +424,72 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", default="cpu-sjs", choices=METHODS)
-    p.add_argument("--pi1", type=float, default=0.1, help="positive-risk prior (CPU methods)")
-    p.add_argument("--pi2", default="auto", help="negative-risk prior, a float or 'auto' (= m/c)")
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--model", default="mlp", choices=("linear", "mlp"))
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--u-mode", default="complement", choices=("complement", "full"))
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--bs-beta", type=float, default=_DEFAULT_METHOD_PARAMS["bs_beta"])
-    p.add_argument("--gce-q", type=float, default=_DEFAULT_METHOD_PARAMS["gce_q"])
-    p.add_argument("--sce-a", type=float, default=_DEFAULT_METHOD_PARAMS["sce_a"])
-    p.add_argument("--sce-b", type=float, default=_DEFAULT_METHOD_PARAMS["sce_b"])
-    p.add_argument("--js-pi1", type=float, default=_DEFAULT_METHOD_PARAMS["js_pi1"])
-    p.add_argument("--js-unscaled", action="store_true")
-    p.add_argument("--out", default=None)
+    """One flag per TrainSettings field. Like every flag of a parser built
+    with ``argument_default=SUPPRESS``, one not given is absent from the
+    namespace."""
+    for f in fields(TrainSettings):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            p.add_argument(flag, action="store_true")
+        else:  # pi2 has no cast: it may be "auto"
+            cast, choices = _CASTS.get(f.type), _TRAIN_CHOICES.get(f.name)
+            p.add_argument(flag, type=cast, choices=choices, help=f"default {f.default}")
+
+
+def _train_flags(args) -> dict:
+    return {f.name: getattr(args, f.name) for f in fields(TrainSettings) if hasattr(args, f.name)}
+
+
+def _seed_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
+
+
+def _prior_grid(text: str) -> list:
+    return ["auto" if tok.strip().lower() == "auto" else float(tok) for tok in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qll", description="Quantized-label learning experiments")
     sub = parser.add_subparsers(dest="command", required=True)
+    suppress = {"argument_default": argparse.SUPPRESS}
 
-    g = sub.add_parser("generate", parents=[], help="synthesize datasets")
+    # Data flags not given take their defaults in _data_specs.
+    g = sub.add_parser("generate", help="synthesize datasets", **suppress)
     g.add_argument("--c", type=int, default=4, help="class count")
     g.add_argument("--d", type=int, default=8, help="feature dimension")
-    g.add_argument("--n-per-class", type=int, default=250, help="base train examples per class")
-    g.add_argument("--test-n-per-class", type=int, default=None)
-    g.add_argument("--separation", type=float, default=6.0)
-    g.add_argument("--noise-sigma", type=float, default=1.0)
-    g.add_argument("--mix", default="mixup", choices=("none", "mixup", "patchmix"))
-    g.add_argument("--m", type=int, default=2, help="instances mixed per output")
-    g.add_argument("--r", type=int, default=4, help="multinomial trials / block count")
-    g.add_argument("--n", type=int, default=2000, help="ambiguous examples to generate")
+    g.add_argument("--n-per-class", type=int, help="base train examples per class")
+    g.add_argument("--test-n-per-class", type=int)
+    g.add_argument("--separation", type=float)
+    g.add_argument("--noise-sigma", type=float)
+    g.add_argument("--mix", dest="kind", default="mixup", choices=("none",) + MIX_KINDS)
+    g.add_argument("--m", type=int, help="instances mixed per output")
+    g.add_argument("--r", type=int, help="multinomial trials / block count")
+    g.add_argument("--n", dest="n_out", type=int, help="ambiguous examples to generate")
     g.add_argument("--reject-degenerate", action="store_true")
     g.add_argument("--seed", type=int, default=7)
     g.add_argument("--out", default=None)
     g.set_defaults(func=cmd_generate)
 
-    t = sub.add_parser("train", help="train one method on a dataset")
+    t = sub.add_parser("train", help="train one method on a dataset", **suppress)
     t.add_argument("--data", required=True, help="ambiguous training set (.qll)")
     t.add_argument("--test", required=True, help="clean test set (.qll)")
+    t.add_argument("--method", default="cpu-sjs", choices=METHODS)
+    t.add_argument("--seed", type=int, default=1)
+    t.add_argument("--out", default=None)
     _add_train_flags(t)
     t.set_defaults(func=cmd_train)
 
-    s = sub.add_parser("sweep", help="grid of priors x seeds")
+    # Sweep flags not given take the config file's value or the
+    # ExperimentConfig default.
+    s = sub.add_parser("sweep", help="grid of priors x seeds", **suppress)
     s.add_argument("--config", default=None, help="experiment config JSON")
     s.add_argument("--data", default=None)
     s.add_argument("--test", default=None)
-    s.add_argument("--pi1-grid", default=None, help="comma-separated pi1 values")
-    s.add_argument("--pi2-grid", default=None, help="comma-separated pi2 values (or 'auto')")
-    s.add_argument("--seeds", default="1,2,3,4,5")
+    s.add_argument("--method", choices=METHODS)
+    s.add_argument("--seeds", type=_seed_list, help="comma-separated seeds")
+    s.add_argument("--pi1-grid", type=_prior_grid, help="comma-separated pi1 values")
+    s.add_argument("--pi2-grid", type=_prior_grid, help="comma-separated pi2 values (or 'auto')")
+    s.add_argument("--out")
     _add_train_flags(s)
     s.set_defaults(func=cmd_sweep)
 
@@ -510,18 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args) or 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, RuntimeError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -251,7 +251,8 @@ def entropy(s):
     w = s.weights if isinstance(s, SoftLabel) else np.asarray(s, dtype=np.float64)
     p = _normalize_rows(np.array(w, dtype=np.float64, ndmin=2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=1)
+        # 0 - x rather than -x, so that a one-hot row gives +0.0, not -0.0
+        ent = 0.0 - np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=1)
     return ent if w.ndim == 2 else float(ent[0])
 
 

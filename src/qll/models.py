@@ -179,7 +179,6 @@ def save_model(model, path) -> Path:
         header = MODEL_MAGIC + struct.pack(
             "<BII", _KIND_CODES["linear"], model.class_count, model.feature_dim
         )
-        blocks = [model.weights, model.bias]
     elif isinstance(model, MlpModel):
         header = MODEL_MAGIC + struct.pack(
             "<BIII",
@@ -188,11 +187,16 @@ def save_model(model, path) -> Path:
             model.feature_dim,
             model.hidden_dim,
         )
-        blocks = [model.hidden_w, model.hidden_b, model.out_w, model.out_b]
     else:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    blob = header + b"".join(np.ascontiguousarray(b, dtype="<f4").tobytes() for b in blocks)
-    atomic_write_bytes(path, blob)
+    parts = [header]
+    for name, block in model.params().items():
+        with np.errstate(over="ignore"):
+            f4 = np.ascontiguousarray(block, dtype="<f4")
+        if (np.isinf(f4) & np.isfinite(block)).any():
+            raise ValueError(f"{path}: block {name} holds finite values beyond the float32 range")
+        parts.append(f4.tobytes())
+    atomic_write_bytes(path, b"".join(parts))
     return path
 
 

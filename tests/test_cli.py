@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qll.cli import ExperimentConfig, build_loss, main
+from qll.cli import ExperimentConfig, TrainSettings, build_loss, main
 from qll.dataio import load_dataset
+from qll.datagen import BaseSpec, MixSpec
 from qll.losses import BinaryLossKind, MulticlassLossKind
 
 
@@ -68,6 +69,12 @@ class TestGenerate:
         )
         assert code == 2
         assert "r <= feature_dim" in capsys.readouterr().err
+
+    def test_clean_entropy_prints_positive_zero(self, tmp_path, capsys):
+        assert run("generate", "--c", "3", "--d", "4", "--n-per-class", "5", "--mix", "none",
+                   "--out", str(tmp_path / "clean")) == 0
+        out = capsys.readouterr().out
+        assert "mean=0.0000 min=0.0000 max=0.0000" in out
 
     def test_ambiguous_set_loads_back(self, datadir):
         ds = load_dataset(datadir / "ambig_train.qll")
@@ -246,6 +253,98 @@ class TestSweep:
 
     def test_sweep_without_data_is_usage_error(self, tmp_path):
         assert run("sweep", "--out", str(tmp_path / "s")) == 1
+
+
+SMALL_CONFIG = {
+    "base": {"c": 3, "d": 6, "n_per_class": 15, "test_n_per_class": 15},
+    "mix": {"kind": "mixup", "m": 2, "r": 4, "n_out": 60},
+    "train": {"epochs": 1},
+    "methods": ["cpu-kl"],
+    "seeds": [1],
+}
+
+
+def write_config(tmp_path, **changes):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, "out": str(tmp_path / "exp"), **changes}))
+    return path
+
+
+class TestSettings:
+    def test_defaults_file_flags_layering(self):
+        exp = ExperimentConfig(base=SMALL_CONFIG["base"], mix=SMALL_CONFIG["mix"], train={"lr": 1, "epochs": "3"})
+        assert exp.settings == TrainSettings(lr=1.0, epochs=3)
+        assert type(exp.settings.lr) is float
+        assert ExperimentConfig().settings == TrainSettings()
+        assert build_loss("bs", TrainSettings(bs_beta=0.2)) == MulticlassLossKind.bootstrap(0.2)
+        assert build_loss("js", TrainSettings(js_pi1=0.3, js_unscaled=True)) == MulticlassLossKind.js_pi(0.3, False)
+
+    def test_unknown_train_key_is_named(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="'epoch'"):
+            ExperimentConfig(base=SMALL_CONFIG["base"], mix=SMALL_CONFIG["mix"], train={"epoch": 1})
+        with pytest.raises(ValueError, match="'method_params'"):  # the nested form is gone
+            ExperimentConfig(train={"method_params": {"bs_beta": 0.2}})
+        assert run("sweep", "--config", str(write_config(tmp_path, train={"epoch": 1}))) == 2
+        assert "'epoch'" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()  # rejected before any data is generated
+
+    def test_missing_or_unknown_data_key_is_named(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="base: .*'c' and 'd'"):
+            ExperimentConfig(base={}, mix={"kind": "mixup"})
+        with pytest.raises(ValueError, match="mix: .*'q'"):
+            ExperimentConfig(base={"c": 3, "d": 6}, mix={"kind": "mixup", "q": 2})
+        with pytest.raises(ValueError, match="base: .*'sep'"):
+            ExperimentConfig(base={"c": 3, "d": 6, "sep": 2.0}, mix={})
+        assert run("sweep", "--config", str(write_config(tmp_path, base={}))) == 2
+        assert "base: " in capsys.readouterr().err
+
+    def test_config_builds_data_specs(self):
+        exp = ExperimentConfig(base={"c": "3", "d": 6, "test_n_per_class": 9}, mix={"kind": "patchmix", "r": 3})
+        assert exp.data.base == BaseSpec(c=3, d=6, n_per_class=250)
+        assert exp.data.test == BaseSpec(c=3, d=6, n_per_class=9)
+        assert exp.data.mix == MixSpec("patchmix", m=2, r=3)
+        assert exp.data.n_out == 2000
+        assert ExperimentConfig(base={"c": 3, "d": 6}, mix={}).data.mix is None  # kind "none": clean only
+        assert ExperimentConfig().data is None  # data given as files
+
+    def test_flags_override_the_config(self, tmp_path):
+        cfg = write_config(tmp_path, methods=["cpu-kl", "ce"], seeds=[1, 2], pi2_grid=[0.3, 0.6])
+        out = tmp_path / "flags"
+        assert run(
+            "sweep", "--config", str(cfg), "--epochs", "2", "--lr", "0.05", "--method", "cpu-sjs",
+            "--seeds", "3", "--pi2-grid", "0.5", "--out", str(out),
+        ) == 0
+        assert sorted(p.name for p in (out / "runs").iterdir()) == ["cpu-sjs-pi1_0.1-pi2_0.5-seed3"]
+        record = json.loads((out / "runs" / "cpu-sjs-pi1_0.1-pi2_0.5-seed3" / "run.json").read_text())
+        assert (record["epochs"], record["lr"], record["seed"]) == (2, 0.05, 3)
+        assert not (tmp_path / "exp").exists()  # --out replaced the file's out
+
+    def test_config_with_data_flags_is_usage_error(self, datadir, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert run("sweep", "--config", str(cfg), "--data", str(datadir / "ambig_train.qll")) == 1
+        assert "--data" in capsys.readouterr().err
+
+    def test_sweep_seed_flag_abbreviates_seeds(self, datadir, tmp_path):
+        # sweep has no --seed of its own, so argparse reads it as --seeds
+        data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
+        assert run("sweep", *data, "--epochs", "1", "--seed", "3", "--out", str(tmp_path / "s")) == 0
+        assert [p.name for p in (tmp_path / "s" / "runs").iterdir()] == ["cpu-sjs-pi1_0.1-pi2_auto-seed3"]
+
+    def test_duplicate_seeds_are_usage_errors(self, datadir, tmp_path, capsys):
+        data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
+        assert run("sweep", *data, "--epochs", "1", "--seeds", "1,2,1", "--out", str(tmp_path / "s")) == 1
+        assert "duplicate seeds" in capsys.readouterr().err
+        assert run("sweep", "--config", str(write_config(tmp_path, seeds=[1, 1]))) == 1
+        assert "duplicate seeds" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists() and not (tmp_path / "exp").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--pi2-grid", "0.3,"), ("--pi1-grid", "x"), ("--pi2-grid", "0.3,,auto"), ("--seeds", "1,"), ("--seeds", "1.5"),
+    ])
+    def test_bad_list_token_is_usage_error_naming_the_flag(self, datadir, tmp_path, capsys, flag, value):
+        data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
+        assert run("sweep", *data, "--epochs", "1", flag, value, "--out", str(tmp_path / "s")) == 1
+        assert f"argument {flag}" in capsys.readouterr().err
 
 
 class TestReport:

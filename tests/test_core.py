@@ -41,6 +41,15 @@ class TestEntropy:
     def test_onehot_is_zero(self):
         assert entropy(SoftLabel([1, 0, 0, 0])) == 0.0
 
+    def test_onehot_is_positive_zero(self):
+        # -0.0 == 0.0, so compare signs: `qll generate` printed min=-0.0000
+        assert math.copysign(1.0, entropy(SoftLabel([0, 1, 0]))) == 1.0
+        assert math.copysign(1.0, entropy([0.0, 0.0, 2.0])) == 1.0
+        rows = entropy(np.eye(4))
+        assert rows.tolist() == [0.0] * 4
+        assert not np.signbit(rows).any()
+        assert f"{rows.min():.4f}" == "0.0000"
+
     def test_uniform_is_log_c(self):
         assert entropy(SoftLabel([0.25] * 4)) == pytest.approx(math.log(4), abs=1e-12)
 

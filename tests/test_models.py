@@ -273,6 +273,21 @@ class TestCheckpoint:
                 load_model(bad)
             off += 4 * block.size
 
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_float32_overflow_rejected_before_writing(self, tmp_path, kind, value):
+        # finite in float64, inf once stored as float32: load_model would refuse it
+        for name in init_model(kind, 4, 6, RngStream(17, 3), hidden_dim=5).params():
+            m = init_model(kind, 4, 6, RngStream(17, 3), hidden_dim=5)
+            m.params()[name].flat[-1] = value
+            path = tmp_path / f"{name}.ckpt"
+            with pytest.raises(ValueError, match=f"block {name} holds finite values beyond the float32"):
+                save_model(m, path)
+            assert not path.exists()
+        m = init_model(kind, 4, 6, RngStream(17, 3), hidden_dim=5)
+        m.params()[name].flat[-1] = 3.4e38  # within range: saved and loaded back
+        assert load_model(save_model(m, tmp_path / "ok.ckpt")).params()[name].flat[-1] == np.float32(3.4e38)
+
     def test_unknown_kind_code_rejected(self, tmp_path):
         raw = bytearray(save_model(init_model("linear", 3, 4, RngStream(15, 3)), tmp_path / "m.ckpt").read_bytes())
         raw[4] = 9
