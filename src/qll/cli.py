@@ -134,13 +134,17 @@ def _build(cls, section: str, kw: dict):
 def _data_specs(base: dict, mix: dict) -> DataSpecs:
     """Specs from a config's ``base`` and ``mix`` sections, whose keys are
     the BaseSpec and MixSpec fields plus ``test_n_per_class`` (default:
-    n_per_class) and ``n_out``. A mix of kind "none" makes no ambiguous set.
+    n_per_class) and ``n_out``. A mix of kind "none" (the default) makes no
+    ambiguous set, so it rejects the mixing keys m, r and reject_degenerate.
     ``qll generate`` passes its flags under the same names."""
     base = {"n_per_class": 250, **base}
     mix = {"kind": "none", "n_out": 2000, **mix}
     test_n = base.pop("test_n_per_class", base["n_per_class"])
     n_out = int(mix.pop("n_out"))
     spec = _build(BaseSpec, "base", base)
+    unused = sorted(mix.keys() & {"m", "r", "reject_degenerate"}) if mix["kind"] == "none" else []
+    if unused:
+        raise ValueError(f"mix: kind 'none' mixes nothing, so {', '.join(unused)} would be ignored")
     mix_spec = None if mix["kind"] == "none" else _build(MixSpec, "mix", mix)
     return DataSpecs(spec, replace(spec, n_per_class=int(test_n)), mix_spec, n_out)
 

@@ -7,6 +7,7 @@ randomized operation draws from.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,7 +222,10 @@ class ClassPriors:
 
     def __post_init__(self) -> None:
         for name, v in (("pi1", self.pi1), ("pi2", self.pi2)):
-            if not (0.0 < float(v) <= 1.0):
+            # Not cast: an int prior stays an int, as in run directory names.
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
+            if not (0.0 < v <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1], got {v}")
 
 

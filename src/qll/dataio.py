@@ -10,7 +10,10 @@ Layout (little-endian throughout):
     diag   n_examples records of (class_count float32), when present
 
 A text sidecar with the same stem (extension ``.meta``) carries the full
-generation record for humans; the loader reads only the binary file.
+generation record for humans, one ``key = value`` line each. The loader
+reads the binary file and restores the record's extra keys from a sidecar
+that matches it, so re-saving a loaded dataset rewrites both files byte for
+byte.
 
 All writes go through a write-temp-then-rename helper, so a crashed run
 never leaves a partial file readable as complete.
@@ -18,6 +21,7 @@ never leaves a partial file readable as complete.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
@@ -45,10 +49,8 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -64,19 +66,18 @@ def _record_dtype(d: int) -> np.dtype:
     return np.dtype([("features", "<f4", (d,)), ("label", "<u2")])
 
 
-def _sidecar_text(ds: AmbiguousDataset) -> str:
+def _sidecar_header(ds: AmbiguousDataset) -> dict:
+    """The sidecar lines that restate the binary header, before the extras."""
     meta = ds.gen_meta
-    lines = [
-        f"kind = {meta.kind}",
-        f"m = {meta.m}",
-        f"r = {meta.r}",
-        f"seed = {meta.seed}",
-        f"class_count = {ds.class_count}",
-        f"feature_dim = {ds.feature_dim}",
-        f"n_examples = {ds.n_examples}",
-        f"has_diagnostics = {ds.diagnostics is not None}",
-    ]
-    lines += [f"{k} = {meta.extra[k]}" for k in sorted(meta.extra)]
+    return {"kind": meta.kind, "m": meta.m, "r": meta.r, "seed": meta.seed,
+            "class_count": ds.class_count, "feature_dim": ds.feature_dim,
+            "n_examples": ds.n_examples, "has_diagnostics": ds.diagnostics is not None}
+
+
+def _sidecar_text(ds: AmbiguousDataset) -> str:
+    extra = ds.gen_meta.extra
+    lines = [f"{k} = {v}" for k, v in _sidecar_header(ds).items()]
+    lines += [f"{k} = {extra[k]}" for k in sorted(extra)]
     return "\n".join(lines) + "\n"
 
 
@@ -112,6 +113,20 @@ def save_dataset(ds: AmbiguousDataset, path: str | os.PathLike, sidecar: bool = 
     return path
 
 
+def _sidecar_extra(path: str | os.PathLike, header: dict) -> dict:
+    """GenMeta.extra from a dataset's sidecar, values as text: {} without a
+    sidecar, or with a stale one whose header lines differ from ``header``."""
+    side = sidecar_path(path)
+    lines = side.read_text(encoding="utf-8").splitlines() if side.is_file() else []
+    pairs = [line.partition(" = ") for line in lines]
+    if not all(sep for _, sep, _ in pairs):
+        raise ValueError(f"{side}: every line must read 'key = value'")
+    record = {key: value for key, _, value in pairs}
+    if any(record.get(k) != str(v) for k, v in header.items()):
+        return {}
+    return {k: v for k, v in record.items() if k not in header}
+
+
 def load_dataset(path: str | os.PathLike) -> AmbiguousDataset:
     """Read a dataset written by ``save_dataset``."""
     raw = Path(path).read_bytes()
@@ -136,7 +151,7 @@ def load_dataset(path: str | os.PathLike) -> AmbiguousDataset:
         diagnostics = np.frombuffer(raw, dtype="<f4", count=n * c, offset=off + body_bytes)
         diagnostics = diagnostics.reshape(n, c).copy()
     meta = GenMeta(kind=_CODE_TO_KIND[kind_code], m=m, r=r, seed=seed)
-    return AmbiguousDataset(
+    ds = AmbiguousDataset(
         c,
         d,
         body["features"].copy(),
@@ -144,3 +159,5 @@ def load_dataset(path: str | os.PathLike) -> AmbiguousDataset:
         diagnostics=diagnostics,
         gen_meta=meta,
     )
+    meta.extra.update(_sidecar_extra(path, _sidecar_header(ds)))
+    return ds

@@ -16,9 +16,11 @@ Multiclass baseline losses (CE, soft Bootstrap, GCE, SCE, weighted JS) are
 provided for comparison runs. Every loss ships an analytic gradient that
 matches central finite differences.
 
-All logarithms are natural. Probabilities are clamped to [EPS, 1 - EPS]
-before any logarithm; gradients are exact derivatives of the clamped forms,
-so they vanish in the (saturated) clamp regions.
+A binary loss against +1 at sigma is the same loss against -1 at 1 - sigma,
+so both targets evaluate as one stacked (2, ...) array: index 0 against +1,
+index 1 against -1. All logarithms are natural. Probabilities are clamped
+to [EPS, 1 - EPS] before any logarithm; gradients are exact derivatives of
+the clamped forms, so they vanish in the (saturated) clamp regions.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ _RCE_LOG_FLOOR = 4.0
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x) below.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -176,11 +178,6 @@ def kl_div(p, q) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / qc[mask])))
 
 
-def _weighted_js(p: np.ndarray, q: np.ndarray, w: float) -> float:
-    m = w * p + (1.0 - w) * q
-    return w * kl_div(p, m) + (1.0 - w) * kl_div(q, m)
-
-
 def sjs_div(p, q, alpha: float) -> float:
     """Weighted JS divergence with mixture M = alpha*p + (1-alpha)*q.
 
@@ -189,7 +186,9 @@ def sjs_div(p, q, alpha: float) -> float:
     if not (0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must lie in (0, 0.5], got {alpha}")
     p, q = _check_distribution_pair(p, q)
-    return _weighted_js(p, q, float(alpha))
+    w = float(alpha)
+    m = w * p + (1.0 - w) * q
+    return w * kl_div(p, m) + (1.0 - w) * kl_div(q, m)
 
 
 def sjs_scale(alpha: float) -> float:
@@ -222,24 +221,22 @@ def _alpha_terms(a):
 def _sjs_pos_parts(sig: np.ndarray, alpha, one_m_a, log1m_a) -> tuple[np.ndarray, np.ndarray]:
     """Loss and d(loss)/d(sigma) of D_sjs(t || (sigma, 1-sigma)) for the
     positive one-hot target t = (1, 0), given ``_alpha_terms``. ``sig`` must
-    already be clamped."""
-    m1 = alpha + one_m_a * sig
-    # KL(t||M) = -ln m1 ; KL(q||M) = sig*ln(sig/m1) - (1-sig)*ln(1-alpha)
-    kl_t = -np.log(m1)
-    kl_q = sig * np.log(sig / m1) - (1.0 - sig) * log1m_a
-    loss = alpha * kl_t + one_m_a * kl_q
-    dloss = -alpha * one_m_a / m1 + one_m_a * (
-        np.log(sig / m1) + log1m_a + 1.0 - one_m_a * sig / m1
-    )
+    already be clamped; the stacked pair (sigma, 1 - sigma) gives both targets."""
+    t = one_m_a * sig
+    m1 = alpha + t
+    # alpha*KL(t||M) + (1-alpha)*KL(q||M); KL(t||M) = -ln m1, KL(q||M) = sig*ln(sig/m1) - (1-sig)*ln(1-alpha)
+    log_ratio = np.log(sig / m1)
+    loss = one_m_a * (sig * log_ratio - (1.0 - sig) * log1m_a) - alpha * np.log(m1)
+    dloss = -alpha * one_m_a / m1 + one_m_a * (log_ratio + log1m_a + 1.0 - t / m1)
     return loss, dloss
 
 
-def _binary_parts(kind: BinaryLossKind, logit, alpha):
+def _binary_parts(kind: BinaryLossKind, logit, alpha) -> tuple[np.ndarray, np.ndarray]:
     """Losses and logit gradients against both targets from one sigmoid
-    pass: (loss_pos, loss_neg, grad_pos, grad_neg), each shaped like the
-    (at least 1-d) logits. binary_loss, binary_loss_grad and the class-wise
-    risk all evaluate through it. ``alpha`` is a float, or K floats for
-    (K, n, c) logits of K stacked runs."""
+    pass: (loss, grad), each (2, *logits.shape) for the (at least 1-d)
+    logits, index 0 against +1. binary_loss, binary_loss_grad and the
+    class-wise risk all evaluate through it. ``alpha`` is a float, or K
+    floats for (K, n, c) logits of K stacked runs."""
     x = np.atleast_1d(np.asarray(logit, dtype=np.float64))
     if not np.isfinite(x).all():
         raise ValueError("logit must be finite")
@@ -249,30 +246,31 @@ def _binary_parts(kind: BinaryLossKind, logit, alpha):
 
     sig = _stable_sigmoid(x)
     interior = (sig > EPS) & (sig < 1.0 - EPS)
-    sigc = np.clip(sig, EPS, 1.0 - EPS)
-    one_m_sigc = 1.0 - sigc
+    # The clamped target-side probability: sigma for +1, 1 - sigma for -1.
+    both = np.empty((2, *x.shape))
+    np.minimum(np.maximum(sig, EPS, out=both[0]), 1.0 - EPS, out=both[0])
+    np.subtract(1.0, both[0], out=both[1])
 
     if kind.variant == "kl":
         # One-hot target makes KL(t||q) the negative log of the target side.
-        loss_pos, loss_neg = -np.log(sigc), -np.log(one_m_sigc)
-        dls_pos, dls_neg = -1.0 / sigc, 1.0 / one_m_sigc
+        loss = np.log(both)
+        np.negative(loss, out=loss)
+        dls = np.divide(1.0, both)
+        dls[0] *= -1.0
     else:
         a, one_m_a, log1m_a, scale = _alpha_terms(a)
-        raw_pos, draw_pos = _sjs_pos_parts(sigc, a, one_m_a, log1m_a)
-        raw_neg, draw_neg = _sjs_pos_parts(one_m_sigc, a, one_m_a, log1m_a)
-        loss_pos, loss_neg = scale * raw_pos, scale * raw_neg
-        dls_pos, dls_neg = scale * draw_pos, -scale * draw_neg
-
-    one_m_sig = 1.0 - sig
-    grad_pos = np.where(interior, dls_pos * sig * one_m_sig, 0.0)
-    grad_neg = np.where(interior, dls_neg * sig * one_m_sig, 0.0)
-    return loss_pos, loss_neg, grad_pos, grad_neg
+        loss, dls = _sjs_pos_parts(both, a, one_m_a, log1m_a)
+        loss *= scale
+        dls *= scale
+        dls[1] *= -1.0
+    grad = np.where(interior, dls * sig * (1.0 - sig), 0.0)
+    return loss, grad
 
 
 def _binary_select(kind: BinaryLossKind, logit, target: int, alpha: float | None, grad: bool):
     if target not in (1, -1):
         raise ValueError(f"target must be +1 or -1, got {target}")
-    out = _binary_parts(kind, logit, alpha)[(2 if grad else 0) + (0 if target == 1 else 1)]
+    out = _binary_parts(kind, logit, alpha)[1 if grad else 0][0 if target == 1 else 1]
     return float(out[0]) if np.ndim(logit) == 0 else out
 
 
@@ -317,18 +315,20 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels):
         raise ValueError(f"labels must lie in [0, {c})")
 
     p = _softmax(z)
-    pc = np.clip(p, EPS, 1.0)
+    pc = np.maximum(p, EPS)  # softmax entries are <= 1: the clamp to [EPS, 1]
     interior = p > EPS
-    at = (*np.indices(y.shape, sparse=True), y)  # each row's entry at its label
-    onehot = np.zeros(z.shape)
-    onehot[at] = 1.0
     log_pc = np.log(pc)
+    at = np.arange(0, y.size * c, c).reshape(y.shape) + y  # flat index of each label entry
 
     v = kind.variant
-    if v == "ce":
-        loss = -log_pc[at]
+    if v in ("bs", "js"):
+        onehot = np.zeros(z.shape)
+        np.put(onehot, at, 1.0)
+    else:  # ce, gce and sce have gradients at the label entries only
         g_p = np.zeros(z.shape)
-        g_p[at] = np.where(interior[at], -1.0 / pc[at], 0.0)
+    if v == "ce":
+        loss = -log_pc.take(at)
+        np.put(g_p, at, np.where(interior.take(at), -1.0 / pc.take(at), 0.0))
     elif v == "bs":
         beta = kind.beta
         target = beta * onehot + (1.0 - beta) * p
@@ -336,16 +336,14 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels):
         g_p = -(1.0 - beta) * log_pc - np.where(interior, target / pc, 0.0)
     elif v == "gce":
         q = kind.q
-        py = p[at]
+        py = p.take(at)
         loss = (1.0 - py**q) / q
-        g_p = np.zeros(z.shape)
-        g_p[at] = -np.maximum(py, EPS) ** (q - 1.0)
+        np.put(g_p, at, -np.maximum(py, EPS) ** (q - 1.0))
     elif v == "sce":
         a, b = kind.a, kind.b
-        py = p[at]
-        loss = -a * log_pc[at] + b * _RCE_LOG_FLOOR * (1.0 - py)
-        g_p = np.zeros(z.shape)
-        g_p[at] = np.where(interior[at], -a / pc[at], 0.0) - b * _RCE_LOG_FLOOR
+        py = p.take(at)
+        loss = -a * log_pc.take(at) + b * _RCE_LOG_FLOOR * (1.0 - py)
+        np.put(g_p, at, np.where(interior.take(at), -a / pc.take(at), 0.0) - b * _RCE_LOG_FLOOR)
     else:  # js
         w = kind.pi1
         m = w * onehot + (1.0 - w) * p
@@ -353,16 +351,13 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels):
         m_int = m > EPS
         log_ratio = log_pc - np.log(mc)
         # D = w * KL(onehot||m) + (1-w) * KL(p||m), with KL(onehot||m) = -ln m_y
-        loss = -w * np.log(mc[at]) + (1.0 - w) * (p * log_ratio).sum(axis=-1)
+        loss = -w * np.log(mc.take(at)) + (1.0 - w) * (p * log_ratio).sum(axis=-1)
         g_p = -w * (1.0 - w) * np.where(m_int, onehot / mc, 0.0) + (1.0 - w) * (
-            log_ratio
-            + np.where(interior, 1.0, 0.0)
-            - (1.0 - w) * np.where(m_int, p / mc, 0.0)
+            log_ratio + np.where(interior, 1.0, 0.0) - (1.0 - w) * np.where(m_int, p / mc, 0.0)
         )
         if kind.scaled:
             s = sjs_scale(w)
-            loss = s * loss
-            g_p = s * g_p
+            loss, g_p = s * loss, s * g_p
 
     # Chain through softmax: dL/dz_j = p_j * (g_j - sum_k g_k p_k).
     inner = (g_p * p).sum(axis=-1, keepdims=True)

@@ -175,21 +175,13 @@ def predict(logits):
 def save_model(model, path) -> Path:
     """Checkpoint: magic, u8 kind, u32 dims, float32 parameter blocks."""
     path = Path(path)
-    if isinstance(model, LinearModel):
-        header = MODEL_MAGIC + struct.pack(
-            "<BII", _KIND_CODES["linear"], model.class_count, model.feature_dim
-        )
-    elif isinstance(model, MlpModel):
-        header = MODEL_MAGIC + struct.pack(
-            "<BIII",
-            _KIND_CODES["mlp"],
-            model.class_count,
-            model.feature_dim,
-            model.hidden_dim,
-        )
-    else:
+    if not isinstance(model, (LinearModel, MlpModel)):
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    parts = [header]
+    dims = (model.class_count, model.feature_dim)
+    if isinstance(model, MlpModel):
+        dims += (model.hidden_dim,)
+    kind = _KIND_CODES["linear" if isinstance(model, LinearModel) else "mlp"]
+    parts = [MODEL_MAGIC + struct.pack(f"<B{len(dims)}I", kind, *dims)]
     for name, block in model.params().items():
         with np.errstate(over="ignore"):
             f4 = np.ascontiguousarray(block, dtype="<f4")

@@ -7,9 +7,9 @@ rest). Three empirical risks per class:
     r_u_minus = mean loss of U logits against -1
     r_p_minus = mean loss of P logits against -1
 
-All three, and their gradients, come from one sigmoid pass over the (n, c)
-batch logits, which yields every loss and gradient against both +1 and -1;
-class masks then reduce them per class.
+All three, and their gradients, come from one sigmoid pass over the batch
+logits that stacks every loss and gradient against +1 and -1 as (2, ...);
+label masks looked up per term then reduce all three in one pass.
 
 The unbiased PU risk is  pi * r_p_plus + r_u_minus - pi * r_p_minus  and may
 go negative. The non-negative class-wise estimator with two practical priors
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,8 +81,8 @@ class CpuRiskReport:
 
     value: float | np.ndarray
     objective_value: float | np.ndarray
-    # (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected) arrays; training
-    # never reads the breakdowns, so they are built on first access.
+    # (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected) arrays, counts of
+    # labels shared by K runs as (1, c); built into breakdowns on first access.
     parts: tuple = field(repr=False, compare=False)
 
     @cached_property
@@ -94,116 +94,107 @@ class CpuRiskReport:
         return tuple(map(ClassRiskBreakdown, *columns, *counts, corrected.ravel().tolist()))
 
 
-def _check_batch(batch_logits, labels) -> tuple[np.ndarray, np.ndarray]:
+# The three risk terms in order: r_p_plus, r_p_minus, r_u_minus. Each reads
+# the loss against +1 (index 0) or -1 (index 1) of the stacked binary pass.
+_TERM_TARGET = np.array([0, 1, 1])
+
+
+@lru_cache(maxsize=None)
+def _term_masks(c: int, u_mode: str) -> np.ndarray:
+    """Read-only (3, c, c) table: row j of table t masks the examples of
+    label j that term t averages over, P for the first two and U for the
+    third."""
+    eye = np.eye(c)
+    table = np.stack([eye, eye, np.ones((c, c)) if u_mode == "full" else 1.0 - eye])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=64)
+def _branch_weights(priors: ClassPriors | tuple[ClassPriors, ...]) -> np.ndarray:
+    """Read-only (2, 3, K, 1) weights of r_p_plus, r_p_minus and r_u_minus
+    in a corrected class (index 0) and otherwise: (2, 3, 1) for one run.
+    Corrected classes drop the positive term and flip the clamped part."""
+    single = isinstance(priors, ClassPriors)
+    pi1 = np.array([[p.pi1] for p in ([priors] if single else priors)], dtype=np.float64)
+    pi2 = np.array([[p.pi2] for p in ([priors] if single else priors)], dtype=np.float64)
+    zero, one = np.zeros_like(pi1), np.ones_like(pi1)
+    weights = np.array([[zero, pi2, -one], [pi1, -pi2, one]])[:, :, 0 if single else slice(None)]
+    weights.flags.writeable = False
+    return weights
+
+
+def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
+              loss: BinaryLossKind, alpha: float | Sequence[float] | None, u_mode: str,
+              want_grad: bool):
+    if u_mode not in U_MODES:
+        raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
     z = np.asarray(batch_logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if z.ndim not in (2, 3) or y.shape not in (z.shape[:-1], z.shape[-2:-1]):
         raise ValueError(
-            f"need (n, c) or (K, n, c) logits with (n,) or (K, n) labels, "
-            f"got {z.shape} and {y.shape}"
+            f"need (n, c) or (K, n, c) logits with (n,) or (K, n) labels, got {z.shape} and {y.shape}"
         )
     if y.shape[-1] < 2:
         raise ValueError("batch must contain at least 2 examples")
-    if y.min() < 0 or y.max() >= z.shape[-1]:
+    if y.view(np.uint64).max() >= z.shape[-1]:  # a negative label reads as >= 2**63
         raise ValueError(f"labels must lie in [0, {z.shape[-1]})")
-    return z, y
-
-
-def _cpu_core(
-    batch_logits,
-    labels,
-    priors: ClassPriors | Sequence[ClassPriors],
-    loss: BinaryLossKind,
-    alpha: float | Sequence[float] | None,
-    u_mode: str,
-    want_grad: bool,
-):
-    if u_mode not in U_MODES:
-        raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
-    z, y = _check_batch(batch_logits, labels)
     c = z.shape[-1]
     single = isinstance(priors, ClassPriors)
     if single != (z.ndim == 2) or (not single and len(priors) != z.shape[0]):
         raise ValueError("(n, c) logits take one ClassPriors; (K, n, c) logits a sequence of K")
-    if single:
-        pi1, pi2 = priors.pi1, priors.pi2
-    else:  # (K, 1) columns, one row per run
-        pi1 = np.array([[p.pi1] for p in priors], dtype=np.float64)
-        pi2 = np.array([[p.pi2] for p in priors], dtype=np.float64)
+    if_corrected, otherwise = _branch_weights(priors if single else tuple(priors))
+    pi1, pi2 = otherwise[0], if_corrected[1]  # the weights of r_p_plus and r_p_minus
 
-    # Masks and class counts follow the labels: (n, c) when the runs share
-    # one batch's labels (broadcast over the run axis), (K, n, c) per run.
-    pos_mask = np.zeros((*y.shape, c))
-    pos_mask[(*np.indices(y.shape, sparse=True), y)] = 1.0
-    unl_mask = np.ones_like(pos_mask) if u_mode == "full" else 1.0 - pos_mask
-    n_p = pos_mask.sum(axis=-2)
-    n_u = unl_mask.sum(axis=-2)
-    if (n_p == y.shape[-1]).any():  # one class holds a whole batch
+    # (3, *labels, c) masks, one per term, and their class counts: labels
+    # shared by K runs get a run axis of one to broadcast over.
+    n = y.shape[-1]
+    masks = _term_masks(c, u_mode).take(y if y.ndim == z.ndim - 1 else y[None], axis=1)
+    counts = masks.sum(axis=-2)
+    n_p, n_u = counts[0], counts[2]
+    if n_p.max() == n:  # one class holds a whole batch, so its U side is empty
         raise ValueError("batch must span at least 2 classes; resample")
-    if (n_u == 0).any():
-        raise ValueError("some class has an empty unlabeled side; resample the batch")
-    n_p_safe = np.maximum(n_p, 1.0)
+    # (n_p or 1, n_p or 1, n_u): every class has n_u >= 1 by the check above.
+    sizes = np.maximum(counts, 1.0)
 
-    loss_pos, loss_neg, grad_pos, grad_neg = _binary_parts(loss, z, alpha)
-    r_p_plus = (pos_mask * loss_pos).sum(axis=-2) / n_p_safe
-    r_p_minus = (pos_mask * loss_neg).sum(axis=-2) / n_p_safe
-    r_u_minus = (unl_mask * loss_neg).sum(axis=-2) / n_u
+    # (2, ...) loss and gradient: index 0 against +1, index 1 against -1.
+    losses, grads = _binary_parts(loss, z, alpha)
+    r_p_plus, r_p_minus, r_u_minus = (masks * losses.take(_TERM_TARGET, axis=0)).sum(axis=-2) / sizes
 
     neg_part = r_u_minus - pi2 * r_p_minus
     corrected = neg_part < 0.0
-    values = pi1 * r_p_plus + np.maximum(neg_part, 0.0)
-    objectives = np.where(corrected, -neg_part, pi1 * r_p_plus + neg_part)
+    pos_part = pi1 * r_p_plus
+    values = pos_part + np.maximum(neg_part, 0.0)
+    objectives = np.where(corrected, -neg_part, pos_part + neg_part)
 
-    value, objective = values.mean(axis=-1), objectives.mean(axis=-1)
+    # np.mean over classes is this sum divided by the class count.
+    value, objective = values.sum(axis=-1) / c, objectives.sum(axis=-1) / c
     if single:
         value, objective = float(value), float(objective)
     report = CpuRiskReport(value, objective, (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected))
     if not want_grad:
         return report, None
 
-    # Branch-dependent per-class coefficients; corrected classes drop the
-    # positive term and flip the sign of the clamped part.
-    coef_pp = (np.where(corrected, 0.0, pi1) / n_p_safe)[..., None, :]
-    coef_pm = (np.where(corrected, pi2, -pi2) / n_p_safe)[..., None, :]
-    coef_um = (np.where(corrected, -1.0, 1.0) / n_u)[..., None, :]
-    grad = (pos_mask * (grad_pos * coef_pp + grad_neg * coef_pm) + unl_mask * grad_neg * coef_um) / c
+    # Each term's branch weight over its mask size, times that term's
+    # gradient: d(objective)/d(logit) gathers the P terms and the U term.
+    coefs = (np.where(corrected, if_corrected, otherwise) / sizes)[..., None, :]
+    g_pp, g_pm, g_um = grads.take(_TERM_TARGET, axis=0) * coefs
+    grad = (masks[0] * (g_pp + g_pm) + masks[2] * g_um) / c
     return report, grad
 
 
-def cpu_risk(
-    batch_logits,
-    labels,
-    priors: ClassPriors | Sequence[ClassPriors],
-    loss: BinaryLossKind,
-    alpha: float | Sequence[float] | None = None,
-    u_mode: str = "complement",
-) -> CpuRiskReport:
+# Each entry point takes (n, c) or (K, n, c) logits, (n,) or (K, n) labels,
+# one ClassPriors or K, and one alpha or K (see _cpu_core).
+def cpu_risk(batch_logits, labels, priors, loss, alpha=None, u_mode="complement") -> CpuRiskReport:
     """Class-wise PU risk over a batch: mean of per-class clamped values."""
-    report, _ = _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=False)
-    return report
+    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=False)[0]
 
 
-def cpu_risk_grad(
-    batch_logits,
-    labels,
-    priors: ClassPriors | Sequence[ClassPriors],
-    loss: BinaryLossKind,
-    alpha: float | Sequence[float] | None = None,
-    u_mode: str = "complement",
-) -> np.ndarray:
+def cpu_risk_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement") -> np.ndarray:
     """Gradient of the branch objective with respect to every logit."""
-    _, grad = _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True)
-    return grad
+    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True)[1]
 
 
-def cpu_risk_with_grad(
-    batch_logits,
-    labels,
-    priors: ClassPriors | Sequence[ClassPriors],
-    loss: BinaryLossKind,
-    alpha: float | Sequence[float] | None = None,
-    u_mode: str = "complement",
-) -> tuple[CpuRiskReport, np.ndarray]:
-    """Report and gradient in one pass (the training loop's entry point)."""
-    report, grad = _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True)
-    return report, grad
+def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement"):
+    """(CpuRiskReport, gradient) in one pass: the training loop's entry point."""
+    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True)

@@ -10,14 +10,15 @@ into the gradient before the momentum update (classical coupling).
 
 ``train_runs`` trains K runs whose configs differ only in ``seed`` and
 ``priors``, each on its own train and test set of one shared shape, at
-once: parameters carry a leading run axis of K, each step gathers every
-run's batch into one (K, B, d) array, and forward, risk or baseline loss,
-backward and SGD are one stacked call each. Every step stays independent
+once: parameters carry a leading run axis of K and are views into one flat
+vector, each step gathers every run's batch into one (K, B, d) array, and
+forward, risk or baseline loss, backward and SGD (one update of the flat
+vector) are one stacked call each. Every step stays independent
 per run: a run's batch order and alpha draws come from its own seed's
 streams (runs of one seed on one train set share them), and its alpha
 terms, masks and reductions are the same float operations as alone. So
 each member's report equals its solo ``train`` run bit for bit. ``train``
-is the K=1 case and keeps unstacked parameters, scalar priors and alpha.
+is the K=1 case: unstacked parameters, scalar priors and alpha, flat SGD.
 """
 
 from __future__ import annotations
@@ -253,12 +254,20 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     ]
     # A single run keeps 2-D parameters and scalar priors: a leading axis of
     # one costs time on every step.
-    model, priors = models[0], cfg.priors
-    if runs > 1:
-        model = type(model)(**{k: np.stack([m.params()[k] for m in models]) for k in model.params()})
-        priors = tuple(r.priors for r in cfgs)
+    priors = cfg.priors if runs == 1 else tuple(r.priors for r in cfgs)
+    blocks = {
+        k: v if runs == 1 else np.stack([m.params()[k] for m in models])
+        for k, v in models[0].params().items()
+    }
+    # Every parameter is a view into one flat vector, with one flat velocity
+    # vector beside it: one sgd_step call updates them all.
+    flat = np.concatenate([b.ravel() for b in blocks.values()])
+    ends = np.cumsum([b.size for b in blocks.values()])
+    model = type(models[0])(**{
+        k: flat[end - b.size : end].reshape(b.shape) for (k, b), end in zip(blocks.items(), ends)
+    })
     params = model.params()
-    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    flat_params, velocity = {"flat": flat}, {"flat": np.zeros_like(flat)}
 
     # Distinct train sets are stacked once, as blocks of n rows. Each
     # distinct (seed, train set) pair is a stream: it draws one batch order
@@ -295,7 +304,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         try:
             for it, start in enumerate(range(0, n, cfg.batch_size)):
                 rows = orders[pick, start : start + cfg.batch_size]
-                xb, yb = x_all[rows], y_all[rows]
+                xb, yb = x_all.take(rows, axis=0), y_all.take(rows)
                 logits, cache = forward(model, xb)
                 if is_cpu:
                     alpha = None
@@ -308,10 +317,12 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
                     objective = report.objective_value
                 else:
                     losses, grads = baseline_loss_batch(cfg.loss, logits, yb)
-                    objective = losses.mean(axis=-1)
+                    # np.mean over the batch is this sum divided by its size.
+                    objective = losses.sum(axis=-1) / rows.shape[-1]
                     d_logits = grads / rows.shape[-1]
                 grad_params = backward(model, cache, d_logits)
-                sgd_step(params, grad_params, velocity, lr, cfg.momentum, cfg.weight_decay)
+                grad_flat = np.concatenate([grad_params[k].ravel() for k in params])
+                sgd_step(flat_params, {"flat": grad_flat}, velocity, lr, cfg.momentum, cfg.weight_decay)
                 objective_sum += objective * rows.shape[-1]
             accuracy = np.empty(runs)
             for index, x, y in evals:
@@ -334,9 +345,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         ]
         best = max(s.test_accuracy for s in stats)
         last5 = float(np.mean([s.test_accuracy for s in stats[-5:]]))
-        final = model
-        if runs > 1:
-            final = type(model)(**{name: v[k].copy() for name, v in params.items()})
+        final = type(model)(**{name: (v[k] if runs > 1 else v).copy() for name, v in params.items()})
         reports.append(TrainReport(stats, best, last5, final, wall))
     return reports
 

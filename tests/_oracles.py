@@ -299,3 +299,89 @@ def reference_generate(base, spec, n_out, rng):
         extra={"n_out": str(n_out), "reject_degenerate": str(spec.reject_degenerate)},
     )
     return AmbiguousDataset(c, d, feats, labels, diagnostics=soft, gen_meta=meta)
+
+
+# -- the fused risk pass as four separate arrays: loss and gradient against
+# +1 and -1 from two calls of the positive-target SJS kernel, dense label
+# masks scattered by index, and one reduction per risk term. The stacked
+# (2, ...) production layout must reproduce it bit for bit.
+
+
+def _oracle_alpha_terms(a):
+    if isinstance(a, float):
+        return a, 1.0 - a, math.log1p(-a), -1.0 / ((1.0 - a) * math.log1p(-a))
+    return tuple(np.array(t).reshape(-1, 1, 1) for t in zip(*map(_oracle_alpha_terms, a)))
+
+
+def _oracle_sjs_pos_parts(sig, alpha, one_m_a, log1m_a):
+    m1 = alpha + one_m_a * sig
+    kl_t = -np.log(m1)
+    kl_q = sig * np.log(sig / m1) - (1.0 - sig) * log1m_a
+    loss = alpha * kl_t + one_m_a * kl_q
+    dloss = -alpha * one_m_a / m1 + one_m_a * (
+        np.log(sig / m1) + log1m_a + 1.0 - one_m_a * sig / m1
+    )
+    return loss, dloss
+
+
+def four_array_binary_parts(kind, logit, alpha):
+    """(loss_pos, loss_neg, grad_pos, grad_neg), each shaped like the (at
+    least 1-d) logits; ``alpha`` is a float or K floats for (K, n, c)."""
+    x = np.atleast_1d(np.asarray(logit, dtype=np.float64))
+    a = kind.resolve_alpha(alpha)
+    sig = masked_stable_sigmoid(x)
+    interior = (sig > EPS) & (sig < 1.0 - EPS)
+    sigc = np.clip(sig, EPS, 1.0 - EPS)
+    one_m_sigc = 1.0 - sigc
+    if kind.variant == "kl":
+        loss_pos, loss_neg = -np.log(sigc), -np.log(one_m_sigc)
+        dls_pos, dls_neg = -1.0 / sigc, 1.0 / one_m_sigc
+    else:
+        a, one_m_a, log1m_a, scale = _oracle_alpha_terms(a)
+        raw_pos, draw_pos = _oracle_sjs_pos_parts(sigc, a, one_m_a, log1m_a)
+        raw_neg, draw_neg = _oracle_sjs_pos_parts(one_m_sigc, a, one_m_a, log1m_a)
+        loss_pos, loss_neg = scale * raw_pos, scale * raw_neg
+        dls_pos, dls_neg = scale * draw_pos, -scale * draw_neg
+    one_m_sig = 1.0 - sig
+    grad_pos = np.where(interior, dls_pos * sig * one_m_sig, 0.0)
+    grad_neg = np.where(interior, dls_neg * sig * one_m_sig, 0.0)
+    return loss_pos, loss_neg, grad_pos, grad_neg
+
+
+def dense_mask_cpu_core(z, y, pi1, pi2, kind, alpha, u_mode="complement"):
+    """Class-wise PU risk of (n, c) or (K, n, c) logits with (n,) or (K, n)
+    labels; pi1 and pi2 are floats, or (K, 1) columns for K runs. Returns
+    (value, objective, r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected,
+    grad) with value and objective reduced over classes by ``mean``."""
+    z = np.asarray(z, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    c = z.shape[-1]
+    pos_mask = np.zeros((*y.shape, c))
+    pos_mask[(*np.indices(y.shape, sparse=True), y)] = 1.0
+    unl_mask = np.ones_like(pos_mask) if u_mode == "full" else 1.0 - pos_mask
+    n_p = pos_mask.sum(axis=-2)
+    n_u = unl_mask.sum(axis=-2)
+    n_p_safe = np.maximum(n_p, 1.0)
+    loss_pos, loss_neg, grad_pos, grad_neg = four_array_binary_parts(kind, z, alpha)
+    r_p_plus = (pos_mask * loss_pos).sum(axis=-2) / n_p_safe
+    r_p_minus = (pos_mask * loss_neg).sum(axis=-2) / n_p_safe
+    r_u_minus = (unl_mask * loss_neg).sum(axis=-2) / n_u
+    neg_part = r_u_minus - pi2 * r_p_minus
+    corrected = neg_part < 0.0
+    values = pi1 * r_p_plus + np.maximum(neg_part, 0.0)
+    objectives = np.where(corrected, -neg_part, pi1 * r_p_plus + neg_part)
+    coef_pp = (np.where(corrected, 0.0, pi1) / n_p_safe)[..., None, :]
+    coef_pm = (np.where(corrected, pi2, -pi2) / n_p_safe)[..., None, :]
+    coef_um = (np.where(corrected, -1.0, 1.0) / n_u)[..., None, :]
+    grad = (pos_mask * (grad_pos * coef_pp + grad_neg * coef_pm) + unl_mask * grad_neg * coef_um) / c
+    return (values.mean(axis=-1), objectives.mean(axis=-1), r_p_plus, r_u_minus, r_p_minus,
+            n_p, n_u, corrected, grad)
+
+
+def per_parameter_sgd_step(params, grads, velocity, lr, momentum, weight_decay):
+    """v <- momentum*v + g + wd*p ; p <- p - lr*v, one parameter at a time."""
+    for name, p in params.items():
+        v = velocity[name]
+        v *= momentum
+        v += grads[name] + weight_decay * p
+        p -= lr * v

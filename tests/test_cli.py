@@ -251,6 +251,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="seed list"):
             ExperimentConfig(base={}, mix={}, seeds=[])
 
+    def test_string_prior_in_config_is_error_naming_pi1(self, tmp_path, capsys):
+        assert run("sweep", "--config", str(write_config(tmp_path, pi1_grid=["0.1"]))) == 2
+        assert "pi1 must be a real number, got '0.1'" in capsys.readouterr().err
+
     def test_sweep_without_data_is_usage_error(self, tmp_path):
         assert run("sweep", "--out", str(tmp_path / "s")) == 1
 
@@ -305,6 +309,17 @@ class TestSettings:
         assert exp.data.mix == MixSpec("patchmix", m=2, r=3)
         assert exp.data.n_out == 2000
         assert ExperimentConfig(base={"c": 3, "d": 6}, mix={}).data.mix is None  # kind "none": clean only
+        assert ExperimentConfig(base={"c": 3, "d": 6}, mix={"n_out": 500}).data.mix is None
+
+    @pytest.mark.parametrize("kind", [{}, {"kind": "none"}])
+    def test_mixing_keys_without_a_mix_kind_are_named(self, kind, tmp_path, capsys):
+        with pytest.raises(ValueError, match=r"kind 'none' .* m, r would be ignored"):
+            ExperimentConfig(base={"c": 3, "d": 6}, mix={**kind, "m": 3, "r": 2, "n_out": 500})
+        with pytest.raises(ValueError, match="reject_degenerate would be ignored"):
+            ExperimentConfig(base={"c": 3, "d": 6}, mix={**kind, "reject_degenerate": True})
+        assert run("sweep", "--config", str(write_config(tmp_path, mix={**kind, "m": 3}))) == 2
+        assert "m would be ignored" in capsys.readouterr().err
+        assert run("generate", "--mix", "none", "--m", "3", "--out", str(tmp_path / "g")) == 2
         assert ExperimentConfig().data is None  # data given as files
 
     def test_flags_override_the_config(self, tmp_path):

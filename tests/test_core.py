@@ -220,3 +220,15 @@ class TestDatasetTypes:
             ClassPriors(0.0, 0.5)
         with pytest.raises(ValueError):
             ClassPriors(0.1, 1.5)
+
+    @pytest.mark.parametrize("bad", ["0.1", True, None, [0.1]])
+    def test_class_priors_must_be_real_numbers(self, bad):
+        with pytest.raises(ValueError, match="pi1 must be a real number"):
+            ClassPriors(bad, 0.5)
+        with pytest.raises(ValueError, match="pi2 must be a real number"):
+            ClassPriors(0.5, bad)
+
+    def test_class_priors_keep_ints_and_numpy_floats(self):
+        priors = ClassPriors(1, np.float64(0.5))
+        assert type(priors.pi1) is int  # not cast: run directories name it "1"
+        assert priors.pi2 == 0.5

@@ -75,3 +75,15 @@ def test_label_width_guard(tmp_path):
     ds.class_count = 70_000  # simulate an oversized class space
     with pytest.raises(ValueError, match="u16"):
         save_dataset(ds, tmp_path / "wide.qll")
+
+
+def test_sidecar_extras_load_back_unless_stale(tmp_path, mixed_dataset):
+    path = save_dataset(mixed_dataset, tmp_path / "ds.qll")
+    assert load_dataset(path).gen_meta.extra == mixed_dataset.gen_meta.extra
+    # A sidecar left from another dataset describes a different header.
+    other = AmbiguousDataset(3, 5, np.zeros((2, 5), dtype=np.float32), np.array([0, 1]))
+    save_dataset(other, path, sidecar=False)
+    assert load_dataset(path).gen_meta.extra == {}
+    sidecar_path(path).write_text("kind = none\nnot a key-value line\n")
+    with pytest.raises(ValueError, match="key = value"):
+        load_dataset(path)

@@ -1,15 +1,18 @@
 """Property tests: byte-exact file round trips, errors on damaged files,
-and the label invariants of generated data."""
+the label invariants of generated data, and the class-wise risk's
+non-negativity, batch-order invariance and stacking."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qll.core import RngStream
+from qll.core import ClassPriors, RngStream
 from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
 from qll.dataio import load_dataset, save_dataset
+from qll.losses import ALPHA_FLOOR, BinaryLossKind
 from qll.models import init_model, load_model, save_model
+from qll.risk import cpu_risk, cpu_risk_with_grad
 
 
 @st.composite
@@ -66,6 +69,7 @@ def test_qll_round_trip_is_byte_identical(ds, workdir):
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.diagnostics, ds.diagnostics)
     assert save_dataset(back, workdir / "b.qll").read_bytes() == raw
+    assert (workdir / "b.meta").read_bytes() == (workdir / "a.meta").read_bytes()
 
 
 @given(model=models())
@@ -116,3 +120,58 @@ def test_damaged_files_raise_only_value_error(make_raw, load, tmp_path_factory):
         assert all(np.isfinite(a).all() for a in arrays)
 
     check()
+
+
+priors = st.builds(ClassPriors, st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+alphas = st.floats(ALPHA_FLOOR, 0.5)
+
+
+@st.composite
+def risk_batches(draw, runs=None):
+    """(logits, labels, loss kind, alpha draw): (n, c) logits, or (K, n, c)
+    when ``runs`` is K, with labels spanning at least two classes."""
+    c, n = draw(st.integers(2, 5)), draw(st.integers(2, 16))
+    shape = (n, c) if runs is None else (runs, n, c)
+    logit = st.floats(-60.0, 60.0) | st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 40.0, -40.0, 800.0])
+    z = np.array(draw(st.lists(logit, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))))
+    y = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    y[:2] = draw(st.permutations(range(c)))[:2]
+    kind = draw(st.sampled_from([BinaryLossKind.kl(), BinaryLossKind.scaled_sjs()]))
+    return z.reshape(shape), y, kind, draw(alphas) if kind.needs_alpha else None
+
+
+@given(batch=risk_batches(), pr=priors, u_mode=st.sampled_from(["complement", "full"]))
+def test_cpu_risk_is_nonnegative(batch, pr, u_mode):
+    z, y, kind, alpha = batch
+    assert cpu_risk(z, y, pr, kind, alpha, u_mode).value >= 0.0
+
+
+@given(batch=risk_batches(), pr=priors, u_mode=st.sampled_from(["complement", "full"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cpu_risk_is_invariant_to_batch_order(batch, pr, u_mode, seed):
+    z, y, kind, alpha = batch
+    order = np.random.default_rng(seed).permutation(y.size)
+    a = cpu_risk(z, y, pr, kind, alpha, u_mode).value
+    b = cpu_risk(z[order], y[order], pr, kind, alpha, u_mode).value
+    assert b == pytest.approx(a, rel=1e-12)
+
+
+@given(runs=st.integers(1, 4), data=st.data())
+def test_stacked_cpu_risk_equals_per_run_calls(runs, data):
+    z, y, kind, _ = data.draw(risk_batches(runs))
+    per_run_labels = data.draw(st.booleans())
+    if per_run_labels:  # each run its own rotation of the batch's labels
+        y = np.stack([np.roll(y, k) for k in range(runs)])
+    prs = data.draw(st.lists(priors, min_size=runs, max_size=runs))
+    alpha = data.draw(st.lists(alphas, min_size=runs, max_size=runs)) if kind.needs_alpha else None
+    u_mode = data.draw(st.sampled_from(["complement", "full"]))
+    rep, grad = cpu_risk_with_grad(z, y, prs, kind, alpha, u_mode)
+    c = z.shape[-1]
+    for k in range(runs):
+        solo, solo_grad = cpu_risk_with_grad(
+            z[k], y[k] if per_run_labels else y, prs[k], kind, alpha and alpha[k], u_mode
+        )
+        assert rep.value[k] == solo.value
+        assert rep.objective_value[k] == solo.objective_value
+        assert rep.per_class[k * c : (k + 1) * c] == solo.per_class
+        assert np.array_equal(grad[k], solo_grad)

@@ -226,6 +226,8 @@ class TestTrainRuns:
         for k, (cfg, report) in enumerate(zip(cfgs, reports)):
             solo = train(ambig, test, cfg)
             assert report.per_epoch == solo.per_epoch
+            # Each final model owns its arrays, not views of the training buffer.
+            assert all(a.base is None for a in report.final_model.params().values())
             assert self._files(report, tmp_path / f"stacked{k}") == self._files(solo, tmp_path / f"solo{k}")
 
     # (seed, dataset, priors) per member: two members share seed 4 on data A,
