@@ -30,11 +30,7 @@ from .datagen import (
     MixWeights,
     block_bounds,
     generate_ambiguous_dataset,
-    induced_weights,
-    mixed_soft_label,
     mixed_soft_labels,
-    mixup,
-    patchmix,
     sample_block_assignment,
     sample_mix_weights,
     synth_base,

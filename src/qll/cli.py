@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from dataclasses import InitVar, dataclass, field, fields, replace
@@ -93,14 +94,21 @@ def build_loss(method: str, settings: TrainSettings | None = None):
     return _LOSSES[method](settings or TrainSettings())
 
 
+def _is_auto(spec) -> bool:
+    return isinstance(spec, str) and spec.strip().lower() == "auto"
+
+
 def resolve_pi2(spec: str | float, dataset: AmbiguousDataset) -> float:
     """'auto' means m/c from the dataset's generation record."""
-    if isinstance(spec, str) and spec.strip().lower() == "auto":
+    if _is_auto(spec):
         m = dataset.gen_meta.m
         if m < 1:
             raise ValueError("--pi2 auto needs a mixed dataset (its record has m >= 1)")
         return m / dataset.class_count
-    return float(spec)
+    try:
+        return float(spec)
+    except (TypeError, ValueError):
+        raise ValueError(f"pi2 must be a number or 'auto', got {spec!r}") from None
 
 
 def dataset_tag(ds: AmbiguousDataset) -> str:
@@ -120,13 +128,26 @@ class DataSpecs(NamedTuple):  # what _generate_datasets makes from one seed
 _CASTS = {"int": int, "float": float, "bool": bool, "str": str}
 
 
-def _build(cls, section: str, kw: dict):
-    """``cls(**kw)``, an int, float, bool or str field's value cast to that
-    type as a flag's text is; a missing or unknown key is a ValueError that
-    names it."""
-    casts = {f.name: _CASTS[f.type] for f in fields(cls) if f.type in _CASTS}
+def _cast(section: str, key: str, kind: str, v):
+    """``v`` cast to type ``kind`` as a flag's text is; a ValueError naming
+    the section and key if that changes its value (a bool is no number)."""
     try:
-        return cls(**{k: casts[k](v) if k in casts else v for k, v in kw.items()})
+        if kind != "str" and isinstance(v, bool) != (kind == "bool"):
+            raise ValueError
+        out = _CASTS[kind](v)
+        if kind == "int" and isinstance(v, numbers.Real) and out != v:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{section}: {key} must be of type {kind}, got {v!r}") from None
+    return out
+
+
+def _build(cls, section: str, kw: dict):
+    """``cls(**kw)``, each int, float, bool or str field's value passed
+    through ``_cast``; a missing or unknown key is a ValueError naming it."""
+    kinds = {f.name: f.type for f in fields(cls) if f.type in _CASTS}
+    try:
+        return cls(**{k: _cast(section, k, kinds[k], v) if k in kinds else v for k, v in kw.items()})
     except TypeError as e:
         raise ValueError(f"{section}: {e}") from None
 
@@ -140,13 +161,14 @@ def _data_specs(base: dict, mix: dict) -> DataSpecs:
     base = {"n_per_class": 250, **base}
     mix = {"kind": "none", "n_out": 2000, **mix}
     test_n = base.pop("test_n_per_class", base["n_per_class"])
-    n_out = int(mix.pop("n_out"))
+    n_out = _cast("mix", "n_out", "int", mix.pop("n_out"))
     spec = _build(BaseSpec, "base", base)
+    test_n = _cast("base", "test_n_per_class", "int", test_n)
     unused = sorted(mix.keys() & {"m", "r", "reject_degenerate"}) if mix["kind"] == "none" else []
     if unused:
         raise ValueError(f"mix: kind 'none' mixes nothing, so {', '.join(unused)} would be ignored")
     mix_spec = None if mix["kind"] == "none" else _build(MixSpec, "mix", mix)
-    return DataSpecs(spec, replace(spec, n_per_class=int(test_n)), mix_spec, n_out)
+    return DataSpecs(spec, replace(spec, n_per_class=test_n), mix_spec, n_out)
 
 
 @dataclass
@@ -173,7 +195,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r} in config; known: {', '.join(METHODS)}")
         if not self.seeds:
             raise ValueError("config needs a nonempty seed list")
-        self.seeds = [int(s) for s in self.seeds]
+        self.seeds = [_cast("config", "seeds", "int", s) for s in self.seeds]
+        # Checked before any data is made. Not cast: an int prior stays an
+        # int, as in run directory names.
+        for name, grid, also in (("pi1", self.pi1_grid, ""), ("pi2", self.pi2_grid, " or auto")):
+            for p in grid or []:
+                if isinstance(p, bool) or not (isinstance(p, numbers.Real) or also and _is_auto(p)):
+                    raise ValueError(f"{name}_grid: {name} must be a real number{also}, got {p!r}")
         self.settings = _build(TrainSettings, "train", train or {})
         self.data = None if base is None else _data_specs(base, mix or {})
 
@@ -337,38 +365,32 @@ def cmd_sweep(args) -> int:
         for seed in exp.seeds
     }
 
-    # Each file is read once. Seeds whose train sets share a shape form one
-    # group, and each method trains a group's seeds x prior grid as one
-    # stacked run (in practice every seed has the same shape: one group).
+    # Each file is read once. Every seed's train set has one shape (one
+    # --data file, or data made from one spec), so each method trains its
+    # seeds x prior grid as one stacked run, seed-major.
     paths = dict.fromkeys(p for pair in data_by_seed.values() for p in pair)
     loaded = {path: load_dataset(path) for path in paths}
-    groups: dict[tuple, list[int]] = {}
-    for seed in exp.seeds:
-        ds = loaded[data_by_seed[seed][0]]
-        groups.setdefault((ds.class_count, ds.feature_dim, ds.n_examples), []).append(seed)
 
     pi1_grid = exp.pi1_grid or [exp.settings.pi1]
     pi2_grid = exp.pi2_grid or [exp.settings.pi2]
     rows = []
     for method in exp.methods:
         grid = [(p1, p2) for p1 in pi1_grid for p2 in pi2_grid] if method in CPU_METHODS else [(None, None)]
-        best = {}  # (seed, grid index) -> best test accuracy
-        for group in groups.values():
-            members = [(seed, j, p1, p2) for seed in group for j, (p1, p2) in enumerate(grid)]
-            trains = [loaded[data_by_seed[seed][0]] for seed, *_ in members]
-            tests = [loaded[data_by_seed[seed][1]] for seed, *_ in members]
-            cfgs = [
-                _train_config(method, replace(exp.settings, pi1=p1, pi2=p2), seed, train_ds)
-                for (seed, _, p1, p2), train_ds in zip(members, trains)
-            ]
-            reports = train_runs(trains, tests, cfgs)
-            for (seed, j, p1, p2), run_cfg, report, train_ds in zip(members, cfgs, reports, trains):
-                tag = f"{method}" + (f"-pi1_{p1}-pi2_{p2}" if p1 is not None else "")
-                record = _write_run(
-                    out_dir / "runs" / f"{tag}-seed{seed}", method, run_cfg, report, train_ds, data_by_seed[seed]
-                )
-                best[seed, j] = record["best_test_accuracy"]
-        rows += [(method, p1, p2, [best[seed, j] for seed in exp.seeds]) for j, (p1, p2) in enumerate(grid)]
+        members = [(seed, p1, p2) for seed in exp.seeds for p1, p2 in grid]
+        trains = [loaded[data_by_seed[seed][0]] for seed, *_ in members]
+        tests = [loaded[data_by_seed[seed][1]] for seed, *_ in members]
+        cfgs = [
+            _train_config(method, replace(exp.settings, pi1=p1, pi2=p2), seed, train_ds)
+            for (seed, p1, p2), train_ds in zip(members, trains)
+        ]
+        best = []  # best test accuracy per member
+        for (seed, p1, p2), run_cfg, report, train_ds in zip(members, cfgs, train_runs(trains, tests, cfgs), trains):
+            tag = f"{method}" + (f"-pi1_{p1}-pi2_{p2}" if p1 is not None else "")
+            record = _write_run(
+                out_dir / "runs" / f"{tag}-seed{seed}", method, run_cfg, report, train_ds, data_by_seed[seed]
+            )
+            best.append(record["best_test_accuracy"])
+        rows += [(method, p1, p2, best[j :: len(grid)]) for j, (p1, p2) in enumerate(grid)]
 
     headers = ["method", "pi1", "pi2", "best_test_accuracy", "n_seeds"]
     table_rows = []
@@ -449,7 +471,7 @@ def _seed_list(text: str) -> list[int]:
 
 
 def _prior_grid(text: str) -> list:
-    return ["auto" if tok.strip().lower() == "auto" else float(tok) for tok in text.split(",")]
+    return ["auto" if _is_auto(tok) else float(tok) for tok in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:

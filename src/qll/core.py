@@ -141,9 +141,6 @@ class SoftLabel:
             raise ValueError(f"soft label needs at least 2 classes, got shape {w.shape}")
         object.__setattr__(self, "weights", _normalize_rows(w[None].copy())[0])
 
-    def is_onehot(self) -> bool:
-        return int(np.count_nonzero(self.weights)) == 1
-
 
 @dataclass
 class GenMeta:

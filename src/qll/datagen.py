@@ -7,8 +7,7 @@ produce a ground-truth soft label from the mixing weights, and the observed
 hard label is sampled from it.
 
 Only the random draws run per example; the features, soft labels and hard
-labels of all examples then come from batched kernels, which the
-single-example helpers (``mixup``, ``mixed_soft_label``, ...) also call.
+labels of all examples then come from batched kernels.
 
 Also provides a synthetic Gaussian-cluster base dataset so the whole
 pipeline runs at desk scale without any external data.
@@ -24,7 +23,6 @@ from .core import (
     AmbiguousDataset,
     GenMeta,
     RngStream,
-    SoftLabel,
     _normalize_rows,
     quantize_labels,
 )
@@ -35,12 +33,8 @@ __all__ = [
     "BlockAssignment",
     "BaseSpec",
     "sample_mix_weights",
-    "mixup",
     "sample_block_assignment",
     "block_bounds",
-    "induced_weights",
-    "patchmix",
-    "mixed_soft_label",
     "mixed_soft_labels",
     "generate_ambiguous_dataset",
     "synth_base",
@@ -103,10 +97,6 @@ class MixWeights:
             raise ValueError(f"counts must be nonnegative and sum to r={self.r}")
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "r", int(self.r))
-
-    @property
-    def m(self) -> int:
-        return int(self.counts.size)
 
     @property
     def lam(self) -> np.ndarray:
@@ -173,16 +163,6 @@ def _mix_rows(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(lam[:, None, :], x)[:, 0]
 
 
-def mixup(instances, w: MixWeights) -> np.ndarray:
-    """Convex combination sum_i lam_i * x_i of m equal-length vectors."""
-    x = np.asarray(instances, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"instances must be a (m, d) stack, got shape {x.shape}")
-    if x.shape[0] != w.m:
-        raise ValueError(f"got {x.shape[0]} instances for {w.m} weights")
-    return _mix_rows(w.lam[None], x[None])[0]
-
-
 def sample_block_assignment(m: int, r: int, rng: RngStream) -> BlockAssignment:
     """Assign each of r blocks an independent uniform source in [0, m)."""
     if m < 2 or r < 1:
@@ -209,28 +189,12 @@ def _block_counts(assign: np.ndarray, m: int) -> np.ndarray:
     return np.count_nonzero(assign[:, :, None] == np.arange(m), axis=1)
 
 
-def induced_weights(a: BlockAssignment) -> MixWeights:
-    """Mixing weights implied by a block assignment: block share per source."""
-    return MixWeights(_block_counts(a.assign[None], a.m)[0], a.r)
-
-
 def _patch_rows(x: np.ndarray, picks: np.ndarray, assign: np.ndarray) -> np.ndarray:
     """PatchMix of n groups as one gather from the rows of ``x``: coordinate
     j of group i comes from row picks[i, assign[i, b]], b the block of j."""
     d = x.shape[1]
     src = np.repeat(assign, np.diff(block_bounds(d, assign.shape[1])), axis=1)
     return x[np.take_along_axis(picks, src, axis=1), np.arange(d)]
-
-
-def patchmix(instances, a: BlockAssignment) -> np.ndarray:
-    """Stitch m vectors together block-wise; every coordinate comes from
-    exactly one source, so the implicit masks sum to the all-ones vector."""
-    x = np.asarray(instances, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"instances must be a (m, d) stack, got shape {x.shape}")
-    if x.shape[0] != a.m:
-        raise ValueError(f"got {x.shape[0]} instances for m={a.m}")
-    return _patch_rows(x, np.arange(a.m)[None], a.assign[None])[0]
 
 
 def _class_mass(src_labels, counts, c: int) -> np.ndarray:
@@ -251,15 +215,6 @@ def mixed_soft_labels(src_labels, counts, c: int) -> np.ndarray:
     """(n, c) soft labels of n groups from (n, m) source labels and integer
     mixing counts; exact, as each row's class masses sum to r exactly."""
     return _normalize_rows(_class_mass(src_labels, counts, c))
-
-
-def mixed_soft_label(labels, w: MixWeights, c: int) -> SoftLabel:
-    """Soft label of a mixed instance: class k gets sum of lam_i over
-    sources with label k. Exact because weights are integer counts of 1/r."""
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (w.m,):
-        raise ValueError(f"need {w.m} labels, got shape {y.shape}")
-    return SoftLabel(_class_mass(y[None], w.counts[None], c)[0])
 
 
 def _is_onehot_mix(src_labels: np.ndarray, counts: np.ndarray) -> bool:

@@ -23,7 +23,6 @@ is the K=1 case: unstacked parameters, scalar priors and alpha, flat SGD.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -113,7 +112,6 @@ class TrainReport:
     best_test_accuracy: float
     last5_avg_accuracy: float
     final_model: object
-    wall_time_s: float = 0.0
 
 
 def sgd_step(
@@ -228,8 +226,8 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     sequence of K, one per config. Train sets must share one shape, so that
     every run's batches line up. Returns one report per config, in order,
     each equal to what ``train`` returns for that config and its datasets
-    alone. Every report carries the group's wall time. A non-finite logit
-    raises a RuntimeError that names the epoch, the iteration and the runs.
+    alone. A non-finite logit raises a RuntimeError that names the epoch,
+    the iteration and the runs.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -246,8 +244,10 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         raise ValueError("train and test sets must share (class_count, feature_dim)")
     if n == 0 or any(t.n_examples == 0 for t in tests):
         raise ValueError("datasets must be nonempty")
+    if cfg.is_cpu_method and n % cfg.batch_size == 1:
+        raise ValueError(f"{n} examples at batch size {cfg.batch_size} leave a final batch of one "
+                         "example, and PU training needs two classes in every batch")
 
-    t0 = time.perf_counter()
     models = [
         init_model(cfg.model_kind, c, d, RngStream(r.seed, STREAM_INIT), hidden_dim=cfg.hidden_dim)
         for r in cfgs
@@ -334,7 +334,6 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         objectives.append(objective_sum / n)
         accuracies.append(accuracy)
 
-    wall = time.perf_counter() - t0
     objectives = np.array(objectives).reshape(cfg.epochs, runs)
     accuracies = np.array(accuracies).reshape(cfg.epochs, runs)
     reports = []
@@ -346,7 +345,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         best = max(s.test_accuracy for s in stats)
         last5 = float(np.mean([s.test_accuracy for s in stats[-5:]]))
         final = type(model)(**{name: (v[k] if runs > 1 else v).copy() for name, v in params.items()})
-        reports.append(TrainReport(stats, best, last5, final, wall))
+        reports.append(TrainReport(stats, best, last5, final))
     return reports
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qll.cli import ExperimentConfig, TrainSettings, build_loss, main
+from qll.cli import ExperimentConfig, TrainSettings, build_loss, main, resolve_pi2
 from qll.dataio import load_dataset
 from qll.datagen import BaseSpec, MixSpec
 from qll.losses import BinaryLossKind, MulticlassLossKind
@@ -127,6 +127,23 @@ class TestTrain:
             "--test", str(tmp_path / "nope2.qll"), "--epochs", "1",
             "--out", str(tmp_path / "r"),
         ) == 2
+
+    def test_one_example_final_batch_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run(*GEN_SMALL, "--n", "81", "--out", str(out)) == 0  # 81 = 5*16 + 1
+        assert run(
+            "train", "--data", str(out / "ambig_train.qll"), "--test", str(out / "base_test.qll"),
+            "--epochs", "1", "--out", str(tmp_path / "r"),
+        ) == 2
+        assert "81 examples at batch size 16 leave a final batch of one" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_pi2_that_is_not_a_number_is_named(self, datadir, tmp_path, capsys):
+        data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
+        assert run("train", *data, "--pi2", "abc", "--epochs", "1", "--out", str(tmp_path / "r")) == 2
+        assert "pi2 must be a number or 'auto', got 'abc'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="pi2 must be a number"):
+            resolve_pi2(None, load_dataset(datadir / "ambig_train.qll"))
 
     def test_unknown_method_is_usage_error(self, datadir, tmp_path):
         assert run(
@@ -255,6 +272,23 @@ class TestSweep:
         assert run("sweep", "--config", str(write_config(tmp_path, pi1_grid=["0.1"]))) == 2
         assert "pi1 must be a real number, got '0.1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grids", [
+        {"pi1_grid": ["0.3"]}, {"pi1_grid": [0.1, True]}, {"pi1_grid": ["auto"]},
+        {"pi2_grid": ["0.3"]}, {"pi2_grid": [0.3, "abc"]}, {"pi2_grid": ["auto", False]},
+    ])
+    def test_bad_prior_grid_entry_fails_before_any_data(self, grids, tmp_path, capsys):
+        name = next(iter(grids))[:3]
+        assert run("sweep", "--config", str(write_config(tmp_path, **grids))) == 2
+        assert f"{name}_grid: {name} must be a real number" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+        with pytest.raises(ValueError, match=f"{name}_grid"):
+            ExperimentConfig(**grids)
+
+    def test_prior_grids_keep_ints_and_auto(self):
+        exp = ExperimentConfig(pi1_grid=[1, 0.1], pi2_grid=["auto", " Auto", 1, np.float64(0.5)])
+        assert exp.pi1_grid == [1, 0.1] and type(exp.pi1_grid[0]) is int
+        assert exp.pi2_grid == ["auto", " Auto", 1, 0.5]
+
     def test_sweep_without_data_is_usage_error(self, tmp_path):
         assert run("sweep", "--out", str(tmp_path / "s")) == 1
 
@@ -321,6 +355,35 @@ class TestSettings:
         assert "m would be ignored" in capsys.readouterr().err
         assert run("generate", "--mix", "none", "--m", "3", "--out", str(tmp_path / "g")) == 2
         assert ExperimentConfig().data is None  # data given as files
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "js_unscaled", "false"),
+        ("mix", "reject_degenerate", "false"),
+        ("mix", "reject_degenerate", 0),
+        ("train", "epochs", 1.5),
+        ("train", "epochs", True),
+        ("mix", "m", 2.9),
+        ("mix", "n_out", 60.5),
+        ("base", "c", True),
+        ("base", "test_n_per_class", 15.5),
+        ("train", "lr", True),
+        ("base", "separation", False),
+        ("config", "seeds", [1.5]),
+        ("config", "seeds", [True]),
+    ])
+    def test_config_values_cast_without_loss(self, section, key, value, tmp_path, capsys):
+        changes = {key: value} if section == "config" else {section: {**SMALL_CONFIG[section], key: value}}
+        assert run("sweep", "--config", str(write_config(tmp_path, **changes))) == 2
+        assert f"{section}: {key} must be of type " in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    def test_lossless_config_values_are_cast(self):
+        exp = ExperimentConfig(
+            base={"c": 3.0, "d": "6"}, mix={"n_out": 60.0}, train={"lr": 1, "epochs": 2.0}, seeds=[3.0]
+        )
+        assert (exp.data.base.c, exp.data.base.d, exp.data.n_out) == (3, 6, 60)
+        assert (exp.settings.epochs, exp.seeds) == (2, [3])
+        assert type(exp.settings.lr) is float and type(exp.seeds[0]) is int
 
     def test_flags_override_the_config(self, tmp_path):
         cfg = write_config(tmp_path, methods=["cpu-kl", "ce"], seeds=[1, 2], pi2_grid=[0.3, 0.6])

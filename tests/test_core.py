@@ -33,8 +33,9 @@ class TestSoftLabel:
             SoftLabel([1.0])
 
     def test_onehot_detection(self):
-        assert SoftLabel([0, 0, 5, 0]).is_onehot()
-        assert not SoftLabel([0.5, 0.5]).is_onehot()
+        assert np.count_nonzero(SoftLabel([0, 0, 5, 0]).weights) == 1
+        assert np.array_equal(SoftLabel([0, 0, 5, 0]).weights, [0, 0, 1, 0])
+        assert np.count_nonzero(SoftLabel([0.5, 0.5]).weights) == 2
 
 
 class TestEntropy:
@@ -212,7 +213,7 @@ class TestDatasetTypes:
         ds = AmbiguousDataset(3, 2, x, np.array([0, 0]), diagnostics=diag)
         softs = [SoftLabel(row) for row in ds.diagnostics]
         assert len(softs) == 2
-        assert softs[1].is_onehot()
+        assert np.count_nonzero(softs[1].weights) == 1
 
     def test_class_priors_range(self):
         ClassPriors(0.1, 1.0)

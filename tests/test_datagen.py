@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import reference_draw_group, reference_generate
+from _oracles import reference_draw_group, reference_generate, reference_soft_label
 from scipy import stats
 
 from qll.core import (
@@ -19,14 +19,13 @@ from qll.datagen import (
     BlockAssignment,
     MixSpec,
     MixWeights,
+    _block_counts,
     _is_onehot_mix,
+    _mix_rows,
+    _patch_rows,
     block_bounds,
     generate_ambiguous_dataset,
-    induced_weights,
-    mixed_soft_label,
     mixed_soft_labels,
-    mixup,
-    patchmix,
     sample_block_assignment,
     sample_mix_weights,
     synth_base,
@@ -79,34 +78,31 @@ class TestSampleMixWeights:
 
 
 class TestMixup:
+    """The batched Mixup kernel: row i is lam[i] @ x[i]."""
+
     def test_identity_weight(self):
         x = np.array([[1.0, 2.0], [5.0, 7.0]])
-        out = mixup(x, MixWeights(np.array([2, 0]), 2))
-        assert np.allclose(out, x[0])
+        out = _mix_rows(MixWeights(np.array([2, 0]), 2).lam[None], x[None])
+        assert np.allclose(out, x[:1])
 
     def test_midpoint(self):
         x = np.array([[0.0, 2.0], [2.0, 0.0]])
-        out = mixup(x, MixWeights(np.array([1, 1]), 2))
-        assert np.allclose(out, [1.0, 1.0])
+        out = _mix_rows(MixWeights(np.array([1, 1]), 2).lam[None], x[None])
+        assert np.allclose(out, [[1.0, 1.0]])
 
     def test_three_way_mean(self):
         x = np.random.default_rng(0).normal(size=(3, 5))
-        out = mixup(x, MixWeights(np.array([1, 1, 1]), 3))
-        assert np.allclose(out, x.mean(axis=0))
+        out = _mix_rows(MixWeights(np.array([1, 1, 1]), 3).lam[None], x[None])
+        assert np.allclose(out, x.mean(axis=0, keepdims=True))
 
     def test_convex_combination_bounds(self):
         rng = RngStream(4)
-        gen = np.random.default_rng(4)
-        for _ in range(30):
-            x = gen.normal(size=(3, 6))
-            w = sample_mix_weights(3, 5, rng)
-            out = mixup(x, w)
-            assert np.all(out <= x.max(axis=0) + 1e-12)
-            assert np.all(out >= x.min(axis=0) - 1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mixup(np.zeros((3, 4)), MixWeights(np.array([1, 1]), 2))
+        x = np.random.default_rng(4).normal(size=(30, 3, 6))
+        lam = np.stack([sample_mix_weights(3, 5, rng).lam for _ in range(30)])
+        out = _mix_rows(lam, x)
+        assert out.shape == (30, 6)
+        assert np.all(out <= x.max(axis=1) + 1e-12)
+        assert np.all(out >= x.min(axis=1) - 1e-12)
 
 
 class TestBlockAssignment:
@@ -128,53 +124,56 @@ class TestBlockAssignment:
     def test_single_block_single_source(self):
         rng = RngStream(6)
         x = np.random.default_rng(6).normal(size=(3, 5))
-        for _ in range(10):
-            a = sample_block_assignment(3, 1, rng)
-            assert np.allclose(patchmix(x, a), x[a.assign[0]])
+        assign = np.stack([sample_block_assignment(3, 1, rng).assign for _ in range(10)])
+        out = _patch_rows(x, np.tile(np.arange(3), (10, 1)), assign)
+        assert np.allclose(out, x[assign[:, 0]])
 
 
 class TestPatchmix:
+    """The batched PatchMix kernel; picks of arange(m) take the sources as
+    rows 0..m-1 of x."""
+
     def test_block_concatenation(self):
         x = np.array([[0.0, 1.0, 2.0, 3.0], [10.0, 11.0, 12.0, 13.0]])
-        out = patchmix(x, BlockAssignment(np.array([0, 1]), 2))
-        assert np.allclose(out, [0.0, 1.0, 12.0, 13.0])
+        out = _patch_rows(x, np.arange(2)[None], BlockAssignment(np.array([0, 1]), 2).assign[None])
+        assert np.allclose(out, [[0.0, 1.0, 12.0, 13.0]])
 
     def test_all_blocks_one_source(self):
         x = np.random.default_rng(1).normal(size=(4, 7))
-        out = patchmix(x, BlockAssignment(np.zeros(3, dtype=int), 4))
-        assert np.allclose(out, x[0])
+        out = _patch_rows(x, np.arange(4)[None], np.zeros((1, 3), dtype=np.int64))
+        assert np.allclose(out, x[:1])
 
     def test_every_coordinate_from_exactly_one_source(self):
         rng = RngStream(7)
         # distinct values everywhere so provenance is unambiguous
         x = np.arange(4 * 9, dtype=np.float64).reshape(4, 9)
-        for _ in range(25):
-            a = sample_block_assignment(4, 3, rng)
-            out = patchmix(x, a)
+        assign = np.stack([sample_block_assignment(4, 3, rng).assign for _ in range(25)])
+        out = _patch_rows(x, np.tile(np.arange(4), (25, 1)), assign)
+        assert out.shape == (25, 9)
+        for row in out:
             for k in range(9):
-                assert (out[k] == x[:, k]).sum() == 1
+                assert (row[k] == x[:, k]).sum() == 1
 
     def test_induced_weights_match_block_counts(self):
-        a = BlockAssignment(np.array([0, 1, 1, 2]), 4)
-        w = induced_weights(a)
-        assert np.array_equal(w.counts, [1, 2, 1, 0])
-        assert w.r == 4
+        counts = _block_counts(np.array([[0, 1, 1, 2], [3, 3, 3, 3]]), 4)
+        assert np.array_equal(counts, [[1, 2, 1, 0], [0, 0, 0, 4]])
+        w = MixWeights(counts[0], 4)  # the induced weights: block share per source
+        assert np.array_equal(w.lam, [0.25, 0.5, 0.25, 0.0])
 
 
 class TestMixedSoftLabel:
     def test_all_same_class_is_onehot(self):
-        w = MixWeights(np.array([1, 2, 1]), 4)
-        s = mixed_soft_label([3, 3, 3], w, 5)
-        assert s.is_onehot() and s.weights[3] == 1.0
+        s = mixed_soft_labels([[3, 3, 3]], [[1, 2, 1]], 5)[0]
+        assert np.count_nonzero(s) == 1 and s[3] == 1.0
 
     def test_two_way_split(self):
-        s = mixed_soft_label([0, 1], MixWeights(np.array([1, 1]), 2), 4)
-        assert np.allclose(s.weights, [0.5, 0.5, 0, 0])
+        s = mixed_soft_labels([[0, 1]], [[1, 1]], 4)[0]
+        assert np.allclose(s, [0.5, 0.5, 0, 0])
 
     def test_block_count_shares(self):
         # patchmix counts (2,1,1,0)/4 over classes (0,1,2,3)
-        s = mixed_soft_label([0, 1, 2, 3], MixWeights(np.array([2, 1, 1, 0]), 4), 4)
-        assert np.allclose(s.weights, [0.5, 0.25, 0.25, 0.0])
+        s = mixed_soft_labels([[0, 1, 2, 3]], [[2, 1, 1, 0]], 4)[0]
+        assert np.allclose(s, [0.5, 0.25, 0.25, 0.0])
 
 
 class TestGenerateAmbiguous:
@@ -249,7 +248,7 @@ class TestGenerateAmbiguous:
         spec = MixSpec("mixup", 2, 4, reject_degenerate=True)
         out = generate_ambiguous_dataset(base, spec, 150, RngStream(6, 1))
         for row in out.diagnostics:
-            assert not SoftLabel(row).is_onehot()
+            assert np.count_nonzero(row) > 1
 
     def test_patchmix_r_greater_than_d_rejected(self):
         base = two_class_base(d=3)
@@ -304,12 +303,16 @@ class TestBatchedGeneratorBitExact:
 
     def test_onehot_test_agrees_with_soft_label(self):
         for m in (2, 3, 4):
-            for labels in itertools.product(range(3), repeat=m):
-                for counts in itertools.product(range(3), repeat=m):
-                    if not sum(counts):
-                        continue
-                    s = mixed_soft_label(labels, MixWeights(np.array(counts), sum(counts)), 3)
-                    assert _is_onehot_mix(np.array(labels), np.array(counts)) == s.is_onehot()
+            groups = [
+                (labels, counts)
+                for labels in itertools.product(range(3), repeat=m)
+                for counts in itertools.product(range(3), repeat=m)
+                if sum(counts)
+            ]
+            labels, counts = (np.array(a) for a in zip(*groups))
+            soft = mixed_soft_labels(labels, counts, 3)
+            for y, k, s in zip(labels, counts, soft):
+                assert _is_onehot_mix(y, k) == (np.count_nonzero(s) == 1)
 
     def test_scalar_helpers_are_rows_of_the_batched_kernels(self):
         gen = np.random.default_rng(8)
@@ -317,7 +320,8 @@ class TestBatchedGeneratorBitExact:
         counts = gen.multinomial(7, [1 / 3] * 3, size=40)
         rows = mixed_soft_labels(labels, counts, 5)
         for i in range(40):
-            s = mixed_soft_label(labels[i], MixWeights(counts[i], 7), 5)
+            assert np.array_equal(reference_soft_label(labels[i], counts[i], 5), rows[i])
+            s = SoftLabel(np.bincount(labels[i], weights=counts[i], minlength=5))
             assert np.array_equal(s.weights, rows[i])
             assert quantize_label(s, RngStream(i, 9)) == quantize_labels(
                 rows[i : i + 1], [RngStream(i, 9).random()]
@@ -371,7 +375,7 @@ class TestSynthBase:
         ds = synth_base(BaseSpec(c=4, d=8, n_per_class=50), RngStream(1, 1))
         assert ds.n_examples == 200
         assert np.array_equal(np.bincount(ds.labels), [50, 50, 50, 50])
-        assert all(SoftLabel(row).is_onehot() for row in ds.diagnostics)
+        assert all(np.count_nonzero(row) == 1 for row in ds.diagnostics)
 
     def test_small_noise_collapses_to_means(self):
         spec = BaseSpec(c=3, d=5, n_per_class=20, separation=4.0, noise_sigma=1e-9)

@@ -182,6 +182,19 @@ class TestTrain:
         report = train(ambig, test, cfg)  # must not raise, covers all examples
         assert len(report.per_epoch) == 1
 
+    def test_one_example_final_batch_fails_before_training(self):
+        # 161 = 10*16 + 1: the last batch holds one example, so it can never
+        # span the two classes the PU risk needs
+        _, test, ambig = small_data(n_out=161)
+        cfg = TrainConfig(epochs=1, loss=BinaryLossKind.kl(), priors=ClassPriors(0.1, 0.5), batch_size=16)
+        with pytest.raises(ValueError, match="161 examples at batch size 16 leave a final batch of one"):
+            train(ambig, test, cfg)
+        with pytest.raises(ValueError, match="161 examples"):
+            train_runs(ambig, test, [cfg, replace(cfg, seed=2)])
+        assert len(train(small_data(n_out=162)[2], test, cfg).per_epoch) == 1
+        # a baseline needs no two classes per batch
+        assert len(train(ambig, test, replace(cfg, loss=MulticlassLossKind.ce(), priors=None)).per_epoch) == 1
+
 
 class TestMetricsFile:
     def test_format(self, tmp_path):
