@@ -190,11 +190,13 @@ class ExperimentConfig:
     data: DataSpecs | None = field(init=False)
 
     def __post_init__(self, base, mix, train) -> None:
+        for key in ("methods", "seeds", "pi1_grid", "pi2_grid"):
+            value = getattr(self, key)
+            if not (isinstance(value, list) and value or key.endswith("_grid") and value is None):
+                raise ValueError(f"config: {key} must be a nonempty list, got {value!r}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} in config; known: {', '.join(METHODS)}")
-        if not self.seeds:
-            raise ValueError("config needs a nonempty seed list")
         self.seeds = [_cast("config", "seeds", "int", s) for s in self.seeds]
         # Checked before any data is made. Not cast: an int prior stays an
         # int, as in run directory names.

@@ -24,12 +24,11 @@ switches to  pi2 * r_p_minus - r_u_minus, which drops the positive term and
 ascends the negative part. Reported values always use the clamped estimator;
 gradients always follow the branch objective.
 
-K stacked runs evaluate in one call: logits (K, n, c) with K ``ClassPriors``,
-and either one batch's (n,) labels shared by every run or (K, n) labels, one
-row per run, so runs of different seeds and datasets stack too. A stochastic
-loss takes one alpha for all runs or a sequence of K. Every per-run result
-equals the one a (n, c) call with that run's logits, labels, priors and
-alpha gives, bit for bit.
+K stacked runs evaluate in one call: logits (K, n, c) with K ``ClassPriors``
+and (K, n) labels, one row per run, so runs of different seeds and datasets
+stack too. A stochastic loss takes one alpha for all runs or a sequence of
+K. Every per-run result equals the one a (n, c) call with that run's
+logits, labels, priors and alpha gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -81,15 +80,14 @@ class CpuRiskReport:
 
     value: float | np.ndarray
     objective_value: float | np.ndarray
-    # (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected) arrays, counts of
-    # labels shared by K runs as (1, c); built into breakdowns on first access.
+    # (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected) arrays, built
+    # into breakdowns on first access.
     parts: tuple = field(repr=False, compare=False)
 
     @cached_property
     def per_class(self) -> tuple[ClassRiskBreakdown, ...]:
         *risks, n_p, n_u, corrected = self.parts
-        repeat = corrected.size // n_p.size  # K when the runs share one batch's counts
-        counts = (k.astype(np.int64).ravel().tolist() * repeat for k in (n_p, n_u))
+        counts = (k.astype(np.int64).ravel().tolist() for k in (n_p, n_u))
         columns = [a.ravel().tolist() for a in risks]
         return tuple(map(ClassRiskBreakdown, *columns, *counts, corrected.ravel().tolist()))
 
@@ -131,9 +129,10 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
         raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
     z = np.asarray(batch_logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if z.ndim not in (2, 3) or y.shape not in (z.shape[:-1], z.shape[-2:-1]):
+    if z.ndim not in (2, 3) or y.shape != z.shape[:-1]:
         raise ValueError(
-            f"need (n, c) or (K, n, c) logits with (n,) or (K, n) labels, got {z.shape} and {y.shape}"
+            f"need (n, c) logits with (n,) labels or (K, n, c) logits with (K, n) labels, "
+            f"got {z.shape} and {y.shape}"
         )
     if y.shape[-1] < 2:
         raise ValueError("batch must contain at least 2 examples")
@@ -146,10 +145,9 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
     if_corrected, otherwise = _branch_weights(priors if single else tuple(priors))
     pi1, pi2 = otherwise[0], if_corrected[1]  # the weights of r_p_plus and r_p_minus
 
-    # (3, *labels, c) masks, one per term, and their class counts: labels
-    # shared by K runs get a run axis of one to broadcast over.
+    # (3, *labels, c) masks, one per term, and their class counts.
     n = y.shape[-1]
-    masks = _term_masks(c, u_mode).take(y if y.ndim == z.ndim - 1 else y[None], axis=1)
+    masks = _term_masks(c, u_mode).take(y, axis=1)
     counts = masks.sum(axis=-2)
     n_p, n_u = counts[0], counts[2]
     if n_p.max() == n:  # one class holds a whole batch, so its U side is empty
@@ -183,8 +181,8 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
     return report, grad
 
 
-# Each entry point takes (n, c) or (K, n, c) logits, (n,) or (K, n) labels,
-# one ClassPriors or K, and one alpha or K (see _cpu_core).
+# Each entry point takes (n, c) logits, (n,) labels and one ClassPriors, or
+# (K, n, c), (K, n) and K of them, and one alpha or K (see _cpu_core).
 def cpu_risk(batch_logits, labels, priors, loss, alpha=None, u_mode="complement") -> CpuRiskReport:
     """Class-wise PU risk over a batch: mean of per-class clamped values."""
     return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=False)[0]

@@ -57,8 +57,6 @@ __all__ = [
 
 METRICS_HEADER = "epoch,train_objective,test_accuracy"
 
-_BATCH_RESAMPLE_LIMIT = 100
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -114,24 +112,14 @@ class TrainReport:
     final_model: object
 
 
-def sgd_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    velocity: dict[str, np.ndarray],
-    lr: float,
-    momentum: float,
-    weight_decay: float,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """In-place update: v <- momentum*v + g + wd*p ; p <- p - lr*v."""
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
-        v = velocity[name]
-        v *= momentum
-        v += g + weight_decay * p
-        p -= lr * v
-    return params, velocity
+def sgd_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, lr, momentum, weight_decay) -> None:
+    """In-place update of parameters p and velocity v by gradient g:
+    v <- momentum*v + g + wd*p ; p <- p - lr*v."""
+    if g.shape != p.shape:
+        raise ValueError(f"gradient shape {g.shape} != param shape {p.shape}")
+    v *= momentum
+    v += g + weight_decay * p
+    p -= lr * v
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch_index: int) -> float:
@@ -143,26 +131,40 @@ def lr_at_epoch(cfg: TrainConfig, epoch_index: int) -> float:
     return cfg.lr
 
 
-def _epoch_order(
-    labels: np.ndarray, batch_size: int, rng: RngStream, need_two_classes: bool
-) -> np.ndarray:
-    """A shuffled order whose consecutive ``batch_size`` slices are the
-    epoch's batches, final partial batch kept. When the PU objective is in
-    use, permutations are redrawn until every batch spans >= 2 classes."""
+def _epoch_order(labels: np.ndarray, batch_size: int, rng: RngStream, need_two_classes: bool) -> np.ndarray:
+    """One permutation of ``rng``, whose consecutive ``batch_size`` slices
+    are the epoch's batches, final partial batch kept. For the PU objective
+    every batch must span two classes. That can be met exactly when the final
+    batch holds two or more examples and every batch can get one from
+    outside the largest class; otherwise a ValueError says which fails. A
+    one-label batch, of label L, swaps its first example with the first of
+    another label whose batch holds two or more not labeled L, which leaves
+    both batches mixed. So an order with no one-label batch stays as drawn."""
     n = labels.shape[0]
+    order = rng.permutation(n)
+    if not need_two_classes:
+        return order
     starts = np.arange(0, n, batch_size)
-    for _ in range(_BATCH_RESAMPLE_LIMIT):
-        order = rng.permutation(n)
-        if not need_two_classes:
-            return order
-        # A batch spans >= 2 classes iff some label differs from its first.
-        differs = labels[order] != np.repeat(labels[order[starts]], np.diff(starts, append=n))
-        if np.logical_or.reduceat(differs, starts).all():
-            return order
-    raise RuntimeError(
-        "could not shuffle the dataset into batches spanning >= 2 classes; "
-        "the label distribution is too degenerate for PU training"
-    )
+    outside = n - np.bincount(labels).max()
+    if n % batch_size == 1:
+        raise ValueError(f"{n} examples at batch size {batch_size} leave a final batch of one "
+                         "example, and PU training needs two classes in every batch")
+    if outside < starts.size:
+        raise ValueError(f"{n} examples at batch size {batch_size} make {starts.size} batches, but "
+                         f"only {outside} lie outside the largest class, and PU training needs two "
+                         "classes in every batch")
+    sizes = np.diff(starts, append=n)
+    y = labels[order]
+    # A batch spans >= 2 classes iff some label differs from its first.
+    mixed = np.logical_or.reduceat(y != np.repeat(y[starts], sizes), starts)
+    for first in starts[~mixed]:
+        other = y != y[first]
+        if other[first : first + batch_size].any():
+            continue  # a donor to an earlier swap
+        donor = np.argmax(other & np.repeat(np.add.reduceat(other, starts) >= 2, sizes))
+        order[[first, donor]] = order[[donor, first]]
+        y[[first, donor]] = y[[donor, first]]
+    return order
 
 
 def evaluate(model, features, labels):
@@ -227,7 +229,8 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     every run's batches line up. Returns one report per config, in order,
     each equal to what ``train`` returns for that config and its datasets
     alone. A non-finite logit raises a RuntimeError that names the epoch,
-    the iteration and the runs.
+    the iteration and the runs; a PU method's train set that ``_epoch_order``
+    cannot batch raises a ValueError before the first step.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -244,9 +247,6 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         raise ValueError("train and test sets must share (class_count, feature_dim)")
     if n == 0 or any(t.n_examples == 0 for t in tests):
         raise ValueError("datasets must be nonempty")
-    if cfg.is_cpu_method and n % cfg.batch_size == 1:
-        raise ValueError(f"{n} examples at batch size {cfg.batch_size} leave a final batch of one "
-                         "example, and PU training needs two classes in every batch")
 
     models = [
         init_model(cfg.model_kind, c, d, RngStream(r.seed, STREAM_INIT), hidden_dim=cfg.hidden_dim)
@@ -267,13 +267,13 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         k: flat[end - b.size : end].reshape(b.shape) for (k, b), end in zip(blocks.items(), ends)
     })
     params = model.params()
-    flat_params, velocity = {"flat": flat}, {"flat": np.zeros_like(flat)}
+    velocity = np.zeros_like(flat)
 
     # Distinct train sets are stacked once, as blocks of n rows. Each
     # distinct (seed, train set) pair is a stream: it draws one batch order
     # per epoch and one alpha per step, shared by its runs.
     datas, data_of = _distinct(trains)
-    x_all = np.concatenate([t.features for t in datas], dtype=np.float64)
+    x_all = np.concatenate([t.features for t in datas])
     y_all = np.concatenate([t.labels for t in datas])
     streams, stream_of = _distinct(zip((r.seed for r in cfgs), data_of), key=tuple)
     batch_rngs = [RngStream(seed, STREAM_BATCHING) for seed, _ in streams]
@@ -281,11 +281,8 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     # Evaluation makes one forward pass per distinct test set, over the runs
     # it serves, so activations stay (runs per test set, N, h).
     test_sets, test_of = _distinct(tests)
-    evals = [
-        (np.flatnonzero(np.array(test_of) == j) if len(test_sets) > 1 else slice(None),
-         t.features.astype(np.float64), t.labels)
-        for j, t in enumerate(test_sets)
-    ]
+    evals = [(np.flatnonzero(np.array(test_of) == j) if len(test_sets) > 1 else slice(None), t)
+             for j, t in enumerate(test_sets)]
 
     is_cpu = cfg.is_cpu_method
     needs_alpha = is_cpu and cfg.loss.needs_alpha
@@ -322,12 +319,12 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
                     d_logits = grads / rows.shape[-1]
                 grad_params = backward(model, cache, d_logits)
                 grad_flat = np.concatenate([grad_params[k].ravel() for k in params])
-                sgd_step(flat_params, {"flat": grad_flat}, velocity, lr, cfg.momentum, cfg.weight_decay)
+                sgd_step(flat, grad_flat, velocity, lr, cfg.momentum, cfg.weight_decay)
                 objective_sum += objective * rows.shape[-1]
             accuracy = np.empty(runs)
-            for index, x, y in evals:
+            for index, t in evals:
                 members = type(model)(**{k: v[index] for k, v in params.items()})
-                accuracy[index] = evaluate(members, x, y)
+                accuracy[index] = evaluate(members, t.features, t.labels)
         except ValueError:
             _raise_if_diverged(cfgs, epoch, it, [logits, *params.values()])
             raise

@@ -265,8 +265,17 @@ class TestSweep:
         assert run("sweep", "--config", str(bad)) == 2
         with pytest.raises(ValueError, match="unknown method"):
             ExperimentConfig(base={}, mix={}, methods=["nope"])
-        with pytest.raises(ValueError, match="seed list"):
+        with pytest.raises(ValueError, match="seeds must be a nonempty list"):
             ExperimentConfig(base={}, mix={}, seeds=[])
+
+    @pytest.mark.parametrize("key,value", [
+        ("methods", "ce"), ("methods", []), ("seeds", "12"), ("seeds", 1), ("seeds", []),
+        ("pi1_grid", 0.3), ("pi1_grid", []), ("pi2_grid", "auto"), ("pi2_grid", []),
+    ])
+    def test_list_keys_must_be_nonempty_lists(self, key, value, tmp_path, capsys):
+        assert run("sweep", "--config", str(write_config(tmp_path, **{key: value}))) == 2
+        assert f"config: {key} must be a nonempty list, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "exp" / "data").exists()
 
     def test_string_prior_in_config_is_error_naming_pi1(self, tmp_path, capsys):
         assert run("sweep", "--config", str(write_config(tmp_path, pi1_grid=["0.1"]))) == 2

@@ -62,7 +62,8 @@ def test_stacked_binary_parts_equal_four_arrays(shape):
 def test_mask_table_core_equals_dense_masks(shape, u_mode):
     z, y = edge_batch(shape, 7)
     stacked = len(shape) == 3
-    label_sets = [y, y[0]] if stacked else [y]  # per-run labels, and one row shared
+    # Per-run labels, and one row repeated for every run.
+    label_sets = [y, np.broadcast_to(y[0], y.shape)] if stacked else [y]
     for kind, alpha in cases(shape):
         for labels in label_sets:
             for j in range(len(PRIORS)):
@@ -81,8 +82,7 @@ def test_mask_table_core_equals_dense_masks(shape, u_mode):
                 r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected = parts
                 got = rep.parts
                 for a, b in zip(got, (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected)):
-                    # Counts of labels shared by K runs keep a run axis of one.
-                    assert np.array_equal(*np.broadcast_arrays(a, b))
+                    assert np.array_equal(a, b)
                 assert np.array_equal(grad, ref_grad)
                 if stacked:
                     break  # one call covers every prior
@@ -101,7 +101,7 @@ def test_flat_sgd_buffer_equals_per_parameter_update(kind, runs):
     for lr in (0.1, 0.01, 0.001):
         grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-8, 3) for k, v in params.items()}
         flat_g = np.concatenate([g.ravel() for g in grads.values()])
-        sgd_step({"flat": flat_p}, {"flat": flat_g}, {"flat": flat_v}, lr, 0.9, 1e-4)
+        sgd_step(flat_p, flat_g, flat_v, lr, 0.9, 1e-4)
         per_parameter_sgd_step(params, grads, velocity, lr, 0.9, 1e-4)
     assert np.array_equal(flat_p, np.concatenate([v.ravel() for v in params.values()]))
     assert np.array_equal(flat_v, np.concatenate([v.ravel() for v in velocity.values()]))

@@ -1,18 +1,19 @@
 """Property tests: byte-exact file round trips, errors on damaged files,
-the label invariants of generated data, and the class-wise risk's
-non-negativity, batch-order invariance and stacking."""
+the label invariants of generated data, the class-wise risk's
+non-negativity, batch-order invariance and stacking, and PU batching."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qll.core import ClassPriors, RngStream
+from qll.core import STREAM_BATCHING, ClassPriors, RngStream
 from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
 from qll.dataio import load_dataset, save_dataset
 from qll.losses import ALPHA_FLOOR, BinaryLossKind
 from qll.models import init_model, load_model, save_model
 from qll.risk import cpu_risk, cpu_risk_with_grad
+from qll.training import _epoch_order
 
 
 @st.composite
@@ -159,9 +160,10 @@ def test_cpu_risk_is_invariant_to_batch_order(batch, pr, u_mode, seed):
 @given(runs=st.integers(1, 4), data=st.data())
 def test_stacked_cpu_risk_equals_per_run_calls(runs, data):
     z, y, kind, _ = data.draw(risk_batches(runs))
-    per_run_labels = data.draw(st.booleans())
-    if per_run_labels:  # each run its own rotation of the batch's labels
+    if data.draw(st.booleans()):  # each run its own rotation of the batch's labels
         y = np.stack([np.roll(y, k) for k in range(runs)])
+    else:  # one row repeated for every run
+        y = np.broadcast_to(y, (runs, y.size))
     prs = data.draw(st.lists(priors, min_size=runs, max_size=runs))
     alpha = data.draw(st.lists(alphas, min_size=runs, max_size=runs)) if kind.needs_alpha else None
     u_mode = data.draw(st.sampled_from(["complement", "full"]))
@@ -169,9 +171,45 @@ def test_stacked_cpu_risk_equals_per_run_calls(runs, data):
     c = z.shape[-1]
     for k in range(runs):
         solo, solo_grad = cpu_risk_with_grad(
-            z[k], y[k] if per_run_labels else y, prs[k], kind, alpha and alpha[k], u_mode
+            z[k], y[k], prs[k], kind, alpha and alpha[k], u_mode
         )
         assert rep.value[k] == solo.value
         assert rep.objective_value[k] == solo.objective_value
         assert rep.per_class[k * c : (k + 1) * c] == solo.per_class
         assert np.array_equal(grad[k], solo_grad)
+
+
+@st.composite
+def batched_labels(draw):
+    """(labels, batch size): class 0 and up to three others, with the count
+    outside class 0 often near the number of batches."""
+    batch_size, n = draw(st.integers(2, 8)), draw(st.integers(1, 64))
+    batches = -(-n // batch_size)
+    outside = draw(st.integers(max(0, batches - 2), min(n, batches + 2)) | st.integers(0, n))
+    others = draw(st.lists(st.integers(1, 3), min_size=outside, max_size=outside))
+    return np.array(draw(st.permutations([0] * (n - outside) + others))), batch_size
+
+
+@given(batch=batched_labels(), seed=st.integers(0, 2**32 - 1))
+# Seed 3 draws batches [0, 0] and [1, 1]: the first swap mixes both, so the
+# second must be left as it is.
+@example(batch=(np.array([0, 0, 1, 1]), 2), seed=3)
+def test_epoch_order_mixes_every_batch_or_raises(batch, seed):
+    labels, batch_size = batch
+    n = labels.size
+    starts = np.arange(0, n, batch_size)
+
+    def mixed(order):
+        return all(np.unique(labels[order[s : s + batch_size]]).size >= 2 for s in starts)
+
+    first = RngStream(seed, STREAM_BATCHING).permutation(n)
+    assert np.array_equal(_epoch_order(labels, batch_size, RngStream(seed, STREAM_BATCHING), False), first)
+    if n % batch_size == 1 or n - np.bincount(labels).max() < starts.size:
+        with pytest.raises(ValueError, match=f"{n} examples at batch size {batch_size} "):
+            _epoch_order(labels, batch_size, RngStream(seed, STREAM_BATCHING), True)
+        return
+    order = _epoch_order(labels, batch_size, RngStream(seed, STREAM_BATCHING), True)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    assert mixed(order)
+    if mixed(first):
+        assert np.array_equal(order, first)

@@ -355,13 +355,14 @@ class TestStackedRuns:
     in one call: every member equals its own (n, c) call bit for bit."""
 
     PRIORS = [ClassPriors(0.1, 0.2), ClassPriors(0.1, 0.2), ClassPriors(0.1, 0.9)]
+    LABELS = np.broadcast_to(EDGE_LABELS, (3, EDGE_LABELS.size))  # one row per run
 
     @pytest.mark.parametrize("u_mode", ["complement", "full"])
     @pytest.mark.parametrize("loss,alpha", FUSED_CASES)
     def test_members_match_solo_calls(self, loss, alpha, u_mode):
         rng = np.random.default_rng(31)
         z = np.stack([EDGE_LOGITS, 0.5 * EDGE_LOGITS, rng.normal(size=EDGE_LOGITS.shape) * 3.0])
-        rep, grad = cpu_risk_with_grad(z, EDGE_LABELS, self.PRIORS, loss, alpha, u_mode)
+        rep, grad = cpu_risk_with_grad(z, self.LABELS, self.PRIORS, loss, alpha, u_mode)
         c = z.shape[-1]
         assert rep.value.shape == rep.objective_value.shape == (3,)
         assert len(rep.per_class) == 3 * c
@@ -375,10 +376,10 @@ class TestStackedRuns:
     def test_prior_count_must_match_runs(self):
         z = np.stack([EDGE_LOGITS] * 3)
         with pytest.raises(ValueError):
-            cpu_risk(z, EDGE_LABELS, ClassPriors(0.1, 0.5), KL)
+            cpu_risk(z, self.LABELS, ClassPriors(0.1, 0.5), KL)
         with pytest.raises(ValueError):
-            cpu_risk(z, EDGE_LABELS, self.PRIORS[:2], KL)
+            cpu_risk(z, self.LABELS, self.PRIORS[:2], KL)
         with pytest.raises(ValueError):
             cpu_risk(EDGE_LOGITS, EDGE_LABELS, self.PRIORS, KL)
         with pytest.raises(ValueError):
-            cpu_risk(z, EDGE_LABELS[:-1], self.PRIORS, KL)
+            cpu_risk(z, self.LABELS[:, :-1], self.PRIORS, KL)

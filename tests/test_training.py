@@ -38,43 +38,37 @@ def small_data(seed=3, n_per_class=40, n_out=240):
 
 class TestSgdStep:
     def test_zero_lr_leaves_params(self):
-        p = {"w": np.ones(3)}
-        v = {"w": np.zeros(3)}
-        sgd_step(p, {"w": np.ones(3)}, v, lr=0.0, momentum=0.9, weight_decay=0.1)
-        assert np.array_equal(p["w"], np.ones(3))
+        p, v = np.ones(3), np.zeros(3)
+        sgd_step(p, np.ones(3), v, lr=0.0, momentum=0.9, weight_decay=0.1)
+        assert np.array_equal(p, np.ones(3))
 
     def test_vanilla_sgd(self):
-        p = {"w": np.array([1.0, 2.0])}
-        v = {"w": np.zeros(2)}
-        g = {"w": np.array([0.5, -0.5])}
-        sgd_step(p, g, v, lr=0.1, momentum=0.0, weight_decay=0.0)
-        assert np.allclose(p["w"], [0.95, 2.05])
+        p, v = np.array([1.0, 2.0]), np.zeros(2)
+        sgd_step(p, np.array([0.5, -0.5]), v, lr=0.1, momentum=0.0, weight_decay=0.0)
+        assert np.allclose(p, [0.95, 2.05])
 
     def test_quadratic_descent_oracle(self):
         # f(w) = w^2 from w=1, lr=0.1: w scales by 0.8 each step
-        p = {"w": np.array([1.0])}
-        v = {"w": np.zeros(1)}
+        p, v = np.array([1.0]), np.zeros(1)
         for _ in range(100):
-            sgd_step(p, {"w": 2.0 * p["w"]}, v, lr=0.1, momentum=0.0, weight_decay=0.0)
-        assert abs(p["w"][0]) < 1e-3
-        assert p["w"][0] == pytest.approx(0.8**100, rel=1e-9)
+            sgd_step(p, 2.0 * p, v, lr=0.1, momentum=0.0, weight_decay=0.0)
+        assert abs(p[0]) < 1e-3
+        assert p[0] == pytest.approx(0.8**100, rel=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            sgd_step({"w": np.ones(3)}, {"w": np.ones(2)}, {"w": np.zeros(3)}, 0.1, 0.0, 0.0)
+            sgd_step(np.ones(3), np.ones(2), np.zeros(3), 0.1, 0.0, 0.0)
 
     def test_weight_decay_shrinks_norm(self):
         # identical gradient sequences: decay can only shrink or preserve norms
         rng = np.random.default_rng(0)
         grads = [rng.normal(size=4) * 0.1 for _ in range(50)]
-        p_wd = {"w": np.ones(4)}
-        p_no = {"w": np.ones(4)}
-        v_wd = {"w": np.zeros(4)}
-        v_no = {"w": np.zeros(4)}
+        p_wd, p_no = np.ones(4), np.ones(4)
+        v_wd, v_no = np.zeros(4), np.zeros(4)
         for g in grads:
-            sgd_step(p_wd, {"w": g.copy()}, v_wd, 0.05, 0.9, 1e-2)
-            sgd_step(p_no, {"w": g.copy()}, v_no, 0.05, 0.9, 0.0)
-        assert np.linalg.norm(p_wd["w"]) <= np.linalg.norm(p_no["w"]) + 1e-12
+            sgd_step(p_wd, g.copy(), v_wd, 0.05, 0.9, 1e-2)
+            sgd_step(p_no, g.copy(), v_no, 0.05, 0.9, 0.0)
+        assert np.linalg.norm(p_wd) <= np.linalg.norm(p_no) + 1e-12
 
 
 class TestLrSchedule:
@@ -194,6 +188,25 @@ class TestTrain:
         assert len(train(small_data(n_out=162)[2], test, cfg).per_epoch) == 1
         # a baseline needs no two classes per batch
         assert len(train(ambig, test, replace(cfg, loss=MulticlassLossKind.ce(), priors=None)).per_epoch) == 1
+
+    @pytest.mark.parametrize("minority", [100, 99])
+    def test_minority_class_must_reach_every_batch(self, minority, monkeypatch):
+        # 1,600 examples at batch 16 make 100 batches, and each needs one of
+        # the minority class: 100 of them can be batched so, 99 cannot.
+        labels = np.repeat([0, 1], [1600 - minority, minority])
+        x = np.random.default_rng(0).normal(size=(1600, 2)) + 3.0 * labels[:, None]
+        data = AmbiguousDataset(2, 2, x, labels)
+        cfg = TrainConfig(epochs=2, loss=BinaryLossKind.kl(), priors=ClassPriors(0.1, 0.5), batch_size=16)
+        steps = []
+        monkeypatch.setattr("qll.training.forward", lambda *a: steps.append(1) or forward(*a))
+        if minority == 100:
+            assert len(train(data, data, cfg).per_epoch) == 2
+            assert len(steps) == 2 * (100 + 1)  # every step and each epoch's evaluation
+            return
+        with pytest.raises(ValueError, match="1600 examples at batch size 16 make 100 batches, "
+                                             "but only 99 lie outside the largest class"):
+            train(data, data, cfg)
+        assert not steps
 
 
 class TestMetricsFile:
