@@ -222,25 +222,23 @@ class ExperimentConfig:
 def _generate_datasets(specs: DataSpecs, seed: int, out_dir: Path) -> tuple[Path, Path]:
     """Write one seed's base train and test sets and, with a mix spec, its
     ambiguous set; returns the paths of the (train, test) sets to train on."""
+    # Every set is built before any is written, so a spec that the
+    # generator refuses leaves no file behind.
     root = RngStream(seed, STREAM_DATAGEN)
     base_train = synth_base(specs.base, root.substream(0))
-    base_test = synth_base(specs.test, root.substream(1))
+    sets = {"base_train": base_train, "base_test": synth_base(specs.test, root.substream(1))}
+    train_name = "base_train"
+    if specs.mix is not None:
+        train_name = "ambig_train"
+        sets[train_name] = generate_ambiguous_dataset(base_train, specs.mix, specs.n_out, root.substream(2))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_path = save_dataset(base_train, out_dir / "base_train.qll")
-    test_path = save_dataset(base_test, out_dir / "base_test.qll")
-    written = [train_path, test_path]
-    diagnostics = base_train.diagnostics
-    if specs.mix is not None:
-        ambig = generate_ambiguous_dataset(base_train, specs.mix, specs.n_out, root.substream(2))
-        train_path = save_dataset(ambig, out_dir / "ambig_train.qll")
-        written.append(train_path)
-        diagnostics = ambig.diagnostics
-    ent = entropy(diagnostics)
+    paths = {name: save_dataset(ds, out_dir / f"{name}.qll") for name, ds in sets.items()}
+    ent = entropy(sets[train_name].diagnostics)
     print(f"diagnostic entropy: mean={ent.mean():.4f} min={ent.min():.4f} max={ent.max():.4f}")
-    for path in written:
+    for path in paths.values():
         print(f"wrote {path}")
-    return train_path, test_path
+    return paths[train_name], paths["base_test"]
 
 
 def cmd_generate(args) -> int:
@@ -414,8 +412,13 @@ def cmd_report(args) -> int:
     root = Path(args.runs)
     by_cell: dict[tuple[str, str], list[float]] = {}
     for path in sorted(root.rglob("run.json")):
-        rec = json.loads(path.read_text(encoding="utf-8"))
-        by_cell.setdefault((rec["method"], rec["dataset"]), []).append(rec["best_test_accuracy"])
+        try:
+            rec = json.loads(path.read_text(encoding="utf-8"))
+            by_cell.setdefault((rec["method"], rec["dataset"]), []).append(rec["best_test_accuracy"])
+        except KeyError as e:
+            raise ValueError(f"{path}: run record has no {e} field") from None
+        except (ValueError, TypeError) as e:  # not JSON, or not a JSON object
+            raise ValueError(f"{path}: not a run record: {e}") from None
     if not by_cell:
         raise RuntimeError(f"no completed runs found under {root}")
     datasets = sorted({ds for _, ds in by_cell})

@@ -1,9 +1,11 @@
 """Minimal differentiable per-class logit producers.
 
-A linear map and a one-hidden-layer rectifier network, with hand-written
-forward/backward passes. The per-class outputs are raw logits; prediction is
-argmax (ties go to the smallest index). Parameters live in plain numpy
-arrays exposed through ``params`` dicts so the optimizer stays generic.
+A model is a stack of dense layers with a rectifier between them; its
+dataclass fields are each layer's weights (out, in) and bias (out,), input
+layer first. ``LinearModel`` is one layer, ``MlpModel`` two, and one loop over
+the layers serves both. Prediction is argmax of the raw per-class logits
+(ties go to the smallest index). Parameters live in plain numpy arrays
+exposed through ``params`` dicts so the optimizer stays generic.
 
 A model may also hold K models stacked on a leading axis (weights (K, c, d),
 biases (K, c), and so on): forward and backward work on the trailing two
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,6 @@ from .dataio import atomic_write_bytes
 __all__ = [
     "LinearModel",
     "MlpModel",
-    "ForwardCache",
     "init_model",
     "forward",
     "backward",
@@ -37,60 +38,55 @@ __all__ = [
 
 MODEL_MAGIC = b"QLLM"
 MODEL_KINDS = ("linear", "mlp")
-_KIND_CODES = {"linear": 1, "mlp": 2}
 
 
-@dataclass
-class LinearModel:
-    weights: np.ndarray  # (c, d), or (K, c, d) stacked
-    bias: np.ndarray  # (c,), or (K, c) stacked
+class _DenseStack:
+    """Shared by the models: their fields are (weights, bias) pairs, input layer first."""
+
+    def params(self) -> dict[str, np.ndarray]:
+        return dict(vars(self))  # the dataclass fields, in declaration order
+
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        p = iter(vars(self).values())
+        return list(zip(p, p))  # consecutive fields pair up
 
     @property
     def class_count(self) -> int:
-        return self.weights.shape[-2]
+        return self.layers()[-1][0].shape[-2]
 
     @property
     def feature_dim(self) -> int:
-        return self.weights.shape[-1]
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weights": self.weights, "bias": self.bias}
+        return self.layers()[0][0].shape[-1]
 
 
 @dataclass
-class MlpModel:
+class LinearModel(_DenseStack):
+    weights: np.ndarray  # (c, d), or (K, c, d) stacked
+    bias: np.ndarray  # (c,), or (K, c) stacked
+
+
+@dataclass
+class MlpModel(_DenseStack):
     hidden_w: np.ndarray  # (h, d), or (K, h, d) stacked
     hidden_b: np.ndarray  # (h,), or (K, h) stacked
     out_w: np.ndarray  # (c, h), or (K, c, h) stacked
     out_b: np.ndarray  # (c,), or (K, c) stacked
 
     @property
-    def class_count(self) -> int:
-        return self.out_w.shape[-2]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.hidden_w.shape[-1]
-
-    @property
     def hidden_dim(self) -> int:
         return self.hidden_w.shape[-2]
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {
-            "hidden_w": self.hidden_w,
-            "hidden_b": self.hidden_b,
-            "out_w": self.out_w,
-            "out_b": self.out_b,
-        }
+
+# By layer count - 1, in MODEL_KINDS order; the layer count is the checkpoint's kind code.
+_MODEL_CLASSES = (LinearModel, MlpModel)
 
 
-@dataclass
-class ForwardCache:
-    """Activations retained for the backward pass."""
-
-    x: np.ndarray  # (n, d) or (K, n, d)
-    hidden: np.ndarray | None = None  # (n, h) or (K, n, h), mlp only
+def _layer_shapes(sizes, where: str) -> list[tuple[int, ...]]:
+    """Parameter shapes, in ``params`` order, of the layers that map sizes[0]
+    features through the hidden widths to sizes[-1] classes."""
+    if sizes[-1] < 2 or min(sizes[:-1]) < 1:
+        raise ValueError(f"{where}need class_count >= 2, feature_dim >= 1 and hidden_dim >= 1, got {sizes}")
+    return [s for fan_in, fan_out in zip(sizes, sizes[1:]) for s in ((fan_out, fan_in), (fan_out,))]
 
 
 def init_model(
@@ -100,89 +96,80 @@ def init_model(
     rng: RngStream,
     hidden_dim: int = 32,
 ):
-    """Fresh model with Gaussian(0, 2/fan_in) weights and zero biases."""
+    """Fresh model with Gaussian(0, 2/fan_in) weights and zero biases, drawn
+    layer by layer from the input up."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
-    if class_count < 2 or feature_dim < 1:
-        raise ValueError("need class_count >= 2 and feature_dim >= 1")
-    if kind == "linear":
-        w = rng.standard_normal((class_count, feature_dim)) * np.sqrt(2.0 / feature_dim)
-        return LinearModel(w, np.zeros(class_count))
-    if hidden_dim < 1:
-        raise ValueError("hidden_dim must be >= 1")
-    w1 = rng.standard_normal((hidden_dim, feature_dim)) * np.sqrt(2.0 / feature_dim)
-    w2 = rng.standard_normal((class_count, hidden_dim)) * np.sqrt(2.0 / hidden_dim)
-    return MlpModel(w1, np.zeros(hidden_dim), w2, np.zeros(class_count))
+    hidden = MODEL_KINDS.index(kind)  # hidden layer count
+    shapes = _layer_shapes([feature_dim, *[hidden_dim] * hidden, class_count], "")
+    blocks = [rng.standard_normal(s) * np.sqrt(2.0 / s[1]) if len(s) == 2 else np.zeros(s) for s in shapes]
+    return _MODEL_CLASSES[hidden](*blocks)
 
 
-def forward(model, x) -> tuple[np.ndarray, ForwardCache]:
+def forward(model, x) -> tuple[np.ndarray, list[np.ndarray]]:
     """Logits for a batch x of shape (n, d): (n, c), or (K, n, c) when the
     model is stacked. A stacked model also takes (K, n, d), one batch per
-    member."""
+    member. Also returns each layer's input, which ``backward`` reads."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != model.feature_dim:
-        raise ValueError(
-            f"expected an (n, {model.feature_dim}) or (K, n, {model.feature_dim}) "
-            f"feature batch, got shape {x.shape}"
-        )
+    layers = model.layers()
+    d = layers[0][0].shape[-1]
+    if x.ndim not in (2, 3) or x.shape[-1] != d:
+        raise ValueError(f"expected an (n, {d}) or (K, n, {d}) feature batch, got shape {x.shape}")
 
     # Biases and the rectifier apply in place, so a stacked evaluation
     # holds one (K, n, h) array at a time.
-    if isinstance(model, LinearModel):
-        logits = x @ model.weights.swapaxes(-1, -2)
-        logits += model.bias[..., None, :]
-        return logits, ForwardCache(x)
-    act = x @ model.hidden_w.swapaxes(-1, -2)
-    act += model.hidden_b[..., None, :]
-    np.maximum(act, 0.0, out=act)  # hidden > 0 is then the ReLU mask
-    logits = act @ model.out_w.swapaxes(-1, -2)
-    logits += model.out_b[..., None, :]
-    return logits, ForwardCache(x, hidden=act)
+    inputs = []
+    for w, b in layers:
+        if inputs:
+            np.maximum(x, 0.0, out=x)  # x > 0 is then the ReLU mask
+        inputs.append(x)
+        x = x @ w.swapaxes(-1, -2)
+        x += b[..., None, :]
+    return x, inputs
 
 
-def backward(model, cache: ForwardCache, d_logits) -> dict[str, np.ndarray]:
-    """Parameter gradients from d(loss)/d(logits) via the chain rule;
-    d_logits has the shape of the logits the forward pass returned."""
+def backward(model, inputs, d_logits) -> dict[str, np.ndarray]:
+    """Parameter gradients from d(loss)/d(logits) via the chain rule, given the
+    layer inputs ``forward`` returned with logits of d_logits' shape."""
     g = np.asarray(d_logits, dtype=np.float64)
-    bias = model.bias if isinstance(model, LinearModel) else model.out_b
-    if g.shape != (*bias.shape[:-1], cache.x.shape[-2], model.class_count):
+    params = model.params()
+    names = list(params)  # weights, bias per layer, input layer first
+    out_w, out_b = params[names[-2]], params[names[-1]]
+    if g.shape != (*out_b.shape[:-1], inputs[0].shape[-2], out_w.shape[-2]):
         raise ValueError(f"d_logits shape {g.shape} does not match the forward pass")
 
-    g_t = g.swapaxes(-1, -2)
-    if isinstance(model, LinearModel):
-        return {"weights": g_t @ cache.x, "bias": g.sum(axis=-2)}
-    d_act = g @ model.out_w
-    d_pre = d_act * (cache.hidden > 0.0)
-    return {
-        "out_w": g_t @ cache.hidden,
-        "out_b": g.sum(axis=-2),
-        "hidden_w": d_pre.swapaxes(-1, -2) @ cache.x,
-        "hidden_b": d_pre.sum(axis=-2),
-    }
+    grads = {}
+    for i in range(len(inputs) - 1, -1, -1):
+        x, w_name = inputs[i], names[2 * i]
+        grads[w_name] = g.swapaxes(-1, -2) @ x
+        grads[names[2 * i + 1]] = g.sum(axis=-2)
+        if i:
+            g = (g @ params[w_name]) * (x > 0.0)
+    return grads
 
 
 def predict(logits):
-    """Argmax class index over the last axis; ties break toward the smallest
-    index. One logit vector gives an int, a batch an index array."""
+    """Argmax class index over the last axis; ties break toward the smallest index."""
     z = np.asarray(logits)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
-    if z.ndim == 1:
-        return int(np.argmax(z))
     return np.argmax(z, axis=-1)
 
 
 def save_model(model, path) -> Path:
-    """Checkpoint: magic, u8 kind, u32 dims, float32 parameter blocks."""
+    """Checkpoint: magic, u8 kind code (the layer count: 1 linear, 2 mlp),
+    u32 dims (c, d, then the hidden width), float32 parameter blocks in
+    ``params`` order."""
     path = Path(path)
-    if not isinstance(model, (LinearModel, MlpModel)):
+    if not isinstance(model, _MODEL_CLASSES):
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    dims = (model.class_count, model.feature_dim)
-    if isinstance(model, MlpModel):
-        dims += (model.hidden_dim,)
-    kind = _KIND_CODES["linear" if isinstance(model, LinearModel) else "mlp"]
-    parts = [MODEL_MAGIC + struct.pack(f"<B{len(dims)}I", kind, *dims)]
-    for name, block in model.params().items():
+    sizes = [model.feature_dim, *(w.shape[-2] for w, _ in model.layers())]
+    params = model.params()
+    shapes = [p.shape for p in params.values()]
+    if shapes != _layer_shapes(sizes, f"{path}: "):
+        raise ValueError(f"{path}: a checkpoint holds one unstacked model, got shapes {shapes}")
+    parts = [MODEL_MAGIC + struct.pack(f"<B{len(sizes)}I", len(sizes) - 1, sizes[-1], *sizes[:-1])]
+    for name, block in params.items():
         with np.errstate(over="ignore"):
             f4 = np.ascontiguousarray(block, dtype="<f4")
         if (np.isinf(f4) & np.isfinite(block)).any():
@@ -200,32 +187,24 @@ def load_model(path):
     if len(raw) < 5:
         raise ValueError(f"{path}: truncated header")
     code = raw[4]
-    if code == _KIND_CODES["linear"]:
-        dims_fmt = "<II"
-    elif code == _KIND_CODES["mlp"]:
-        dims_fmt = "<III"
-    else:
+    if not 1 <= code <= len(_MODEL_CLASSES):
         raise ValueError(f"{path}: unknown model kind code {code}")
-    off = 5 + struct.calcsize(dims_fmt)
+    cls = _MODEL_CLASSES[code - 1]
+    off = 5 + 4 * (code + 1)
     if len(raw) < off:
         raise ValueError(f"{path}: truncated header")
-    dims = struct.unpack_from(dims_fmt, raw, 5)
-    if code == _KIND_CODES["linear"]:
-        c, d = dims
-        shapes = {"weights": (c, d), "bias": (c,)}
-    else:
-        c, d, h = dims
-        shapes = {"hidden_w": (h, d), "hidden_b": (h,), "out_w": (c, h), "out_b": (c,)}
-    expected = off + 4 * sum(math.prod(shape) for shape in shapes.values())
+    c, *sizes = struct.unpack_from(f"<{code + 1}I", raw, 5)
+    shapes = _layer_shapes([*sizes, c], f"{path}: ")
+    expected = off + 4 * sum(math.prod(shape) for shape in shapes)
     if len(raw) != expected:
         raise ValueError(f"{path}: size mismatch (expected {expected} bytes)")
 
     blocks = []
-    for name, shape in shapes.items():
+    for field, shape in zip(fields(cls), shapes):
         count = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
         if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: block {name} holds non-finite values")
+            raise ValueError(f"{path}: block {field.name} holds non-finite values")
         blocks.append(arr.reshape(shape).astype(np.float64))
         off += 4 * count
-    return (LinearModel if code == _KIND_CODES["linear"] else MlpModel)(*blocks)
+    return cls(*blocks)

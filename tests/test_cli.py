@@ -69,6 +69,7 @@ class TestGenerate:
         )
         assert code == 2
         assert "r <= feature_dim" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()  # the sets are built before any is written
 
     def test_clean_entropy_prints_positive_zero(self, tmp_path, capsys):
         assert run("generate", "--c", "3", "--d", "4", "--n-per-class", "5", "--mix", "none",
@@ -212,6 +213,12 @@ class TestSweep:
         runs = sorted((tmp_path / "exp" / "runs").iterdir())
         assert len(runs) == 4  # 2 methods x 2 seeds
         assert (tmp_path / "exp" / "sweep_table.txt").exists()
+
+    def test_refused_mix_in_config_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mix={"kind": "patchmix", "m": 2, "r": 9, "n_out": 60})
+        assert run("sweep", "--config", str(cfg)) == 2
+        assert "r <= feature_dim" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
 
     def test_config_sweep_runs_equal_solo_train(self, tmp_path):
         # One stacked run per method spans both seeds (and, for cpu-kl, the
@@ -475,6 +482,26 @@ class TestReport:
         empty = tmp_path / "none"
         empty.mkdir()
         assert run("report", "--runs", str(empty)) == 2
+
+    def test_truncated_record_is_named(self, tmp_path, capsys):
+        root = tmp_path / "runs"
+        self._fake_run(root, "ce", "mixup-m2-r4", 1, 0.8)
+        bad = root / "ce-mixup-m2-r4-s1" / "run.json"
+        bad.write_text(bad.read_text()[:16])
+        assert run("report", "--runs", str(root)) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Expecting" in err
+
+    def test_record_without_a_field_names_it(self, tmp_path, capsys):
+        root = tmp_path / "runs"
+        self._fake_run(root, "ce", "mixup-m2-r4", 1, 0.8)
+        bad = root / "ce-mixup-m2-r4-s1" / "run.json"
+        rec = json.loads(bad.read_text())
+        del rec["dataset"]
+        bad.write_text(json.dumps(rec))
+        assert run("report", "--runs", str(root)) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'dataset'" in err
 
     def test_end_to_end_pipeline(self, datadir, tmp_path):
         runs = tmp_path / "runs"

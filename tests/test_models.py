@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -199,20 +201,20 @@ class TestBackward:
 
 class TestPredict:
     def test_argmax(self):
-        assert predict(np.array([0.1, 0.9, 0.3])) == 1
+        assert list(predict(np.array([[0.1, 0.9, 0.3]]))) == [1]
 
     def test_tie_breaks_low(self):
-        assert predict(np.array([0.5, 0.5, 0.5])) == 0
+        assert list(predict(np.array([[0.5, 0.5, 0.5]]))) == [0]
 
     def test_shift_invariance(self):
-        z = np.array([0.2, -0.4, 0.9, 0.1])
-        assert predict(z) == predict(z + 100.0)
+        z = np.array([[0.2, -0.4, 0.9, 0.1]])
+        assert list(predict(z)) == list(predict(z + 100.0)) == [2]
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            z = rng.normal(size=5)
-            assert predict(z) == predict(np.exp(z)) == predict(3.0 * z + 7.0)
+            z = rng.normal(size=(1, 5))
+            assert predict(z)[0] == predict(np.exp(z))[0] == predict(3.0 * z + 7.0)[0]
 
     def test_batch(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -220,6 +222,38 @@ class TestPredict:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_layout(self, tmp_path, kind):
+        # read without load_model: header, then float32 blocks in params() order
+        m = init_model(kind, 4, 6, RngStream(18, 3), hidden_dim=5)
+        raw = save_model(m, tmp_path / "m.ckpt").read_bytes()
+        fmt, header = ("<4sBII", (b"QLLM", 1, 4, 6)) if kind == "linear" else ("<4sBIII", (b"QLLM", 2, 4, 6, 5))
+        assert struct.unpack_from(fmt, raw) == header
+        body = b"".join(p.astype("<f4").tobytes() for p in m.params().values())
+        assert raw[struct.calcsize(fmt) :] == body
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_stacked_model_rejected_before_writing(self, tmp_path, kind):
+        m = init_model(kind, 4, 6, RngStream(19, 3), hidden_dim=5)
+        stacked = type(m)(*[np.stack([v, v]) for v in m.params().values()])
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="one unstacked model"):
+            save_model(stacked, path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "code, dims",
+        [(1, (0, 0)), (1, (1, 3)), (1, (2, 0)), (2, (1, 3, 2)), (2, (2, 0, 2)), (2, (2, 3, 0))],
+    )
+    def test_dims_init_model_refuses_rejected(self, tmp_path, code, dims):
+        c, d, *h = dims
+        sizes = [d, *h, c]
+        count = sum(o * i + o for i, o in zip(sizes, sizes[1:]))
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"QLLM" + struct.pack(f"<B{len(dims)}I", code, *dims) + b"\x00" * 4 * count)
+        with pytest.raises(ValueError, match="bad.ckpt: need class_count >= 2"):
+            load_model(bad)
+
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_roundtrip(self, tmp_path, kind):
         m = init_model(kind, 4, 6, RngStream(12, 3), hidden_dim=5)
