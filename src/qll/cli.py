@@ -408,17 +408,27 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _accuracy(v, path: Path) -> float:
+    """A run record's best test accuracy, which must be a finite real number
+    in [0, 1] and not a bool."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:  # NaN fails too
+        raise ValueError(f"{path}: best_test_accuracy must be a number in [0, 1], got {v!r}")
+    return float(v)
+
+
 def cmd_report(args) -> int:
     root = Path(args.runs)
     by_cell: dict[tuple[str, str], list[float]] = {}
     for path in sorted(root.rglob("run.json")):
         try:
             rec = json.loads(path.read_text(encoding="utf-8"))
-            by_cell.setdefault((rec["method"], rec["dataset"]), []).append(rec["best_test_accuracy"])
+            cell = by_cell.setdefault((rec["method"], rec["dataset"]), [])
+            accuracy = rec["best_test_accuracy"]
         except KeyError as e:
             raise ValueError(f"{path}: run record has no {e} field") from None
         except (ValueError, TypeError) as e:  # not JSON, or not a JSON object
             raise ValueError(f"{path}: not a run record: {e}") from None
+        cell.append(_accuracy(accuracy, path))
     if not by_cell:
         raise RuntimeError(f"no completed runs found under {root}")
     datasets = sorted({ds for _, ds in by_cell})

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -295,6 +296,15 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+@lru_cache(maxsize=64)
+def _row_starts(shape: tuple[int, ...], c: int) -> np.ndarray:
+    """Read-only flat index of the first entry of every row of (*shape, c)
+    logits."""
+    starts = np.arange(0, math.prod(shape) * c, c).reshape(shape)
+    starts.flags.writeable = False
+    return starts
+
+
 def baseline_loss_batch(kind: MulticlassLossKind, logits, labels):
     """Vectorized multiclass baseline losses.
 
@@ -311,14 +321,14 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels):
     if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
     c = z.shape[-1]
-    if y.size and (y.min() < 0 or y.max() >= c):
+    if y.size and y.view(np.uint64).max() >= c:  # a negative label reads as >= 2**63
         raise ValueError(f"labels must lie in [0, {c})")
 
     p = _softmax(z)
     pc = np.maximum(p, EPS)  # softmax entries are <= 1: the clamp to [EPS, 1]
     interior = p > EPS
     log_pc = np.log(pc)
-    at = np.arange(0, y.size * c, c).reshape(y.shape) + y  # flat index of each label entry
+    at = _row_starts(y.shape, c) + y  # flat index of each label entry
 
     v = kind.variant
     if v in ("bs", "js"):

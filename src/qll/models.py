@@ -109,12 +109,15 @@ def init_model(
 def forward(model, x) -> tuple[np.ndarray, list[np.ndarray]]:
     """Logits for a batch x of shape (n, d): (n, c), or (K, n, c) when the
     model is stacked. A stacked model also takes (K, n, d), one batch per
-    member. Also returns each layer's input, which ``backward`` reads."""
+    member; an unstacked one refuses it. Also returns each layer's input,
+    which ``backward`` reads."""
     x = np.asarray(x, dtype=np.float64)
     layers = model.layers()
-    d = layers[0][0].shape[-1]
-    if x.ndim not in (2, 3) or x.shape[-1] != d:
-        raise ValueError(f"expected an (n, {d}) or (K, n, {d}) feature batch, got shape {x.shape}")
+    w_in = layers[0][0]
+    d = w_in.shape[-1]
+    if x.ndim not in (2, w_in.ndim) or x.shape[-1] != d:
+        wanted = f"(n, {d}) or (K, n, {d})" if w_in.ndim == 3 else f"(n, {d}) (the model is unstacked)"
+        raise ValueError(f"expected an {wanted} feature batch, got shape {x.shape}")
 
     # Biases and the rectifier apply in place, so a stacked evaluation
     # holds one (K, n, h) array at a time.
@@ -128,9 +131,12 @@ def forward(model, x) -> tuple[np.ndarray, list[np.ndarray]]:
     return x, inputs
 
 
-def backward(model, inputs, d_logits) -> dict[str, np.ndarray]:
+def backward(model, inputs, d_logits, out=None) -> dict[str, np.ndarray]:
     """Parameter gradients from d(loss)/d(logits) via the chain rule, given the
-    layer inputs ``forward`` returned with logits of d_logits' shape."""
+    layer inputs ``forward`` returned with logits of d_logits' shape. With
+    ``out``, a dict of caller-owned arrays keyed and shaped like
+    ``model.params()``, the gradients are written into those arrays and
+    ``out`` is returned; the values are the same bit for bit."""
     g = np.asarray(d_logits, dtype=np.float64)
     params = model.params()
     names = list(params)  # weights, bias per layer, input layer first
@@ -138,11 +144,11 @@ def backward(model, inputs, d_logits) -> dict[str, np.ndarray]:
     if g.shape != (*out_b.shape[:-1], inputs[0].shape[-2], out_w.shape[-2]):
         raise ValueError(f"d_logits shape {g.shape} does not match the forward pass")
 
-    grads = {}
+    grads = {} if out is None else out
     for i in range(len(inputs) - 1, -1, -1):
-        x, w_name = inputs[i], names[2 * i]
-        grads[w_name] = g.swapaxes(-1, -2) @ x
-        grads[names[2 * i + 1]] = g.sum(axis=-2)
+        x, w_name, b_name = inputs[i], names[2 * i], names[2 * i + 1]
+        grads[w_name] = np.matmul(g.swapaxes(-1, -2), x, out=grads.get(w_name))
+        grads[b_name] = np.add.reduce(g, axis=-2, out=grads.get(b_name))
         if i:
             g = (g @ params[w_name]) * (x > 0.0)
     return grads

@@ -9,7 +9,10 @@ rest). Three empirical risks per class:
 
 All three, and their gradients, come from one sigmoid pass over the batch
 logits that stacks every loss and gradient against +1 and -1 as (2, ...);
-label masks looked up per term then reduce all three in one pass.
+label masks looked up per term then reduce all three in one pass. The
+masks' class counts depend on the labels only, so ``batch_counts`` gives
+them for every batch of an epoch at once, and the trainer passes each
+step's slice in.
 
 The unbiased PU risk is  pi * r_p_plus + r_u_minus - pi * r_p_minus  and may
 go negative. The non-negative class-wise estimator with two practical priors
@@ -48,6 +51,7 @@ from .losses import BinaryLossKind, _binary_parts, binary_loss, binary_loss_grad
 __all__ = [
     "ClassRiskBreakdown",
     "CpuRiskReport",
+    "batch_counts",
     "cpu_risk",
     "cpu_risk_grad",
     "cpu_risk_with_grad",
@@ -122,9 +126,42 @@ def _branch_weights(priors: ClassPriors | tuple[ClassPriors, ...]) -> np.ndarray
     return weights
 
 
+def batch_counts(labels, starts, c: int, u_mode: str = "complement") -> np.ndarray:
+    """Class counts of the (P, P, U) term masks of every batch of an epoch.
+
+    ``labels`` is the epoch's (n,) labels in batch order, or (K, n) for K
+    stacked runs, and ``starts`` the ascending batch starts, 0 first; batch b
+    is ``labels[..., starts[b]:starts[b + 1]]``. Returns a (3, [K,]
+    n_batches, c) float64 array whose ``[..., b, :]`` equals
+    ``masks.sum(axis=-2)`` of batch b bit for bit (the counts are exact
+    integers). Raises the ValueErrors of ``cpu_risk`` for every batch at
+    once: a label outside [0, c), or a batch of one class.
+    """
+    if u_mode not in U_MODES:
+        raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
+    y = np.asarray(labels, dtype=np.int64)
+    if y.view(np.uint64).max() >= c:  # a negative label reads as >= 2**63
+        raise ValueError(f"labels must lie in [0, {c})")
+    n, batches = y.shape[-1], len(starts)
+    runs = y.size // n
+    # One bincount counts every (row, batch, class) cell: each label is
+    # offset by c times the index of its (row, batch) cell.
+    cells = np.arange(0, runs * batches, batches)[:, None]
+    if batches > 1:
+        cells = cells + np.repeat(np.arange(batches), np.diff(starts, append=n))
+    n_p = np.bincount((cells * c + y.reshape(runs, n)).ravel(), minlength=runs * batches * c).reshape(-1, c)
+    if (n_p.max(axis=-1) == n_p.sum(axis=-1)).any():  # one class holds a whole batch, so its U side is empty
+        raise ValueError("batch must span at least 2 classes; resample")
+    # Term t of class j counts the labels i that row i of table t selects.
+    return (n_p @ _term_masks(c, u_mode)).reshape(3, *y.shape[:-1], batches, c)
+
+
+_ONE_BATCH = np.zeros(1, dtype=np.intp)
+
+
 def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
               loss: BinaryLossKind, alpha: float | Sequence[float] | None, u_mode: str,
-              want_grad: bool):
+              want_grad: bool, counts=None):
     if u_mode not in U_MODES:
         raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
     z = np.asarray(batch_logits, dtype=np.float64)
@@ -136,8 +173,6 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
         )
     if y.shape[-1] < 2:
         raise ValueError("batch must contain at least 2 examples")
-    if y.view(np.uint64).max() >= z.shape[-1]:  # a negative label reads as >= 2**63
-        raise ValueError(f"labels must lie in [0, {z.shape[-1]})")
     c = z.shape[-1]
     single = isinstance(priors, ClassPriors)
     if single != (z.ndim == 2) or (not single and len(priors) != z.shape[0]):
@@ -145,14 +180,14 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
     if_corrected, otherwise = _branch_weights(priors if single else tuple(priors))
     pi1, pi2 = otherwise[0], if_corrected[1]  # the weights of r_p_plus and r_p_minus
 
-    # (3, *labels, c) masks, one per term, and their class counts.
-    n = y.shape[-1]
+    # (3, *labels, c) masks, one per term, and their (3, [K,] c) class counts.
+    if counts is None:
+        counts = batch_counts(y, _ONE_BATCH, c, u_mode)[..., 0, :]
+    elif counts.shape != (3, *y.shape[:-1], c):
+        raise ValueError(f"counts must have shape {(3, *y.shape[:-1], c)}, got {counts.shape}")
     masks = _term_masks(c, u_mode).take(y, axis=1)
-    counts = masks.sum(axis=-2)
     n_p, n_u = counts[0], counts[2]
-    if n_p.max() == n:  # one class holds a whole batch, so its U side is empty
-        raise ValueError("batch must span at least 2 classes; resample")
-    # (n_p or 1, n_p or 1, n_u): every class has n_u >= 1 by the check above.
+    # (n_p or 1, n_p or 1, n_u): every class has n_u >= 1 by batch_counts' check.
     sizes = np.maximum(counts, 1.0)
 
     # (2, ...) loss and gradient: index 0 against +1, index 1 against -1.
@@ -193,6 +228,10 @@ def cpu_risk_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="comple
     return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True)[1]
 
 
-def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement"):
-    """(CpuRiskReport, gradient) in one pass: the training loop's entry point."""
-    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True)
+def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement", *, counts=None):
+    """(CpuRiskReport, gradient) in one pass: the training loop's entry point.
+
+    ``counts`` may give the batch's (3, [K,] c) term counts, one batch of
+    ``batch_counts`` over the epoch; the labels are then taken as already
+    checked by it, and the counts must be theirs."""
+    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True, counts=counts)

@@ -10,15 +10,28 @@ into the gradient before the momentum update (classical coupling).
 
 ``train_runs`` trains K runs whose configs differ only in ``seed`` and
 ``priors``, each on its own train and test set of one shared shape, at
-once: parameters carry a leading run axis of K and are views into one flat
-vector, each step gathers every run's batch into one (K, B, d) array, and
-forward, risk or baseline loss, backward and SGD (one update of the flat
-vector) are one stacked call each. Every step stays independent
+once: parameters carry a leading run axis of K, each step gathers every
+run's batch into one (K, B, d) array, and forward, risk or baseline loss,
+backward and SGD are one stacked call each. Every step stays independent
 per run: a run's batch order and alpha draws come from its own seed's
 streams (runs of one seed on one train set share them), and its alpha
 terms, masks and reductions are the same float operations as alone. So
 each member's report equals its solo ``train`` run bit for bit. ``train``
-is the K=1 case: unstacked parameters, scalar priors and alpha, flat SGD.
+is the K=1 case: unstacked parameters, scalar priors and alpha.
+
+Work that does not depend on the parameters runs as rarely as it can:
+
+- once per run: the distinct train sets are concatenated and cast to
+  float64 (exactly), and the parameters, their gradients and the SGD
+  velocity are each one flat vector, the first two viewed per parameter;
+- once per epoch: each stream's batch order, and for PU methods every
+  batch's term counts by ``risk.batch_counts``, which also checks the
+  epoch's labels and that every batch spans two classes;
+- once per step: the batch gather, ``forward``, the alpha draw,
+  ``cpu_risk_with_grad`` (given the batch's counts) or
+  ``baseline_loss_batch``, ``backward`` into the gradient's views, and one
+  ``sgd_step`` on the flat vectors. Test accuracy is evaluated once per
+  epoch.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from .core import (
 )
 from .losses import BinaryLossKind, MulticlassLossKind, baseline_loss_batch, sample_alpha
 from .models import backward, forward, init_model, predict
-from .risk import U_MODES, cpu_risk_with_grad
+from .risk import U_MODES, batch_counts, cpu_risk_with_grad
 from .dataio import atomic_write_text
 
 __all__ = [
@@ -220,6 +233,12 @@ def _raise_if_diverged(cfgs, epoch: int, iteration: int, arrays) -> None:
         )
 
 
+def _views(flat: np.ndarray, blocks: dict) -> dict[str, np.ndarray]:
+    """Consecutive slices of ``flat`` shaped like the arrays of ``blocks``, by name."""
+    ends = np.cumsum([b.size for b in blocks.values()])
+    return {k: flat[end - b.size : end].reshape(b.shape) for (k, b), end in zip(blocks.items(), ends)}
+
+
 def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[TrainReport]:
     """Train K runs that differ only in seed, priors and datasets as one
     stacked run.
@@ -259,21 +278,22 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         k: v if runs == 1 else np.stack([m.params()[k] for m in models])
         for k, v in models[0].params().items()
     }
-    # Every parameter is a view into one flat vector, with one flat velocity
-    # vector beside it: one sgd_step call updates them all.
+    # Every parameter is a view into one flat vector, with flat velocity and
+    # gradient vectors beside it: backward writes into the gradient's views,
+    # and one sgd_step call updates them all.
     flat = np.concatenate([b.ravel() for b in blocks.values()])
-    ends = np.cumsum([b.size for b in blocks.values()])
-    model = type(models[0])(**{
-        k: flat[end - b.size : end].reshape(b.shape) for (k, b), end in zip(blocks.items(), ends)
-    })
+    model = type(models[0])(**_views(flat, blocks))
     params = model.params()
     velocity = np.zeros_like(flat)
+    grad_flat = np.empty_like(flat)
+    grads = _views(grad_flat, blocks)
 
-    # Distinct train sets are stacked once, as blocks of n rows. Each
-    # distinct (seed, train set) pair is a stream: it draws one batch order
-    # per epoch and one alpha per step, shared by its runs.
+    # Distinct train sets are stacked once, as blocks of n rows, in float64
+    # (exact for float32 features), so no batch is cast again. Each distinct
+    # (seed, train set) pair is a stream: it draws one batch order per epoch
+    # and one alpha per step, shared by its runs.
     datas, data_of = _distinct(trains)
-    x_all = np.concatenate([t.features for t in datas])
+    x_all = np.concatenate([t.features for t in datas], dtype=np.float64)
     y_all = np.concatenate([t.labels for t in datas])
     streams, stream_of = _distinct(zip((r.seed for r in cfgs), data_of), key=tuple)
     batch_rngs = [RngStream(seed, STREAM_BATCHING) for seed, _ in streams]
@@ -286,21 +306,27 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
 
     is_cpu = cfg.is_cpu_method
     needs_alpha = is_cpu and cfg.loss.needs_alpha
-    # Picks each run's stream from the (S, n) epoch orders: a single run
-    # reads stream 0 as one (n,) order, K runs read a (K, n) block.
+    # Picks each run's stream from the (S, n) epoch orders and the (3, S,
+    # n_batches, c) counts: a single run reads stream 0 as one (n,) order,
+    # K runs read a (K, n) block.
     pick = stream_of if runs > 1 else 0
+    starts = range(0, n, cfg.batch_size)
     objectives, accuracies = [], []
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(cfg, epoch)
-        # Row indices into x_all, one order per stream.
+        # Row indices into x_all, one order per stream, and for PU methods
+        # every batch's term counts, per stream too.
         orders = np.stack([
             _epoch_order(y_all[k * n : (k + 1) * n], cfg.batch_size, rng, is_cpu) + k * n
             for (_, k), rng in zip(streams, batch_rngs)
         ])
+        if is_cpu:
+            counts = batch_counts(y_all.take(orders), starts, c, cfg.u_mode)
         objective_sum = 0.0
         try:
-            for it, start in enumerate(range(0, n, cfg.batch_size)):
+            for it, start in enumerate(starts):
                 rows = orders[pick, start : start + cfg.batch_size]
+                size = rows.shape[-1]
                 xb, yb = x_all.take(rows, axis=0), y_all.take(rows)
                 logits, cache = forward(model, xb)
                 if is_cpu:
@@ -309,18 +335,17 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
                         draws = [sample_alpha(rng) for rng in alpha_rngs]
                         alpha = draws[0] if runs == 1 else [draws[s] for s in stream_of]
                     report, d_logits = cpu_risk_with_grad(
-                        logits, yb, priors, cfg.loss, alpha, u_mode=cfg.u_mode
+                        logits, yb, priors, cfg.loss, alpha, u_mode=cfg.u_mode, counts=counts[:, pick, it]
                     )
                     objective = report.objective_value
                 else:
-                    losses, grads = baseline_loss_batch(cfg.loss, logits, yb)
+                    losses, d_logits = baseline_loss_batch(cfg.loss, logits, yb)
                     # np.mean over the batch is this sum divided by its size.
-                    objective = losses.sum(axis=-1) / rows.shape[-1]
-                    d_logits = grads / rows.shape[-1]
-                grad_params = backward(model, cache, d_logits)
-                grad_flat = np.concatenate([grad_params[k].ravel() for k in params])
+                    objective = losses.sum(axis=-1) / size
+                    d_logits /= size
+                backward(model, cache, d_logits, out=grads)
                 sgd_step(flat, grad_flat, velocity, lr, cfg.momentum, cfg.weight_decay)
-                objective_sum += objective * rows.shape[-1]
+                objective_sum += objective * size
             accuracy = np.empty(runs)
             for index, t in evals:
                 members = type(model)(**{k: v[index] for k, v in params.items()})

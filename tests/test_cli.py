@@ -503,6 +503,16 @@ class TestReport:
         err = capsys.readouterr().err
         assert str(bad) in err and "'dataset'" in err
 
+    @pytest.mark.parametrize("bad", ["0.9", True, float("nan")], ids=["string", "bool", "nan"])
+    def test_accuracy_must_be_a_number_in_range(self, tmp_path, capsys, bad):
+        root = tmp_path / "runs"
+        self._fake_run(root, "ce", "mixup-m2-r4", 1, 0.8)
+        self._fake_run(root, "ce", "mixup-m2-r4", 2, bad)
+        assert run("report", "--runs", str(root)) == 2
+        err = capsys.readouterr().err
+        assert str(root / "ce-mixup-m2-r4-s2" / "run.json") in err and "best_test_accuracy" in err
+        assert not (root / "table.csv").exists()
+
     def test_end_to_end_pipeline(self, datadir, tmp_path):
         runs = tmp_path / "runs"
         for method, seed in (("ce", 1), ("ce", 2), ("cpu-sjs", 1), ("cpu-sjs", 2)):

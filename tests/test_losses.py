@@ -329,6 +329,16 @@ class TestBaselineLoss:
         with pytest.raises(ValueError):
             baseline_loss(MulticlassLossKind.ce(), np.array([1.0, np.inf]), 0)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_rejects_labels_outside_range(self, bad):
+        z = np.zeros((3, 5, 4))
+        y = np.zeros((3, 5), dtype=np.int64)
+        y[1, 2] = bad
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
+            baseline_loss_batch(MulticlassLossKind.ce(), z[1], y[1])
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
+            baseline_loss_batch(MulticlassLossKind.ce(), z, y)
+
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             MulticlassLossKind.bootstrap(1.5)

@@ -89,6 +89,15 @@ class TestForward:
             for name, solo_grad in backward(m, solo_cache, g[k]).items():
                 assert np.array_equal(grads[name][k], solo_grad)
 
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_unstacked_model_refuses_3d_features(self, kind):
+        m = init_model(kind, 3, 4, RngStream(4, 3), hidden_dim=5)
+        with pytest.raises(ValueError, match=r"\(2, 5, 4\)"):
+            forward(m, np.ones((2, 5, 4)))
+        stacked = type(m)(**{k: np.stack([v] * 2) for k, v in m.params().items()})
+        logits, _ = forward(stacked, np.ones((2, 5, 4)))
+        assert logits.shape == (2, 5, 3)
+
     def test_batch_order_independence(self):
         m = init_model("linear", 3, 5, RngStream(5, 3))
         x = np.random.default_rng(5).normal(size=(7, 5))
@@ -112,6 +121,30 @@ class TestBackward:
         d = np.random.default_rng(8).normal(size=(5, 3))
         grads = backward(m, cache, d)
         assert np.allclose(grads["bias"], d.sum(axis=0), atol=1e-12)
+
+    @pytest.mark.parametrize("runs", [None, 3])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_out_arrays_match_dict_form(self, kind, runs):
+        m = init_model(kind, 4, 6, RngStream(9, 3), hidden_dim=8)
+        lead = () if runs is None else (runs,)
+        if runs is not None:
+            rng = np.random.default_rng(9)
+            m = type(m)(**{k: v + rng.normal(size=(runs, *v.shape)) for k, v in m.params().items()})
+        x = np.random.default_rng(10).normal(size=(*lead, 7, 6))
+        g = np.random.default_rng(11).normal(size=(*lead, 7, 4))
+        _, cache = forward(m, x)
+        grads = backward(m, cache, g)
+        flat = np.full(sum(v.size for v in m.params().values()), np.nan)
+        out, at = {}, 0
+        for k, v in m.params().items():
+            out[k] = flat[at : at + v.size].reshape(v.shape)
+            at += v.size
+        views = dict(out)
+        got = backward(m, cache, g, out=out)
+        assert got is out
+        assert all(got[k] is views[k] for k in views)
+        for k, v in grads.items():
+            assert np.array_equal(views[k], v)
 
     def test_shape_mismatch_errors(self):
         m = init_model("linear", 3, 4, RngStream(8, 3))

@@ -14,7 +14,7 @@ from _oracles import (
 )
 from qll.core import ClassPriors
 from qll.losses import ALPHA_FLOOR, BinaryLossKind, binary_loss, binary_loss_grad
-from qll.risk import cpu_risk, cpu_risk_grad, cpu_risk_with_grad
+from qll.risk import _term_masks, batch_counts, cpu_risk, cpu_risk_grad, cpu_risk_with_grad
 
 KL = BinaryLossKind.kl()
 SJS = BinaryLossKind.scaled_sjs()
@@ -383,3 +383,59 @@ class TestStackedRuns:
             cpu_risk(EDGE_LOGITS, EDGE_LABELS, self.PRIORS, KL)
         with pytest.raises(ValueError):
             cpu_risk(z, self.LABELS[:, :-1], self.PRIORS, KL)
+
+
+class TestBatchCounts:
+    """Per-epoch term counts: every batch's slice equals the counts of its
+    own masks, and the per-batch label checks run for the whole epoch."""
+
+    STARTS = np.arange(0, 23, 5)  # four batches of 5 and a final batch of 3
+
+    def epoch_labels(self, runs):
+        rng = np.random.default_rng(40)
+        return rng.integers(0, 4, size=(runs, 23)) if runs else rng.integers(0, 4, size=23)
+
+    @pytest.mark.parametrize("u_mode", ["complement", "full"])
+    @pytest.mark.parametrize("runs", [None, 1, 3])
+    def test_matches_per_batch_mask_sums(self, runs, u_mode):
+        y = self.epoch_labels(runs)
+        counts = batch_counts(y, self.STARTS, 4, u_mode)
+        assert counts.shape == (3, *y.shape[:-1], self.STARTS.size, 4)
+        for b, (lo, hi) in enumerate(zip(self.STARTS, [*self.STARTS[1:], 23])):
+            masks = _term_masks(4, u_mode).take(y[..., lo:hi], axis=1)
+            assert np.array_equal(counts[..., b, :], masks.sum(axis=-2))
+
+    @pytest.mark.parametrize("runs", [None, 3])
+    def test_rejects_what_a_batch_call_rejects(self, runs):
+        priors = ClassPriors(0.1, 0.5) if runs is None else [ClassPriors(0.1, 0.5)] * runs
+        for bad in (-1, 4):
+            y = self.epoch_labels(runs)
+            y[..., 21] = bad
+            for call in (lambda: batch_counts(y, self.STARTS, 4),
+                         lambda: cpu_risk(np.zeros((*y.shape[:-1], 3, 4)), y[..., 20:], priors, KL)):
+                with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
+                    call()
+        y = self.epoch_labels(runs)
+        y[..., 5:10] = 2  # batch 1 holds one class
+        for call in (lambda: batch_counts(y, self.STARTS, 4),
+                     lambda: cpu_risk(np.zeros((*y.shape[:-1], 5, 4)), y[..., 5:10], priors, KL)):
+            with pytest.raises(ValueError, match="span at least 2 classes; resample"):
+                call()
+
+    @pytest.mark.parametrize("u_mode", ["complement", "full"])
+    @pytest.mark.parametrize("loss,alpha", [(KL, None), (SJS, 0.25)])
+    @pytest.mark.parametrize("runs", [None, 3])
+    def test_risk_with_counts_matches_without(self, runs, loss, alpha, u_mode):
+        y = self.epoch_labels(runs)
+        counts = batch_counts(y, self.STARTS, 4, u_mode)
+        priors = ClassPriors(0.1, 0.5) if runs is None else [ClassPriors(0.1, p) for p in (0.2, 0.5, 0.9)]
+        rng = np.random.default_rng(41)
+        for b, (lo, hi) in enumerate(zip(self.STARTS, [*self.STARTS[1:], 23])):
+            z = rng.normal(size=(*y.shape[:-1], hi - lo, 4)) * 3.0
+            rep, grad = cpu_risk_with_grad(z, y[..., lo:hi], priors, loss, alpha, u_mode)
+            got, got_grad = cpu_risk_with_grad(z, y[..., lo:hi], priors, loss, alpha, u_mode,
+                                               counts=counts[..., b, :])
+            assert np.array_equal(got.value, rep.value)
+            assert np.array_equal(got.objective_value, rep.objective_value)
+            assert got.per_class == rep.per_class
+            assert np.array_equal(got_grad, grad)

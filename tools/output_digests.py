@@ -1,0 +1,103 @@
+"""Digest the outputs of a fixed set of small ``qll`` runs.
+
+    python3 tools/output_digests.py --out DIR > digests.txt
+
+Runs, in this process and with ``DIR`` as the working directory, ``qll
+generate`` for Mixup and PatchMix (600 examples each), ``qll train`` for
+all seven methods with the MLP and for cpu-sjs, cpu-kl and ce with the
+linear model (8 epochs each), and one ``qll sweep`` of ce and cpu-sjs over
+3 seeds x 3 pi2 values (6 epochs). Then prints one ``sha256  path`` line,
+sorted by path, for every ``.qll``, ``metrics.csv``, ``model.ckpt``,
+``run.json`` and ``sweep_table.csv`` under ``DIR``. The commands' own output
+goes to standard error.
+
+Every path the commands see is relative to ``DIR``, so the lines do not
+depend on where ``DIR`` is. Run the script at two commits of one
+environment, each into an empty directory, and diff the two outputs: a
+change that keeps every output byte-identical prints the same lines.
+Bytes hold only within one environment (Python, numpy and BLAS build), so
+the digests are not compared across machines, and this is not a test.
+
+The ``qll`` package is imported from ``src/`` of the checkout that holds
+this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from qll import cli  # noqa: E402
+
+HASHED = (".qll", "metrics.csv", "model.ckpt", "run.json", "sweep_table.csv")
+METHODS = ("cpu-sjs", "cpu-kl", "ce", "bs", "gce", "sce", "js")
+LINEAR_METHODS = ("cpu-sjs", "cpu-kl", "ce")
+DATA = ("--c", "4", "--d", "8", "--n-per-class", "150", "--m", "2", "--r", "4", "--n", "600")
+SWEEP = {
+    "base": {"c": 4, "d": 8, "n_per_class": 150},
+    "mix": {"kind": "mixup", "m": 2, "r": 4, "n_out": 600},
+    "train": {"epochs": 6, "batch_size": 16, "pi1": 0.1},
+    "methods": ["ce", "cpu-sjs"],
+    "seeds": [1, 2, 3],
+    "pi2_grid": [0.25, 0.5, 0.75],
+    "out": "sweep",
+}
+
+
+def calls() -> list[list[str]]:
+    """Every qll argv, in run order; paths are relative to the output directory."""
+    argvs = [["generate", *DATA, "--mix", mix, "--seed", "7", "--out", f"data-{mix}"]
+             for mix in ("mixup", "patchmix")]
+
+    def train(data: str, method: str, model: str) -> list[str]:
+        return ["train", "--data", f"{data}/ambig_train.qll", "--test", f"{data}/base_test.qll",
+                "--method", method, "--model", model, "--epochs", "8", "--seed", "1",
+                "--out", f"runs/{model}-{method}"]
+
+    argvs += [train("data-mixup", m, "mlp") for m in METHODS]
+    argvs += [train("data-patchmix", m, "linear") for m in LINEAR_METHODS]
+    argvs.append(["sweep", "--config", "sweep.json"])
+    return argvs
+
+
+def digests(root: Path) -> list[str]:
+    return [
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(root).as_posix()}"
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name.endswith(HASHED)
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="an empty or new directory for the runs")
+    out = Path(parser.parse_args(argv).out).resolve()
+    if out.exists() and any(out.iterdir()):
+        parser.error(f"{out} is not empty")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "sweep.json").write_text(json.dumps(SWEEP, indent=2) + "\n")
+
+    cwd = Path.cwd()
+    os.chdir(out)
+    try:
+        with contextlib.redirect_stdout(sys.stderr):
+            for argv_ in calls():
+                if cli.main(argv_) != 0:
+                    print(f"error: qll {' '.join(argv_)} failed", file=sys.stderr)
+                    return 1
+    finally:
+        os.chdir(cwd)
+    print("\n".join(digests(out)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
