@@ -9,10 +9,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qll.core import AmbiguousDataset, ClassPriors, GenMeta
+from qll.core import (
+    STREAM_ALPHA,
+    STREAM_BATCHING,
+    STREAM_INIT,
+    AmbiguousDataset,
+    ClassPriors,
+    GenMeta,
+    RngStream,
+)
 from qll.datagen import sample_block_assignment, sample_mix_weights
-from qll.losses import EPS, BinaryLossKind, binary_loss
-from qll.risk import ClassRiskBreakdown
+from qll.losses import EPS, BinaryLossKind, baseline_loss_batch, binary_loss, sample_alpha
+from qll.models import backward, forward, init_model
+from qll.risk import ClassRiskBreakdown, cpu_risk_with_grad
+from qll.training import EpochStats, _epoch_order, evaluate, lr_at_epoch
 
 
 def brute_force_cpu_risk(logits, labels, pi1, pi2, loss, alpha=None, u_mode="complement"):
@@ -385,3 +395,43 @@ def per_parameter_sgd_step(params, grads, velocity, lr, momentum, weight_decay):
         v *= momentum
         v += grads[name] + weight_decay * p
         p -= lr * v
+
+
+# -- the trainer written as a plain loop over one run: a fresh batch order
+# per epoch, one scalar alpha draw per step, the public risk entry point
+# without any per-epoch tables, the dict-form backward and a per-parameter
+# SGD step. ``train`` must reproduce every epoch and the final parameters
+# bit for bit.
+
+
+def reference_train(train_set, test_set, cfg):
+    """(per-epoch EpochStats, final parameters by name) of one run of ``cfg``."""
+    model = init_model(cfg.model_kind, train_set.class_count, train_set.feature_dim,
+                       RngStream(cfg.seed, STREAM_INIT), hidden_dim=cfg.hidden_dim)
+    params = model.params()
+    velocity = {k: np.zeros_like(p) for k, p in params.items()}
+    batch_rng, alpha_rng = RngStream(cfg.seed, STREAM_BATCHING), RngStream(cfg.seed, STREAM_ALPHA)
+    n = train_set.n_examples
+    stats = []
+    for epoch in range(cfg.epochs):
+        order = _epoch_order(train_set.labels, cfg.batch_size, batch_rng, cfg.is_cpu_method)
+        objective_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
+            logits, cache = forward(model, train_set.features[rows])
+            if cfg.is_cpu_method:
+                alpha = sample_alpha(alpha_rng) if cfg.loss.needs_alpha else None
+                report, d_logits = cpu_risk_with_grad(logits, train_set.labels[rows], cfg.priors,
+                                                      cfg.loss, alpha, u_mode=cfg.u_mode)
+                objective = report.objective_value
+            else:
+                losses, d_logits = baseline_loss_batch(cfg.loss, logits, train_set.labels[rows])
+                objective = losses.sum() / rows.size
+                d_logits /= rows.size
+            grads = backward(model, cache, d_logits)
+            per_parameter_sgd_step(params, grads, velocity, lr_at_epoch(cfg, epoch), cfg.momentum,
+                                   cfg.weight_decay)
+            objective_sum += objective * rows.size
+        accuracy = evaluate(model, test_set.features, test_set.labels)
+        stats.append(EpochStats(epoch + 1, float(objective_sum / n), float(accuracy)))
+    return stats, params

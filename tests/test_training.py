@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from _oracles import reference_train
 
 from qll.core import (
     AmbiguousDataset,
@@ -207,6 +208,30 @@ class TestTrain:
                                              "but only 99 lie outside the largest class"):
             train(data, data, cfg)
         assert not steps
+
+
+class TestReferenceLoop:
+    """``train`` equals the plain per-step loop of ``_oracles.reference_train``
+    in every epoch and in the final parameters, bit for bit."""
+
+    @pytest.mark.parametrize("u_mode", ["complement", "full"])
+    @pytest.mark.parametrize(
+        "loss",
+        [BinaryLossKind.scaled_sjs(), BinaryLossKind.scaled_sjs(0.3), BinaryLossKind.kl(),
+         MulticlassLossKind.ce()],
+        ids=["cpu-sjs", "scaled-sjs-0.3", "cpu-kl", "ce"],
+    )
+    def test_train_matches_reference_loop(self, loss, u_mode):
+        _, test, ambig = small_data(n_out=230)  # a partial final batch of 6
+        priors = ClassPriors(0.1, 0.5) if isinstance(loss, BinaryLossKind) else None
+        cfg = TrainConfig(epochs=4, loss=loss, priors=priors, seed=6, hidden_dim=8, u_mode=u_mode)
+        report = train(ambig, test, cfg)
+        stats, params = reference_train(ambig, test, cfg)
+        assert report.per_epoch == stats
+        got = report.final_model.params()
+        assert list(got) == list(params)
+        for name, p in params.items():
+            assert np.array_equal(got[name], p), name
 
 
 class TestMetricsFile:
