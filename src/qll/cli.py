@@ -204,7 +204,10 @@ class ExperimentConfig:
             for p in grid or []:
                 if isinstance(p, bool) or not (isinstance(p, numbers.Real) or also and _is_auto(p)):
                     raise ValueError(f"{name}_grid: {name} must be a real number{also}, got {p!r}")
-        self.settings = _build(TrainSettings, "train", train or {})
+        self.settings = s = _build(TrainSettings, "train", train or {})
+        # Raises what every run's TrainConfig would, before any data is made.
+        TrainConfig(epochs=s.epochs, loss=build_loss("ce", s), batch_size=s.batch_size, lr=s.lr,
+                    momentum=s.momentum, weight_decay=s.weight_decay, u_mode=s.u_mode)
         self.data = None if base is None else _data_specs(base, mix or {})
 
     @classmethod

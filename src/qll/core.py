@@ -111,8 +111,9 @@ class RngStream:
     def multinomial(self, n: int, pvals):
         return self._gen.multinomial(n, pvals)
 
-    def beta(self, a: float, b: float) -> float:
-        return float(self._gen.beta(a, b))
+    def beta(self, a: float, b: float, size=None):
+        u = self._gen.beta(a, b, size)  # a size-n array holds the next n float draws
+        return float(u) if size is None else u
 
     def permutation(self, n: int):
         return self._gen.permutation(n)

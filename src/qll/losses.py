@@ -202,21 +202,35 @@ def scaled_sjs(p, q, alpha: float) -> float:
     return sjs_scale(alpha) * sjs_div(p, q, alpha)
 
 
-def sample_alpha(rng: RngStream) -> float:
+def sample_alpha(rng: RngStream, size: int | None = None):
     """Per-iteration mixing weight: Beta(0.5, 0.5) halved into (0, 0.5],
-    floored at ALPHA_FLOOR so the scale factor stays bounded."""
-    u = rng.beta(0.5, 0.5)
-    return max(u / 2.0, ALPHA_FLOOR)
+    floored at ALPHA_FLOOR so the scale factor stays bounded. With ``size``,
+    an array of the next ``size`` iterations' weights, equal to as many
+    float draws in turn."""
+    u = rng.beta(0.5, 0.5, size)
+    return max(u / 2.0, ALPHA_FLOOR) if size is None else np.maximum(u / 2.0, ALPHA_FLOOR)
 
 
 def _alpha_terms(a):
-    """(alpha, 1 - alpha, ln(1 - alpha), sjs_scale(alpha)) of a float. For a
-    list of per-run alphas each term is a (K, 1, 1) column whose elements are
-    the same ``math`` operations as the float case, so a stacked run computes
-    bit for bit what its solo run does."""
+    """(alpha, 1 - alpha, ln(1 - alpha), sjs_scale(alpha)) of a float. For an
+    array of alphas, a (4, *shape) array of those terms whose elements are the
+    same ``math`` operations as the float case (numpy's log1p may differ in
+    the last bit), so every alpha evaluates bit for bit alike."""
     if isinstance(a, float):
         return a, 1.0 - a, math.log1p(-a), sjs_scale(a)
-    return tuple(np.array(t).reshape(-1, 1, 1) for t in zip(*map(_alpha_terms, a)))
+    a = np.asarray(a, dtype=np.float64)
+    return np.array([_alpha_terms(v) for v in a.ravel().tolist()]).T.reshape(4, *a.shape)
+
+
+def _resolve_terms(kind: BinaryLossKind, alpha, shape: tuple[int, ...]):
+    """``_alpha_terms`` of ``kind``'s alpha for logits of ``shape`` (None for
+    kl); K per-run alphas need (K, n, c) logits and give (K, 1, 1) columns."""
+    a = kind.resolve_alpha(alpha)
+    if not isinstance(a, list):
+        return None if a is None else _alpha_terms(a)
+    if len(shape) != 3 or shape[0] != len(a):
+        raise ValueError(f"{len(a)} per-run alphas need (K={len(a)}, n, c) logits, got {shape}")
+    return _alpha_terms(a)[..., None, None]
 
 
 def _sjs_pos_parts(sig: np.ndarray, alpha, one_m_a, log1m_a) -> tuple[np.ndarray, np.ndarray]:
@@ -232,18 +246,15 @@ def _sjs_pos_parts(sig: np.ndarray, alpha, one_m_a, log1m_a) -> tuple[np.ndarray
     return loss, dloss
 
 
-def _binary_parts(kind: BinaryLossKind, logit, alpha) -> tuple[np.ndarray, np.ndarray]:
+def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
     """Losses and logit gradients against both targets from one sigmoid
-    pass: (loss, grad), each (2, *logits.shape) for the (at least 1-d)
-    logits, index 0 against +1. binary_loss, binary_loss_grad and the
-    class-wise risk all evaluate through it. ``alpha`` is a float, or K
-    floats for (K, n, c) logits of K stacked runs."""
-    x = np.atleast_1d(np.asarray(logit, dtype=np.float64))
+    pass: (loss, grad), each (2, *x.shape) for float64 logits ``x`` of at
+    least one dimension, index 0 against +1. binary_loss, binary_loss_grad
+    and the class-wise risk all evaluate through it. ``terms`` are the
+    alpha's ``_resolve_terms``: floats, (K, 1, 1) columns for (K, n, c)
+    logits of K stacked runs, or None for kl."""
     if not np.isfinite(x).all():
         raise ValueError("logit must be finite")
-    a = kind.resolve_alpha(alpha)
-    if isinstance(a, list) and (x.ndim != 3 or x.shape[0] != len(a)):
-        raise ValueError(f"{len(a)} per-run alphas need (K={len(a)}, n, c) logits, got {x.shape}")
 
     sig = _stable_sigmoid(x)
     interior = (sig > EPS) & (sig < 1.0 - EPS)
@@ -259,7 +270,7 @@ def _binary_parts(kind: BinaryLossKind, logit, alpha) -> tuple[np.ndarray, np.nd
         dls = np.divide(1.0, both)
         dls[0] *= -1.0
     else:
-        a, one_m_a, log1m_a, scale = _alpha_terms(a)
+        a, one_m_a, log1m_a, scale = terms
         loss, dls = _sjs_pos_parts(both, a, one_m_a, log1m_a)
         loss *= scale
         dls *= scale
@@ -271,7 +282,8 @@ def _binary_parts(kind: BinaryLossKind, logit, alpha) -> tuple[np.ndarray, np.nd
 def _binary_select(kind: BinaryLossKind, logit, target: int, alpha: float | None, grad: bool):
     if target not in (1, -1):
         raise ValueError(f"target must be +1 or -1, got {target}")
-    out = _binary_parts(kind, logit, alpha)[1 if grad else 0][0 if target == 1 else 1]
+    x = np.atleast_1d(np.asarray(logit, dtype=np.float64))
+    out = _binary_parts(kind, x, _resolve_terms(kind, alpha, x.shape))[1 if grad else 0][0 if target == 1 else 1]
     return float(out[0]) if np.ndim(logit) == 0 else out
 
 

@@ -9,10 +9,11 @@ rest). Three empirical risks per class:
 
 All three, and their gradients, come from one sigmoid pass over the batch
 logits that stacks every loss and gradient against +1 and -1 as (2, ...);
-label masks looked up per term then reduce all three in one pass. The
-masks' class counts depend on the labels only, so ``batch_counts`` gives
-them for every batch of an epoch at once, and the trainer passes each
-step's slice in.
+label masks looked up per term then reduce all three in one pass. All
+else depends on labels, priors and alpha only: the trainer builds each
+epoch's ``batch_counts`` and their ``term_tables`` (divisors, and branch
+weights over them) once, and a call without tables builds its one batch's
+the same way. ``CpuRiskReport.value``, unread in training, is lazy.
 
 The unbiased PU risk is  pi * r_p_plus + r_u_minus - pi * r_p_minus  and may
 go negative. The non-negative class-wise estimator with two practical priors
@@ -46,7 +47,7 @@ from .core import ClassPriors
 # binary_loss and binary_loss_grad are unused here but stay importable from
 # this module: perfbench's tracer wraps qll.risk.binary_loss and
 # qll.risk.binary_loss_grad.
-from .losses import BinaryLossKind, _binary_parts, binary_loss, binary_loss_grad  # noqa: F401
+from .losses import BinaryLossKind, _binary_parts, _resolve_terms, binary_loss, binary_loss_grad  # noqa: F401
 
 __all__ = [
     "ClassRiskBreakdown",
@@ -55,6 +56,7 @@ __all__ = [
     "cpu_risk",
     "cpu_risk_grad",
     "cpu_risk_with_grad",
+    "term_tables",
 ]
 
 U_MODES = ("complement", "full")
@@ -82,15 +84,21 @@ class CpuRiskReport:
     both are (K,) arrays and ``per_class`` lists K*c breakdowns, run-major.
     """
 
-    value: float | np.ndarray
     objective_value: float | np.ndarray
-    # (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected) arrays, built
-    # into breakdowns on first access.
+    # (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected, pi1 * r_p_plus,
+    # r_u_minus - pi2 * r_p_minus) arrays; value and the breakdowns are
+    # built from them on first access.
     parts: tuple = field(repr=False, compare=False)
 
     @cached_property
+    def value(self) -> float | np.ndarray:
+        pos_part, neg_part = self.parts[6:]  # the mean over classes, as in _cpu_core
+        value = (pos_part + np.maximum(neg_part, 0.0)).sum(axis=-1) / pos_part.shape[-1]
+        return value if value.ndim else float(value)
+
+    @cached_property
     def per_class(self) -> tuple[ClassRiskBreakdown, ...]:
-        *risks, n_p, n_u, corrected = self.parts
+        *risks, n_p, n_u, corrected = self.parts[:6]
         counts = (k.astype(np.int64).ravel().tolist() for k in (n_p, n_u))
         columns = [a.ravel().tolist() for a in risks]
         return tuple(map(ClassRiskBreakdown, *columns, *counts, corrected.ravel().tolist()))
@@ -146,14 +154,29 @@ def batch_counts(labels, starts, c: int, u_mode: str = "complement") -> np.ndarr
     runs = y.size // n
     # One bincount counts every (row, batch, class) cell: each label is
     # offset by c times the index of its (row, batch) cell.
-    cells = np.arange(0, runs * batches, batches)[:, None]
+    cells, sizes = y.reshape(runs, n), n
     if batches > 1:
-        cells = cells + np.repeat(np.arange(batches), np.diff(starts, append=n))
-    n_p = np.bincount((cells * c + y.reshape(runs, n)).ravel(), minlength=runs * batches * c).reshape(-1, c)
-    if (n_p.max(axis=-1) == n_p.sum(axis=-1)).any():  # one class holds a whole batch, so its U side is empty
+        sizes = np.diff(starts, append=n)
+        cells = cells + c * np.repeat(np.arange(batches), sizes)
+        sizes = sizes[:, None]
+    if runs > 1:
+        cells = cells + np.arange(0, runs * batches * c, batches * c)[:, None]
+    n_p = np.bincount(cells.ravel(), minlength=runs * batches * c).reshape(runs, batches, c)
+    if np.count_nonzero(n_p == sizes):  # one class holds a whole batch, so its U side is empty
         raise ValueError("batch must span at least 2 classes; resample")
     # Term t of class j counts the labels i that row i of table t selects.
-    return (n_p @ _term_masks(c, u_mode)).reshape(3, *y.shape[:-1], batches, c)
+    return (n_p.reshape(-1, c) @ _term_masks(c, u_mode)).reshape(3, *y.shape[:-1], batches, c)
+
+
+def term_tables(counts: np.ndarray, weights: np.ndarray, pick=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """A (2, *counts.shape) table of ``batch_counts``' counts and their
+    divisors max(count, 1) (a U count is >= 1 by its check), and the (2, 3,
+    [K,] n_batches, c) ``_branch_weights`` of K runs if corrected and
+    otherwise over the divisors of the count row ``pick`` gives each run."""
+    table = np.empty((2, *counts.shape))
+    table[0] = counts
+    np.maximum(counts, 1.0, out=table[1])
+    return table, weights[..., None] / table[1][:, pick]
 
 
 _ONE_BATCH = np.zeros(1, dtype=np.intp)
@@ -161,58 +184,51 @@ _ONE_BATCH = np.zeros(1, dtype=np.intp)
 
 def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
               loss: BinaryLossKind, alpha: float | Sequence[float] | None, u_mode: str,
-              want_grad: bool, counts=None):
-    if u_mode not in U_MODES:
-        raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
-    z = np.asarray(batch_logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if z.ndim not in (2, 3) or y.shape != z.shape[:-1]:
-        raise ValueError(
-            f"need (n, c) logits with (n,) labels or (K, n, c) logits with (K, n) labels, "
-            f"got {z.shape} and {y.shape}"
-        )
-    if y.shape[-1] < 2:
-        raise ValueError("batch must contain at least 2 examples")
+              want_grad: bool, tables=None):
+    z, y = batch_logits, labels
+    if tables is None:  # checked inputs, and the tables of their one batch
+        if u_mode not in U_MODES:
+            raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
+        z = np.asarray(batch_logits, dtype=np.float64)
+        y = np.asarray(labels, dtype=np.int64)
+        if z.ndim not in (2, 3) or y.shape != z.shape[:-1]:
+            raise ValueError(
+                f"need (n, c) logits with (n,) labels or (K, n, c) logits with (K, n) labels, "
+                f"got {z.shape} and {y.shape}"
+            )
+        if y.shape[-1] < 2:
+            raise ValueError("batch must contain at least 2 examples")
+        single = isinstance(priors, ClassPriors)
+        if single != (z.ndim == 2) or (not single and len(priors) != z.shape[0]):
+            raise ValueError("(n, c) logits take one ClassPriors; (K, n, c) logits a sequence of K")
+        weights = _branch_weights(priors if single else tuple(priors))
+        table, coefs = term_tables(batch_counts(y, _ONE_BATCH, z.shape[-1], u_mode), weights)
+        tables = (weights, table[..., 0, :], coefs[..., 0, :], _resolve_terms(loss, alpha, z.shape))
+    weights, table, coefs, terms = tables
+    pi1, pi2 = weights[1, 0], weights[0, 1]  # the weights of r_p_plus and r_p_minus
     c = z.shape[-1]
-    single = isinstance(priors, ClassPriors)
-    if single != (z.ndim == 2) or (not single and len(priors) != z.shape[0]):
-        raise ValueError("(n, c) logits take one ClassPriors; (K, n, c) logits a sequence of K")
-    if_corrected, otherwise = _branch_weights(priors if single else tuple(priors))
-    pi1, pi2 = otherwise[0], if_corrected[1]  # the weights of r_p_plus and r_p_minus
 
-    # (3, *labels, c) masks, one per term, and their (3, [K,] c) class counts.
-    if counts is None:
-        counts = batch_counts(y, _ONE_BATCH, c, u_mode)[..., 0, :]
-    elif counts.shape != (3, *y.shape[:-1], c):
-        raise ValueError(f"counts must have shape {(3, *y.shape[:-1], c)}, got {counts.shape}")
+    # (3, *labels, c) masks, one per term; (2, ...) loss and gradient, index
+    # 0 against +1 and index 1 against -1.
     masks = _term_masks(c, u_mode).take(y, axis=1)
-    n_p, n_u = counts[0], counts[2]
-    # (n_p or 1, n_p or 1, n_u): every class has n_u >= 1 by batch_counts' check.
-    sizes = np.maximum(counts, 1.0)
-
-    # (2, ...) loss and gradient: index 0 against +1, index 1 against -1.
-    losses, grads = _binary_parts(loss, z, alpha)
-    r_p_plus, r_p_minus, r_u_minus = (masks * losses.take(_TERM_TARGET, axis=0)).sum(axis=-2) / sizes
+    losses, grads = _binary_parts(loss, z, terms)
+    r_p_plus, r_p_minus, r_u_minus = (masks * losses.take(_TERM_TARGET, axis=0)).sum(axis=-2) / table[1]
 
     neg_part = r_u_minus - pi2 * r_p_minus
     corrected = neg_part < 0.0
     pos_part = pi1 * r_p_plus
-    values = pos_part + np.maximum(neg_part, 0.0)
-    objectives = np.where(corrected, -neg_part, pos_part + neg_part)
-
     # np.mean over classes is this sum divided by the class count.
-    value, objective = values.sum(axis=-1) / c, objectives.sum(axis=-1) / c
-    if single:
-        value, objective = float(value), float(objective)
-    report = CpuRiskReport(value, objective, (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected))
+    objective = np.where(corrected, -neg_part, pos_part + neg_part).sum(axis=-1) / c
+    parts = (r_p_plus, r_u_minus, r_p_minus, table[0, 0], table[0, 2], corrected, pos_part, neg_part)
+    report = CpuRiskReport(objective if z.ndim == 3 else float(objective), parts)
     if not want_grad:
         return report, None
 
     # Each term's branch weight over its mask size, times that term's
     # gradient: d(objective)/d(logit) gathers the P terms and the U term.
-    coefs = (np.where(corrected, if_corrected, otherwise) / sizes)[..., None, :]
-    g_pp, g_pm, g_um = grads.take(_TERM_TARGET, axis=0) * coefs
-    grad = (masks[0] * (g_pp + g_pm) + masks[2] * g_um) / c
+    g = grads.take(_TERM_TARGET, axis=0)
+    g *= np.where(corrected, coefs[0], coefs[1])[..., None, :]
+    grad = (masks[0] * (g[0] + g[1]) + masks[2] * g[2]) / c
     return report, grad
 
 
@@ -228,10 +244,12 @@ def cpu_risk_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="comple
     return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True)[1]
 
 
-def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement", *, counts=None):
+def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement", *, tables=None):
     """(CpuRiskReport, gradient) in one pass: the training loop's entry point.
 
-    ``counts`` may give the batch's (3, [K,] c) term counts, one batch of
-    ``batch_counts`` over the epoch; the labels are then taken as already
-    checked by it, and the counts must be theirs."""
-    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True, counts=counts)
+    ``tables`` may give, resolved ahead, ``(weights, table, coefs, terms)``:
+    the priors' ``_branch_weights``, the batch's (2, 3, [K,] c) slices of the
+    epoch's ``term_tables`` and its alpha's ``_alpha_terms`` ((K, 1, 1)
+    columns for K runs; None for kl). The logits and labels are then taken
+    as checked, and ``priors`` and ``alpha`` are not read."""
+    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True, tables=tables)

@@ -22,20 +22,22 @@ is the K=1 case: unstacked parameters, scalar priors and alpha.
 Work that does not depend on the parameters runs as rarely as it can:
 
 - once per run: the distinct train sets are concatenated and cast to
-  float64 (exactly), and the parameters, their gradients and the SGD
-  velocity are each one flat vector, the first two viewed per parameter;
-- once per epoch: each stream's batch order, and for PU methods every
-  batch's term counts by ``risk.batch_counts``, which also checks the
-  epoch's labels and that every batch spans two classes;
-- once per step: the batch gather, ``forward``, the alpha draw,
-  ``cpu_risk_with_grad`` (given the batch's counts) or
-  ``baseline_loss_batch``, ``backward`` into the gradient's views, and one
-  ``sgd_step`` on the flat vectors. Test accuracy is evaluated once per
-  epoch.
+  float64 (exactly); the parameters, their gradients and the SGD velocity
+  are each one flat vector, the first two viewed per parameter; and for PU
+  methods the priors' branch weights and a fixed alpha's terms;
+- once per epoch: each stream's batch order; for PU methods its
+  ``risk.batch_counts`` (which checks the labels and that every batch spans
+  two classes) and their ``risk.term_tables``, and its alphas, drawn at
+  once, as their terms;
+- once per step: the batch gather, ``forward``, ``cpu_risk_with_grad``
+  (given the batch's tables) or ``baseline_loss_batch``, ``backward`` into
+  the gradient's views, and one ``sgd_step`` on the flat vectors. Test
+  accuracy is evaluated once per epoch.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -50,9 +52,9 @@ from .core import (
     RngStream,
     zero_one_test_risk,
 )
-from .losses import BinaryLossKind, MulticlassLossKind, baseline_loss_batch, sample_alpha
+from .losses import BinaryLossKind, MulticlassLossKind, _alpha_terms, baseline_loss_batch, sample_alpha
 from .models import backward, forward, init_model, predict
-from .risk import U_MODES, batch_counts, cpu_risk_with_grad
+from .risk import U_MODES, _branch_weights, batch_counts, cpu_risk_with_grad, term_tables
 from .dataio import atomic_write_text
 
 __all__ = [
@@ -94,12 +96,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if not self.lr > 0.0:
-            raise ValueError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay}")
         if self.u_mode not in U_MODES:
             raise ValueError(f"u_mode must be one of {U_MODES}")
         if self.is_cpu_method and self.priors is None:
@@ -193,10 +195,10 @@ def train(
 ) -> TrainReport:
     """Run the configured method; returns the per-epoch record and model.
 
-    Per iteration: draw alpha when the loss is stochastic, compute the
-    objective and its logit gradients (branch-objective gradients for PU
-    methods, mean baseline loss otherwise), backprop, and apply one SGD
-    step. Test accuracy is evaluated after every epoch. This is the K=1
+    Per iteration: compute the objective, at the iteration's alpha when the
+    loss is stochastic, and its logit gradients (branch-objective gradients
+    for PU methods, mean baseline loss otherwise), backprop, and apply one
+    SGD step. Test accuracy is evaluated after every epoch. This is the K=1
     case of ``train_runs``.
     """
     return train_runs(train_set, test_set, [cfg])[0]
@@ -290,8 +292,8 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
 
     # Distinct train sets are stacked once, as blocks of n rows, in float64
     # (exact for float32 features), so no batch is cast again. Each distinct
-    # (seed, train set) pair is a stream: it draws one batch order per epoch
-    # and one alpha per step, shared by its runs.
+    # (seed, train set) pair is a stream: it draws one batch order and one
+    # alpha per batch each epoch, shared by its runs.
     datas, data_of = _distinct(trains)
     x_all = np.concatenate([t.features for t in datas], dtype=np.float64)
     y_all = np.concatenate([t.labels for t in datas])
@@ -304,24 +306,30 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     evals = [(np.flatnonzero(np.array(test_of) == j) if len(test_sets) > 1 else slice(None), t)
              for j, t in enumerate(test_sets)]
 
+    # Each run's stream: a single run reads stream 0 as one (n,) row, K runs
+    # read a (K, n) block. A fixed alpha's terms are None for kl.
     is_cpu = cfg.is_cpu_method
     needs_alpha = is_cpu and cfg.loss.needs_alpha
-    # Picks each run's stream from the (S, n) epoch orders and the (3, S,
-    # n_batches, c) counts: a single run reads stream 0 as one (n,) order,
-    # K runs read a (K, n) block.
-    pick = stream_of if runs > 1 else 0
+    if is_cpu:
+        weights = _branch_weights(priors)
+        terms = None if needs_alpha or cfg.loss.variant == "kl" else _alpha_terms(cfg.loss.fixed_alpha)
+    pick = np.array(stream_of, dtype=np.intp) if runs > 1 else 0
     starts = range(0, n, cfg.batch_size)
     objectives, accuracies = [], []
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(cfg, epoch)
-        # Row indices into x_all, one order per stream, and for PU methods
-        # every batch's term counts, per stream too.
+        # Row indices into x_all, one order per stream; for PU methods each
+        # stream's batch counts and divisors, and each run's branch weights
+        # over them.
         orders = np.stack([
             _epoch_order(y_all[k * n : (k + 1) * n], cfg.batch_size, rng, is_cpu) + k * n
             for (_, k), rng in zip(streams, batch_rngs)
         ])
         if is_cpu:
-            counts = batch_counts(y_all.take(orders), starts, c, cfg.u_mode)
+            table, coefs = term_tables(batch_counts(y_all.take(orders), starts, c, cfg.u_mode), weights, pick)
+        if needs_alpha:  # batch b's terms are [:, b]: floats, or (K, 1, 1) columns for K runs
+            alphas = np.stack([sample_alpha(rng, size=len(starts)) for rng in alpha_rngs])
+            alpha_terms = _alpha_terms(alphas.T[..., None, None])[:, :, pick] if runs > 1 else _alpha_terms(alphas[0])
         objective_sum = 0.0
         try:
             for it, start in enumerate(starts):
@@ -330,13 +338,10 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
                 xb, yb = x_all.take(rows, axis=0), y_all.take(rows)
                 logits, cache = forward(model, xb)
                 if is_cpu:
-                    alpha = None
                     if needs_alpha:
-                        draws = [sample_alpha(rng) for rng in alpha_rngs]
-                        alpha = draws[0] if runs == 1 else [draws[s] for s in stream_of]
-                    report, d_logits = cpu_risk_with_grad(
-                        logits, yb, priors, cfg.loss, alpha, u_mode=cfg.u_mode, counts=counts[:, pick, it]
-                    )
+                        terms = alpha_terms[:, it]
+                    batch = (weights, table[:, :, pick, it], coefs[..., it, :], terms)
+                    report, d_logits = cpu_risk_with_grad(logits, yb, priors, cfg.loss, u_mode=cfg.u_mode, tables=batch)
                     objective = report.objective_value
                 else:
                     losses, d_logits = baseline_loss_batch(cfg.loss, logits, yb)

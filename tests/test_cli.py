@@ -129,6 +129,14 @@ class TestTrain:
             "--out", str(tmp_path / "r"),
         ) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["lr", "weight-decay"])
+    def test_non_finite_step_size_exits_2_writing_nothing(self, datadir, tmp_path, capsys, flag, value):
+        data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
+        assert run("train", *data, "--epochs", "1", f"--{flag}={value}", "--out", str(tmp_path / "r")) == 2
+        assert f"{flag.replace('-', '_')} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_one_example_final_batch_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert run(*GEN_SMALL, "--n", "81", "--out", str(out)) == 0  # 81 = 5*16 + 1
@@ -283,6 +291,14 @@ class TestSweep:
         assert run("sweep", "--config", str(write_config(tmp_path, **{key: value}))) == 2
         assert f"config: {key} must be a nonempty list, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "exp" / "data").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["lr", "weight_decay"])
+    def test_non_finite_step_size_in_config_fails_before_any_data(self, key, value, tmp_path, capsys):
+        config = write_config(tmp_path, train={"epochs": 1, key: value})
+        assert run("sweep", "--config", str(config)) == 2
+        assert f"{key} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
 
     def test_string_prior_in_config_is_error_naming_pi1(self, tmp_path, capsys):
         assert run("sweep", "--config", str(write_config(tmp_path, pi1_grid=["0.1"]))) == 2

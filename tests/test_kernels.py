@@ -9,7 +9,7 @@ import pytest
 
 from _oracles import dense_mask_cpu_core, four_array_binary_parts, per_parameter_sgd_step
 from qll.core import ClassPriors, RngStream
-from qll.losses import EPS, BinaryLossKind, _binary_parts
+from qll.losses import EPS, BinaryLossKind, _binary_parts, _resolve_terms
 from qll.models import init_model
 from qll.risk import cpu_risk_with_grad
 from qll.training import sgd_step
@@ -50,7 +50,7 @@ def cases(shape):
 def test_stacked_binary_parts_equal_four_arrays(shape):
     z, _ = edge_batch(shape, 5)
     for kind, alpha in cases(shape):
-        loss, grad = _binary_parts(kind, z, alpha)
+        loss, grad = _binary_parts(kind, z, _resolve_terms(kind, alpha, z.shape))
         assert loss.shape == grad.shape == (2, *shape)
         ref = four_array_binary_parts(kind, z, alpha)
         for got, want in zip((loss[0], loss[1], grad[0], grad[1]), ref):

@@ -1,6 +1,7 @@
 """Property tests: byte-exact file round trips, errors on damaged files,
 the label invariants of generated data, the class-wise risk's
-non-negativity, batch-order invariance and stacking, and PU batching."""
+non-negativity, batch-order invariance and stacking, PU batching, and
+per-epoch alpha draws."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from qll.core import STREAM_BATCHING, ClassPriors, RngStream
 from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
 from qll.dataio import load_dataset, save_dataset
-from qll.losses import ALPHA_FLOOR, BinaryLossKind
+from qll.losses import ALPHA_FLOOR, BinaryLossKind, sample_alpha
 from qll.models import init_model, load_model, save_model
 from qll.risk import cpu_risk, cpu_risk_with_grad
 from qll.training import _epoch_order
@@ -213,3 +214,14 @@ def test_epoch_order_mixes_every_batch_or_raises(batch, seed):
     assert mixed(order)
     if mixed(first):
         assert np.array_equal(order, first)
+
+
+@given(seed=st.integers(0, 2**64 - 1), stream_id=st.integers(0, 2**64 - 1), n=st.integers(1, 300))
+def test_alpha_array_draw_equals_scalar_draws(seed, stream_id, n):
+    # The trainer draws an epoch's alphas at once; each must be the float a
+    # per-step draw gives, and the stream must go on from the same place.
+    batched, scalar = RngStream(seed, stream_id), RngStream(seed, stream_id)
+    draws = sample_alpha(batched, size=n)
+    assert draws.shape == (n,) and draws.dtype == np.float64
+    assert draws.tolist() == [sample_alpha(scalar) for _ in range(n)]
+    assert sample_alpha(batched) == sample_alpha(scalar)

@@ -96,6 +96,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, loss=BinaryLossKind.kl())  # PU without priors
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["lr", "weight_decay"])
+    def test_rejects_non_finite_step_sizes(self, name, value):
+        # NaN fails no comparison and inf passes lr > 0: both would train
+        # until the first non-finite step.
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), **{name: value})
+
 
 class TestEvaluate:
     def test_constant_predictor_hits_chance(self):

@@ -4,9 +4,10 @@
 
 Runs, in this process and with ``DIR`` as the working directory, ``qll
 generate`` for Mixup and PatchMix (600 examples each), ``qll train`` for
-all seven methods with the MLP and for cpu-sjs, cpu-kl and ce with the
-linear model (8 epochs each), and one ``qll sweep`` of ce and cpu-sjs over
-3 seeds x 3 pi2 values (6 epochs). Then prints one ``sha256  path`` line,
+all seven methods with the MLP, for cpu-sjs and cpu-kl with the MLP and
+``--u-mode full``, and for cpu-sjs, cpu-kl and ce with the linear model (8
+epochs each), and one ``qll sweep`` of ce and cpu-sjs over 3 seeds x 3 pi2
+values (6 epochs). Then prints one ``sha256  path`` line,
 sorted by path, for every ``.qll``, ``metrics.csv``, ``model.ckpt``,
 ``run.json`` and ``sweep_table.csv`` under ``DIR``. The commands' own output
 goes to standard error.
@@ -40,6 +41,7 @@ from qll import cli  # noqa: E402
 HASHED = (".qll", "metrics.csv", "model.ckpt", "run.json", "sweep_table.csv")
 METHODS = ("cpu-sjs", "cpu-kl", "ce", "bs", "gce", "sce", "js")
 LINEAR_METHODS = ("cpu-sjs", "cpu-kl", "ce")
+FULL_U_METHODS = ("cpu-sjs", "cpu-kl")
 DATA = ("--c", "4", "--d", "8", "--n-per-class", "150", "--m", "2", "--r", "4", "--n", "600")
 SWEEP = {
     "base": {"c": 4, "d": 8, "n_per_class": 150},
@@ -57,12 +59,14 @@ def calls() -> list[list[str]]:
     argvs = [["generate", *DATA, "--mix", mix, "--seed", "7", "--out", f"data-{mix}"]
              for mix in ("mixup", "patchmix")]
 
-    def train(data: str, method: str, model: str) -> list[str]:
+    def train(data: str, method: str, model: str, u_mode: str = "complement") -> list[str]:
+        full = ["--u-mode", "full"] if u_mode == "full" else []
         return ["train", "--data", f"{data}/ambig_train.qll", "--test", f"{data}/base_test.qll",
-                "--method", method, "--model", model, "--epochs", "8", "--seed", "1",
-                "--out", f"runs/{model}-{method}"]
+                "--method", method, "--model", model, *full, "--epochs", "8", "--seed", "1",
+                "--out", f"runs/{model}-{method}" + ("-full" if full else "")]
 
     argvs += [train("data-mixup", m, "mlp") for m in METHODS]
+    argvs += [train("data-mixup", m, "mlp", "full") for m in FULL_U_METHODS]
     argvs += [train("data-patchmix", m, "linear") for m in LINEAR_METHODS]
     argvs.append(["sweep", "--config", "sweep.json"])
     return argvs
