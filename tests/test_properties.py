@@ -1,7 +1,7 @@
 """Property tests: byte-exact file round trips, errors on damaged files,
 the label invariants of generated data, the class-wise risk's
-non-negativity, batch-order invariance and stacking, PU batching, and
-per-epoch alpha draws."""
+non-negativity, batch-order invariance and stacking, the per-epoch PU
+tables, PU batching, and per-epoch alpha draws."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_bas
 from qll.dataio import load_dataset, save_dataset
 from qll.losses import ALPHA_FLOOR, BinaryLossKind, sample_alpha
 from qll.models import init_model, load_model, save_model
-from qll.risk import cpu_risk, cpu_risk_with_grad
+from qll.risk import _term_masks, batch_counts, cpu_risk, cpu_risk_with_grad, term_tables
 from qll.training import _epoch_order
 
 
@@ -178,6 +178,58 @@ def test_stacked_cpu_risk_equals_per_run_calls(runs, data):
         assert rep.objective_value[k] == solo.objective_value
         assert rep.per_class[k * c : (k + 1) * c] == solo.per_class
         assert np.array_equal(grad[k], solo_grad)
+
+
+@st.composite
+def epoch_tables_input(draw):
+    """(labels, starts, c, weights, pick): (n,), (1, n) or (3, n) labels
+    whose batches, of two or more examples each, span two classes; and
+    branch weights of the runs that ``pick`` selects among the label rows."""
+    c = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(2, 8), min_size=1, max_size=6))
+    starts = np.cumsum([0, *sizes[:-1]])
+    rows = draw(st.sampled_from([None, 1, 3]))
+    n = sum(sizes)
+    y = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n * (rows or 1), max_size=n * (rows or 1))))
+    y = y.reshape(-1, n) if rows else y
+    for lo in starts:  # a one-class batch gets a second class
+        one_class = (y[..., lo : lo + 2] == y[..., lo : lo + 1]).all(axis=-1)
+        y[..., lo + 1] = np.where(one_class, (y[..., lo] + 1) % c, y[..., lo + 1])
+    pick = slice(None)
+    if rows:
+        pick = draw(st.sampled_from([
+            slice(None), draw(st.integers(0, rows - 1)),
+            np.array(draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=4)), dtype=np.intp),
+        ]))
+    runs = np.empty(rows)[pick].shape if rows else ()  # () for one run, else (K,)
+    size = 6 * int(np.prod(runs))
+    weights = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size))).reshape(2, 3, *runs, 1)
+    return y, starts, c, weights, pick
+
+
+@given(case=epoch_tables_input(), u_mode=st.sampled_from(["complement", "full"]), data=st.data())
+def test_epoch_tables_equal_per_batch_mask_sums(case, u_mode, data):
+    y, starts, c, weights, pick = case
+    table, coefs = term_tables(batch_counts(y, starts, c, u_mode), weights, pick)
+    assert table.shape == (2, 3, *y.shape[:-1], starts.size, c)
+    for b, (lo, hi) in enumerate(zip(starts, [*starts[1:], y.shape[-1]])):
+        masks = _term_masks(c, u_mode).take(y[..., lo:hi], axis=1)
+        assert np.array_equal(table[0][..., b, :], masks.sum(axis=-2))
+    assert np.array_equal(table[1], np.maximum(table[0], 1.0))
+    assert coefs.shape == (2, *weights.shape[1:-1], starts.size, c)
+    assert np.array_equal(coefs, weights[..., None] / table[1][:, pick])
+
+    # The checks of a one-batch call, made for every batch at once.
+    b = data.draw(st.integers(0, starts.size - 1))
+    lo, hi = starts[b], ([*starts[1:], y.shape[-1]])[b]
+    bad = y.copy()
+    bad[..., lo:hi] = data.draw(st.integers(0, c - 1))
+    with pytest.raises(ValueError, match="span at least 2 classes; resample"):
+        term_tables(batch_counts(bad, starts, c, u_mode), weights, pick)
+    bad = y.copy()
+    bad[..., data.draw(st.integers(lo, hi - 1))] = data.draw(st.sampled_from([-1, c, c + 1, 2**40]))
+    with pytest.raises(ValueError, match=rf"labels must lie in \[0, {c}\)"):
+        term_tables(batch_counts(bad, starts, c, u_mode), weights, pick)
 
 
 @st.composite

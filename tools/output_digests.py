@@ -6,8 +6,11 @@ Runs, in this process and with ``DIR`` as the working directory, ``qll
 generate`` for Mixup and PatchMix (600 examples each), ``qll train`` for
 all seven methods with the MLP, for cpu-sjs and cpu-kl with the MLP and
 ``--u-mode full``, and for cpu-sjs, cpu-kl and ce with the linear model (8
-epochs each), and one ``qll sweep`` of ce and cpu-sjs over 3 seeds x 3 pi2
-values (6 epochs). Then prints one ``sha256  path`` line,
+epochs each), one config ``qll sweep`` of ce and cpu-sjs over 3 seeds x 3
+pi2 values (6 epochs), and for cpu-kl and cpu-sjs one ``qll sweep`` of the
+PatchMix files with the linear model and ``--u-mode full`` over 2 seeds x 2
+pi1 x 2 pi2 values (4 epochs), whose runs of one seed share one train file
+and one batch stream. Then prints one ``sha256  path`` line,
 sorted by path, for every ``.qll``, ``metrics.csv``, ``model.ckpt``,
 ``run.json`` and ``sweep_table.csv`` under ``DIR``. The commands' own output
 goes to standard error.
@@ -69,6 +72,10 @@ def calls() -> list[list[str]]:
     argvs += [train("data-mixup", m, "mlp", "full") for m in FULL_U_METHODS]
     argvs += [train("data-patchmix", m, "linear") for m in LINEAR_METHODS]
     argvs.append(["sweep", "--config", "sweep.json"])
+    argvs += [["sweep", "--data", "data-patchmix/ambig_train.qll", "--test", "data-patchmix/base_test.qll",
+               "--method", m, "--model", "linear", "--u-mode", "full", "--pi1-grid", "0.1,0.3",
+               "--pi2-grid", "0.25,auto", "--seeds", "1,2", "--epochs", "4", "--out", f"sweep-{m}"]
+              for m in FULL_U_METHODS]
     return argvs
 
 
