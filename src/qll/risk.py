@@ -11,8 +11,8 @@ All three, and their gradients, come from one sigmoid pass over the batch
 logits that stacks every loss and gradient against +1 and -1 as (2, ...);
 label masks looked up per term then reduce all three in one pass. All
 else depends on labels, priors and alpha only: the trainer builds each
-epoch's ``batch_counts`` and their ``term_tables`` (divisors, and branch
-weights over them) once, and a call without tables builds its one batch's
+epoch's ``batch_tables`` (mask counts, their divisors, and branch weights
+over them) in one call, and a call without tables builds its one batch's
 the same way. ``CpuRiskReport.value``, unread in training, is lazy.
 
 The unbiased PU risk is  pi * r_p_plus + r_u_minus - pi * r_p_minus  and may
@@ -52,11 +52,10 @@ from .losses import BinaryLossKind, _binary_parts, _resolve_terms, binary_loss, 
 __all__ = [
     "ClassRiskBreakdown",
     "CpuRiskReport",
-    "batch_counts",
+    "batch_tables",
     "cpu_risk",
     "cpu_risk_grad",
     "cpu_risk_with_grad",
-    "term_tables",
 ]
 
 U_MODES = ("complement", "full")
@@ -134,48 +133,31 @@ def _branch_weights(priors: ClassPriors | tuple[ClassPriors, ...]) -> np.ndarray
     return weights
 
 
-def batch_counts(labels, starts, c: int, u_mode: str = "complement") -> np.ndarray:
-    """Class counts of the (P, P, U) term masks of every batch of an epoch.
+def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, pick=slice(None)):
+    """Every batch's term tables, and the branch weights over them.
 
-    ``labels`` is the epoch's (n,) labels in batch order, or (K, n) for K
-    stacked runs, and ``starts`` the ascending batch starts, 0 first; batch b
-    is ``labels[..., starts[b]:starts[b + 1]]``. Returns a (3, [K,]
-    n_batches, c) float64 array whose ``[..., b, :]`` equals
-    ``masks.sum(axis=-2)`` of batch b bit for bit (the counts are exact
-    integers). Raises the ValueErrors of ``cpu_risk`` for every batch at
-    once: a label outside [0, c), or a batch of one class.
+    ``labels`` is the epoch's (n,) labels in batch order, or (S, n) for S
+    streams, and ``starts`` the ascending batch starts, 0 first; batch b is
+    ``labels[..., starts[b]:starts[b + 1]]``. Returns a (2, 3, [S,]
+    n_batches, c) table of the (P, P, U) term masks' counts, whose
+    ``[0, ..., b, :]`` equals ``masks.sum(axis=-2)`` of batch b bit for bit,
+    and their divisors max(count, 1); and the (2, 3, [K,] n_batches, c)
+    ``weights`` of K runs if corrected and otherwise over the divisors of
+    the stream ``pick`` gives each run. Raises the ValueErrors of
+    ``cpu_risk`` for every batch at once: an unknown ``u_mode``, a label
+    outside [0, c), or a batch of one class.
     """
     if u_mode not in U_MODES:
         raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
     y = np.asarray(labels, dtype=np.int64)
     if y.view(np.uint64).max() >= c:  # a negative label reads as >= 2**63
         raise ValueError(f"labels must lie in [0, {c})")
-    n, batches = y.shape[-1], len(starts)
-    runs = y.size // n
-    # One bincount counts every (row, batch, class) cell: each label is
-    # offset by c times the index of its (row, batch) cell.
-    cells, sizes = y.reshape(runs, n), n
-    if batches > 1:
-        sizes = np.diff(starts, append=n)
-        cells = cells + c * np.repeat(np.arange(batches), sizes)
-        sizes = sizes[:, None]
-    if runs > 1:
-        cells = cells + np.arange(0, runs * batches * c, batches * c)[:, None]
-    n_p = np.bincount(cells.ravel(), minlength=runs * batches * c).reshape(runs, batches, c)
-    if np.count_nonzero(n_p == sizes):  # one class holds a whole batch, so its U side is empty
+    table = np.empty((2, 3, *y.shape[:-1], len(starts), c))
+    np.add.reduceat(_term_masks(c, u_mode).take(y, axis=1), starts, axis=-2, out=table[0])
+    n_p = table[0, 0]  # one class holding a whole batch leaves its U side empty
+    if np.count_nonzero(n_p == n_p.sum(axis=-1, keepdims=True)):
         raise ValueError("batch must span at least 2 classes; resample")
-    # Term t of class j counts the labels i that row i of table t selects.
-    return (n_p.reshape(-1, c) @ _term_masks(c, u_mode)).reshape(3, *y.shape[:-1], batches, c)
-
-
-def term_tables(counts: np.ndarray, weights: np.ndarray, pick=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """A (2, *counts.shape) table of ``batch_counts``' counts and their
-    divisors max(count, 1) (a U count is >= 1 by its check), and the (2, 3,
-    [K,] n_batches, c) ``_branch_weights`` of K runs if corrected and
-    otherwise over the divisors of the count row ``pick`` gives each run."""
-    table = np.empty((2, *counts.shape))
-    table[0] = counts
-    np.maximum(counts, 1.0, out=table[1])
+    np.maximum(table[0], 1.0, out=table[1])
     return table, weights[..., None] / table[1][:, pick]
 
 
@@ -187,8 +169,6 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
               want_grad: bool, tables=None):
     z, y = batch_logits, labels
     if tables is None:  # checked inputs, and the tables of their one batch
-        if u_mode not in U_MODES:
-            raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
         z = np.asarray(batch_logits, dtype=np.float64)
         y = np.asarray(labels, dtype=np.int64)
         if z.ndim not in (2, 3) or y.shape != z.shape[:-1]:
@@ -202,7 +182,7 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
         if single != (z.ndim == 2) or (not single and len(priors) != z.shape[0]):
             raise ValueError("(n, c) logits take one ClassPriors; (K, n, c) logits a sequence of K")
         weights = _branch_weights(priors if single else tuple(priors))
-        table, coefs = term_tables(batch_counts(y, _ONE_BATCH, z.shape[-1], u_mode), weights)
+        table, coefs = batch_tables(y, _ONE_BATCH, z.shape[-1], u_mode, weights)
         tables = (weights, table[..., 0, :], coefs[..., 0, :], _resolve_terms(loss, alpha, z.shape))
     weights, table, coefs, terms = tables
     pi1, pi2 = weights[1, 0], weights[0, 1]  # the weights of r_p_plus and r_p_minus
@@ -249,7 +229,7 @@ def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="c
 
     ``tables`` may give, resolved ahead, ``(weights, table, coefs, terms)``:
     the priors' ``_branch_weights``, the batch's (2, 3, [K,] c) slices of the
-    epoch's ``term_tables`` and its alpha's ``_alpha_terms`` ((K, 1, 1)
+    epoch's ``batch_tables`` and its alpha's ``_alpha_terms`` ((K, 1, 1)
     columns for K runs; None for kl). The logits and labels are then taken
     as checked, and ``priors`` and ``alpha`` are not read."""
     return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True, tables=tables)

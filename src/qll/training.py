@@ -26,9 +26,8 @@ Work that does not depend on the parameters runs as rarely as it can:
   are each one flat vector, the first two viewed per parameter; and for PU
   methods the priors' branch weights and a fixed alpha's terms;
 - once per epoch: each stream's batch order; for PU methods its
-  ``risk.batch_counts`` (which checks the labels and that every batch spans
-  two classes) and their ``risk.term_tables``, and its alphas, drawn at
-  once, as their terms;
+  ``risk.batch_tables`` (which checks the labels and that every batch spans
+  two classes), and its alphas, drawn at once, as their terms;
 - once per step: the batch gather, ``forward``, ``cpu_risk_with_grad``
   (given the batch's tables) or ``baseline_loss_batch``, ``backward`` into
   the gradient's views, and one ``sgd_step`` on the flat vectors. Test
@@ -54,7 +53,7 @@ from .core import (
 )
 from .losses import BinaryLossKind, MulticlassLossKind, _alpha_terms, baseline_loss_batch, sample_alpha
 from .models import backward, forward, init_model, predict
-from .risk import U_MODES, _branch_weights, batch_counts, cpu_risk_with_grad, term_tables
+from .risk import U_MODES, _branch_weights, batch_tables, cpu_risk_with_grad
 from .dataio import atomic_write_text
 
 __all__ = [
@@ -326,7 +325,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
             for (_, k), rng in zip(streams, batch_rngs)
         ])
         if is_cpu:
-            table, coefs = term_tables(batch_counts(y_all.take(orders), starts, c, cfg.u_mode), weights, pick)
+            table, coefs = batch_tables(y_all.take(orders), starts, c, cfg.u_mode, weights, pick)
         if needs_alpha:  # batch b's terms are [:, b]: floats, or (K, 1, 1) columns for K runs
             alphas = np.stack([sample_alpha(rng, size=len(starts)) for rng in alpha_rngs])
             alpha_terms = _alpha_terms(alphas.T[..., None, None])[:, :, pick] if runs > 1 else _alpha_terms(alphas[0])

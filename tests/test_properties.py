@@ -13,7 +13,7 @@ from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_bas
 from qll.dataio import load_dataset, save_dataset
 from qll.losses import ALPHA_FLOOR, BinaryLossKind, sample_alpha
 from qll.models import init_model, load_model, save_model
-from qll.risk import _term_masks, batch_counts, cpu_risk, cpu_risk_with_grad, term_tables
+from qll.risk import _term_masks, batch_tables, cpu_risk, cpu_risk_with_grad
 from qll.training import _epoch_order
 
 
@@ -210,7 +210,7 @@ def epoch_tables_input(draw):
 @given(case=epoch_tables_input(), u_mode=st.sampled_from(["complement", "full"]), data=st.data())
 def test_epoch_tables_equal_per_batch_mask_sums(case, u_mode, data):
     y, starts, c, weights, pick = case
-    table, coefs = term_tables(batch_counts(y, starts, c, u_mode), weights, pick)
+    table, coefs = batch_tables(y, starts, c, u_mode, weights, pick)
     assert table.shape == (2, 3, *y.shape[:-1], starts.size, c)
     for b, (lo, hi) in enumerate(zip(starts, [*starts[1:], y.shape[-1]])):
         masks = _term_masks(c, u_mode).take(y[..., lo:hi], axis=1)
@@ -225,11 +225,11 @@ def test_epoch_tables_equal_per_batch_mask_sums(case, u_mode, data):
     bad = y.copy()
     bad[..., lo:hi] = data.draw(st.integers(0, c - 1))
     with pytest.raises(ValueError, match="span at least 2 classes; resample"):
-        term_tables(batch_counts(bad, starts, c, u_mode), weights, pick)
+        batch_tables(bad, starts, c, u_mode, weights, pick)
     bad = y.copy()
     bad[..., data.draw(st.integers(lo, hi - 1))] = data.draw(st.sampled_from([-1, c, c + 1, 2**40]))
     with pytest.raises(ValueError, match=rf"labels must lie in \[0, {c}\)"):
-        term_tables(batch_counts(bad, starts, c, u_mode), weights, pick)
+        batch_tables(bad, starts, c, u_mode, weights, pick)
 
 
 @st.composite

@@ -17,11 +17,10 @@ from qll.losses import ALPHA_FLOOR, BinaryLossKind, _alpha_terms, binary_loss, b
 from qll.risk import (
     _branch_weights,
     _term_masks,
-    batch_counts,
+    batch_tables,
     cpu_risk,
     cpu_risk_grad,
     cpu_risk_with_grad,
-    term_tables,
 )
 
 KL = BinaryLossKind.kl()
@@ -394,8 +393,9 @@ class TestStackedRuns:
 
 
 class TestBatchCounts:
-    """Per-epoch term counts: every batch's slice equals the counts of its
-    own masks, and the per-batch label checks run for the whole epoch."""
+    """Per-epoch ``batch_tables``: every batch's slice of the counts equals
+    the counts of its own masks, and the per-batch label checks run for the
+    whole epoch."""
 
     STARTS = np.arange(0, 23, 5)  # four batches of 5 and a final batch of 3
 
@@ -403,11 +403,14 @@ class TestBatchCounts:
         rng = np.random.default_rng(40)
         return rng.integers(0, 4, size=(runs, 23)) if runs else rng.integers(0, 4, size=23)
 
+    def weights(self, runs):
+        return _branch_weights(ClassPriors(0.1, 0.5) if runs is None else (ClassPriors(0.1, 0.5),) * runs)
+
     @pytest.mark.parametrize("u_mode", ["complement", "full"])
     @pytest.mark.parametrize("runs", [None, 1, 3])
     def test_matches_per_batch_mask_sums(self, runs, u_mode):
         y = self.epoch_labels(runs)
-        counts = batch_counts(y, self.STARTS, 4, u_mode)
+        counts = batch_tables(y, self.STARTS, 4, u_mode, self.weights(runs))[0][0]
         assert counts.shape == (3, *y.shape[:-1], self.STARTS.size, 4)
         for b, (lo, hi) in enumerate(zip(self.STARTS, [*self.STARTS[1:], 23])):
             masks = _term_masks(4, u_mode).take(y[..., lo:hi], axis=1)
@@ -416,18 +419,24 @@ class TestBatchCounts:
     @pytest.mark.parametrize("runs", [None, 3])
     def test_rejects_what_a_batch_call_rejects(self, runs):
         priors = ClassPriors(0.1, 0.5) if runs is None else [ClassPriors(0.1, 0.5)] * runs
+        weights = self.weights(runs)
         for bad in (-1, 4):
             y = self.epoch_labels(runs)
             y[..., 21] = bad
-            for call in (lambda: batch_counts(y, self.STARTS, 4),
+            for call in (lambda: batch_tables(y, self.STARTS, 4, "complement", weights),
                          lambda: cpu_risk(np.zeros((*y.shape[:-1], 3, 4)), y[..., 20:], priors, KL)):
                 with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
                     call()
         y = self.epoch_labels(runs)
         y[..., 5:10] = 2  # batch 1 holds one class
-        for call in (lambda: batch_counts(y, self.STARTS, 4),
+        for call in (lambda: batch_tables(y, self.STARTS, 4, "complement", weights),
                      lambda: cpu_risk(np.zeros((*y.shape[:-1], 5, 4)), y[..., 5:10], priors, KL)):
             with pytest.raises(ValueError, match="span at least 2 classes; resample"):
+                call()
+        y = self.epoch_labels(runs)
+        for call in (lambda: batch_tables(y, self.STARTS, 4, "partial", weights),
+                     lambda: cpu_risk(np.zeros((*y.shape[:-1], 5, 4)), y[..., :5], priors, KL, u_mode="partial")):
+            with pytest.raises(ValueError, match="u_mode must be one of"):
                 call()
 
     @pytest.mark.parametrize("u_mode", ["complement", "full"])
@@ -439,7 +448,7 @@ class TestBatchCounts:
         y = self.epoch_labels(runs)
         priors = ClassPriors(0.1, 0.5) if runs is None else [ClassPriors(0.1, p) for p in (0.2, 0.5, 0.9)]
         weights = _branch_weights(priors if runs is None else tuple(priors))
-        table, coefs = term_tables(batch_counts(y, self.STARTS, 4, u_mode), weights)
+        table, coefs = batch_tables(y, self.STARTS, 4, u_mode, weights)
         alphas = np.full((*y.shape[:-1], self.STARTS.size), alpha or 0.0)
         terms = _alpha_terms(alphas)[..., None, None] if alpha else None
         rng = np.random.default_rng(41)
