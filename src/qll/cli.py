@@ -98,13 +98,13 @@ def _is_auto(spec) -> bool:
     return isinstance(spec, str) and spec.strip().lower() == "auto"
 
 
-def resolve_pi2(spec: str | float, dataset: AmbiguousDataset) -> float:
-    """'auto' means m/c from the dataset's generation record."""
+def resolve_pi2(spec: str | float, m: int, c: int) -> float:
+    """'auto' means m/c of the train set: its instances mixed per example
+    (its generation record's m) over its class count."""
     if _is_auto(spec):
-        m = dataset.gen_meta.m
         if m < 1:
             raise ValueError("--pi2 auto needs a mixed dataset (its record has m >= 1)")
-        return m / dataset.class_count
+        return m / c
     try:
         return float(spec)
     except (TypeError, ValueError):
@@ -204,10 +204,7 @@ class ExperimentConfig:
             for p in grid or []:
                 if isinstance(p, bool) or not (isinstance(p, numbers.Real) or also and _is_auto(p)):
                     raise ValueError(f"{name}_grid: {name} must be a real number{also}, got {p!r}")
-        self.settings = s = _build(TrainSettings, "train", train or {})
-        # Raises what every run's TrainConfig would, before any data is made.
-        TrainConfig(epochs=s.epochs, loss=build_loss("ce", s), batch_size=s.batch_size, lr=s.lr,
-                    momentum=s.momentum, weight_decay=s.weight_decay, u_mode=s.u_mode)
+        self.settings = _build(TrainSettings, "train", train or {})
         self.data = None if base is None else _data_specs(base, mix or {})
 
     @classmethod
@@ -254,10 +251,12 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _train_config(method: str, s: TrainSettings, seed: int, train_ds: AmbiguousDataset) -> TrainConfig:
+def _train_config(method: str, s: TrainSettings, seed: int, m: int, c: int) -> TrainConfig:
+    """The run's config on a train set of class count c mixed from m
+    instances per example (see ``resolve_pi2``)."""
     priors = None
     if method in CPU_METHODS:
-        priors = ClassPriors(s.pi1, resolve_pi2(s.pi2, train_ds))
+        priors = ClassPriors(s.pi1, resolve_pi2(s.pi2, m, c))
     return TrainConfig(
         epochs=s.epochs,
         loss=build_loss(method, s),
@@ -312,7 +311,7 @@ def cmd_train(args) -> int:
     train_ds = load_dataset(paths[0])
     test_ds = load_dataset(paths[1])
     settings = _build(TrainSettings, "train", _train_flags(args))
-    cfg = _train_config(args.method, settings, args.seed, train_ds)
+    cfg = _train_config(args.method, settings, args.seed, train_ds.gen_meta.m, train_ds.class_count)
     report = train(train_ds, test_ds, cfg)
     record = _write_run(run_dir, args.method, cfg, report, train_ds, paths)
     print(
@@ -358,34 +357,42 @@ def cmd_sweep(args) -> int:
         exp = ExperimentConfig(**over)
     else:
         raise UsageError("sweep needs --data and --test (or --config)")
-    if len(set(exp.seeds)) < len(exp.seeds):
-        raise UsageError(f"duplicate seeds in {exp.seeds}")
+    for key in ("methods", "seeds", "pi1_grid", "pi2_grid"):
+        entries = ["auto" if _is_auto(v) else v for v in getattr(exp, key) or []]
+        if len(set(entries)) < len(entries):
+            raise UsageError(f"duplicate {key} in {getattr(exp, key)}")
 
+    # Every run's config is built, and so checked, before any data is made
+    # or any run trains. Every seed's train set has one shape and mix (one
+    # --data file, or data made from one spec), so pi2 "auto" is one m/c.
     out_dir = Path(exp.out) if exp.out else _out_root() / "sweep"
-    data_by_seed = {  # seed -> (train path, test path)
-        seed: (Path(args.data), Path(args.test)) if exp.data is None
-        else _generate_datasets(exp.data, seed, out_dir / "data" / f"seed{seed}")
-        for seed in exp.seeds
-    }
-
-    # Each file is read once. Every seed's train set has one shape (one
-    # --data file, or data made from one spec), so each method trains its
-    # seeds x prior grid as one stacked run, seed-major.
-    paths = dict.fromkeys(p for pair in data_by_seed.values() for p in pair)
-    loaded = {path: load_dataset(path) for path in paths}
-
+    if exp.data is None:
+        data_by_seed = dict.fromkeys(exp.seeds, (Path(args.data), Path(args.test)))
+        loaded = {path: load_dataset(path) for path in data_by_seed[exp.seeds[0]]}
+        first = loaded[Path(args.data)]
+        m, c = first.gen_meta.m, first.class_count
+    else:
+        m, c = exp.data.mix.m if exp.data.mix else 0, exp.data.base.c
     pi1_grid = exp.pi1_grid or [exp.settings.pi1]
     pi2_grid = exp.pi2_grid or [exp.settings.pi2]
-    rows = []
+    plans = []  # (method, its prior grid, its (seed, pi1, pi2) members, their configs)
     for method in exp.methods:
         grid = [(p1, p2) for p1 in pi1_grid for p2 in pi2_grid] if method in CPU_METHODS else [(None, None)]
         members = [(seed, p1, p2) for seed in exp.seeds for p1, p2 in grid]
+        cfgs = [_train_config(method, replace(exp.settings, pi1=p1, pi2=p2), seed, m, c) for seed, p1, p2 in members]
+        plans.append((method, grid, members, cfgs))
+
+    if exp.data is not None:  # each file is read once
+        data_by_seed = {
+            seed: _generate_datasets(exp.data, seed, out_dir / "data" / f"seed{seed}") for seed in exp.seeds
+        }
+        loaded = {path: load_dataset(path) for pair in data_by_seed.values() for path in pair}
+
+    # Each method trains its seeds x prior grid as one stacked run, seed-major.
+    rows = []
+    for method, grid, members, cfgs in plans:
         trains = [loaded[data_by_seed[seed][0]] for seed, *_ in members]
         tests = [loaded[data_by_seed[seed][1]] for seed, *_ in members]
-        cfgs = [
-            _train_config(method, replace(exp.settings, pi1=p1, pi2=p2), seed, train_ds)
-            for (seed, p1, p2), train_ds in zip(members, trains)
-        ]
         best = []  # best test accuracy per member
         for (seed, p1, p2), run_cfg, report, train_ds in zip(members, cfgs, train_runs(trains, tests, cfgs), trains):
             tag = f"{method}" + (f"-pi1_{p1}-pi2_{p2}" if p1 is not None else "")
@@ -425,13 +432,15 @@ def cmd_report(args) -> int:
     for path in sorted(root.rglob("run.json")):
         try:
             rec = json.loads(path.read_text(encoding="utf-8"))
-            cell = by_cell.setdefault((rec["method"], rec["dataset"]), [])
-            accuracy = rec["best_test_accuracy"]
+            cell, accuracy = (rec["method"], rec["dataset"]), rec["best_test_accuracy"]
         except KeyError as e:
             raise ValueError(f"{path}: run record has no {e} field") from None
         except (ValueError, TypeError) as e:  # not JSON, or not a JSON object
             raise ValueError(f"{path}: not a run record: {e}") from None
-        cell.append(_accuracy(accuracy, path))
+        for key, v in zip(("method", "dataset"), cell):
+            if not isinstance(v, str):
+                raise ValueError(f"{path}: {key} must be a string, got {v!r}")
+        by_cell.setdefault(cell, []).append(_accuracy(accuracy, path))
     if not by_cell:
         raise RuntimeError(f"no completed runs found under {root}")
     datasets = sorted({ds for _, ds in by_cell})

@@ -52,7 +52,7 @@ from .core import (
     zero_one_test_risk,
 )
 from .losses import BinaryLossKind, MulticlassLossKind, _alpha_terms, baseline_loss_batch, sample_alpha
-from .models import backward, forward, init_model, predict
+from .models import MODEL_KINDS, backward, forward, init_model, predict
 from .risk import U_MODES, _branch_weights, batch_tables, cpu_risk_with_grad
 from .dataio import atomic_write_text
 
@@ -103,6 +103,10 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay}")
         if self.u_mode not in U_MODES:
             raise ValueError(f"u_mode must be one of {U_MODES}")
+        if self.model_kind not in MODEL_KINDS:
+            raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
+        if self.model_kind == "mlp" and self.hidden_dim < 1:
+            raise ValueError(f"an mlp needs hidden_dim >= 1, got {self.hidden_dim}")
         if self.is_cpu_method and self.priors is None:
             raise ValueError("PU training requires priors")
 

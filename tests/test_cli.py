@@ -152,7 +152,7 @@ class TestTrain:
         assert run("train", *data, "--pi2", "abc", "--epochs", "1", "--out", str(tmp_path / "r")) == 2
         assert "pi2 must be a number or 'auto', got 'abc'" in capsys.readouterr().err
         with pytest.raises(ValueError, match="pi2 must be a number"):
-            resolve_pi2(None, load_dataset(datadir / "ambig_train.qll"))
+            resolve_pi2(None, 2, 3)
 
     def test_unknown_method_is_usage_error(self, datadir, tmp_path):
         assert run(
@@ -321,6 +321,25 @@ class TestSweep:
         assert exp.pi1_grid == [1, 0.1] and type(exp.pi1_grid[0]) is int
         assert exp.pi2_grid == ["auto", " Auto", 1, 0.5]
 
+    @pytest.mark.parametrize("changes,message", [
+        ({"train": {"epochs": 1, "model": "cnn"}}, "model_kind must be one of"),
+        ({"train": {"epochs": 1, "hidden": 0}}, "an mlp needs hidden_dim >= 1"),
+        ({"train": {"epochs": 1, "gce_q": 5}, "methods": ["gce"]}, "gce needs q in (0, 1]"),
+        ({"pi1_grid": [1.5]}, "pi1 must lie in (0, 1]"),
+        ({"pi2_grid": [0.0]}, "pi2 must lie in (0, 1]"),
+        ({"pi2_grid": ["auto"], "mix": {}}, "auto needs a mixed dataset"),
+    ], ids=["model", "hidden", "gce_q", "pi1", "pi2", "auto-unmixed"])
+    def test_bad_run_setting_in_config_fails_before_any_data(self, changes, message, tmp_path, capsys):
+        assert run("sweep", "--config", str(write_config(tmp_path, **changes))) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    def test_bad_later_method_fails_before_any_run_trains(self, tmp_path, capsys):
+        config = write_config(tmp_path, methods=["ce", "gce"])
+        assert run("sweep", "--config", str(config), "--gce-q", "5") == 2
+        assert "gce needs q in (0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
     def test_sweep_without_data_is_usage_error(self, tmp_path):
         assert run("sweep", "--out", str(tmp_path / "s")) == 1
 
@@ -440,12 +459,21 @@ class TestSettings:
         assert run("sweep", *data, "--epochs", "1", "--seed", "3", "--out", str(tmp_path / "s")) == 0
         assert [p.name for p in (tmp_path / "s" / "runs").iterdir()] == ["cpu-sjs-pi1_0.1-pi2_auto-seed3"]
 
-    def test_duplicate_seeds_are_usage_errors(self, datadir, tmp_path, capsys):
+    @pytest.mark.parametrize("key,flag,config_value", [
+        ("seeds", ["--seeds", "1,2,1"], [1, 1]),
+        ("methods", None, ["ce", "cpu-kl", "ce"]),
+        ("pi1_grid", ["--pi1-grid", "0.1,0.3,0.1"], [0.1, 0.1]),
+        ("pi2_grid", ["--pi2-grid", "auto,0.5,AUTO"], [0.5, "auto", 0.5]),
+    ], ids=["seeds", "methods", "pi1_grid", "pi2_grid"])
+    def test_duplicate_seeds_are_usage_errors(self, datadir, tmp_path, capsys, key, flag, config_value):
+        # Any list that repeats an entry would train one run twice into one
+        # directory, so each is refused before anything is written.
         data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
-        assert run("sweep", *data, "--epochs", "1", "--seeds", "1,2,1", "--out", str(tmp_path / "s")) == 1
-        assert "duplicate seeds" in capsys.readouterr().err
-        assert run("sweep", "--config", str(write_config(tmp_path, seeds=[1, 1]))) == 1
-        assert "duplicate seeds" in capsys.readouterr().err
+        if flag:
+            assert run("sweep", *data, "--epochs", "1", *flag, "--out", str(tmp_path / "s")) == 1
+            assert f"duplicate {key}" in capsys.readouterr().err
+        assert run("sweep", "--config", str(write_config(tmp_path, **{key: config_value}))) == 1
+        assert f"duplicate {key}" in capsys.readouterr().err
         assert not (tmp_path / "s").exists() and not (tmp_path / "exp").exists()
 
     @pytest.mark.parametrize("flag, value", [
@@ -527,6 +555,16 @@ class TestReport:
         assert run("report", "--runs", str(root)) == 2
         err = capsys.readouterr().err
         assert str(root / "ce-mixup-m2-r4-s2" / "run.json") in err and "best_test_accuracy" in err
+        assert not (root / "table.csv").exists()
+
+    @pytest.mark.parametrize("key", ["method", "dataset"])
+    def test_cell_fields_must_be_strings(self, tmp_path, capsys, key):
+        root = tmp_path / "runs"
+        self._fake_run(root, "ce", "mixup-m2-r4", 1, 0.8)
+        bad = root / "ce-mixup-m2-r4-s1" / "run.json"
+        bad.write_text(json.dumps({**json.loads(bad.read_text()), key: 5}))
+        assert run("report", "--runs", str(root)) == 2
+        assert f"{bad}: {key} must be a string, got 5" in capsys.readouterr().err
         assert not (root / "table.csv").exists()
 
     def test_end_to_end_pipeline(self, datadir, tmp_path):

@@ -104,6 +104,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{name} must be a finite number"):
             TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), **{name: value})
 
+    def test_rejects_what_init_model_refuses(self):
+        with pytest.raises(ValueError, match="model_kind must be one of"):
+            TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), model_kind="cnn")
+        with pytest.raises(ValueError, match="an mlp needs hidden_dim >= 1, got 0"):
+            TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), hidden_dim=0)
+        TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), model_kind="linear", hidden_dim=0)  # unread
+
 
 class TestEvaluate:
     def test_constant_predictor_hits_chance(self):
