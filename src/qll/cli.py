@@ -368,7 +368,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(exp.out) if exp.out else _out_root() / "sweep"
     if exp.data is None:
         data_by_seed = dict.fromkeys(exp.seeds, (Path(args.data), Path(args.test)))
-        loaded = {path: load_dataset(path) for path in data_by_seed[exp.seeds[0]]}
+        loaded = {path: load_dataset(path) for path in set(data_by_seed[exp.seeds[0]])}
         first = loaded[Path(args.data)]
         m, c = first.gen_meta.m, first.class_count
     else:
