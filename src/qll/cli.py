@@ -103,7 +103,7 @@ def resolve_pi2(spec: str | float, m: int, c: int) -> float:
     (its generation record's m) over its class count."""
     if _is_auto(spec):
         if m < 1:
-            raise ValueError("--pi2 auto needs a mixed dataset (its record has m >= 1)")
+            raise ValueError("pi2 auto is m/c, so it needs a mixed train set (m >= 1)")
         return m / c
     try:
         return float(spec)

@@ -327,7 +327,7 @@ class TestSweep:
         ({"train": {"epochs": 1, "gce_q": 5}, "methods": ["gce"]}, "gce needs q in (0, 1]"),
         ({"pi1_grid": [1.5]}, "pi1 must lie in (0, 1]"),
         ({"pi2_grid": [0.0]}, "pi2 must lie in (0, 1]"),
-        ({"pi2_grid": ["auto"], "mix": {}}, "auto needs a mixed dataset"),
+        ({"pi2_grid": ["auto"], "mix": {}}, "pi2 auto is m/c, so it needs a mixed train set"),
     ], ids=["model", "hidden", "gce_q", "pi1", "pi2", "auto-unmixed"])
     def test_bad_run_setting_in_config_fails_before_any_data(self, changes, message, tmp_path, capsys):
         assert run("sweep", "--config", str(write_config(tmp_path, **changes))) == 2
