@@ -192,7 +192,7 @@ def epoch_tables_input(draw):
     n = sum(sizes)
     y = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n * (rows or 1), max_size=n * (rows or 1))))
     y = y.reshape(-1, n) if rows else y
-    for lo in starts:  # a one-class batch gets a second class
+    for lo in starts:  # each batch's first two labels differ, so it spans two classes
         one_class = (y[..., lo : lo + 2] == y[..., lo : lo + 1]).all(axis=-1)
         y[..., lo + 1] = np.where(one_class, (y[..., lo] + 1) % c, y[..., lo + 1])
     pick = slice(None)
