@@ -253,7 +253,7 @@ def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> tuple[np.ndarra
     and the class-wise risk all evaluate through it. ``terms`` are the
     alpha's ``_resolve_terms``: floats, (K, 1, 1) columns for (K, n, c)
     logits of K stacked runs, or None for kl."""
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError("logit must be finite")
 
     sig = _stable_sigmoid(x)
@@ -304,8 +304,8 @@ def binary_loss_grad(kind: BinaryLossKind, logit, target: int, alpha: float | No
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 @lru_cache(maxsize=64)
@@ -317,7 +317,7 @@ def _row_starts(shape: tuple[int, ...], c: int) -> np.ndarray:
     return starts
 
 
-def baseline_loss_batch(kind: MulticlassLossKind, logits, labels):
+def baseline_loss_batch(kind: MulticlassLossKind, logits, labels, *, at=None):
     """Vectorized multiclass baseline losses.
 
     Returns per-example losses (n,) and the gradient of each loss with
@@ -325,47 +325,52 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels):
     logits with (K, n) labels and get (K, n) losses and (K, n, c)
     gradients; every op works along the last axis, so member k's rows equal
     its own (n, c) call bit for bit.
+
+    ``at`` may give, resolved ahead, the flat index into the logits of each
+    row's label entry, shaped like the labels. The labels are then taken as
+    checked and are not read; the logits are still checked to be finite.
     """
     z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if z.ndim not in (2, 3) or y.shape != z.shape[:-1]:
-        raise ValueError(f"need (n, c) or (K, n, c) logits with matching labels, got {z.shape} and {y.shape}")
-    if not np.isfinite(z).all():
+    if at is None:
+        y = np.asarray(labels, dtype=np.int64)
+        if z.ndim not in (2, 3) or y.shape != z.shape[:-1]:
+            raise ValueError(f"need (n, c) or (K, n, c) logits with matching labels, got {z.shape} and {y.shape}")
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError("logits must be finite")
-    c = z.shape[-1]
-    if y.size and y.view(np.uint64).max() >= c:  # a negative label reads as >= 2**63
-        raise ValueError(f"labels must lie in [0, {c})")
+    if at is None:
+        c = z.shape[-1]
+        if y.size and y.view(np.uint64).max() >= c:  # a negative label reads as >= 2**63
+            raise ValueError(f"labels must lie in [0, {c})")
+        at = _row_starts(y.shape, c) + y
 
     p = _softmax(z)
-    pc = np.maximum(p, EPS)  # softmax entries are <= 1: the clamp to [EPS, 1]
-    interior = p > EPS
-    log_pc = np.log(pc)
-    at = _row_starts(y.shape, c) + y  # flat index of each label entry
-
     v = kind.variant
     if v in ("bs", "js"):
+        pc = np.maximum(p, EPS)  # softmax entries are <= 1: the clamp to [EPS, 1]
+        interior = p > EPS
+        log_pc = np.log(pc)
         onehot = np.zeros(z.shape)
-        np.put(onehot, at, 1.0)
-    else:  # ce, gce and sce have gradients at the label entries only
+        onehot.put(at, 1.0)
+    else:  # ce, gce and sce read the label entries only, and have gradients there only
+        py = p.take(at)
+        pyc = np.maximum(py, EPS)
         g_p = np.zeros(z.shape)
     if v == "ce":
-        loss = -log_pc.take(at)
-        np.put(g_p, at, np.where(interior.take(at), -1.0 / pc.take(at), 0.0))
+        loss = -np.log(pyc)
+        g_p.put(at, np.where(py > EPS, -1.0 / pyc, 0.0))
     elif v == "bs":
         beta = kind.beta
         target = beta * onehot + (1.0 - beta) * p
-        loss = -(target * log_pc).sum(axis=-1)
+        loss = -np.add.reduce(target * log_pc, axis=-1)
         g_p = -(1.0 - beta) * log_pc - np.where(interior, target / pc, 0.0)
     elif v == "gce":
         q = kind.q
-        py = p.take(at)
         loss = (1.0 - py**q) / q
-        np.put(g_p, at, -np.maximum(py, EPS) ** (q - 1.0))
+        g_p.put(at, -pyc ** (q - 1.0))
     elif v == "sce":
         a, b = kind.a, kind.b
-        py = p.take(at)
-        loss = -a * log_pc.take(at) + b * _RCE_LOG_FLOOR * (1.0 - py)
-        np.put(g_p, at, np.where(interior.take(at), -a / pc.take(at), 0.0) - b * _RCE_LOG_FLOOR)
+        loss = -a * np.log(pyc) + b * _RCE_LOG_FLOOR * (1.0 - py)
+        g_p.put(at, np.where(py > EPS, -a / pyc, 0.0) - b * _RCE_LOG_FLOOR)
     else:  # js
         w = kind.pi1
         m = w * onehot + (1.0 - w) * p
@@ -373,7 +378,7 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels):
         m_int = m > EPS
         log_ratio = log_pc - np.log(mc)
         # D = w * KL(onehot||m) + (1-w) * KL(p||m), with KL(onehot||m) = -ln m_y
-        loss = -w * np.log(mc.take(at)) + (1.0 - w) * (p * log_ratio).sum(axis=-1)
+        loss = -w * np.log(mc.take(at)) + (1.0 - w) * np.add.reduce(p * log_ratio, axis=-1)
         g_p = -w * (1.0 - w) * np.where(m_int, onehot / mc, 0.0) + (1.0 - w) * (
             log_ratio + np.where(interior, 1.0, 0.0) - (1.0 - w) * np.where(m_int, p / mc, 0.0)
         )
@@ -382,7 +387,6 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels):
             loss, g_p = s * loss, s * g_p
 
     # Chain through softmax: dL/dz_j = p_j * (g_j - sum_k g_k p_k).
-    inner = (g_p * p).sum(axis=-1, keepdims=True)
+    inner = np.add.reduce(g_p * p, axis=-1, keepdims=True)
     grad = p * (g_p - inner)
     return loss, grad
-

@@ -153,10 +153,14 @@ def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, pick=
     if y.view(np.uint64).max() >= c:  # a negative label reads as >= 2**63
         raise ValueError(f"labels must lie in [0, {c})")
     table = np.empty((2, 3, *y.shape[:-1], len(starts), c))
-    np.add.reduceat(_term_masks(c, u_mode).take(y, axis=1), starts, axis=-2, out=table[0])
-    n_p = table[0, 0]  # one class holding a whole batch leaves its U side empty
-    if np.count_nonzero(n_p == n_p.sum(axis=-1, keepdims=True)):
+    # Only P is summed; the counts are integers, exact in float64, so U follows.
+    n_p = table[0, 0]
+    np.add.reduceat(_term_masks(c, u_mode)[0].take(y, axis=0), starts, axis=-2, out=n_p)
+    size = np.add.reduce(n_p, axis=-1, keepdims=True)
+    if np.count_nonzero(n_p == size):  # one class holding a whole batch leaves its U side empty
         raise ValueError("batch must span at least 2 classes; resample")
+    table[0, 1] = n_p
+    table[0, 2] = size if u_mode == "full" else size - n_p
     np.maximum(table[0], 1.0, out=table[1])
     return table, weights[..., None] / table[1][:, pick]
 
@@ -192,13 +196,13 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
     # 0 against +1 and index 1 against -1.
     masks = _term_masks(c, u_mode).take(y, axis=1)
     losses, grads = _binary_parts(loss, z, terms)
-    r_p_plus, r_p_minus, r_u_minus = (masks * losses.take(_TERM_TARGET, axis=0)).sum(axis=-2) / table[1]
+    r_p_plus, r_p_minus, r_u_minus = np.add.reduce(masks * losses.take(_TERM_TARGET, axis=0), axis=-2) / table[1]
 
     neg_part = r_u_minus - pi2 * r_p_minus
     corrected = neg_part < 0.0
     pos_part = pi1 * r_p_plus
     # np.mean over classes is this sum divided by the class count.
-    objective = np.where(corrected, -neg_part, pos_part + neg_part).sum(axis=-1) / c
+    objective = np.add.reduce(np.where(corrected, -neg_part, pos_part + neg_part), axis=-1) / c
     parts = (r_p_plus, r_u_minus, r_p_minus, table[0, 0], table[0, 2], corrected, pos_part, neg_part)
     report = CpuRiskReport(objective if z.ndim == 3 else float(objective), parts)
     if not want_grad:

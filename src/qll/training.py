@@ -22,16 +22,20 @@ is the K=1 case: unstacked parameters, scalar priors and alpha.
 Work that does not depend on the parameters runs as rarely as it can:
 
 - once per run: the distinct train sets are concatenated and cast to
-  float64 (exactly); the parameters, their gradients and the SGD velocity
-  are each one flat vector, the first two viewed per parameter; and for PU
-  methods the priors' branch weights and a fixed alpha's terms;
+  float64 (exactly), and their labels checked; the parameters, their
+  gradients and the SGD velocity are each one flat vector, the first two
+  viewed per parameter; for PU methods the priors' branch weights and a
+  fixed alpha's terms, and for baselines the label entries' offsets;
 - once per epoch: each stream's batch order; for PU methods its
   ``risk.batch_tables`` (which checks the labels and that every batch spans
-  two classes), and its alphas, drawn at once, as their terms;
-- once per step: the batch gather, ``forward``, ``cpu_risk_with_grad``
-  (given the batch's tables) or ``baseline_loss_batch``, ``backward`` into
-  the gradient's views, and one ``sgd_step`` on the flat vectors. Test
-  accuracy is evaluated once per epoch.
+  two classes), and its alphas, drawn at once, as their terms; for
+  baselines every run's label indices, the flat index of each example's
+  label entry in its batch's logits;
+- once per step: the feature gather, ``forward``, ``cpu_risk_with_grad``
+  (given the batch's labels and tables) or ``baseline_loss_batch`` (given
+  the batch's label indices, so it reads no labels), ``backward`` into the
+  gradient's views, and one ``sgd_step`` on the flat vectors. Test accuracy
+  is evaluated once per epoch.
 """
 
 from __future__ import annotations
@@ -300,6 +304,8 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     datas, data_of = _distinct(trains)
     x_all = np.concatenate([t.features for t in datas], dtype=np.float64)
     y_all = np.concatenate([t.labels for t in datas])
+    if y_all.view(np.uint64).max() >= c:  # checked when each dataset was made, unless changed since
+        raise ValueError(f"labels must lie in [0, {c})")
     streams, stream_of = _distinct(zip((r.seed for r in cfgs), data_of), key=tuple)
     batch_rngs = [RngStream(seed, STREAM_BATCHING) for seed, _ in streams]
     alpha_rngs = [RngStream(seed, STREAM_ALPHA) for seed, _ in streams]
@@ -318,6 +324,13 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         terms = None if needs_alpha or cfg.loss.variant == "kl" else _alpha_terms(cfg.loss.fixed_alpha)
     pick = np.array(stream_of, dtype=np.intp) if runs > 1 else 0
     starts = range(0, n, cfg.batch_size)
+    if not is_cpu:
+        # A label entry's flat index in its batch's ([K,] size, c) logits is
+        # the label plus c * (row + run * size); one (n,) row for one run.
+        offsets = np.arange(n) % cfg.batch_size  # each example's row in its batch
+        if runs > 1:  # a batch starting at row s of the epoch holds min(batch_size, n - s) rows
+            offsets = offsets + np.arange(runs)[:, None] * np.minimum(cfg.batch_size, n - np.arange(n) + offsets)
+        offsets *= c
     objectives, accuracies = [], []
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(cfg, epoch)
@@ -330,6 +343,9 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         ])
         if is_cpu:
             table, coefs = batch_tables(y_all.take(orders), starts, c, cfg.u_mode, weights, pick)
+        else:
+            label_at = y_all.take(orders[pick])
+            label_at += offsets
         if needs_alpha:  # batch b's terms are [:, b]: floats, or (K, 1, 1) columns for K runs
             alphas = np.stack([sample_alpha(rng, size=len(starts)) for rng in alpha_rngs])
             alpha_terms = _alpha_terms(alphas.T[..., None, None])[:, :, pick] if runs > 1 else _alpha_terms(alphas[0])
@@ -338,18 +354,19 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
             for it, start in enumerate(starts):
                 rows = orders[pick, start : start + cfg.batch_size]
                 size = rows.shape[-1]
-                xb, yb = x_all.take(rows, axis=0), y_all.take(rows)
-                logits, cache = forward(model, xb)
+                logits, cache = forward(model, x_all.take(rows, axis=0))
                 if is_cpu:
                     if needs_alpha:
                         terms = alpha_terms[:, it]
                     batch = (weights, table[:, :, pick, it], coefs[..., it, :], terms)
-                    report, d_logits = cpu_risk_with_grad(logits, yb, priors, cfg.loss, u_mode=cfg.u_mode, tables=batch)
+                    report, d_logits = cpu_risk_with_grad(logits, y_all.take(rows), priors, cfg.loss,
+                                                          u_mode=cfg.u_mode, tables=batch)
                     objective = report.objective_value
                 else:
-                    losses, d_logits = baseline_loss_batch(cfg.loss, logits, yb)
+                    at = label_at[..., start : start + cfg.batch_size]
+                    losses, d_logits = baseline_loss_batch(cfg.loss, logits, None, at=at)
                     # np.mean over the batch is this sum divided by its size.
-                    objective = losses.sum(axis=-1) / size
+                    objective = np.add.reduce(losses, axis=-1) / size
                     d_logits /= size
                 backward(model, cache, d_logits, out=grads)
                 sgd_step(flat, grad_flat, velocity, lr, cfg.momentum, cfg.weight_decay)

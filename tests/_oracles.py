@@ -435,3 +435,64 @@ def reference_train(train_set, test_set, cfg):
         accuracy = evaluate(model, test_set.features, test_set.labels)
         stats.append(EpochStats(epoch + 1, float(objective_sum / n), float(accuracy)))
     return stats, params
+
+
+# -- the multiclass baseline kernel as it was before the label-entry fast
+# path: every clamp, log and mask over the full (n, c) probabilities, label
+# indices rebuilt on every call. ``baseline_loss_batch`` must reproduce it
+# bit for bit, with or without label indices resolved ahead.
+
+
+def full_array_baseline_loss(kind, logits, labels):
+    """(losses, gradients) of ``baseline_loss_batch`` for (n, c) or (K, n, c)
+    logits with matching labels."""
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    c = z.shape[-1]
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    pc = np.maximum(p, EPS)
+    interior = p > EPS
+    log_pc = np.log(pc)
+    at = np.arange(0, y.size * c, c).reshape(y.shape) + y
+
+    v = kind.variant
+    if v in ("bs", "js"):
+        onehot = np.zeros(z.shape)
+        np.put(onehot, at, 1.0)
+    else:
+        g_p = np.zeros(z.shape)
+    if v == "ce":
+        loss = -log_pc.take(at)
+        np.put(g_p, at, np.where(interior.take(at), -1.0 / pc.take(at), 0.0))
+    elif v == "bs":
+        beta = kind.beta
+        target = beta * onehot + (1.0 - beta) * p
+        loss = -(target * log_pc).sum(axis=-1)
+        g_p = -(1.0 - beta) * log_pc - np.where(interior, target / pc, 0.0)
+    elif v == "gce":
+        q = kind.q
+        py = p.take(at)
+        loss = (1.0 - py**q) / q
+        np.put(g_p, at, -np.maximum(py, EPS) ** (q - 1.0))
+    elif v == "sce":
+        a, b = kind.a, kind.b
+        py = p.take(at)
+        loss = -a * log_pc.take(at) + b * 4.0 * (1.0 - py)
+        np.put(g_p, at, np.where(interior.take(at), -a / pc.take(at), 0.0) - b * 4.0)
+    else:
+        w = kind.pi1
+        m = w * onehot + (1.0 - w) * p
+        mc = np.maximum(m, EPS)
+        m_int = m > EPS
+        log_ratio = log_pc - np.log(mc)
+        loss = -w * np.log(mc.take(at)) + (1.0 - w) * (p * log_ratio).sum(axis=-1)
+        g_p = -w * (1.0 - w) * np.where(m_int, onehot / mc, 0.0) + (1.0 - w) * (
+            log_ratio + np.where(interior, 1.0, 0.0) - (1.0 - w) * np.where(m_int, p / mc, 0.0)
+        )
+        if kind.scaled:
+            s = -1.0 / ((1.0 - w) * math.log1p(-w))
+            loss, g_p = s * loss, s * g_p
+
+    inner = (g_p * p).sum(axis=-1, keepdims=True)
+    return loss, p * (g_p - inner)

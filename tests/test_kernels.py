@@ -1,15 +1,21 @@
 """Bit-exact checks of the stacked training kernels against the separate
 per-array forms they replace: the (2, ...) binary pass against four arrays,
-the mask-table risk core against dense scattered masks, and the flat SGD
+the mask-table risk core against dense scattered masks, the label-entry
+baseline kernel against full-array clamps and logs, and the flat SGD
 buffer against per-parameter updates. These hold in any environment: both
 sides run the same float operations on the same machine."""
 
 import numpy as np
 import pytest
 
-from _oracles import dense_mask_cpu_core, four_array_binary_parts, per_parameter_sgd_step
+from _oracles import (
+    dense_mask_cpu_core,
+    four_array_binary_parts,
+    full_array_baseline_loss,
+    per_parameter_sgd_step,
+)
 from qll.core import ClassPriors, RngStream
-from qll.losses import EPS, BinaryLossKind, _binary_parts, _resolve_terms
+from qll.losses import EPS, BinaryLossKind, MulticlassLossKind, _binary_parts, _resolve_terms, baseline_loss_batch
 from qll.models import init_model
 from qll.risk import cpu_risk_with_grad
 from qll.training import sgd_step
@@ -86,6 +92,28 @@ def test_mask_table_core_equals_dense_masks(shape, u_mode):
                 assert np.array_equal(grad, ref_grad)
                 if stacked:
                     break  # one call covers every prior
+
+
+BASELINES = [MulticlassLossKind.ce(), MulticlassLossKind.bootstrap(0.4), MulticlassLossKind.gce(0.7),
+             MulticlassLossKind.gce(1.0), MulticlassLossKind.sce(0.1, 1.0), MulticlassLossKind.js_pi(0.1),
+             MulticlassLossKind.js_pi(0.3, scaled=False)]
+
+
+@pytest.mark.parametrize("kind", BASELINES, ids=["ce", "bs", "gce-0.7", "gce-1", "sce", "js", "js-unscaled"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_label_entry_baseline_equals_full_arrays(shape, kind):
+    z, y = edge_batch(shape, 13)
+    at = np.arange(y.size).reshape(y.shape) * shape[-1] + y  # flat index of each label entry
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    py = (e / e.sum(axis=-1, keepdims=True)).take(at)
+    # The clamp and the zero-gradient branches are hit, and the ordinary path.
+    assert (py <= EPS).any() and (py > EPS).any()
+    want_loss, want_grad = full_array_baseline_loss(kind, z, y)
+    for got_loss, got_grad in (baseline_loss_batch(kind, z, y), baseline_loss_batch(kind, z, None, at=at)):
+        assert got_loss.shape == y.shape and got_grad.shape == z.shape
+        # Bit for bit, down to the sign of zeros.
+        assert np.array_equal(got_loss.view(np.uint64), want_loss.view(np.uint64))
+        assert np.array_equal(got_grad.view(np.uint64), want_grad.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])

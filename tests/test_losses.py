@@ -329,6 +329,18 @@ class TestBaselineLoss:
         with pytest.raises(ValueError):
             baseline_loss(MulticlassLossKind.ce(), np.array([1.0, np.inf]), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4)])
+    def test_rejects_nonfinite_given_label_indices(self, shape, bad):
+        # The trainer's divergence report rests on this check, and the
+        # trainer passes label indices.
+        z = np.zeros(shape)
+        z.flat[7] = bad
+        at = np.arange(math.prod(shape[:-1])).reshape(shape[:-1]) * shape[-1]
+        for kind in ALL_MULTI:
+            with pytest.raises(ValueError, match="logits must be finite"):
+                baseline_loss_batch(kind, z, None, at=at)
+
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_rejects_labels_outside_range(self, bad):
         z = np.zeros((3, 5, 4))

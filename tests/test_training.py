@@ -233,8 +233,9 @@ class TestReferenceLoop:
     @pytest.mark.parametrize(
         "loss",
         [BinaryLossKind.scaled_sjs(), BinaryLossKind.scaled_sjs(0.3), BinaryLossKind.kl(),
-         MulticlassLossKind.ce()],
-        ids=["cpu-sjs", "scaled-sjs-0.3", "cpu-kl", "ce"],
+         MulticlassLossKind.ce(), MulticlassLossKind.bootstrap(), MulticlassLossKind.gce(),
+         MulticlassLossKind.sce(), MulticlassLossKind.js_pi()],
+        ids=["cpu-sjs", "scaled-sjs-0.3", "cpu-kl", "ce", "bs", "gce", "sce", "js"],
     )
     def test_train_matches_reference_loop(self, loss, u_mode):
         _, test, ambig = small_data(n_out=230)  # a partial final batch of 6
@@ -328,6 +329,28 @@ class TestTrainRuns:
             assert report.per_epoch == solo.per_epoch
             assert self._files(report, tmp_path / f"stacked{k}") == self._files(solo, tmp_path / f"solo{k}")
 
+    @pytest.mark.parametrize("loss", METHODS, ids=lambda k: k.variant)
+    def test_partial_final_batch_byte_identical_to_solo(self, tmp_path, loss):
+        # 230 examples leave a final batch of 6, whose runs lie 6 rows apart.
+        _, test, ambig = small_data(n_out=230)
+        priors = ClassPriors(0.1, 0.5) if isinstance(loss, BinaryLossKind) else None
+        cfgs = [TrainConfig(epochs=2, loss=loss, priors=priors, seed=s, hidden_dim=8) for s in (4, 5, 6)]
+        for k, (cfg, report) in enumerate(zip(cfgs, train_runs(ambig, test, cfgs))):
+            solo = train(ambig, test, cfg)
+            assert report.per_epoch == solo.per_epoch
+            assert self._files(report, tmp_path / f"stacked{k}") == self._files(solo, tmp_path / f"solo{k}")
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("loss", [BinaryLossKind.kl(), MulticlassLossKind.ce()], ids=["cpu-kl", "ce"])
+    def test_labels_changed_after_construction_are_refused(self, loss, bad):
+        _, test, ambig = small_data()
+        ambig.labels[5] = bad
+        priors = ClassPriors(0.1, 0.5) if isinstance(loss, BinaryLossKind) else None
+        cfgs = [TrainConfig(epochs=1, loss=loss, priors=priors, seed=s) for s in (1, 2)]
+        for group in (cfgs[:1], cfgs):
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
+                train_runs(ambig, test, group)
+
     def test_configs_must_differ_only_in_seed_and_priors(self):
         _, test, ambig = small_data()
         base = TrainConfig(epochs=1, loss=BinaryLossKind.kl(), priors=ClassPriors(0.1, 0.5), seed=1)
@@ -397,3 +420,15 @@ class TestDivergence:
         cfg = TrainConfig(epochs=40, loss=MulticlassLossKind.ce(), seed=2, lr=1e8)
         with pytest.raises(RuntimeError, match=r"iteration \d+: .* run\(s\) seed=2; try"):
             train(ambig, test, cfg)
+        # Stacked, as for PU methods: the group stops where its first member
+        # does alone and names exactly the members that fail there.
+        scaled = AmbiguousDataset(4, 8, ambig.features * 1e20, ambig.labels)
+        trains = [ambig, scaled, scaled]
+        cfgs = [replace(cfg, seed=seed) for seed in (1, 2, 3)]
+        solo = [self._failure(data, test, [c]) for c, data in zip(cfgs, trains)]
+        assert [names for _, names in solo] == [["seed=1"], ["seed=2"], ["seed=3"]]
+        first = min(where for where, _ in solo)
+        assert max(where for where, _ in solo) > first
+        where, names = self._failure(trains, test, cfgs)
+        assert where == first
+        assert names == [name for w, (name,) in solo if w == first]
