@@ -153,14 +153,15 @@ def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, pick=
     if y.view(np.uint64).max() >= c:  # a negative label reads as >= 2**63
         raise ValueError(f"labels must lie in [0, {c})")
     table = np.empty((2, 3, *y.shape[:-1], len(starts), c))
-    # Only P is summed; the counts are integers, exact in float64, so U follows.
+    # Only P is summed; U is P through the U masks, exact for small integer counts.
+    masks = _term_masks(c, u_mode)
     n_p = table[0, 0]
-    np.add.reduceat(_term_masks(c, u_mode)[0].take(y, axis=0), starts, axis=-2, out=n_p)
+    np.add.reduceat(masks[0].take(y, axis=0), starts, axis=-2, out=n_p)
     size = np.add.reduce(n_p, axis=-1, keepdims=True)
     if np.count_nonzero(n_p == size):  # one class holding a whole batch leaves its U side empty
         raise ValueError("batch must span at least 2 classes; resample")
     table[0, 1] = n_p
-    table[0, 2] = size if u_mode == "full" else size - n_p
+    np.matmul(n_p, masks[2], out=table[0, 2])
     np.maximum(table[0], 1.0, out=table[1])
     return table, weights[..., None] / table[1][:, pick]
 

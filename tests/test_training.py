@@ -313,32 +313,24 @@ class TestTrainRuns:
     @pytest.mark.parametrize("model_kind", ["mlp", "linear"])
     @pytest.mark.parametrize("loss", METHODS, ids=lambda k: k.variant)
     def test_mixed_seeds_and_datasets_byte_identical_to_solo(self, tmp_path, loss, model_kind):
-        data = [small_data(seed=3)[1:], small_data(seed=8)[1:]]  # (test, ambig) pairs
         cpu = isinstance(loss, BinaryLossKind)
         cfgs = [
             TrainConfig(epochs=3, loss=loss, priors=self.PRIORS[pr] if cpu else None, seed=seed,
                         model_kind=model_kind, hidden_dim=8)
             for seed, _, pr in self.MIXED
         ]
-        trains = [data[d][1] for _, d, _ in self.MIXED]
-        tests = [data[d][0] for _, d, _ in self.MIXED]
-        reports = train_runs(trains, tests, cfgs)
-        assert len(reports) == len(cfgs)
-        for k, (cfg, report) in enumerate(zip(cfgs, reports)):
-            solo = train(trains[k], tests[k], cfg)
-            assert report.per_epoch == solo.per_epoch
-            assert self._files(report, tmp_path / f"stacked{k}") == self._files(solo, tmp_path / f"solo{k}")
-
-    @pytest.mark.parametrize("loss", METHODS, ids=lambda k: k.variant)
-    def test_partial_final_batch_byte_identical_to_solo(self, tmp_path, loss):
         # 230 examples leave a final batch of 6, whose runs lie 6 rows apart.
-        _, test, ambig = small_data(n_out=230)
-        priors = ClassPriors(0.1, 0.5) if isinstance(loss, BinaryLossKind) else None
-        cfgs = [TrainConfig(epochs=2, loss=loss, priors=priors, seed=s, hidden_dim=8) for s in (4, 5, 6)]
-        for k, (cfg, report) in enumerate(zip(cfgs, train_runs(ambig, test, cfgs))):
-            solo = train(ambig, test, cfg)
-            assert report.per_epoch == solo.per_epoch
-            assert self._files(report, tmp_path / f"stacked{k}") == self._files(solo, tmp_path / f"solo{k}")
+        for n_out in (240, 230):
+            data = [small_data(seed=3, n_out=n_out)[1:], small_data(seed=8, n_out=n_out)[1:]]  # (test, ambig)
+            trains = [data[d][1] for _, d, _ in self.MIXED]
+            tests = [data[d][0] for _, d, _ in self.MIXED]
+            reports = train_runs(trains, tests, cfgs)
+            assert len(reports) == len(cfgs)
+            for k, (cfg, report) in enumerate(zip(cfgs, reports)):
+                solo = train(trains[k], tests[k], cfg)
+                assert report.per_epoch == solo.per_epoch
+                stacked, alone = tmp_path / f"stacked{n_out}-{k}", tmp_path / f"solo{n_out}-{k}"
+                assert self._files(report, stacked) == self._files(solo, alone)
 
     @pytest.mark.parametrize("bad", [-1, 4])
     @pytest.mark.parametrize("loss", [BinaryLossKind.kl(), MulticlassLossKind.ce()], ids=["cpu-kl", "ce"])

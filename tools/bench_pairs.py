@@ -1,15 +1,15 @@
 """Run alternating pairs of benchmark runs in two checkouts and summarise them.
 
-    python3 tools/bench_pairs.py --parent ../qll-parent --pairs 10 \\
-        --workload baseline-train --workload pu-train --out BENCH_16.json
+    python3 tools/bench_pairs.py --parent ../qll-parent --pairs 10 --out BENCH_16.json
 
-``--parent`` and ``--change`` are two checkouts of this repository, such as
-a ``git worktree`` of the parent commit and this tree (``--change``
-defaults to the checkout that holds this script). For each workload, pair
-i runs ``python3 perfbench/run.py --workload W --seed SEED+i --seconds S
---trace 0`` once in each checkout, one run at a time: the parent first in
-even pairs, the change first in odd ones. Each run imports ``src/`` of its
-own checkout and writes under that checkout's ``.perfbench/``.
+``--parent`` is a checkout of the parent commit, such as a ``git
+worktree``; the change is the checkout that holds this script. For each
+workload of ``BENCHMARK.json``, pair i runs ``python3 perfbench/run.py
+--workload W --seed SEED+i --seconds S --trace 0`` once in each checkout,
+with S the ``run_seconds`` of ``BENCHMARK.json``, one run at a time: the
+parent first in even pairs, the change first in odd ones. Each run imports
+``src/`` of its own checkout and writes under that checkout's
+``.perfbench/``.
 
 The JSON file written to ``--out`` holds:
 
@@ -101,23 +101,19 @@ def summarise(metric: dict, pairs: list[dict]) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    p.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (default: this one)")
-    p.add_argument("--workload", action="append", help="repeatable; default: every workload of BENCHMARK.json")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i uses seed + i")
-    p.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     p.add_argument("--out", type=Path, required=True, help="JSON file to write, e.g. BENCH_16.json")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
 
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or float(bench["run_seconds"])
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = float(bench["run_seconds"])
 
     envs, report = [], {}
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
         for i in range(args.pairs):
             seed = args.seed + i
