@@ -39,9 +39,9 @@ STREAM_INIT = 3
 STREAM_ALPHA = 4
 
 
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer; a bijection on 64-bit words."""
-    x &= _MASK64
+def _mix64(x):
+    """SplitMix64 finalizer; a bijection on 64-bit words (an int, or uint64s)."""
+    x = x & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27
@@ -49,11 +49,14 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _child_id(stream_id: int, key: int) -> int:
-    return _mix64(_mix64(stream_id) + (int(key) & _MASK64))
+def _child_id(stream_id: int, key):
+    """Stream id of child ``key``, or of each key of a uint64 array."""
+    key = key if isinstance(key, np.ndarray) else int(key) & _MASK64
+    return _mix64(_mix64(stream_id) + key)
 
 
-def _philox_key(seed: int, stream_id: int) -> tuple[int, int]:
+def _philox_key(seed: int, stream_id):
+    """Philox key (k0, k1) of a stream, or k1 of each id of a uint64 array."""
     k0 = _mix64(seed)
     return k0, _mix64(k0 ^ stream_id)
 
@@ -83,14 +86,14 @@ class RngStream:
         """Derive an independent child stream; same (parent, key) -> same child."""
         return RngStream(self.seed, _child_id(self.stream_id, key))
 
-    def _rekey_as_substream(self, parent: "RngStream", key: int) -> None:
-        """Become a fresh ``parent.substream(key)`` in place (counter 0, empty
-        buffer, no cached 32-bit half). Unlike a new Philox, this seeds no
-        unused SeedSequence from OS entropy."""
-        self.seed, self.stream_id = parent.seed, _child_id(parent.stream_id, key)
+    def _rekey(self, seed: int, stream_id: int, key) -> None:
+        """Become a fresh ``RngStream(seed, stream_id)`` with Philox ``key``
+        in place (counter 0, empty buffer, no cached 32-bit half). Unlike a
+        new Philox, this seeds no unused SeedSequence from OS entropy."""
+        self.seed, self.stream_id = seed, stream_id
         self._gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": _philox_key(self.seed, self.stream_id)},
+            "state": {"counter": (0, 0, 0, 0), "key": key},
             "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,

@@ -6,8 +6,8 @@ stitches contiguous feature blocks from different sources. Both strategies
 produce a ground-truth soft label from the mixing weights, and the observed
 hard label is sampled from it.
 
-Only the random draws run per example; the features, soft labels and hard
-labels of all examples then come from batched kernels.
+Only the generator calls run per example; the keys, the checks of the
+draws, the features, soft labels and hard labels come from batched kernels.
 
 Also provides a synthetic Gaussian-cluster base dataset so the whole
 pipeline runs at desk scale without any external data.
@@ -15,6 +15,7 @@ pipeline runs at desk scale without any external data.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,9 @@ from .core import (
     AmbiguousDataset,
     GenMeta,
     RngStream,
+    _child_id,
     _normalize_rows,
+    _philox_key,
     quantize_labels,
 )
 
@@ -50,6 +53,16 @@ _MIX_ROWS = 2048
 _STREAM_CLASS_MEANS = 0x4D45414E53
 
 
+def _require_ints(spec, **least: int) -> None:
+    """Refuse a field that is no integer (a bool is none; numpy ints pass) or
+    that lies below its least value."""
+    for name, low in least.items():
+        if isinstance(v := getattr(spec, name), bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        if v < low:
+            raise ValueError(f"{name} must be >= {low}, got {v}")
+
+
 @dataclass(frozen=True)
 class MixSpec:
     """How to mix base examples into one ambiguous instance.
@@ -69,10 +82,7 @@ class MixSpec:
     def __post_init__(self) -> None:
         if self.kind not in MIX_KINDS:
             raise ValueError(f"kind must be one of {MIX_KINDS}, got {self.kind!r}")
-        if int(self.m) < 2:
-            raise ValueError("m must be >= 2")
-        if int(self.r) < 1:
-            raise ValueError("r must be >= 1")
+        _require_ints(self, m=2, r=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +100,7 @@ class MixWeights:
         c = np.asarray(self.counts, dtype=np.int64)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("counts must be a vector of length >= 2")
-        # Python's min and sum over the short list beat numpy's per-call
-        # overhead; both are exact on ints.
-        values = c.tolist()
-        if min(values) < 0 or sum(values) != int(self.r):
-            raise ValueError(f"counts must be nonnegative and sum to r={self.r}")
+        _check_draws(c, "mixup", c.size, int(self.r))
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "r", int(self.r))
 
@@ -114,9 +120,7 @@ class BlockAssignment:
         a = np.asarray(self.assign, dtype=np.int64)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("assign must be a nonempty vector")
-        values = a.tolist()  # one min / max pass in Python, as in MixWeights
-        if min(values) < 0 or max(values) >= int(self.m):
-            raise ValueError(f"assignments must lie in [0, {self.m})")
+        _check_draws(a, "patchmix", int(self.m), a.size)
         object.__setattr__(self, "assign", a)
         object.__setattr__(self, "m", int(self.m))
 
@@ -140,12 +144,17 @@ class BaseSpec:
     noise_sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.c) <= 2:
-            raise ValueError("c must be > 2")
-        if int(self.d) < 1 or int(self.n_per_class) < 1:
-            raise ValueError("d and n_per_class must be positive")
+        _require_ints(self, c=3, d=1, n_per_class=1)
         if not (float(self.separation) > 0.0 and float(self.noise_sigma) > 0.0):
             raise ValueError("separation and noise_sigma must be > 0")
+
+
+def _check_draws(draws: np.ndarray, kind: str, m: int, r: int) -> None:
+    """Check Mixup counts, (..., m), or PatchMix block assignments, (..., r)."""
+    if kind == "mixup" and ((draws < 0).any() or (draws.sum(axis=-1) != r).any()):
+        raise ValueError(f"counts must be nonnegative and sum to r={r}")
+    if kind == "patchmix" and ((draws < 0).any() or (draws >= m).any()):
+        raise ValueError(f"assignments must lie in [0, {m})")
 
 
 def sample_mix_weights(m: int, r: int, rng: RngStream) -> MixWeights:
@@ -217,9 +226,9 @@ def mixed_soft_labels(src_labels, counts, c: int) -> np.ndarray:
     return _normalize_rows(_class_mass(src_labels, counts, c))
 
 
-def _is_onehot_mix(src_labels: np.ndarray, counts: np.ndarray) -> bool:
-    """Whether all sources with a positive count share one label."""
-    return len({y for y, k in zip(src_labels.tolist(), counts.tolist()) if k}) == 1
+def _is_onehot_mix(labels: list, pick: np.ndarray, counts: np.ndarray) -> bool:
+    """Whether a group's sources with a positive count share one base label."""
+    return len({labels[j] for j, k in zip(pick.tolist(), counts.tolist()) if k}) == 1
 
 
 def generate_ambiguous_dataset(
@@ -231,9 +240,11 @@ def generate_ambiguous_dataset(
     result is a pure function of (base, spec, n_out, rng). It draws, in this
     order, m distinct base indices, mixing weights or a block assignment
     (both redrawn while ``reject_degenerate`` sees a one-hot soft label),
-    and the uniform that quantizes its label. The mixed features, the soft
-    labels (kept as diagnostics) and the hard labels are then computed for
-    all examples at once.
+    and the uniform that quantizes its label. The loop makes only these
+    generator calls: all substream keys are derived at once, one stream is
+    re-keyed per example, and the draws are checked in one pass after it.
+    The mixed features, the soft labels (kept as diagnostics) and the hard
+    labels are then computed for all examples at once.
     """
     if n_out < 1:
         raise ValueError("n_out must be >= 1")
@@ -243,22 +254,26 @@ def generate_ambiguous_dataset(
         raise ValueError(f"patchmix needs r <= feature_dim, got r={spec.r}, d={base.feature_dim}")
 
     m, r, c = spec.m, spec.r, base.class_count
-    is_mixup = spec.kind == "mixup"
+    is_mixup, reject = spec.kind == "mixup", spec.reject_degenerate
+    labels = base.labels.tolist() if reject else None
+    pvals = np.full(m, 1.0 / m)
     picks = np.empty((n_out, m), dtype=np.int64)
     draws = np.empty((n_out, m if is_mixup else r), dtype=np.int64)  # counts or assignment
     u = np.empty(n_out)
 
+    ids = _child_id(rng.stream_id, np.arange(n_out, dtype=np.uint64))
+    k0, keys = _philox_key(rng.seed, ids)
     ex_rng = rng.substream(0)
     for i in range(n_out):
-        ex_rng._rekey_as_substream(rng, i)
+        ex_rng._rekey(rng.seed, int(ids[i]), (k0, keys[i]))
         for _ in range(_DEGENERATE_RETRIES + 1):
             pick = ex_rng.choice(base.n_examples, size=m, replace=False)
             if is_mixup:
-                draw = counts = sample_mix_weights(m, r, ex_rng).counts
+                draw = counts = ex_rng.multinomial(r, pvals)
             else:
-                draw = sample_block_assignment(m, r, ex_rng).assign
-                counts = _block_counts(draw[None], m)[0] if spec.reject_degenerate else None
-            if not (spec.reject_degenerate and _is_onehot_mix(base.labels[pick], counts)):
+                draw = ex_rng.integers(0, m, size=r)
+                counts = _block_counts(draw[None], m)[0] if reject else None
+            if not (reject and _is_onehot_mix(labels, pick, counts)):
                 break
         else:
             raise RuntimeError(
@@ -268,6 +283,7 @@ def generate_ambiguous_dataset(
         picks[i] = pick
         draws[i] = draw
         u[i] = ex_rng.random()
+    _check_draws(draws, spec.kind, m, r)
 
     feats = np.empty((n_out, base.feature_dim), dtype=np.float32)
     for lo in range(0, n_out, _MIX_ROWS):

@@ -4,12 +4,17 @@ import math
 import numpy as np
 import pytest
 from _oracles import reference_draw_group, reference_generate, reference_soft_label
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from qll.core import (
     AmbiguousDataset,
     RngStream,
     SoftLabel,
+    _child_id,
+    _mix64,
+    _philox_key,
     entropy,
     quantize_label,
     quantize_labels,
@@ -256,6 +261,83 @@ class TestGenerateAmbiguous:
             generate_ambiguous_dataset(base, MixSpec("patchmix", 2, 8), 5, RngStream(7, 1))
 
 
+def _counting(monkeypatch, name, replace=None):
+    """Count calls of ``RngStream.<name>``; call ``k`` (from 1) returns
+    ``replace(k)`` when that is not None, else the real draw."""
+    real, calls = getattr(RngStream, name), []
+
+    def wrapped(self, *args, **kwargs):
+        calls.append(None)
+        out = replace(len(calls)) if replace else None
+        return real(self, *args, **kwargs) if out is None else out
+
+    monkeypatch.setattr(RngStream, name, wrapped)
+    return calls
+
+
+class TestDrawLoop:
+    """The per-example loop makes one ``choice`` call per draw attempt, and
+    its draws are checked in one pass after it."""
+
+    BASE = synth_base(BaseSpec(c=4, d=8, n_per_class=10), RngStream(2, 1))
+
+    @pytest.mark.parametrize("reject", [False, True])
+    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
+    def test_one_choice_per_attempt(self, kind, reject, monkeypatch):
+        spec = MixSpec(kind, 2, 4, reject_degenerate=reject)
+        calls = _counting(monkeypatch, "choice")
+        generate_ambiguous_dataset(self.BASE, spec, 60, RngStream(6, 2))
+        attempts = len(calls)
+        calls.clear()
+        reference_generate(self.BASE, spec, 60, RngStream(6, 2))
+        assert attempts == len(calls)
+        assert attempts > 60 if reject else attempts == 60
+
+    @pytest.mark.parametrize("reject", [False, True])
+    @pytest.mark.parametrize(
+        "kind, method, bad, message",
+        [
+            ("mixup", "multinomial", [5, -1], "counts must be nonnegative and sum to r=4"),
+            ("mixup", "multinomial", [1, 2], "counts must be nonnegative and sum to r=4"),
+            ("patchmix", "integers", [0, -1, 1, 0], r"assignments must lie in \[0, 2\)"),
+            ("patchmix", "integers", [0, 1, 2, 1], r"assignments must lie in \[0, 2\)"),
+        ],
+    )
+    def test_invalid_draws_fail_after_the_loop(self, kind, method, bad, message, reject, monkeypatch):
+        spec = MixSpec(kind, 2, 4, reject_degenerate=reject)
+        calls = _counting(monkeypatch, method, lambda k: np.array(bad) if k == 7 else None)
+        with pytest.raises(ValueError, match=message):
+            generate_ambiguous_dataset(self.BASE, spec, 30, RngStream(6, 2))
+        assert len(calls) >= 30  # every example drew before the check ran
+
+
+class TestSpecIntegers:
+    """Counts and sizes must be integers: a float r once mixed features with
+    weights that missed unit mass, and a file could not store it."""
+
+    @pytest.mark.parametrize(
+        "kw", [{"r": 3.5}, {"r": 4.0}, {"m": 2.0}, {"m": True}, {"r": np.float64(4)}, {"r": "4"}]
+    )
+    def test_mix_spec_refuses_non_integers(self, kw):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be an integer"):
+            MixSpec("mixup", **kw)
+
+    @pytest.mark.parametrize(
+        "kw", [{"c": 3.7}, {"d": 8.0}, {"n_per_class": True}, {"c": np.float32(4)}]
+    )
+    def test_base_spec_refuses_non_integers(self, kw):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be an integer"):
+            BaseSpec(**{"c": 4, "d": 8, "n_per_class": 10, **kw})
+
+    def test_numpy_ints_stay_valid(self, tmp_path):
+        files = []
+        for i, n in enumerate((int, np.int64)):
+            base = synth_base(BaseSpec(n(4), n(8), n(10)), RngStream(1, 1))
+            ds = generate_ambiguous_dataset(base, MixSpec("patchmix", n(2), n(4)), 20, RngStream(1, 2))
+            files.append(_qll_bytes(ds, tmp_path / f"{i}.qll"))
+        assert files[0] == files[1]
+
+
 def _qll_bytes(ds, path):
     save_dataset(ds, path)
     return path.read_bytes(), path.with_suffix(".meta").read_bytes()
@@ -312,7 +394,7 @@ class TestBatchedGeneratorBitExact:
             labels, counts = (np.array(a) for a in zip(*groups))
             soft = mixed_soft_labels(labels, counts, 3)
             for y, k, s in zip(labels, counts, soft):
-                assert _is_onehot_mix(y, k) == (np.count_nonzero(s) == 1)
+                assert _is_onehot_mix(y.tolist(), np.arange(m), k) == (np.count_nonzero(s) == 1)
 
     def test_scalar_helpers_are_rows_of_the_batched_kernels(self):
         gen = np.random.default_rng(8)
@@ -363,10 +445,38 @@ class TestRekeyedStream:
                 # leave a part-used Philox buffer and a cached 32-bit half behind
                 stream.random(3)
                 stream.integers(0, 5, size=3)
-                stream._rekey_as_substream(parent, key)
+                ids = _child_id(parent.stream_id, np.array([key], dtype=np.uint64))
+                k0, k1 = _philox_key(parent.seed, ids)
+                stream._rekey(parent.seed, int(ids[0]), (k0, k1[0]))
                 fresh = parent.substream(key)
                 assert (stream.seed, stream.stream_id) == (fresh.seed, fresh.stream_id)
                 assert np.array_equal(draw(stream), draw(fresh))
+                assert np.array_equal(draw(stream), draw(fresh))
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream_id=st.integers(0, 2**64 - 1),
+        keys=st.lists(st.integers(0, 2**64 - 1), max_size=4),
+    )
+    @example(seed=2**64 - 1, stream_id=0, keys=[])
+    def test_bulk_keys_equal_substreams(self, seed, stream_id, keys):
+        # 0, the largest key, and the two smallest keys whose sum with the
+        # mixed parent id wraps past 2**64 (the first wraps to exactly 0)
+        low = 2**64 - _mix64(stream_id)
+        keys = [0, 2**64 - 1, low % 2**64, (low + 1) % 2**64, *keys]
+        parent = RngStream(seed, stream_id)
+        ids = _child_id(stream_id, np.array(keys, dtype=np.uint64))
+        k0, k1 = _philox_key(seed, ids)
+        assert ids.dtype == k1.dtype == np.uint64 and ids.shape == k1.shape == (len(keys),)
+        stream = RngStream(seed ^ 1, 7)
+        for i, key in enumerate(keys):
+            fresh = parent.substream(key)
+            assert (seed, int(ids[i])) == (fresh.seed, fresh.stream_id)
+            assert [k0, int(k1[i])] == fresh._gen.bit_generator.state["state"]["key"].tolist()
+            stream.integers(0, 5, size=3)  # a part-used buffer and a cached 32-bit half
+            stream._rekey(seed, int(ids[i]), (k0, k1[i]))
+            assert (stream.seed, stream.stream_id) == (fresh.seed, fresh.stream_id)
+            for draw in self.DRAWS.values():
                 assert np.array_equal(draw(stream), draw(fresh))
 
 

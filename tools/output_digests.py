@@ -3,10 +3,11 @@
     python3 tools/output_digests.py --out DIR > digests.txt
 
 Runs, in this process and with ``DIR`` as the working directory, ``qll
-generate`` for Mixup and PatchMix (600 examples each), ``qll train`` for
-all seven methods with the MLP, for cpu-sjs and cpu-kl with the MLP and
-``--u-mode full``, and for cpu-sjs, cpu-kl and ce with the linear model (8
-epochs each), one config ``qll sweep`` of ce and cpu-sjs over 3 seeds x 3
+generate`` for Mixup and PatchMix (600 examples each), once plain and once
+with ``--reject-degenerate`` (whose redraw loop the plain runs never
+enter), ``qll train`` for all seven methods with the MLP, for cpu-sjs and
+cpu-kl with the MLP and ``--u-mode full``, and for cpu-sjs, cpu-kl and ce
+with the linear model (8 epochs each), one config ``qll sweep`` of ce and cpu-sjs over 3 seeds x 3
 pi2 values (6 epochs), and for cpu-kl and cpu-sjs one ``qll sweep`` of the
 PatchMix files with the linear model and ``--u-mode full`` over 2 seeds x 2
 pi1 x 2 pi2 values (4 epochs), whose runs of one seed share one train file
@@ -59,8 +60,9 @@ SWEEP = {
 
 def calls() -> list[list[str]]:
     """Every qll argv, in run order; paths are relative to the output directory."""
-    argvs = [["generate", *DATA, "--mix", mix, "--seed", "7", "--out", f"data-{mix}"]
-             for mix in ("mixup", "patchmix")]
+    argvs = [["generate", *DATA, "--mix", mix, *reject, "--seed", "7",
+              "--out", f"data-{mix}" + ("-reject" if reject else "")]
+             for mix in ("mixup", "patchmix") for reject in ((), ("--reject-degenerate",))]
 
     def train(data: str, method: str, model: str, u_mode: str = "complement") -> list[str]:
         full = ["--u-mode", "full"] if u_mode == "full" else []
