@@ -312,8 +312,8 @@ class TestDrawLoop:
 
 
 class TestSpecIntegers:
-    """Counts and sizes must be integers: a float r once mixed features with
-    weights that missed unit mass, and a file could not store it."""
+    """Counts and sizes must be integers: with a float r, Mixup's weights
+    counts / r would miss unit mass, and a file header could not store r."""
 
     @pytest.mark.parametrize(
         "kw", [{"r": 3.5}, {"r": 4.0}, {"m": 2.0}, {"m": True}, {"r": np.float64(4)}, {"r": "4"}]
