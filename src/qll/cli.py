@@ -321,24 +321,49 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _fmt_cell(accs: list[float]) -> str:
-    mean = float(np.mean(accs))
-    if len(accs) >= 2:
-        return f"{mean:.4f} ± {np.std(accs, ddof=1):.4f}"
-    return f"{mean:.4f} ± n/a"
+# The settings that a table cell's runs must share, so that they are
+# replicates: runs that differ in their seed only.
+_REPLICATE_FIELDS = ("epochs", "lr", "batch_size", "model", "hidden", "u_mode")
 
 
-def _csv_stats(accs: list[float]) -> str:
-    """The mean, std and n_seeds cells of a csv row; std is empty for one seed."""
-    std = repr(float(np.std(accs, ddof=1))) if len(accs) >= 2 else ""
-    return f"{float(np.mean(accs))!r},{std},{len(accs)}"
+def _write_table(runs: dict[Path, dict], keys: tuple[str, ...], out_dir: Path, name: str, by_mean=False) -> None:
+    """Group run records, keyed by their run.json path, into cells of equal
+    ``keys`` values. Write ``<name>.txt`` (and print it) and ``<name>.csv``
+    under ``out_dir``, one row per cell: its key values, the mean ± std of
+    best_test_accuracy and n_seeds. Rows keep first-seen order and end with
+    the spread (max - min) of the means, or with ``by_mean`` ascend by mean.
+    A cell whose records differ in a _REPLICATE_FIELDS value is a ValueError."""
+    cells: dict[tuple, list[float]] = {}
+    firsts: dict[tuple, tuple[Path, dict]] = {}
+    for path, rec in runs.items():
+        key = tuple(rec[k] for k in keys)
+        first_path, first = firsts.setdefault(key, (path, rec))
+        for f in _REPLICATE_FIELDS:  # a field that one record lacks counts as equal
+            if f in first and f in rec and first[f] != rec[f]:
+                raise ValueError(f"{first_path} and {path} share a table cell but differ in {f}: "
+                                 f"{first[f]!r} != {rec[f]!r}")
+        cells.setdefault(key, []).append(rec["best_test_accuracy"])
+    rows = []  # (mean, key cells, std or None for one seed, n_seeds)
+    for key, accs in cells.items():
+        std = float(np.std(accs, ddof=1)) if len(accs) >= 2 else None
+        rows.append((float(np.mean(accs)), ["" if v is None else f"{v}" for v in key], std, len(accs)))
+    if by_mean:
+        rows.sort(key=lambda row: row[:2])
 
-
-def _render_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
-    def line(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    return "\n".join([line(headers)] + [line(r) for r in rows]) + "\n"
+    table = [[*keys, "best_test_accuracy", "n_seeds"]]
+    table += [[v or "-" for v in key] + [f"{mean:.4f} ± " + ("n/a" if std is None else f"{std:.4f}"), str(n)]
+              for mean, key, std, n in rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    text = "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in table)
+    csv_lines = [",".join([*keys, "mean_best_accuracy", "std_best_accuracy", "n_seeds"])]
+    csv_lines += [",".join([*key, repr(mean), "" if std is None else repr(std), str(n)]) for mean, key, std, n in rows]
+    if not by_mean:
+        spread = max(row[0] for row in rows) - min(row[0] for row in rows)
+        text += f"spread (max-min of means) = {spread:.4f}\n"
+        csv_lines.append(f"spread,{spread!r}")
+    atomic_write_text(out_dir / f"{name}.txt", text)
+    atomic_write_text(out_dir / f"{name}.csv", "\n".join(csv_lines) + "\n")
+    print(text, end="")
 
 
 def cmd_sweep(args) -> int:
@@ -357,14 +382,8 @@ def cmd_sweep(args) -> int:
         exp = ExperimentConfig(**over)
     else:
         raise UsageError("sweep needs --data and --test (or --config)")
-    for key in ("methods", "seeds", "pi1_grid", "pi2_grid"):
-        entries = ["auto" if _is_auto(v) else v for v in getattr(exp, key) or []]
-        if len(set(entries)) < len(entries):
-            raise UsageError(f"duplicate {key} in {getattr(exp, key)}")
-
-    # Every run's config is built, and so checked, before any data is made
-    # or any run trains. Every seed's train set has one shape and mix (one
-    # --data file, or data made from one spec), so pi2 "auto" is one m/c.
+    # Every seed's train set has one shape and mix (one --data file, or data
+    # made from one spec), so pi2 "auto" is one m/c.
     out_dir = Path(exp.out) if exp.out else _out_root() / "sweep"
     if exp.data is None:
         data_by_seed = dict.fromkeys(exp.seeds, (Path(args.data), Path(args.test)))
@@ -373,14 +392,25 @@ def cmd_sweep(args) -> int:
         m, c = first.gen_meta.m, first.class_count
     else:
         m, c = exp.data.mix.m if exp.data.mix else 0, exp.data.base.c
+    # A repeated entry, or a pi2 equal to an "auto" entry's m/c, would train
+    # one run twice; refused before anything is written.
+    auto = m / c if m else "auto"
+    for key in ("methods", "seeds", "pi1_grid", "pi2_grid"):
+        entries = [auto if _is_auto(v) else v for v in getattr(exp, key) or []]
+        if len(set(entries)) < len(entries):
+            hint = f" (auto is m/c = {auto})" if key == "pi2_grid" and m else ""
+            raise UsageError(f"duplicate {key} in {getattr(exp, key)}{hint}")
+
+    # Every run's config is built, and so checked, before any data is made
+    # or any run trains.
     pi1_grid = exp.pi1_grid or [exp.settings.pi1]
     pi2_grid = exp.pi2_grid or [exp.settings.pi2]
-    plans = []  # (method, its prior grid, its (seed, pi1, pi2) members, their configs)
+    plans = []  # (method, its (seed, pi1, pi2) members, their configs)
     for method in exp.methods:
         grid = [(p1, p2) for p1 in pi1_grid for p2 in pi2_grid] if method in CPU_METHODS else [(None, None)]
         members = [(seed, p1, p2) for seed in exp.seeds for p1, p2 in grid]
         cfgs = [_train_config(method, replace(exp.settings, pi1=p1, pi2=p2), seed, m, c) for seed, p1, p2 in members]
-        plans.append((method, grid, members, cfgs))
+        plans.append((method, members, cfgs))
 
     if exp.data is not None:  # each file is read once
         data_by_seed = {
@@ -389,85 +419,52 @@ def cmd_sweep(args) -> int:
         loaded = {path: load_dataset(path) for pair in data_by_seed.values() for path in pair}
 
     # Each method trains its seeds x prior grid as one stacked run, seed-major.
-    rows = []
-    for method, grid, members, cfgs in plans:
+    runs = {}
+    for method, members, cfgs in plans:
         trains = [loaded[data_by_seed[seed][0]] for seed, *_ in members]
         tests = [loaded[data_by_seed[seed][1]] for seed, *_ in members]
-        best = []  # best test accuracy per member
         for (seed, p1, p2), run_cfg, report, train_ds in zip(members, cfgs, train_runs(trains, tests, cfgs), trains):
             tag = f"{method}" + (f"-pi1_{p1}-pi2_{p2}" if p1 is not None else "")
-            record = _write_run(
-                out_dir / "runs" / f"{tag}-seed{seed}", method, run_cfg, report, train_ds, data_by_seed[seed]
-            )
-            best.append(record["best_test_accuracy"])
-        rows += [(method, p1, p2, best[j :: len(grid)]) for j, (p1, p2) in enumerate(grid)]
-
-    headers = ["method", "pi1", "pi2", "best_test_accuracy", "n_seeds"]
-    table_rows = []
-    csv_lines = ["method,pi1,pi2,mean_best_accuracy,std_best_accuracy,n_seeds"]
-    for method, p1, p2, accs in rows:
-        priors = ["" if p is None else f"{p}" for p in (p1, p2)]
-        table_rows.append([method] + [p or "-" for p in priors] + [_fmt_cell(accs), str(len(accs))])
-        csv_lines.append(",".join([method, *priors, _csv_stats(accs)]))
-    means = [float(np.mean(accs)) for *_, accs in rows]
-    spread = max(means) - min(means) if means else 0.0
-    text = _render_table(headers, table_rows) + f"spread (max-min of means) = {spread:.4f}\n"
-    atomic_write_text(out_dir / "sweep_table.txt", text)
-    atomic_write_text(out_dir / "sweep_table.csv", "\n".join(csv_lines) + f"\nspread,{spread!r}\n")
-    print(text, end="")
+            run_dir = out_dir / "runs" / f"{tag}-seed{seed}"
+            runs[run_dir / "run.json"] = _write_run(run_dir, method, run_cfg, report, train_ds, data_by_seed[seed])
+    _write_table(runs, ("method", "pi1", "pi2"), out_dir, "sweep_table")
     return 0
 
 
-def _accuracy(v, path: Path) -> float:
-    """A run record's best test accuracy, which must be a finite real number
-    in [0, 1] and not a bool."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:  # NaN fails too
-        raise ValueError(f"{path}: best_test_accuracy must be a number in [0, 1], got {v!r}")
-    return float(v)
+def _read_run(path: Path) -> dict:
+    """A run.json's record, its table fields checked: method and dataset
+    strings, pi1 and pi2 null (or absent) or in (0, 1], best_test_accuracy
+    in [0, 1]. A bool is no number, and NaN lies in no range."""
+    try:
+        rec = json.loads(path.read_text(encoding="utf-8"))
+        method, dataset, accuracy = rec["method"], rec["dataset"], rec["best_test_accuracy"]
+    except KeyError as e:
+        raise ValueError(f"{path}: run record has no {e} field") from None
+    except (ValueError, TypeError) as e:  # not JSON, or not a JSON object
+        raise ValueError(f"{path}: not a run record: {e}") from None
+    for key, v in (("method", method), ("dataset", dataset)):
+        if not isinstance(v, str):
+            raise ValueError(f"{path}: {key} must be a string, got {v!r}")
+
+    def number(v) -> bool:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+    for key in ("pi1", "pi2"):
+        v = rec.setdefault(key, None)
+        if v is not None and not (number(v) and 0.0 < v <= 1.0):
+            raise ValueError(f"{path}: {key} must be null or a number in (0, 1], got {v!r}")
+    if not (number(accuracy) and 0.0 <= accuracy <= 1.0):
+        raise ValueError(f"{path}: best_test_accuracy must be a number in [0, 1], got {accuracy!r}")
+    return rec
 
 
 def cmd_report(args) -> int:
     root = Path(args.runs)
-    by_cell: dict[tuple[str, str], list[float]] = {}
-    for path in sorted(root.rglob("run.json")):
-        try:
-            rec = json.loads(path.read_text(encoding="utf-8"))
-            cell, accuracy = (rec["method"], rec["dataset"]), rec["best_test_accuracy"]
-        except KeyError as e:
-            raise ValueError(f"{path}: run record has no {e} field") from None
-        except (ValueError, TypeError) as e:  # not JSON, or not a JSON object
-            raise ValueError(f"{path}: not a run record: {e}") from None
-        for key, v in zip(("method", "dataset"), cell):
-            if not isinstance(v, str):
-                raise ValueError(f"{path}: {key} must be a string, got {v!r}")
-        by_cell.setdefault(cell, []).append(_accuracy(accuracy, path))
-    if not by_cell:
+    runs = {path: _read_run(path) for path in sorted(root.rglob("run.json"))}
+    if not runs:
         raise RuntimeError(f"no completed runs found under {root}")
-    datasets = sorted({ds for _, ds in by_cell})
-    methods = sorted({m for m, _ in by_cell})
-
-    def row_mean(method: str) -> float:
-        cells = [np.mean(by_cell[(method, ds)]) for ds in datasets if (method, ds) in by_cell]
-        return float(np.mean(cells))
-
-    methods.sort(key=row_mean)  # ascending mean, worst method first
-    headers = ["method"] + datasets
-    table_rows = []
-    csv_lines = ["method,dataset,mean_best_accuracy,std_best_accuracy,n_seeds"]
-    for m in methods:
-        row = [m]
-        for ds in datasets:
-            accs = by_cell.get((m, ds))
-            row.append(_fmt_cell(accs) if accs else "-")
-            if accs:
-                csv_lines.append(f"{m},{ds},{_csv_stats(accs)}")
-        table_rows.append(row)
-
-    text = _render_table(headers, table_rows)
     out_dir = Path(args.out) if args.out else root
-    atomic_write_text(out_dir / "table.txt", text)
-    atomic_write_text(out_dir / "table.csv", "\n".join(csv_lines) + "\n")
-    print(text, end="")
+    _write_table(runs, ("method", "dataset", "pi1", "pi2"), out_dir, "table", by_mean=True)
     return 0
 
 

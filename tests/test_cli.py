@@ -464,10 +464,12 @@ class TestSettings:
         ("methods", None, ["ce", "cpu-kl", "ce"]),
         ("pi1_grid", ["--pi1-grid", "0.1,0.3,0.1"], [0.1, 0.1]),
         ("pi2_grid", ["--pi2-grid", "auto,0.5,AUTO"], [0.5, "auto", 0.5]),
-    ], ids=["seeds", "methods", "pi1_grid", "pi2_grid"])
+        ("pi2_grid", ["--pi2-grid", f"{2 / 3!r},auto"], [2 / 3, "auto"]),
+    ], ids=["seeds", "methods", "pi1_grid", "pi2_grid", "pi2_equal_to_auto"])
     def test_duplicate_seeds_are_usage_errors(self, datadir, tmp_path, capsys, key, flag, config_value):
-        # Any list that repeats an entry would train one run twice into one
-        # directory, so each is refused before anything is written.
+        # Any list that repeats an entry would train one run twice, so each
+        # is refused before anything is written. On both data sets "auto"
+        # is m/c = 2/3, so a pi2 of 2/3 beside it is a repeat too.
         data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
         if flag:
             assert run("sweep", *data, "--epochs", "1", *flag, "--out", str(tmp_path / "s")) == 1
@@ -516,7 +518,7 @@ class TestReport:
         assert "± n/a" in lines[2]
         csv = (root / "table.csv").read_text().splitlines()
         ce_row = next(l for l in csv if l.startswith("ce,"))
-        _, ds, mean, std, n = ce_row.split(",")
+        _, ds, _, _, mean, std, n = ce_row.split(",")
         assert ds == "mixup-m2-r4"
         assert float(mean) == pytest.approx(0.80, abs=1e-12)
         assert float(std) == pytest.approx(0.02, abs=1e-12)
@@ -566,6 +568,55 @@ class TestReport:
         assert run("report", "--runs", str(root)) == 2
         assert f"{bad}: {key} must be a string, got 5" in capsys.readouterr().err
         assert not (root / "table.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["0.3", True, 1.5, float("nan")], ids=["string", "bool", "above-1", "nan"])
+    @pytest.mark.parametrize("key", ["pi1", "pi2"])
+    def test_prior_must_be_null_or_a_number_in_range(self, tmp_path, capsys, key, bad):
+        root = tmp_path / "runs"
+        self._fake_run(root, "cpu-sjs", "mixup-m2-r4", 1, 0.8)
+        path = root / "cpu-sjs-mixup-m2-r4-s1" / "run.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "pi1": 0.1, "pi2": 0.5, key: bad}))
+        assert run("report", "--runs", str(root)) == 2
+        assert f"{path}: {key} must be null or a number in (0, 1], got {bad!r}" in capsys.readouterr().err
+        assert not (root / "table.csv").exists()
+
+    @pytest.mark.parametrize("key, a, b", [
+        ("epochs", 60, 2), ("lr", 0.01, 0.1), ("batch_size", 16, 32),
+        ("model", "mlp", "linear"), ("hidden", 64, 32), ("u_mode", "complement", "full"),
+    ])
+    def test_cell_of_runs_that_are_not_replicates_is_error(self, tmp_path, capsys, key, a, b):
+        root = tmp_path / "runs"
+        for seed, value in ((1, a), (2, a), (3, b)):
+            self._fake_run(root, "ce", "mixup-m2-r4", seed, 0.8)
+            path = root / f"ce-mixup-m2-r4-s{seed}" / "run.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        assert run("report", "--runs", str(root)) == 2
+        first, last = (root / f"ce-mixup-m2-r4-s{s}" / "run.json" for s in (1, 3))
+        assert f"{first} and {last} share a table cell but differ in {key}" in capsys.readouterr().err
+        assert not (root / "table.csv").exists()
+        # A field that one record lacks counts as equal.
+        rec = json.loads(last.read_text())
+        del rec[key]
+        last.write_text(json.dumps(rec))
+        assert run("report", "--runs", str(root)) == 0
+
+    def test_report_reproduces_the_sweep(self, datadir, tmp_path):
+        # A file-mode sweep trains one method, so ce is a second sweep
+        # beside the cpu-sjs one; the report reads the runs of both.
+        data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
+        common = [*data, "--epochs", "2", "--seeds", "1,2"]
+        sweeps = tmp_path / "sweeps"
+        assert run("sweep", *common, "--method", "cpu-sjs", "--pi2-grid", "0.3,0.6", "--out", str(sweeps / "pu")) == 0
+        assert run("sweep", *common, "--method", "ce", "--out", str(sweeps / "ce")) == 0
+        assert run("report", "--runs", str(sweeps), "--out", str(tmp_path)) == 0
+        tables = [(sweeps / name / "sweep_table.csv").read_text().splitlines() for name in ("pu", "ce")]
+        swept = [row for lines in tables for row in lines[1:-1]]
+        reported = (tmp_path / "table.csv").read_text().splitlines()
+        assert reported[0] == "method,dataset,pi1,pi2,mean_best_accuracy,std_best_accuracy,n_seeds"
+        rows = [row.split(",") for row in reported[1:]]
+        assert {ds for _, ds, *_ in rows} == {"mixup-m2-r4"}
+        assert sorted(",".join([method, *rest]) for method, _, *rest in rows) == sorted(swept)
+        assert len(swept) == 3
 
     def test_end_to_end_pipeline(self, datadir, tmp_path):
         runs = tmp_path / "runs"

@@ -5,16 +5,19 @@
 Runs, in this process and with ``DIR`` as the working directory, ``qll
 generate`` for Mixup and PatchMix (600 examples each), once plain and once
 with ``--reject-degenerate`` (whose redraw loop the plain runs never
-enter), ``qll train`` for all seven methods with the MLP, for cpu-sjs and
-cpu-kl with the MLP and ``--u-mode full``, and for cpu-sjs, cpu-kl and ce
-with the linear model (8 epochs each), one config ``qll sweep`` of ce and cpu-sjs over 3 seeds x 3
-pi2 values (6 epochs), and for cpu-kl and cpu-sjs one ``qll sweep`` of the
-PatchMix files with the linear model and ``--u-mode full`` over 2 seeds x 2
-pi1 x 2 pi2 values (4 epochs), whose runs of one seed share one train file
-and one batch stream. Then prints one ``sha256  path`` line,
-sorted by path, for every ``.qll``, ``metrics.csv``, ``model.ckpt``,
-``run.json`` and ``sweep_table.csv`` under ``DIR``. The commands' own output
-goes to standard error.
+enter); ``qll train`` for all seven methods with the MLP and for cpu-sjs,
+cpu-kl and ce with the linear model (8 epochs each), then ``qll report``
+over those runs, then ``qll train`` for cpu-sjs and cpu-kl with the MLP
+and ``--u-mode full`` (the report comes first, as it refuses a cell whose
+runs differ in u_mode); one config ``qll sweep`` of ce and cpu-sjs over 3
+seeds x 3 pi2 values (6 epochs), and ``qll report`` over its runs; and for
+cpu-kl and cpu-sjs one ``qll sweep`` of the PatchMix files with the linear
+model and ``--u-mode full`` over 2 seeds x 2 pi1 x 2 pi2 values (4
+epochs), whose runs of one seed share one train file and one batch
+stream. Then prints one ``sha256  path`` line, sorted by path, for every
+``.qll``, ``metrics.csv``, ``model.ckpt``, ``run.json``,
+``sweep_table.csv`` and (report) ``table.csv`` under ``DIR``. The
+commands' own output goes to standard error.
 
 Every path the commands see is relative to ``DIR``, so the lines do not
 depend on where ``DIR`` is. Run the script at two commits of one
@@ -42,7 +45,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from qll import cli  # noqa: E402
 
-HASHED = (".qll", "metrics.csv", "model.ckpt", "run.json", "sweep_table.csv")
+HASHED = (".qll", "metrics.csv", "model.ckpt", "run.json", "sweep_table.csv", "table.csv")
 METHODS = ("cpu-sjs", "cpu-kl", "ce", "bs", "gce", "sce", "js")
 LINEAR_METHODS = ("cpu-sjs", "cpu-kl", "ce")
 FULL_U_METHODS = ("cpu-sjs", "cpu-kl")
@@ -71,9 +74,13 @@ def calls() -> list[list[str]]:
                 "--out", f"runs/{model}-{method}" + ("-full" if full else "")]
 
     argvs += [train("data-mixup", m, "mlp") for m in METHODS]
-    argvs += [train("data-mixup", m, "mlp", "full") for m in FULL_U_METHODS]
     argvs += [train("data-patchmix", m, "linear") for m in LINEAR_METHODS]
+    # Before the u-mode full runs join runs/: a cpu-sjs or cpu-kl cell would
+    # then hold runs that differ in u_mode, which qll report refuses.
+    argvs.append(["report", "--runs", "runs"])
+    argvs += [train("data-mixup", m, "mlp", "full") for m in FULL_U_METHODS]
     argvs.append(["sweep", "--config", "sweep.json"])
+    argvs.append(["report", "--runs", "sweep/runs"])
     argvs += [["sweep", "--data", "data-patchmix/ambig_train.qll", "--test", "data-patchmix/base_test.qll",
                "--method", m, "--model", "linear", "--u-mode", "full", "--pi1-grid", "0.1,0.3",
                "--pi2-grid", "0.25,auto", "--seeds", "1,2", "--epochs", "4", "--out", f"sweep-{m}"]
