@@ -21,7 +21,7 @@ import json
 import numbers
 import os
 import sys
-from dataclasses import InitVar, dataclass, field, fields, replace
+from dataclasses import InitVar, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -272,35 +272,24 @@ def _train_config(method: str, s: TrainSettings, seed: int, m: int, c: int) -> T
     )
 
 
-def _write_run(
-    run_dir: Path,
-    method: str,
-    cfg: TrainConfig,
-    report,
-    train_ds: AmbiguousDataset,
-    paths: tuple[Path, Path],
-) -> dict:
-    """Write metrics.csv, model.ckpt and run.json; returns the run record."""
+def _write_run(run_dir: Path, method: str, cfg: TrainConfig, report, data, paths: tuple[Path, Path]) -> dict:
+    """Write metrics.csv, model.ckpt and run.json; returns the run record:
+    every TrainConfig field (its priors as pi1 and pi2, null for a
+    baseline), the method, data paths and accuracies, and the generation
+    records of the (train, test) sets in ``data``, flattened with a
+    ``train_`` or ``test_`` prefix: the train set's shape and each set's
+    sidecar extras. Their generation seeds are left out, so the runs of a
+    per-seed sweep stay replicates."""
     run_dir.mkdir(parents=True, exist_ok=True)
     write_metrics(report, run_dir / "metrics.csv")
     save_model(report.final_model, run_dir / "model.ckpt")
-    record = {
-        "method": method,
-        "dataset": dataset_tag(train_ds),
-        "data": str(paths[0]),
-        "test_data": str(paths[1]),
-        "seed": cfg.seed,
-        "pi1": cfg.priors.pi1 if cfg.priors else None,
-        "pi2": cfg.priors.pi2 if cfg.priors else None,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "lr": cfg.lr,
-        "model": cfg.model_kind,
-        "hidden": cfg.hidden_dim,
-        "u_mode": cfg.u_mode,
-        "best_test_accuracy": report.best_test_accuracy,
-        "last5_avg_accuracy": report.last5_avg_accuracy,
-    }
+    record = asdict(cfg)
+    record.update(record.pop("priors") or {"pi1": None, "pi2": None})
+    record.update({f"train_{k}": getattr(data[0], k) for k in ("class_count", "feature_dim", "n_examples")})
+    for name, ds in zip(("train", "test"), data):
+        record.update({f"{name}_{k}": v for k, v in ds.gen_meta.extra.items()})
+    record.update(method=method, dataset=dataset_tag(data[0]), data=str(paths[0]), test_data=str(paths[1]),
+                  best_test_accuracy=report.best_test_accuracy, last5_avg_accuracy=report.last5_avg_accuracy)
     atomic_write_text(run_dir / "run.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
     return record
 
@@ -313,7 +302,7 @@ def cmd_train(args) -> int:
     settings = _build(TrainSettings, "train", _train_flags(args))
     cfg = _train_config(args.method, settings, args.seed, train_ds.gen_meta.m, train_ds.class_count)
     report = train(train_ds, test_ds, cfg)
-    record = _write_run(run_dir, args.method, cfg, report, train_ds, paths)
+    record = _write_run(run_dir, args.method, cfg, report, (train_ds, test_ds), paths)
     print(
         f"{record['method']} seed={record['seed']} "
         f"best_test_accuracy={record['best_test_accuracy']:.4f} -> {run_dir}"
@@ -321,9 +310,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-# The settings that a table cell's runs must share, so that they are
-# replicates: runs that differ in their seed only.
-_REPLICATE_FIELDS = ("epochs", "lr", "batch_size", "model", "hidden", "u_mode")
+# A run's own fields: the replicates in one table cell differ in these and
+# in the cell's key fields only.
+_RUN_FIELDS = ("seed", "data", "test_data", "best_test_accuracy", "last5_avg_accuracy")
 
 
 def _write_table(runs: dict[Path, dict], keys: tuple[str, ...], out_dir: Path, name: str, by_mean=False) -> None:
@@ -332,16 +321,22 @@ def _write_table(runs: dict[Path, dict], keys: tuple[str, ...], out_dir: Path, n
     under ``out_dir``, one row per cell: its key values, the mean ± std of
     best_test_accuracy and n_seeds. Rows keep first-seen order and end with
     the spread (max - min) of the means, or with ``by_mean`` ascend by mean.
-    A cell whose records differ in a _REPLICATE_FIELDS value is a ValueError."""
+    A cell must hold replicates: a ValueError names two of its records that
+    differ in a field both hold, bar ``keys`` and _RUN_FIELDS, or that share
+    their seed and data (one deterministic run recorded twice)."""
     cells: dict[tuple, list[float]] = {}
-    firsts: dict[tuple, tuple[Path, dict]] = {}
+    seen: dict[tuple, tuple[Path, object]] = {}  # (cell key, field) -> its first record's path and value
+    run_paths: dict[tuple, Path] = {}  # (cell key, seed and data) -> the record's path
     for path, rec in runs.items():
         key = tuple(rec[k] for k in keys)
-        first_path, first = firsts.setdefault(key, (path, rec))
-        for f in _REPLICATE_FIELDS:  # a field that one record lacks counts as equal
-            if f in first and f in rec and first[f] != rec[f]:
-                raise ValueError(f"{first_path} and {path} share a table cell but differ in {f}: "
-                                 f"{first[f]!r} != {rec[f]!r}")
+        for f in sorted(rec.keys() - {*keys, *_RUN_FIELDS}):  # a field that one record lacks counts as equal
+            first_path, v = seen.setdefault((key, f), (path, rec[f]))
+            if v != rec[f]:
+                raise ValueError(f"{first_path} and {path} share a table cell but differ in {f}: {v!r} != {rec[f]!r}")
+        first_path = run_paths.setdefault((key, json.dumps([rec.get("seed"), rec.get("data")])), path)
+        if first_path != path:
+            raise ValueError(f"{first_path} and {path} share a table cell and are one run recorded twice: "
+                             f"equal seed and data")
         cells.setdefault(key, []).append(rec["best_test_accuracy"])
     rows = []  # (mean, key cells, std or None for one seed, n_seeds)
     for key, accs in cells.items():
@@ -423,10 +418,10 @@ def cmd_sweep(args) -> int:
     for method, members, cfgs in plans:
         trains = [loaded[data_by_seed[seed][0]] for seed, *_ in members]
         tests = [loaded[data_by_seed[seed][1]] for seed, *_ in members]
-        for (seed, p1, p2), run_cfg, report, train_ds in zip(members, cfgs, train_runs(trains, tests, cfgs), trains):
+        for (seed, p1, p2), cfg, report, *data in zip(members, cfgs, train_runs(trains, tests, cfgs), trains, tests):
             tag = f"{method}" + (f"-pi1_{p1}-pi2_{p2}" if p1 is not None else "")
             run_dir = out_dir / "runs" / f"{tag}-seed{seed}"
-            runs[run_dir / "run.json"] = _write_run(run_dir, method, run_cfg, report, train_ds, data_by_seed[seed])
+            runs[run_dir / "run.json"] = _write_run(run_dir, method, cfg, report, data, data_by_seed[seed])
     _write_table(runs, ("method", "pi1", "pi2"), out_dir, "sweep_table")
     return 0
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qll.cli import ExperimentConfig, TrainSettings, build_loss, main, resolve_p
 from qll.dataio import load_dataset
 from qll.datagen import BaseSpec, MixSpec
 from qll.losses import BinaryLossKind, MulticlassLossKind
+from qll.training import TrainConfig
 
 
 def run(*argv):
@@ -121,6 +123,22 @@ class TestTrain:
         record = json.loads((rundir / "run.json").read_text())
         assert record["method"] == "ce"
         assert record["pi1"] is None
+
+    def test_run_record_holds_every_config_field(self, datadir, tmp_path):
+        rundir = tmp_path / "run4"
+        assert run(
+            "train", "--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll"),
+            "--method", "gce", "--gce-q", "0.3", "--epochs", "1", "--out", str(rundir),
+        ) == 0
+        record = json.loads((rundir / "run.json").read_text())
+        # priors is recorded as pi1 and pi2, null for a baseline.
+        assert {f.name for f in fields(TrainConfig)} - {"priors"} <= record.keys()
+        assert record["loss"] == {"variant": "gce", "beta": None, "q": 0.3, "a": None, "b": None,
+                                  "pi1": None, "scaled": True}
+        assert (record["pi1"], record["pi2"], record["momentum"], record["weight_decay"]) == (None, None, 0.9, 1e-4)
+        # The data's generation records, but never their seeds.
+        assert (record["train_n_examples"], record["train_n_out"], record["test_separation"]) == (80, "80", "6.0")
+        assert [k for k in record if "seed" in k] == ["seed"]
 
     def test_missing_data_is_runtime_error(self, tmp_path):
         assert run(
@@ -582,7 +600,9 @@ class TestReport:
 
     @pytest.mark.parametrize("key, a, b", [
         ("epochs", 60, 2), ("lr", 0.01, 0.1), ("batch_size", 16, 32),
-        ("model", "mlp", "linear"), ("hidden", 64, 32), ("u_mode", "complement", "full"),
+        ("model_kind", "mlp", "linear"), ("hidden_dim", 64, 32), ("u_mode", "complement", "full"),
+        ("momentum", 0.9, 0.5), ("weight_decay", 1e-4, 0.0),
+        pytest.param("loss", {"variant": "gce", "q": 0.7}, {"variant": "gce", "q": 0.3}, id="loss-gce_q"),
     ])
     def test_cell_of_runs_that_are_not_replicates_is_error(self, tmp_path, capsys, key, a, b):
         root = tmp_path / "runs"
@@ -599,6 +619,32 @@ class TestReport:
         del rec[key]
         last.write_text(json.dumps(rec))
         assert run("report", "--runs", str(root)) == 0
+
+    @pytest.mark.parametrize("first, second, separation, message", [
+        ([], [], "3", "differ in test_separation: '6.0' != '3.0'"),
+        (["--method", "gce", "--gce-q", "0.3"], ["--method", "gce", "--gce-q", "0.9"], None, "differ in loss: "),
+        ([], [], None, "are one run recorded twice: equal seed and data"),
+    ], ids=["separation", "gce_q", "duplicate"])
+    def test_trained_runs_that_are_not_replicates_are_refused(
+        self, datadir, tmp_path, capsys, first, second, separation, message
+    ):
+        # Two seed-1 runs of one cell: on data of another separation, with
+        # another loss parameter, or the same run written twice.
+        second_data = datadir
+        if separation:
+            second_data = tmp_path / "data2"
+            assert run(*GEN_SMALL, "--separation", separation, "--out", str(second_data)) == 0
+        runs = tmp_path / "runs"
+        for name, data, flags in (("a", datadir, first), ("b", second_data, second)):
+            assert run(
+                "train", "--data", str(data / "ambig_train.qll"), "--test", str(data / "base_test.qll"),
+                "--method", "ce", *flags, "--epochs", "1", "--out", str(runs / name),
+            ) == 0
+        assert run("report", "--runs", str(runs)) == 2
+        err = capsys.readouterr().err
+        assert f"{runs / 'a' / 'run.json'} and {runs / 'b' / 'run.json'} share a table cell" in err
+        assert message in err
+        assert not (runs / "table.csv").exists()
 
     def test_report_reproduces_the_sweep(self, datadir, tmp_path):
         # A file-mode sweep trains one method, so ce is a second sweep

@@ -14,10 +14,12 @@ seeds x 3 pi2 values (6 epochs), and ``qll report`` over its runs; and for
 cpu-kl and cpu-sjs one ``qll sweep`` of the PatchMix files with the linear
 model and ``--u-mode full`` over 2 seeds x 2 pi1 x 2 pi2 values (4
 epochs), whose runs of one seed share one train file and one batch
-stream. Then prints one ``sha256  path`` line, sorted by path, for every
-``.qll``, ``metrics.csv``, ``model.ckpt``, ``run.json``,
-``sweep_table.csv`` and (report) ``table.csv`` under ``DIR``. The
-commands' own output goes to standard error.
+stream; and one ``qll train --method gce --gce-q 0.3`` with the MLP
+into ``gce-q0.3/``, outside ``runs/``, whose run.json records a loss
+parameter off its default. Then prints one ``sha256  path`` line, sorted
+by path, for every ``.qll``, ``metrics.csv``, ``model.ckpt``,
+``run.json``, ``sweep_table.csv`` and (report) ``table.csv`` under
+``DIR``. The commands' own output goes to standard error.
 
 Every path the commands see is relative to ``DIR``, so the lines do not
 depend on where ``DIR`` is. Run the script at two commits of one
@@ -85,6 +87,7 @@ def calls() -> list[list[str]]:
                "--method", m, "--model", "linear", "--u-mode", "full", "--pi1-grid", "0.1,0.3",
                "--pi2-grid", "0.25,auto", "--seeds", "1,2", "--epochs", "4", "--out", f"sweep-{m}"]
               for m in FULL_U_METHODS]
+    argvs.append([*train("data-mixup", "gce", "mlp")[:-2], "--gce-q", "0.3", "--out", "gce-q0.3"])
     return argvs
 
 
