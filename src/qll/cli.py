@@ -17,6 +17,7 @@ default output root. Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import numbers
 import os
@@ -275,7 +276,8 @@ def _train_config(method: str, s: TrainSettings, seed: int, m: int, c: int) -> T
 def _write_run(run_dir: Path, method: str, cfg: TrainConfig, report, data, paths: tuple[Path, Path]) -> dict:
     """Write metrics.csv, model.ckpt and run.json; returns the run record:
     every TrainConfig field (its priors as pi1 and pi2, null for a
-    baseline), the method, data paths and accuracies, and the generation
+    baseline), the method, data paths, the sha256 of the train file's bytes
+    (data_sha256) and accuracies, and the generation
     records of the (train, test) sets in ``data``, flattened with a
     ``train_`` or ``test_`` prefix: the train set's shape and each set's
     sidecar extras. Their generation seeds are left out, so the runs of a
@@ -289,6 +291,7 @@ def _write_run(run_dir: Path, method: str, cfg: TrainConfig, report, data, paths
     for name, ds in zip(("train", "test"), data):
         record.update({f"{name}_{k}": v for k, v in ds.gen_meta.extra.items()})
     record.update(method=method, dataset=dataset_tag(data[0]), data=str(paths[0]), test_data=str(paths[1]),
+                  data_sha256=hashlib.sha256(paths[0].read_bytes()).hexdigest(),
                   best_test_accuracy=report.best_test_accuracy, last5_avg_accuracy=report.last5_avg_accuracy)
     atomic_write_text(run_dir / "run.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
     return record
@@ -312,7 +315,7 @@ def cmd_train(args) -> int:
 
 # A run's own fields: the replicates in one table cell differ in these and
 # in the cell's key fields only.
-_RUN_FIELDS = ("seed", "data", "test_data", "best_test_accuracy", "last5_avg_accuracy")
+_RUN_FIELDS = ("seed", "data", "data_sha256", "test_data", "best_test_accuracy", "last5_avg_accuracy")
 
 
 def _write_table(runs: dict[Path, dict], keys: tuple[str, ...], out_dir: Path, name: str, by_mean=False) -> None:
@@ -323,20 +326,22 @@ def _write_table(runs: dict[Path, dict], keys: tuple[str, ...], out_dir: Path, n
     the spread (max - min) of the means, or with ``by_mean`` ascend by mean.
     A cell must hold replicates: a ValueError names two of its records that
     differ in a field both hold, bar ``keys`` and _RUN_FIELDS, or that share
-    their seed and data (one deterministic run recorded twice)."""
+    their seed and train data (one deterministic run recorded twice): its
+    data_sha256, or for a record without one its data path."""
     cells: dict[tuple, list[float]] = {}
     seen: dict[tuple, tuple[Path, object]] = {}  # (cell key, field) -> its first record's path and value
-    run_paths: dict[tuple, Path] = {}  # (cell key, seed and data) -> the record's path
+    run_paths: dict[tuple, Path] = {}  # (cell key, seed and train data) -> the record's path
     for path, rec in runs.items():
         key = tuple(rec[k] for k in keys)
         for f in sorted(rec.keys() - {*keys, *_RUN_FIELDS}):  # a field that one record lacks counts as equal
             first_path, v = seen.setdefault((key, f), (path, rec[f]))
             if v != rec[f]:
                 raise ValueError(f"{first_path} and {path} share a table cell but differ in {f}: {v!r} != {rec[f]!r}")
-        first_path = run_paths.setdefault((key, json.dumps([rec.get("seed"), rec.get("data")])), path)
+        same = "data_sha256" if "data_sha256" in rec else "data"
+        first_path = run_paths.setdefault((key, json.dumps([rec.get("seed"), rec.get(same)])), path)
         if first_path != path:
             raise ValueError(f"{first_path} and {path} share a table cell and are one run recorded twice: "
-                             f"equal seed and data")
+                             f"equal seed and {same}")
         cells.setdefault(key, []).append(rec["best_test_accuracy"])
     rows = []  # (mean, key cells, std or None for one seed, n_seeds)
     for key, accs in cells.items():

@@ -9,8 +9,8 @@ weighted Jensen-Shannon divergence
 its scaled form  -1 / [(1 - alpha) * ln(1 - alpha)] * D_sjs  (which keeps the
 loss magnitude stable as alpha varies and recovers KL as alpha -> 0 and the
 classical JS divergence at alpha = 1/2), and plain KL (binary cross-entropy).
-The mixing weight alpha lives in (0, 0.5] and is either fixed or resampled
-once per training iteration from Beta(0.5, 0.5) halved.
+The mixing weight alpha lives in (0, 0.5] and is resampled once per training
+iteration from Beta(0.5, 0.5) halved.
 
 Multiclass baseline losses (CE, soft Bootstrap, GCE, SCE, weighted JS) are
 provided for comparison runs. Every loss ships an analytic gradient that
@@ -69,27 +69,20 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 class BinaryLossKind:
     """Which binary loss the PU risks evaluate.
 
-    ``scaled_sjs`` uses the scaled stochastic JS divergence; its alpha is
-    resampled per iteration when ``fixed_alpha`` is None and pinned
-    otherwise (0.5 is the classical JS point). ``kl`` is binary
-    cross-entropy and takes no alpha.
+    ``scaled_sjs`` uses the scaled stochastic JS divergence, at an alpha
+    resampled per iteration. ``kl`` is binary cross-entropy and takes no
+    alpha.
     """
 
     variant: str
-    fixed_alpha: float | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in _BINARY_VARIANTS:
             raise ValueError(f"variant must be one of {_BINARY_VARIANTS}, got {self.variant!r}")
-        if self.variant == "kl":
-            if self.fixed_alpha is not None:
-                raise ValueError("kl takes no alpha")
-        elif self.fixed_alpha is not None and not (0.0 < self.fixed_alpha <= 0.5):
-            raise ValueError(f"fixed alpha must lie in (0, 0.5], got {self.fixed_alpha}")
 
     @classmethod
-    def scaled_sjs(cls, fixed_alpha: float | None = None) -> "BinaryLossKind":
-        return cls("scaled_sjs", fixed_alpha)
+    def scaled_sjs(cls) -> "BinaryLossKind":
+        return cls("scaled_sjs")
 
     @classmethod
     def kl(cls) -> "BinaryLossKind":
@@ -97,18 +90,17 @@ class BinaryLossKind:
 
     @property
     def needs_alpha(self) -> bool:
-        return self.variant == "scaled_sjs" and self.fixed_alpha is None
+        return self.variant == "scaled_sjs"
 
     def resolve_alpha(self, alpha):
-        """Alpha to evaluate with, preferring the pinned value: a float, or a
-        list of floats when ``alpha`` holds one per stacked run."""
+        """Alpha to evaluate with: None for kl, else a float, or a list of
+        floats when ``alpha`` holds one per stacked run."""
         if self.variant == "kl":
             return None
-        a = self.fixed_alpha if self.fixed_alpha is not None else alpha
-        if a is None:
+        if alpha is None:
             raise ValueError(f"{self.variant} requires alpha")
-        stacked = not isinstance(a, (int, float)) and np.ndim(a) > 0
-        values = [float(v) for v in a] if stacked else [float(a)]
+        stacked = not isinstance(alpha, (int, float)) and np.ndim(alpha) > 0
+        values = [float(v) for v in alpha] if stacked else [float(alpha)]
         for v in values:
             if not (0.0 < v <= 0.5):
                 raise ValueError(f"alpha must lie in (0, 0.5], got {v}")
@@ -211,15 +203,14 @@ def sample_alpha(rng: RngStream, size: int | None = None):
     return max(u / 2.0, ALPHA_FLOOR) if size is None else np.maximum(u / 2.0, ALPHA_FLOOR)
 
 
-def _alpha_terms(a):
-    """(alpha, 1 - alpha, ln(1 - alpha), sjs_scale(alpha)) of a float. For an
-    array of alphas, a (4, *shape) array of those terms whose elements are the
-    same ``math`` operations as the float case (numpy's log1p may differ in
-    the last bit), so every alpha evaluates bit for bit alike."""
-    if isinstance(a, float):
-        return a, 1.0 - a, math.log1p(-a), sjs_scale(a)
+def _alpha_terms(a) -> np.ndarray:
+    """(alpha, 1 - alpha, ln(1 - alpha), sjs_scale(alpha)) of an alpha or an
+    array of alphas, as a (4, *shape) array; a float gives (4,). Each element
+    is the ``math`` operation on its alpha (numpy's log1p may differ in the
+    last bit), so every alpha evaluates bit for bit alike."""
     a = np.asarray(a, dtype=np.float64)
-    return np.array([_alpha_terms(v) for v in a.ravel().tolist()]).T.reshape(4, *a.shape)
+    terms = [(v, 1.0 - v, math.log1p(-v), sjs_scale(v)) for v in a.ravel().tolist()]
+    return np.array(terms).T.reshape(4, *a.shape)
 
 
 def _resolve_terms(kind: BinaryLossKind, alpha, shape: tuple[int, ...]):
@@ -251,7 +242,7 @@ def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> tuple[np.ndarra
     pass: (loss, grad), each (2, *x.shape) for float64 logits ``x`` of at
     least one dimension, index 0 against +1. binary_loss, binary_loss_grad
     and the class-wise risk all evaluate through it. ``terms`` are the
-    alpha's ``_resolve_terms``: floats, (K, 1, 1) columns for (K, n, c)
+    alpha's ``_resolve_terms``: (4,) scalars, (4, K, 1, 1) columns for (K, n, c)
     logits of K stacked runs, or None for kl."""
     if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError("logit must be finite")

@@ -72,10 +72,6 @@ class MlpModel(_DenseStack):
     out_w: np.ndarray  # (c, h), or (K, c, h) stacked
     out_b: np.ndarray  # (c,), or (K, c) stacked
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.hidden_w.shape[-2]
-
 
 # By layer count - 1, in MODEL_KINDS order; the layer count is the checkpoint's kind code.
 _MODEL_CLASSES = (LinearModel, MlpModel)

@@ -24,8 +24,8 @@ Work that does not depend on the parameters runs as rarely as it can:
 - once per run: the distinct train sets are concatenated and cast to
   float64 (exactly), and their labels checked; the parameters, their
   gradients and the SGD velocity are each one flat vector, the first two
-  viewed per parameter; for PU methods the priors' branch weights and a
-  fixed alpha's terms, and for baselines the label entries' offsets;
+  viewed per parameter; for PU methods the priors' branch weights, and
+  for baselines the label entries' offsets;
 - once per epoch: each stream's batch order; for PU methods its
   ``risk.batch_tables`` (which checks the labels and that every batch spans
   two classes), and its alphas, drawn at once, as their terms; for
@@ -316,12 +316,11 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
              for j, t in enumerate(test_sets)]
 
     # Each run's stream: a single run reads stream 0 as one (n,) row, K runs
-    # read a (K, n) block. A fixed alpha's terms are None for kl.
+    # read a (K, n) block.
     is_cpu = cfg.is_cpu_method
     needs_alpha = is_cpu and cfg.loss.needs_alpha
     if is_cpu:
         weights = _branch_weights(priors)
-        terms = None if needs_alpha or cfg.loss.variant == "kl" else _alpha_terms(cfg.loss.fixed_alpha)
     pick = np.array(stream_of, dtype=np.intp) if runs > 1 else 0
     starts = range(0, n, cfg.batch_size)
     if not is_cpu:
@@ -346,7 +345,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         else:
             label_at = y_all.take(orders[pick])
             label_at += offsets
-        if needs_alpha:  # batch b's terms are [:, b]: floats, or (K, 1, 1) columns for K runs
+        if needs_alpha:  # batch b's terms are [:, b]: (4,) scalars, or (4, K, 1, 1) columns for K runs
             alphas = np.stack([sample_alpha(rng, size=len(starts)) for rng in alpha_rngs])
             alpha_terms = _alpha_terms(alphas.T[..., None, None])[:, :, pick] if runs > 1 else _alpha_terms(alphas[0])
         objective_sum = 0.0
@@ -356,8 +355,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
                 size = rows.shape[-1]
                 logits, cache = forward(model, x_all.take(rows, axis=0))
                 if is_cpu:
-                    if needs_alpha:
-                        terms = alpha_terms[:, it]
+                    terms = alpha_terms[:, it] if needs_alpha else None  # kl takes no alpha
                     batch = (weights, table[:, :, pick, it], coefs[..., it, :], terms)
                     report, d_logits = cpu_risk_with_grad(logits, y_all.take(rows), priors, cfg.loss,
                                                           u_mode=cfg.u_mode, tables=batch)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +242,21 @@ class TestSweep:
         assert len(runs) == 4  # 2 methods x 2 seeds
         assert (tmp_path / "exp" / "sweep_table.txt").exists()
 
+    def test_clean_base_config_sweep(self, tmp_path):
+        # "mix": {} makes no ambiguous set: every run trains on its seed's
+        # clean base, and the report lists its cells as dataset "clean".
+        config = write_config(tmp_path, mix={}, methods=["ce", "cpu-kl"], seeds=[1, 2], pi2_grid=[0.5])
+        assert run("sweep", "--config", str(config)) == 0
+        exp = tmp_path / "exp"
+        assert not (exp / "data" / "seed1" / "ambig_train.qll").exists()
+        for tag in ("ce", "cpu-kl-pi1_0.1-pi2_0.5"):
+            record = json.loads((exp / "runs" / f"{tag}-seed2" / "run.json").read_text())
+            assert record["dataset"] == "clean"
+            assert record["data"] == str(exp / "data" / "seed2" / "base_train.qll")
+        assert run("report", "--runs", str(exp / "runs")) == 0
+        rows = [row.split(",") for row in (exp / "runs" / "table.csv").read_text().splitlines()[1:]]
+        assert sorted((r[0], r[1], r[-1]) for r in rows) == [("ce", "clean", "2"), ("cpu-kl", "clean", "2")]
+
     def test_refused_mix_in_config_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mix={"kind": "patchmix", "m": 2, "r": 9, "n_out": 60})
         assert run("sweep", "--config", str(cfg)) == 2
@@ -346,7 +363,8 @@ class TestSweep:
         ({"pi1_grid": [1.5]}, "pi1 must lie in (0, 1]"),
         ({"pi2_grid": [0.0]}, "pi2 must lie in (0, 1]"),
         ({"pi2_grid": ["auto"], "mix": {}}, "pi2 auto is m/c, so it needs a mixed train set"),
-    ], ids=["model", "hidden", "gce_q", "pi1", "pi2", "auto-unmixed"])
+        ({"train": {"epochs": 1, "pi2": "auto"}, "mix": {}}, "pi2 auto is m/c, so it needs a mixed train set"),
+    ], ids=["model", "hidden", "gce_q", "pi1", "pi2", "auto-unmixed", "auto-setting-unmixed"])
     def test_bad_run_setting_in_config_fails_before_any_data(self, changes, message, tmp_path, capsys):
         assert run("sweep", "--config", str(write_config(tmp_path, **changes))) == 2
         assert message in capsys.readouterr().err
@@ -645,6 +663,38 @@ class TestReport:
         assert f"{runs / 'a' / 'run.json'} and {runs / 'b' / 'run.json'} share a table cell" in err
         assert message in err
         assert not (runs / "table.csv").exists()
+
+    def test_one_run_on_one_file_named_two_ways_is_refused(self, datadir, tmp_path, capsys, monkeypatch):
+        # A relative and an absolute path to one train file: the same
+        # bytes, so the same data_sha256, and one run written twice.
+        monkeypatch.chdir(datadir.parent)
+        runs = tmp_path / "runs"
+        for name, data in (("a", Path(datadir.name)), ("b", datadir)):
+            assert run(
+                "train", "--data", str(data / "ambig_train.qll"), "--test", str(data / "base_test.qll"),
+                "--method", "ce", "--epochs", "1", "--out", str(runs / name),
+            ) == 0
+        a, b = (json.loads((runs / name / "run.json").read_text()) for name in ("a", "b"))
+        assert a["data"] != b["data"]
+        digest = hashlib.sha256((datadir / "ambig_train.qll").read_bytes()).hexdigest()
+        assert a["data_sha256"] == b["data_sha256"] == digest
+        assert run("report", "--runs", str(runs)) == 2
+        err = capsys.readouterr().err
+        assert (f"{runs / 'a' / 'run.json'} and {runs / 'b' / 'run.json'} share a table cell and are one run "
+                "recorded twice: equal seed and data_sha256") in err
+        assert not (runs / "table.csv").exists()
+
+    def test_records_without_data_sha256_compare_data(self, tmp_path, capsys):
+        root = tmp_path / "runs"
+        for name, data in (("a", "d1.qll"), ("b", "d2.qll"), ("c", "d1.qll")):
+            (root / name).mkdir(parents=True)
+            (root / name / "run.json").write_text(json.dumps(
+                {"method": "ce", "dataset": "clean", "seed": 1, "data": data, "best_test_accuracy": 0.8}
+            ))
+        assert run("report", "--runs", str(root)) == 2
+        err = capsys.readouterr().err
+        assert f"{root / 'a' / 'run.json'} and {root / 'c' / 'run.json'} share a table cell" in err
+        assert err.endswith("equal seed and data\n")
 
     def test_report_reproduces_the_sweep(self, datadir, tmp_path):
         # A file-mode sweep trains one method, so ce is a second sweep

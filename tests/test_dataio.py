@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from qll.core import AmbiguousDataset, GenMeta, RngStream
-from qll.dataio import load_dataset, save_dataset, sidecar_path
+from qll.dataio import atomic_write_bytes, load_dataset, save_dataset, sidecar_path
 from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
 
 
@@ -68,6 +70,20 @@ def test_no_temp_files_left_behind(tmp_path, mixed_dataset):
     save_dataset(mixed_dataset, tmp_path / "ds.qll")
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_failed_replace_keeps_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.bin"
+    atomic_write_bytes(path, b"old bytes")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        atomic_write_bytes(path, b"new bytes")
+    assert path.read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]  # no .out.bin.*.tmp
 
 
 def test_label_width_guard(tmp_path):

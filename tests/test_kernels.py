@@ -43,9 +43,9 @@ def edge_batch(shape, seed):
 
 
 def cases(shape):
-    """(kind, alpha) pairs: kl, fixed-alpha sjs, a float alpha, and for a
-    stack one alpha per run."""
-    out = [(BinaryLossKind.kl(), None), (BinaryLossKind.scaled_sjs(0.5), None),
+    """(kind, alpha) pairs: kl, sjs at three float alphas, and for a stack
+    one alpha per run."""
+    out = [(BinaryLossKind.kl(), None), (BinaryLossKind.scaled_sjs(), 0.5),
            (BinaryLossKind.scaled_sjs(), 1e-3), (BinaryLossKind.scaled_sjs(), 0.37)]
     if len(shape) == 3:
         out.append((BinaryLossKind.scaled_sjs(), [1e-3, 0.21, 0.5]))

@@ -30,8 +30,8 @@ def baseline_loss(kind, logits, label):
 ALL_BINARY = [
     (BinaryLossKind.kl(), None),
     (BinaryLossKind.scaled_sjs(), 0.37),
-    (BinaryLossKind.scaled_sjs(0.2), None),
-    (BinaryLossKind.scaled_sjs(0.5), None),
+    (BinaryLossKind.scaled_sjs(), 0.2),
+    (BinaryLossKind.scaled_sjs(), 0.5),
 ]
 
 ALL_MULTI = [
@@ -181,15 +181,15 @@ class TestBinaryLoss:
 
     def test_scaled_sjs_composes_oracles(self):
         # sigmoid(0) -> q=(.5,.5); scale * divergence = 2.88539 * 0.21576
-        loss = binary_loss(BinaryLossKind.scaled_sjs(0.5), 0.0, 1)
+        loss = binary_loss(BinaryLossKind.scaled_sjs(), 0.0, 1, 0.5)
         assert loss == pytest.approx(0.62258, abs=1e-3)
 
-    def test_pinned_alpha_matches_per_call_alpha(self):
+    def test_alpha_half_is_scaled_classical_js(self):
         rng = np.random.default_rng(5)
         for x in rng.normal(size=10) * 3:
-            a = binary_loss(BinaryLossKind.scaled_sjs(0.5), x, -1)
-            b = binary_loss(BinaryLossKind.scaled_sjs(), x, -1, 0.5)
-            assert a == pytest.approx(b, abs=1e-14)
+            sig = 1.0 / (1.0 + math.exp(-x))
+            loss = binary_loss(BinaryLossKind.scaled_sjs(), x, -1, 0.5)
+            assert loss == pytest.approx(sjs_scale(0.5) * classical_js([0.0, 1.0], [sig, 1.0 - sig]), rel=1e-10)
 
     def test_monotone_in_logit(self):
         grid = np.linspace(-8, 8, 81)

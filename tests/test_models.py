@@ -161,12 +161,12 @@ class TestBackward:
         x = np.random.default_rng(9).normal(size=(6, 5))
         y = np.array([0, 1, 2, 0, 1, 2])
         pr = ClassPriors(0.1, 0.4)
-        loss = BinaryLossKind.scaled_sjs(0.3)
+        loss, alpha = BinaryLossKind.scaled_sjs(), 0.3
 
         logits, cache = forward(model, x)
         from qll.risk import cpu_risk_grad
 
-        d_logits = cpu_risk_grad(logits, y, pr, loss)
+        d_logits = cpu_risk_grad(logits, y, pr, loss, alpha)
         grads = backward(model, cache, d_logits)
 
         names = list(model.params())
@@ -187,7 +187,7 @@ class TestBackward:
             else:
                 m2 = MlpModel(p["hidden_w"], p["hidden_b"], p["out_w"], p["out_b"])
             z, _ = forward(m2, x)
-            return cpu_risk(z, y, pr, loss).objective_value
+            return cpu_risk(z, y, pr, loss, alpha).objective_value
 
         flat0 = np.concatenate([model.params()[k].ravel() for k in names])
         fd = unpack(central_diff(objective, flat0))

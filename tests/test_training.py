@@ -232,10 +232,10 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("u_mode", ["complement", "full"])
     @pytest.mark.parametrize(
         "loss",
-        [BinaryLossKind.scaled_sjs(), BinaryLossKind.scaled_sjs(0.3), BinaryLossKind.kl(),
+        [BinaryLossKind.scaled_sjs(), BinaryLossKind.kl(),
          MulticlassLossKind.ce(), MulticlassLossKind.bootstrap(), MulticlassLossKind.gce(),
          MulticlassLossKind.sce(), MulticlassLossKind.js_pi()],
-        ids=["cpu-sjs", "scaled-sjs-0.3", "cpu-kl", "ce", "bs", "gce", "sce", "js"],
+        ids=["cpu-sjs", "cpu-kl", "ce", "bs", "gce", "sce", "js"],
     )
     def test_train_matches_reference_loop(self, loss, u_mode):
         _, test, ambig = small_data(n_out=230)  # a partial final batch of 6

@@ -10,11 +10,13 @@ cpu-kl and ce with the linear model (8 epochs each), then ``qll report``
 over those runs, then ``qll train`` for cpu-sjs and cpu-kl with the MLP
 and ``--u-mode full`` (the report comes first, as it refuses a cell whose
 runs differ in u_mode); one config ``qll sweep`` of ce and cpu-sjs over 3
-seeds x 3 pi2 values (6 epochs), and ``qll report`` over its runs; and for
-cpu-kl and cpu-sjs one ``qll sweep`` of the PatchMix files with the linear
-model and ``--u-mode full`` over 2 seeds x 2 pi1 x 2 pi2 values (4
-epochs), whose runs of one seed share one train file and one batch
-stream; and one ``qll train --method gce --gce-q 0.3`` with the MLP
+seeds x 3 pi2 values (6 epochs), and ``qll report`` over its runs; one
+config ``qll sweep`` of ce and cpu-kl on the clean base (``"mix": {}``,
+no ambiguous set) over 2 seeds (2 epochs), and ``qll report`` over its
+runs, whose cells read dataset ``clean``; for cpu-kl and cpu-sjs one
+``qll sweep`` of the PatchMix files with the linear model and ``--u-mode
+full`` over 2 seeds x 2 pi1 x 2 pi2 values (4 epochs), whose runs of one
+seed share one train file and one batch stream; and one ``qll train --method gce --gce-q 0.3`` with the MLP
 into ``gce-q0.3/``, outside ``runs/``, whose run.json records a loss
 parameter off its default. Then prints one ``sha256  path`` line, sorted
 by path, for every ``.qll``, ``metrics.csv``, ``model.ckpt``,
@@ -61,6 +63,15 @@ SWEEP = {
     "pi2_grid": [0.25, 0.5, 0.75],
     "out": "sweep",
 }
+CLEAN_SWEEP = {
+    "base": {"c": 4, "d": 8, "n_per_class": 150},
+    "mix": {},
+    "train": {"epochs": 2, "batch_size": 16, "pi1": 0.1},
+    "methods": ["ce", "cpu-kl"],
+    "seeds": [1, 2],
+    "pi2_grid": [0.5],  # pi2 auto is m/c, which a clean base has not
+    "out": "sweep-clean",
+}
 
 
 def calls() -> list[list[str]]:
@@ -83,6 +94,8 @@ def calls() -> list[list[str]]:
     argvs += [train("data-mixup", m, "mlp", "full") for m in FULL_U_METHODS]
     argvs.append(["sweep", "--config", "sweep.json"])
     argvs.append(["report", "--runs", "sweep/runs"])
+    argvs.append(["sweep", "--config", "sweep-clean.json"])
+    argvs.append(["report", "--runs", "sweep-clean/runs"])
     argvs += [["sweep", "--data", "data-patchmix/ambig_train.qll", "--test", "data-patchmix/base_test.qll",
                "--method", m, "--model", "linear", "--u-mode", "full", "--pi1-grid", "0.1,0.3",
                "--pi2-grid", "0.25,auto", "--seeds", "1,2", "--epochs", "4", "--out", f"sweep-{m}"]
@@ -106,7 +119,8 @@ def main(argv=None) -> int:
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.json").write_text(json.dumps(SWEEP, indent=2) + "\n")
+    for name, config in (("sweep", SWEEP), ("sweep-clean", CLEAN_SWEEP)):
+        (out / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
 
     cwd = Path.cwd()
     os.chdir(out)
