@@ -277,11 +277,11 @@ def _write_run(run_dir: Path, method: str, cfg: TrainConfig, report, data, paths
     """Write metrics.csv, model.ckpt and run.json; returns the run record:
     every TrainConfig field (its priors as pi1 and pi2, null for a
     baseline), the method, data paths, the sha256 of the train file's bytes
-    (data_sha256) and accuracies, and the generation
-    records of the (train, test) sets in ``data``, flattened with a
-    ``train_`` or ``test_`` prefix: the train set's shape and each set's
-    sidecar extras. Their generation seeds are left out, so the runs of a
-    per-seed sweep stay replicates."""
+    (data_sha256) and accuracies, and the generation records of the
+    (train, test) sets in ``data``, flattened with a ``train_`` or
+    ``test_`` prefix: the train set's shape and each set's sidecar extras.
+    Their generation seeds are left out, so the runs of a per-seed sweep
+    stay replicates."""
     run_dir.mkdir(parents=True, exist_ok=True)
     write_metrics(report, run_dir / "metrics.csv")
     save_model(report.final_model, run_dir / "model.ckpt")
