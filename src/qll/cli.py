@@ -297,22 +297,6 @@ def _write_run(run_dir: Path, method: str, cfg: TrainConfig, report, data, paths
     return record
 
 
-def cmd_train(args) -> int:
-    run_dir = Path(args.out) if args.out else _out_root() / "runs" / f"{args.method}-seed{args.seed}"
-    paths = (Path(args.data), Path(args.test))
-    train_ds = load_dataset(paths[0])
-    test_ds = load_dataset(paths[1])
-    settings = _build(TrainSettings, "train", _train_flags(args))
-    cfg = _train_config(args.method, settings, args.seed, train_ds.gen_meta.m, train_ds.class_count)
-    report = train(train_ds, test_ds, cfg)
-    record = _write_run(run_dir, args.method, cfg, report, (train_ds, test_ds), paths)
-    print(
-        f"{record['method']} seed={record['seed']} "
-        f"best_test_accuracy={record['best_test_accuracy']:.4f} -> {run_dir}"
-    )
-    return 0
-
-
 # A run's own fields: the replicates in one table cell differ in these and
 # in the cell's key fields only.
 _RUN_FIELDS = ("seed", "data", "data_sha256", "test_data", "best_test_accuracy", "last5_avg_accuracy")
@@ -366,30 +350,18 @@ def _write_table(runs: dict[Path, dict], keys: tuple[str, ...], out_dir: Path, n
     print(text, end="")
 
 
-def cmd_sweep(args) -> int:
-    # Flags not given are absent from args; a given one replaces the config
-    # file's value for its setting.
-    flags = vars(args)
-    over = {k: flags[k] for k in ("seeds", "out", "pi1_grid", "pi2_grid") if k in flags}
-    if "method" in flags:
-        over["methods"] = [flags["method"]]
-    over["train"] = _train_flags(args)
-    if args.config:
-        if args.data or args.test:
-            raise UsageError("--config cannot be combined with --data/--test")
-        exp = ExperimentConfig.from_file(args.config, **over)
-    elif args.data and args.test:
-        exp = ExperimentConfig(**over)
-    else:
-        raise UsageError("sweep needs --data and --test (or --config)")
-    # Every seed's train set has one shape and mix (one --data file, or data
+def _run_experiment(exp: ExperimentConfig, data: tuple[Path, Path] | Path, run_dir) -> dict[Path, dict]:
+    """Train every run of ``exp`` and write each into ``run_dir(method,
+    seed, pi1, pi2)`` (the priors None for a baseline); returns the run
+    records by run.json path. ``data`` is the (train, test) files of every
+    run, or, for an ``exp`` with data specs, the directory that each seed's
+    generated sets go into (as ``seed<seed>/``)."""
+    # Every seed's train set has one shape and mix (one train file, or data
     # made from one spec), so pi2 "auto" is one m/c.
-    out_dir = Path(exp.out) if exp.out else _out_root() / "sweep"
     if exp.data is None:
-        data_by_seed = dict.fromkeys(exp.seeds, (Path(args.data), Path(args.test)))
-        loaded = {path: load_dataset(path) for path in set(data_by_seed[exp.seeds[0]])}
-        first = loaded[Path(args.data)]
-        m, c = first.gen_meta.m, first.class_count
+        data_by_seed = dict.fromkeys(exp.seeds, data)
+        loaded = {path: load_dataset(path) for path in dict.fromkeys(data)}
+        m, c = loaded[data[0]].gen_meta.m, loaded[data[0]].class_count
     else:
         m, c = exp.data.mix.m if exp.data.mix else 0, exp.data.base.c
     # A repeated entry, or a pi2 equal to an "auto" entry's m/c, would train
@@ -413,9 +385,7 @@ def cmd_sweep(args) -> int:
         plans.append((method, members, cfgs))
 
     if exp.data is not None:  # each file is read once
-        data_by_seed = {
-            seed: _generate_datasets(exp.data, seed, out_dir / "data" / f"seed{seed}") for seed in exp.seeds
-        }
+        data_by_seed = {seed: _generate_datasets(exp.data, seed, data / f"seed{seed}") for seed in exp.seeds}
         loaded = {path: load_dataset(path) for pair in data_by_seed.values() for path in pair}
 
     # Each method trains its seeds x prior grid as one stacked run, seed-major.
@@ -423,11 +393,45 @@ def cmd_sweep(args) -> int:
     for method, members, cfgs in plans:
         trains = [loaded[data_by_seed[seed][0]] for seed, *_ in members]
         tests = [loaded[data_by_seed[seed][1]] for seed, *_ in members]
-        for (seed, p1, p2), cfg, report, *data in zip(members, cfgs, train_runs(trains, tests, cfgs), trains, tests):
-            tag = f"{method}" + (f"-pi1_{p1}-pi2_{p2}" if p1 is not None else "")
-            run_dir = out_dir / "runs" / f"{tag}-seed{seed}"
-            runs[run_dir / "run.json"] = _write_run(run_dir, method, cfg, report, data, data_by_seed[seed])
-    _write_table(runs, ("method", "pi1", "pi2"), out_dir, "sweep_table")
+        # A lone run calls train, train_runs' K=1 case, as perfbench traces qll.cli.train.
+        reports = train_runs(trains, tests, cfgs) if len(cfgs) > 1 else [train(trains[0], tests[0], cfgs[0])]
+        for (seed, p1, p2), cfg, report, *pair in zip(members, cfgs, reports, trains, tests):
+            path = run_dir(method, seed, p1, p2)
+            runs[path / "run.json"] = _write_run(path, method, cfg, report, pair, data_by_seed[seed])
+    return runs
+
+
+def cmd_train(args) -> int:
+    exp = ExperimentConfig(methods=[args.method], seeds=[args.seed], train=_train_flags(args))
+    run_dir = Path(args.out) if args.out else _out_root() / "runs" / f"{args.method}-seed{args.seed}"
+    [record] = _run_experiment(exp, (Path(args.data), Path(args.test)), lambda *_: run_dir).values()
+    print(f"{args.method} seed={args.seed} best_test_accuracy={record['best_test_accuracy']:.4f} -> {run_dir}")
+    return 0
+
+
+def cmd_sweep(args) -> int:
+    # Flags not given are absent from args; a given one replaces the config
+    # file's value for its setting.
+    flags = vars(args)
+    over = {k: flags[k] for k in ("seeds", "out", "pi1_grid", "pi2_grid") if k in flags}
+    if "method" in flags:
+        over["methods"] = [flags["method"]]
+    over["train"] = _train_flags(args)
+    if args.config:
+        if args.data or args.test:
+            raise UsageError("--config cannot be combined with --data/--test")
+        exp = ExperimentConfig.from_file(args.config, **over)
+    elif args.data and args.test:
+        exp = ExperimentConfig(**over)
+    else:
+        raise UsageError("sweep needs --data and --test (or --config)")
+    out_dir = Path(exp.out) if exp.out else _out_root() / "sweep"
+
+    def run_dir(method, seed, p1, p2):
+        return out_dir / "runs" / (f"{method}" + (f"-pi1_{p1}-pi2_{p2}" if p1 is not None else "") + f"-seed{seed}")
+
+    data = out_dir / "data" if exp.data is not None else (Path(args.data), Path(args.test))
+    _write_table(_run_experiment(exp, data, run_dir), ("method", "pi1", "pi2"), out_dir, "sweep_table")
     return 0
 
 
