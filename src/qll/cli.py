@@ -9,9 +9,16 @@ Subcommands:
     sweep      train over a grid of class priors x seeds; tabulate
     report     aggregate completed runs into a results table
 
-Every command that takes ``--seed`` is bitwise reproducible, and all file
-writes are atomic. The environment variable ``QLL_OUT`` overrides the
-default output root. Exit codes: 0 success, 1 usage error, 2 runtime error.
+``train`` is a sweep of one run: both commands plan, train and write their
+runs through ``_run_experiment``.
+
+A command that takes ``--seed`` repeats its output bytes within one
+environment (Python, numpy and BLAS build) and one OpenBLAS kernel set. The
+same wheel picks other kernels on a CPU that OpenBLAS classes differently,
+and then training bytes differ; generated ``.qll`` bytes did not change
+under three kernel sets. All file writes are atomic. The environment
+variable ``QLL_OUT`` overrides the default output root. Exit codes: 0
+success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -153,6 +160,13 @@ def _build(cls, section: str, kw: dict):
         raise ValueError(f"{section}: {e}") from None
 
 
+def _object(name: str, v) -> dict:
+    """``v``, or a ValueError naming it if it is no JSON object."""
+    if not isinstance(v, dict):
+        raise ValueError(f"{name} must be an object, got {v!r}")
+    return v
+
+
 def _data_specs(base: dict, mix: dict) -> DataSpecs:
     """Specs from a config's ``base`` and ``mix`` sections, whose keys are
     the BaseSpec and MixSpec fields plus ``test_n_per_class`` (default:
@@ -205,6 +219,11 @@ class ExperimentConfig:
             for p in grid or []:
                 if isinstance(p, bool) or not (isinstance(p, numbers.Real) or also and _is_auto(p)):
                     raise ValueError(f"{name}_grid: {name} must be a real number{also}, got {p!r}")
+        for name, section in (("base", base), ("mix", mix), ("train", train)):
+            if section is not None:
+                _object(f"config: {name}", section)
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError(f"config: out must be a string, got {self.out!r}")
         self.settings = _build(TrainSettings, "train", train or {})
         self.data = None if base is None else _data_specs(base, mix or {})
 
@@ -213,11 +232,12 @@ class ExperimentConfig:
         """Load a config file. ``flags`` replace its top-level values, and
         ``flags["train"]`` replaces single train settings."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = _object("config", json.load(fh))
         if "base" not in raw or "mix" not in raw:
             raise ValueError("config needs 'base' and 'mix' sections")
-        train_kw = {**raw.pop("train", {}), **flags.pop("train", {})}
-        return _build(cls, "config", {**raw, **flags, "train": train_kw})
+        sections = {key: _object(f"config: {key}", raw.pop(key, {})) for key in ("base", "mix", "train")}
+        sections["train"] = {**sections["train"], **flags.pop("train", {})}
+        return _build(cls, "config", {**raw, **flags, **sections})
 
 
 def _generate_datasets(specs: DataSpecs, seed: int, out_dir: Path) -> tuple[Path, Path]:

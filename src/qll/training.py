@@ -1,8 +1,12 @@
 """Minibatch SGD training and evaluation.
 
-The loop is fully deterministic given the config seed: parameter init, epoch
-shuffling, and per-iteration alpha sampling each consume their own purpose
-stream, so e.g. switching the model kind never changes the batch order.
+Parameter init, epoch shuffling, and per-iteration alpha sampling each
+consume their own purpose stream of the config seed, so e.g. switching the
+model kind never changes the batch order. A run repeats its bytes within one
+environment (Python, numpy and BLAS build) and one OpenBLAS kernel set: the
+same wheel picks other kernels on a CPU that OpenBLAS classes differently,
+and those round the matrix products differently, so the trajectory and the
+bytes differ.
 
 Learning rate follows the step-decay schedule: 0.1x the initial rate from
 the 50% epoch boundary and 0.01x from the 75% boundary. Weight decay folds

@@ -174,6 +174,28 @@ class TestTrain:
         with pytest.raises(ValueError, match="pi2 must be a number"):
             resolve_pi2(None, 2, 3)
 
+    def test_default_run_dir_and_printed_line(self, datadir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QLL_OUT", str(tmp_path / "envroot"))
+        capsys.readouterr()
+        assert run(
+            "train", "--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll"),
+            "--method", "ce", "--epochs", "1", "--seed", "4",
+        ) == 0
+        rundir = tmp_path / "envroot" / "runs" / "ce-seed4"
+        assert sorted(p.name for p in rundir.iterdir()) == ["metrics.csv", "model.ckpt", "run.json"]
+        accuracy = json.loads((rundir / "run.json").read_text())["best_test_accuracy"]
+        assert capsys.readouterr().out == f"ce seed=4 best_test_accuracy={accuracy:.4f} -> {rundir}\n"
+
+    def test_clean_base_file(self, datadir, tmp_path, capsys):
+        # A base file's header has m=0, so the default pi2 auto has no m/c;
+        # a baseline needs no prior and trains on it.
+        data = ["--data", str(datadir / "base_train.qll"), "--test", str(datadir / "base_test.qll")]
+        assert run("train", *data, "--method", "cpu-kl", "--epochs", "1", "--out", str(tmp_path / "kl")) == 2
+        assert "pi2 auto is m/c, so it needs a mixed train set" in capsys.readouterr().err
+        assert not (tmp_path / "kl").exists()
+        assert run("train", *data, "--method", "ce", "--epochs", "1", "--out", str(tmp_path / "ce")) == 0
+        assert json.loads((tmp_path / "ce" / "run.json").read_text())["dataset"] == "clean"
+
     def test_unknown_method_is_usage_error(self, datadir, tmp_path):
         assert run(
             "train", "--data", str(datadir / "ambig_train.qll"),
@@ -403,6 +425,24 @@ class TestSettings:
         assert ExperimentConfig().settings == TrainSettings()
         assert build_loss("bs", TrainSettings(bs_beta=0.2)) == MulticlassLossKind.bootstrap(0.2)
         assert build_loss("js", TrainSettings(js_pi1=0.3, js_unscaled=True)) == MulticlassLossKind.js_pi(0.3, False)
+
+    @pytest.mark.parametrize("config, message", [
+        ("basemix", "config must be an object, got 'basemix'"),
+        ({**SMALL_CONFIG, "train": [1, 2]}, "config: train must be an object, got [1, 2]"),
+        ({**SMALL_CONFIG, "base": None}, "config: base must be an object, got None"),
+        ({**SMALL_CONFIG, "mix": ["mixup"]}, "config: mix must be an object, got ['mixup']"),
+        ({**SMALL_CONFIG, "out": 5}, "config: out must be a string, got 5"),
+    ], ids=["top-level", "train", "base", "mix", "out"])
+    def test_bad_config_shape_exits_2_before_any_data(self, config, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QLL_OUT", str(tmp_path / "envroot"))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(config))
+        assert run("sweep", "--config", str(path)) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+        if isinstance(config, dict) and config["base"] is not None:  # base None: no data specs
+            with pytest.raises(ValueError, match=message.split(",")[0]):
+                ExperimentConfig(**config)
 
     def test_unknown_train_key_is_named(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="'epoch'"):

@@ -16,12 +16,17 @@ no ambiguous set) over 2 seeds (2 epochs), and ``qll report`` over its
 runs, whose cells read dataset ``clean``; for cpu-kl and cpu-sjs one
 ``qll sweep`` of the PatchMix files with the linear model and ``--u-mode
 full`` over 2 seeds x 2 pi1 x 2 pi2 values (4 epochs), whose runs of one
-seed share one train file and one batch stream; and one ``qll train --method gce --gce-q 0.3`` with the MLP
-into ``gce-q0.3/``, outside ``runs/``, whose run.json records a loss
-parameter off its default. Then prints one ``sha256  path`` line, sorted
-by path, for every ``.qll``, ``metrics.csv``, ``model.ckpt``,
-``run.json``, ``sweep_table.csv`` and (report) ``table.csv`` under
-``DIR``. The commands' own output goes to standard error.
+seed share one train file and one batch stream; one ``qll train --method
+gce --gce-q 0.3`` with the MLP into ``gce-q0.3/``, outside ``runs/``,
+whose run.json records a loss parameter off its default; one ``qll train
+--method ce`` on the Mixup set's clean base file (``base_train.qll``,
+header m=0) into ``clean-ce/``; and a one-run ``qll sweep`` (cpu-kl, seed
+1, pi2 0.5) into ``one-run/sweep/`` next to the matching ``qll train``
+into ``one-run/train/``, whose run files read the same. Then prints one
+``sha256  path`` line, sorted by path, for every ``.qll``,
+``metrics.csv``, ``model.ckpt``, ``run.json``, ``sweep_table.csv`` and
+(report) ``table.csv`` under ``DIR``. The commands' own output goes to
+standard error.
 
 Every path the commands see is relative to ``DIR``, so the lines do not
 depend on where ``DIR`` is. Run the script at two commits of one
@@ -101,6 +106,12 @@ def calls() -> list[list[str]]:
                "--pi2-grid", "0.25,auto", "--seeds", "1,2", "--epochs", "4", "--out", f"sweep-{m}"]
               for m in FULL_U_METHODS]
     argvs.append([*train("data-mixup", "gce", "mlp")[:-2], "--gce-q", "0.3", "--out", "gce-q0.3"])
+    argvs.append(["train", "--data", "data-mixup/base_train.qll", "--test", "data-mixup/base_test.qll",
+                  "--method", "ce", "--epochs", "8", "--seed", "1", "--out", "clean-ce"])
+    argvs.append(["sweep", "--data", "data-mixup/ambig_train.qll", "--test", "data-mixup/base_test.qll",
+                  "--method", "cpu-kl", "--seeds", "1", "--pi2-grid", "0.5", "--epochs", "8",
+                  "--out", "one-run/sweep"])
+    argvs.append([*train("data-mixup", "cpu-kl", "mlp")[:-2], "--pi2", "0.5", "--out", "one-run/train"])
     return argvs
 
 
