@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,32 @@ STREAM_DATAGEN = 1
 STREAM_BATCHING = 2
 STREAM_INIT = 3
 STREAM_ALPHA = 4
+
+
+# The per-step ufunc calls take their constants as 0-d float64 arrays: numpy
+# converts a Python float or a numpy scalar operand on every call (about
+# 0.2 µs each with numpy 2.4 on a 2-core Xeon) and takes a 0-d array as it
+# is, with the same result bits.
+@lru_cache(maxsize=256)
+def frozen_0d(value) -> np.ndarray:
+    """A read-only 0-d float64 array holding the number ``value``, shared
+    by every call with an equal value."""
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+ZERO, ONE, MINUS_ONE = map(frozen_0d, (0.0, 1.0, -1.0))
+
+
+def _require_ints(spec, **least: int | None) -> None:
+    """Refuse a field that is no integer (a bool is none; numpy ints pass) or
+    that lies below its least value, where it has one."""
+    for name, low in least.items():
+        if isinstance(v := getattr(spec, name), bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        if low is not None and v < low:
+            raise ValueError(f"{name} must be >= {low}, got {v}")
 
 
 def _mix64(x):

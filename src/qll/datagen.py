@@ -15,7 +15,6 @@ pipeline runs at desk scale without any external data.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .core import (
     _child_id,
     _normalize_rows,
     _philox_key,
+    _require_ints,
     quantize_labels,
 )
 
@@ -51,16 +51,6 @@ _MIX_ROWS = 2048
 # Fixed tag for the substream that draws class-mean directions, so train and
 # test splits generated from different stream ids share the same geometry.
 _STREAM_CLASS_MEANS = 0x4D45414E53
-
-
-def _require_ints(spec, **least: int) -> None:
-    """Refuse a field that is no integer (a bool is none; numpy ints pass) or
-    that lies below its least value."""
-    for name, low in least.items():
-        if isinstance(v := getattr(spec, name), bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-        if v < low:
-            raise ValueError(f"{name} must be >= {low}, got {v}")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import RngStream
+from .core import MINUS_ONE, ONE, ZERO, RngStream, frozen_0d
 
 __all__ = [
     "EPS",
@@ -50,6 +50,8 @@ __all__ = [
 
 EPS = 1e-7
 ALPHA_FLOOR = 1e-3
+# The clamp bounds as 0-d operands (see core.frozen_0d).
+_EPS, _ONE_M_EPS = frozen_0d(EPS), frozen_0d(1.0 - EPS)
 
 _BINARY_VARIANTS = ("scaled_sjs", "kl")
 _MULTI_VARIANTS = ("ce", "bs", "gce", "sce", "js")
@@ -62,7 +64,7 @@ _RCE_LOG_FLOOR = 4.0
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x) below.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.where(x >= ZERO, ONE, e) / (ONE + e)
 
 
 @dataclass(frozen=True)
@@ -232,8 +234,9 @@ def _sjs_pos_parts(sig: np.ndarray, alpha, one_m_a, log1m_a) -> tuple[np.ndarray
     m1 = alpha + t
     # alpha*KL(t||M) + (1-alpha)*KL(q||M); KL(t||M) = -ln m1, KL(q||M) = sig*ln(sig/m1) - (1-sig)*ln(1-alpha)
     log_ratio = np.log(sig / m1)
-    loss = one_m_a * (sig * log_ratio - (1.0 - sig) * log1m_a) - alpha * np.log(m1)
-    dloss = -alpha * one_m_a / m1 + one_m_a * (log_ratio + log1m_a + 1.0 - t / m1)
+    loss = one_m_a * (sig * log_ratio - (ONE - sig) * log1m_a) - alpha * np.log(m1)
+    # [()] reads a 0-d term as a numpy scalar, whose product is scalar math, not two ufunc calls.
+    dloss = -alpha[()] * one_m_a[()] / m1 + one_m_a * (log_ratio + log1m_a + ONE - t / m1)
     return loss, dloss
 
 
@@ -242,31 +245,33 @@ def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> tuple[np.ndarra
     pass: (loss, grad), each (2, *x.shape) for float64 logits ``x`` of at
     least one dimension, index 0 against +1. binary_loss, binary_loss_grad
     and the class-wise risk all evaluate through it. ``terms`` are the
-    alpha's ``_resolve_terms``: a (4,) array, a (4, K, 1, 1) array of
-    columns for (K, n, c) logits of K stacked runs, or None for kl."""
+    alpha's ``_resolve_terms``: a (4,) array, or four 0-d arrays, a (4, K,
+    1, 1) array of columns for (K, n, c) logits of K stacked runs, or None
+    for kl."""
     if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError("logit must be finite")
 
     sig = _stable_sigmoid(x)
-    interior = (sig > EPS) & (sig < 1.0 - EPS)
+    interior = (sig > _EPS) & (sig < _ONE_M_EPS)
     # The clamped target-side probability: sigma for +1, 1 - sigma for -1.
     both = np.empty((2, *x.shape))
-    np.minimum(np.maximum(sig, EPS, out=both[0]), 1.0 - EPS, out=both[0])
-    np.subtract(1.0, both[0], out=both[1])
+    np.minimum(np.maximum(sig, _EPS, out=both[0]), _ONE_M_EPS, out=both[0])
+    np.subtract(ONE, both[0], out=both[1])
 
     if kind.variant == "kl":
         # One-hot target makes KL(t||q) the negative log of the target side.
         loss = np.log(both)
         np.negative(loss, out=loss)
-        dls = np.divide(1.0, both)
-        dls[0] *= -1.0
+        dls = np.divide(ONE, both)
+        dls[0] *= MINUS_ONE
     else:
         a, one_m_a, log1m_a, scale = terms
         loss, dls = _sjs_pos_parts(both, a, one_m_a, log1m_a)
         loss *= scale
         dls *= scale
-        dls[1] *= -1.0
-    grad = np.where(interior, dls * sig * (1.0 - sig), 0.0)
+        dls[1] *= MINUS_ONE
+    # Where interior, both[0] is sigma and both[1] is 1 - sigma, bit for bit.
+    grad = np.where(interior, dls * both[0] * both[1], ZERO)
     return loss, grad
 
 
@@ -337,41 +342,41 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels, *, at=None):
     p = _softmax(z)
     v = kind.variant
     if v in ("bs", "js"):
-        pc = np.maximum(p, EPS)  # softmax entries are <= 1: the clamp to [EPS, 1]
-        interior = p > EPS
+        pc = np.maximum(p, _EPS)  # softmax entries are <= 1: the clamp to [EPS, 1]
+        interior = p > _EPS
         log_pc = np.log(pc)
         onehot = np.zeros(z.shape)
         onehot.put(at, 1.0)
     else:  # ce, gce and sce read the label entries only, and have gradients there only
         py = p.take(at)
-        pyc = np.maximum(py, EPS)
+        pyc = np.maximum(py, _EPS)
         g_p = np.zeros(z.shape)
     if v == "ce":
         loss = -np.log(pyc)
-        g_p.put(at, np.where(py > EPS, -1.0 / pyc, 0.0))
+        g_p.put(at, np.where(py > _EPS, MINUS_ONE / pyc, ZERO))
     elif v == "bs":
         beta = kind.beta
         target = beta * onehot + (1.0 - beta) * p
         loss = -np.add.reduce(target * log_pc, axis=-1)
-        g_p = -(1.0 - beta) * log_pc - np.where(interior, target / pc, 0.0)
+        g_p = -(1.0 - beta) * log_pc - np.where(interior, target / pc, ZERO)
     elif v == "gce":
         q = kind.q
-        loss = (1.0 - py**q) / q
+        loss = (ONE - py**q) / q
         g_p.put(at, -pyc ** (q - 1.0))
     elif v == "sce":
         a, b = kind.a, kind.b
-        loss = -a * np.log(pyc) + b * _RCE_LOG_FLOOR * (1.0 - py)
-        g_p.put(at, np.where(py > EPS, -a / pyc, 0.0) - b * _RCE_LOG_FLOOR)
+        loss = -a * np.log(pyc) + b * _RCE_LOG_FLOOR * (ONE - py)
+        g_p.put(at, np.where(py > _EPS, -a / pyc, ZERO) - b * _RCE_LOG_FLOOR)
     else:  # js
         w = kind.pi1
         m = w * onehot + (1.0 - w) * p
-        mc = np.maximum(m, EPS)
-        m_int = m > EPS
+        mc = np.maximum(m, _EPS)
+        m_int = m > _EPS
         log_ratio = log_pc - np.log(mc)
         # D = w * KL(onehot||m) + (1-w) * KL(p||m), with KL(onehot||m) = -ln m_y
         loss = -w * np.log(mc.take(at)) + (1.0 - w) * np.add.reduce(p * log_ratio, axis=-1)
-        g_p = -w * (1.0 - w) * np.where(m_int, onehot / mc, 0.0) + (1.0 - w) * (
-            log_ratio + np.where(interior, 1.0, 0.0) - (1.0 - w) * np.where(m_int, p / mc, 0.0)
+        g_p = -w * (1.0 - w) * np.where(m_int, onehot / mc, ZERO) + (1.0 - w) * (
+            log_ratio + np.where(interior, ONE, ZERO) - (1.0 - w) * np.where(m_int, p / mc, ZERO)
         )
         if kind.scaled:
             s = sjs_scale(w)

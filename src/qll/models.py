@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RngStream
+from .core import ZERO, RngStream
 from .dataio import atomic_write_bytes
 
 __all__ = [
@@ -120,10 +120,10 @@ def forward(model, x) -> tuple[np.ndarray, list[np.ndarray]]:
     inputs = []
     for w, b in layers:
         if inputs:
-            np.maximum(x, 0.0, out=x)  # x > 0 is then the ReLU mask
+            np.maximum(x, ZERO, out=x)  # x > 0 is then the ReLU mask
         inputs.append(x)
         x = x @ w.swapaxes(-1, -2)
-        x += b[..., None, :]
+        x += b[..., None, :] if b.ndim > 1 else b
     return x, inputs
 
 
@@ -146,7 +146,7 @@ def backward(model, inputs, d_logits, out=None) -> dict[str, np.ndarray]:
         grads[w_name] = np.matmul(g.swapaxes(-1, -2), x, out=grads.get(w_name))
         grads[b_name] = np.add.reduce(g, axis=-2, out=grads.get(b_name))
         if i:
-            g = (g @ params[w_name]) * (x > 0.0)
+            g = (g @ params[w_name]) * (x > ZERO)
     return grads
 
 

@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import ClassPriors
+from .core import ZERO, ClassPriors, frozen_0d
 # binary_loss and binary_loss_grad are unused here but stay importable from
 # this module: perfbench's tracer wraps qll.risk.binary_loss and
 # qll.risk.binary_loss_grad.
@@ -142,10 +142,10 @@ def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, pick=
     n_batches, c) table of the (P, P, U) term masks' counts, whose
     ``[0, ..., b, :]`` equals ``masks.sum(axis=-2)`` of batch b bit for bit,
     and their divisors max(count, 1); and the (2, 3, [K,] n_batches, c)
-    ``weights`` of K runs if corrected and otherwise over the divisors of
-    the stream ``pick`` gives each run. Raises the ValueErrors of
-    ``cpu_risk`` for every batch at once: an unknown ``u_mode``, a label
-    outside [0, c), or a batch of one class.
+    ``weights`` ((2, 3, [K,] 1), or broadcast to c) of K runs if corrected
+    and otherwise over the divisors of the stream ``pick`` gives each run.
+    Raises the ValueErrors of ``cpu_risk`` for every batch at once: an
+    unknown ``u_mode``, a label outside [0, c), or a batch of one class.
     """
     if u_mode not in U_MODES:
         raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
@@ -163,7 +163,7 @@ def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, pick=
     table[0, 1] = n_p
     np.matmul(n_p, masks[2], out=table[0, 2])
     np.maximum(table[0], 1.0, out=table[1])
-    return table, weights[..., None] / table[1][:, pick]
+    return table, weights[..., None, :] / table[1][:, pick]
 
 
 _ONE_BATCH = np.zeros(1, dtype=np.intp)
@@ -200,9 +200,10 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
     r_p_plus, r_p_minus, r_u_minus = np.add.reduce(masks * losses.take(_TERM_TARGET, axis=0), axis=-2) / table[1]
 
     neg_part = r_u_minus - pi2 * r_p_minus
-    corrected = neg_part < 0.0
+    corrected = neg_part < ZERO
     pos_part = pi1 * r_p_plus
-    # np.mean over classes is this sum divided by the class count.
+    # np.mean over classes is this sum divided by the class count (an int
+    # here: one run's sum is a numpy scalar, and scalar math is no ufunc call).
     objective = np.add.reduce(np.where(corrected, -neg_part, pos_part + neg_part), axis=-1) / c
     parts = (r_p_plus, r_u_minus, r_p_minus, table[0, 0], table[0, 2], corrected, pos_part, neg_part)
     report = CpuRiskReport(objective if z.ndim == 3 else float(objective), parts)
@@ -213,7 +214,7 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
     # gradient: d(objective)/d(logit) gathers the P terms and the U term.
     g = grads.take(_TERM_TARGET, axis=0)
     g *= np.where(corrected, coefs[0], coefs[1])[..., None, :]
-    grad = (masks[0] * (g[0] + g[1]) + masks[2] * g[2]) / c
+    grad = (masks[0] * (g[0] + g[1]) + masks[2] * g[2]) / frozen_0d(c)
     return report, grad
 
 
@@ -233,8 +234,9 @@ def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="c
     """(CpuRiskReport, gradient) in one pass: the training loop's entry point.
 
     ``tables`` may give, resolved ahead, ``(weights, table, coefs, terms)``:
-    the priors' ``_branch_weights``, the batch's (2, 3, [K,] c) slices of the
-    epoch's ``batch_tables`` and its alpha's ``_alpha_terms`` ((K, 1, 1)
-    columns for K runs; None for kl). The logits and labels are then taken
-    as checked, and ``priors`` and ``alpha`` are not read."""
+    the priors' ``_branch_weights``, as they are or broadcast to (2, 3, [K,]
+    c), the batch's (2, 3, [K,] c) slices of the epoch's ``batch_tables``
+    and its alpha's ``_alpha_terms`` (four 0-d arrays or scalars for one
+    run, (K, 1, 1) columns for K runs; None for kl). The logits and labels
+    are then taken as checked, and ``priors`` and ``alpha`` are not read."""
     return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True, tables=tables)

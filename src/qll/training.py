@@ -28,18 +28,24 @@ Work that does not depend on the parameters runs as rarely as it can:
 - once per run: the distinct train sets are concatenated and cast to
   float64 (exactly), and their labels checked; the parameters, their
   gradients and the SGD velocity are each one flat vector, the first two
-  viewed per parameter; for PU methods the priors' branch weights, and
+  viewed per parameter; momentum and weight decay as 0-d arrays; for PU
+  methods the priors' branch weights, broadcast to the class axis, and
   for baselines the label entries' offsets;
-- once per epoch: each stream's batch order; for PU methods its
-  ``risk.batch_tables`` (which checks the labels and that every batch spans
-  two classes), and its alphas, drawn at once, as their terms; for
-  baselines every run's label indices, the flat index of each example's
-  label entry in its batch's logits;
+- once per epoch: the learning rate as a 0-d array; each stream's batch
+  order; for PU methods its ``risk.batch_tables`` (which checks the labels
+  and that every batch spans two classes), and its alphas, drawn at once,
+  as their terms, which a single run reads per step through 0-d views;
+  for baselines every run's label indices, the flat index of each
+  example's label entry in its batch's logits;
 - once per step: the feature gather, ``forward``, ``cpu_risk_with_grad``
   (given the batch's labels and tables) or ``baseline_loss_batch`` (given
   the batch's label indices, so it reads no labels), ``backward`` into the
   gradient's views, and one ``sgd_step`` on the flat vectors. Test accuracy
   is evaluated once per epoch.
+
+The 0-d arrays and the pre-broadcast weights spare each step's ufunc calls
+a scalar conversion or a broadcast (see ``core.frozen_0d``); the values and
+the order of every float operation are as in the plain loop.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ from .core import (
     AmbiguousDataset,
     ClassPriors,
     RngStream,
+    _require_ints,
+    frozen_0d,
     zero_one_test_risk,
 )
 from .losses import BinaryLossKind, MulticlassLossKind, _alpha_terms, baseline_loss_batch, sample_alpha
@@ -99,10 +107,7 @@ class TrainConfig:
     u_mode: str = "complement"
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
+        _require_ints(self, epochs=1, batch_size=2, hidden_dim=None, seed=None)
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
@@ -323,8 +328,9 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     # read a (K, n) block.
     is_cpu = cfg.is_cpu_method
     needs_alpha = is_cpu and cfg.loss.needs_alpha
-    if is_cpu:
-        weights = _branch_weights(priors)
+    if is_cpu:  # broadcast to the class axis here, so that no step's risk broadcasts them
+        weights = np.repeat(_branch_weights(priors), c, axis=-1)
+    momentum, weight_decay = frozen_0d(cfg.momentum), frozen_0d(cfg.weight_decay)
     pick = np.array(stream_of, dtype=np.intp) if runs > 1 else 0
     starts = range(0, n, cfg.batch_size)
     if not is_cpu:
@@ -336,7 +342,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         offsets *= c
     objectives, accuracies = [], []
     for epoch in range(cfg.epochs):
-        lr = lr_at_epoch(cfg, epoch)
+        lr = frozen_0d(lr_at_epoch(cfg, epoch))
         # Row indices into x_all, one order per stream; for PU methods each
         # stream's batch counts and divisors, and each run's branch weights
         # over them.
@@ -349,9 +355,13 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         else:
             label_at = y_all.take(orders[pick])
             label_at += offsets
-        if needs_alpha:  # batch b's terms are [:, b]: (4,) scalars, or (4, K, 1, 1) columns for K runs
+        if needs_alpha:  # batch b's terms are [b]: four 0-d views for one run, (4, K, 1, 1) columns for K runs
             alphas = np.stack([sample_alpha(rng, size=len(starts)) for rng in alpha_rngs])
-            alpha_terms = _alpha_terms(alphas.T[..., None, None])[:, :, pick] if runs > 1 else _alpha_terms(alphas[0])
+            if runs > 1:
+                alpha_terms = np.moveaxis(_alpha_terms(alphas.T[..., None, None])[:, :, pick], 1, 0)
+            else:
+                columns = _alpha_terms(alphas[0])  # (4, n_batches)
+                alpha_terms = [tuple(columns[j, b, ...] for j in range(4)) for b in range(len(starts))]
         objective_sum = 0.0
         try:
             for it, start in enumerate(starts):
@@ -359,7 +369,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
                 size = rows.shape[-1]
                 logits, cache = forward(model, x_all.take(rows, axis=0))
                 if is_cpu:
-                    terms = alpha_terms[:, it] if needs_alpha else None  # kl takes no alpha
+                    terms = alpha_terms[it] if needs_alpha else None  # kl takes no alpha
                     batch = (weights, table[:, :, pick, it], coefs[..., it, :], terms)
                     report, d_logits = cpu_risk_with_grad(logits, y_all.take(rows), priors, cfg.loss,
                                                           u_mode=cfg.u_mode, tables=batch)
@@ -369,9 +379,9 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
                     losses, d_logits = baseline_loss_batch(cfg.loss, logits, None, at=at)
                     # np.mean over the batch is this sum divided by its size.
                     objective = np.add.reduce(losses, axis=-1) / size
-                    d_logits /= size
+                    d_logits /= frozen_0d(size)
                 backward(model, cache, d_logits, out=grads)
-                sgd_step(flat, grad_flat, velocity, lr, cfg.momentum, cfg.weight_decay)
+                sgd_step(flat, grad_flat, velocity, lr, momentum, weight_decay)
                 objective_sum += objective * size
             accuracy = np.empty(runs)
             for index, t in evals:

@@ -111,6 +111,20 @@ class TestTrainConfig:
             TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), hidden_dim=0)
         TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), model_kind="linear", hidden_dim=0)  # unread
 
+    @pytest.mark.parametrize("name,value", [
+        ("epochs", 2.5), ("epochs", True), ("batch_size", 4.5), ("hidden_dim", 3.5), ("seed", 1.5), ("seed", True),
+    ])
+    def test_rejects_non_integral_sizes(self, name, value):
+        # Each would be accepted, then fail in train with a TypeError, or
+        # (seed=1.5) train as seed 1.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            TrainConfig(**{"epochs": 1, "loss": MulticlassLossKind.ce(), name: value})
+
+    def test_numpy_integers_pass(self):
+        cfg = TrainConfig(epochs=np.int64(2), loss=MulticlassLossKind.ce(), batch_size=np.int32(4),
+                          hidden_dim=np.uint8(3), seed=np.int64(5))
+        assert (cfg.epochs, cfg.batch_size, cfg.hidden_dim, cfg.seed) == (2, 4, 3, 5)
+
 
 class TestEvaluate:
     def test_constant_predictor_hits_chance(self):
@@ -225,22 +239,28 @@ class TestTrain:
         assert not steps
 
 
+METHOD_LOSSES = {
+    "cpu-sjs": BinaryLossKind.scaled_sjs(), "cpu-kl": BinaryLossKind.kl(),
+    "ce": MulticlassLossKind.ce(), "bs": MulticlassLossKind.bootstrap(), "gce": MulticlassLossKind.gce(),
+    "sce": MulticlassLossKind.sce(), "js": MulticlassLossKind.js_pi(),
+}
+
+
 class TestReferenceLoop:
     """``train`` equals the plain per-step loop of ``_oracles.reference_train``
-    in every epoch and in the final parameters, bit for bit."""
+    in every epoch and in the final parameters, bit for bit, for both model
+    kinds."""
 
     @pytest.mark.parametrize("u_mode", ["complement", "full"])
-    @pytest.mark.parametrize(
-        "loss",
-        [BinaryLossKind.scaled_sjs(), BinaryLossKind.kl(),
-         MulticlassLossKind.ce(), MulticlassLossKind.bootstrap(), MulticlassLossKind.gce(),
-         MulticlassLossKind.sce(), MulticlassLossKind.js_pi()],
-        ids=["cpu-sjs", "cpu-kl", "ce", "bs", "gce", "sce", "js"],
-    )
-    def test_train_matches_reference_loop(self, loss, u_mode):
+    @pytest.mark.parametrize("loss,model_kind", [
+        pytest.param(loss, kind, id=name if kind == "mlp" else f"{name}-{kind}")
+        for kind in ("mlp", "linear") for name, loss in METHOD_LOSSES.items()
+    ])
+    def test_train_matches_reference_loop(self, loss, model_kind, u_mode):
         _, test, ambig = small_data(n_out=230)  # a partial final batch of 6
         priors = ClassPriors(0.1, 0.5) if isinstance(loss, BinaryLossKind) else None
-        cfg = TrainConfig(epochs=4, loss=loss, priors=priors, seed=6, hidden_dim=8, u_mode=u_mode)
+        cfg = TrainConfig(epochs=4, loss=loss, priors=priors, seed=6, model_kind=model_kind, hidden_dim=8,
+                          u_mode=u_mode)
         report = train(ambig, test, cfg)
         stats, params = reference_train(ambig, test, cfg)
         assert report.per_epoch == stats
