@@ -245,9 +245,9 @@ def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> tuple[np.ndarra
     pass: (loss, grad), each (2, *x.shape) for float64 logits ``x`` of at
     least one dimension, index 0 against +1. binary_loss, binary_loss_grad
     and the class-wise risk all evaluate through it. ``terms`` are the
-    alpha's ``_resolve_terms``: a (4,) array, or four 0-d arrays, a (4, K,
-    1, 1) array of columns for (K, n, c) logits of K stacked runs, or None
-    for kl."""
+    alpha's ``_resolve_terms``: a (4,) array or four 0-d arrays for one
+    run, a (4, K, 1, 1) array of columns for (K, n, c) logits of K stacked
+    runs, or None for kl."""
     if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError("logit must be finite")
 
