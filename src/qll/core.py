@@ -132,6 +132,10 @@ class RngStream:
     def random(self, size=None):
         return self._gen.random(size)
 
+    def random_raw(self, size=None):
+        """The next raw 64-bit Philox words, as numpy's draws consume them."""
+        return self._gen.bit_generator.random_raw(size)
+
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size=size)
 

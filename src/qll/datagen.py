@@ -46,6 +46,10 @@ __all__ = [
 MIX_KINDS = ("mixup", "patchmix")
 
 _DEGENERATE_RETRIES = 100
+# numpy's choice(n, m, replace=False) runs Floyd's sampler while n is at
+# most this or m <= n // 50; past that it shuffles a tail of arange(n).
+_FLOYD_MAX_N = 10_000
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 # Groups mixed per batched call: bounds the (rows, m, d) float64 temporaries.
 _MIX_ROWS = 2048
 # Fixed tag for the substream that draws class-mean directions, so train and
@@ -216,9 +220,48 @@ def mixed_soft_labels(src_labels, counts, c: int) -> np.ndarray:
     return _normalize_rows(_class_mass(src_labels, counts, c))
 
 
-def _is_onehot_mix(labels: list, pick: np.ndarray, counts: np.ndarray) -> bool:
-    """Whether a group's sources with a positive count share one base label."""
-    return len({labels[j] for j, k in zip(pick.tolist(), counts.tolist()) if k}) == 1
+def _is_onehot_mix(labels: list, pick: np.ndarray, counts) -> bool:
+    """Whether a group's sources with a positive count (a list, or any
+    sequence of m numbers) share one base label."""
+    return len({labels[j] for j, k in zip(pick.tolist(), counts) if k}) == 1
+
+
+def _bounded(raw: np.ndarray, k: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's draw in [0, bound) from 32-bit half k of each row of raw
+    Philox words, low half first, as numpy's ``choice`` and ``integers``
+    read them; and where it rejected (numpy would then read another half)."""
+    x = raw[:, k // 2] >> _SHIFT32 if k % 2 else raw[:, k // 2] & _LOW32
+    x *= np.uint64(bound)
+    rejected = (x & _LOW32) < np.uint64((2**32 - bound) % bound)
+    return (x >> _SHIFT32).view(np.int64), rejected
+
+
+def _decode_draws(raw: np.ndarray, n: int, picks: np.ndarray, assign: np.ndarray | None) -> np.ndarray:
+    """Decode, for each row of ``raw`` words, what numpy's ``choice(n, m,
+    replace=False)`` on a base with m < n (Floyd's sampler, then a
+    Fisher-Yates tail) and then, if ``assign`` is given, ``integers(0, m,
+    size=r)`` return, into (rows, m) ``picks`` and (rows, r) ``assign``.
+    Returns where a Lemire draw rejected; those rows hold no valid draw."""
+    rows, m = picks.shape
+    rejected = np.zeros(rows, dtype=bool)
+
+    def draw(k: int, bound: int) -> np.ndarray:
+        val, rej = _bounded(raw, k, bound)
+        np.logical_or(rejected, rej, out=rejected)
+        return val
+
+    for t, j in enumerate(range(n - m, n)):  # Floyd: draw in [0, j]; a repeat takes j
+        val = draw(t, j + 1)
+        picks[:, t] = np.where((picks[:, :t] == val[:, None]).any(axis=1), j, val)
+    at = np.arange(rows)
+    for k, i in enumerate(range(m - 1, 0, -1), start=m):  # swap slot i with one in [0, i]
+        j = draw(k, i + 1)
+        held = picks[at, j]
+        picks[at, j] = picks[:, i]
+        picks[:, i] = held
+    for b in range(0 if assign is None else assign.shape[1]):
+        assign[:, b] = draw(2 * m - 1 + b, m)
+    return rejected
 
 
 def generate_ambiguous_dataset(
@@ -228,13 +271,26 @@ def generate_ambiguous_dataset(
 
     Example i draws from its own substream ``rng.substream(i)``, so the
     result is a pure function of (base, spec, n_out, rng). It draws, in this
-    order, m distinct base indices, mixing weights or a block assignment
-    (both redrawn while ``reject_degenerate`` sees a one-hot soft label),
-    and the uniform that quantizes its label. The loop makes only these
-    generator calls: all substream keys are derived at once, one stream is
-    re-keyed per example, and the draws are checked in one pass after it.
-    The mixed features, the soft labels (kept as diagnostics) and the hard
-    labels are then computed for all examples at once.
+    order, m distinct base indices with ``choice``, mixing weights with
+    ``multinomial`` or a block assignment with ``integers`` (both redrawn
+    while ``reject_degenerate`` sees a one-hot soft label), and the uniform
+    that quantizes its label.
+
+    The loop re-keys one stream per example (all substream keys are derived
+    at once) and reads the raw Philox words that ``choice`` and
+    ``integers`` would consume, then draws Mixup's weights and the uniform.
+    One vectorized pass after it decodes the words as numpy does: Lemire's
+    bounded draw on each 32-bit half, Floyd's sampler with its Fisher-Yates
+    tail, then the block draws. An example is redrawn by the per-example
+    generator calls when a Lemire draw rejected (numpy would have read
+    another half), when ``reject_degenerate`` finds its first draw one-hot,
+    or, for every example, when numpy's ``choice`` would not use Floyd's
+    sampler (a base of exactly m examples, or one of more than 10,000
+    examples with m > n // 50). So the output bytes rest on numpy's
+    ``choice`` and ``integers`` algorithms; tests compare them with the
+    plain per-example loop. The draws are checked in one pass, and the mixed
+    features, the soft labels (kept as diagnostics) and the hard labels are
+    then computed for all examples at once.
     """
     if n_out < 1:
         raise ValueError("n_out must be >= 1")
@@ -243,9 +299,8 @@ def generate_ambiguous_dataset(
     if spec.kind == "patchmix" and spec.r > base.feature_dim:
         raise ValueError(f"patchmix needs r <= feature_dim, got r={spec.r}, d={base.feature_dim}")
 
-    m, r, c = spec.m, spec.r, base.class_count
+    n, m, r, c = base.n_examples, spec.m, spec.r, base.class_count
     is_mixup, reject = spec.kind == "mixup", spec.reject_degenerate
-    labels = base.labels.tolist() if reject else None
     pvals = np.full(m, 1.0 / m)
     picks = np.empty((n_out, m), dtype=np.int64)
     draws = np.empty((n_out, m if is_mixup else r), dtype=np.int64)  # counts or assignment
@@ -254,16 +309,35 @@ def generate_ambiguous_dataset(
     ids = _child_id(rng.stream_id, np.arange(n_out, dtype=np.uint64))
     k0, keys = _philox_key(rng.seed, ids)
     ex_rng = rng.substream(0)
-    for i in range(n_out):
+    redo = np.arange(n_out)
+    if m < n and (n <= _FLOYD_MAX_N or m <= n // 50):
+        # 2m - 1 halves for choice, r for integers, and the last word's
+        # spare high half stays unread, as numpy's double draws skip it
+        raw = np.empty((n_out, (2 * m + (0 if is_mixup else r)) // 2), dtype=np.uint64)
+        for i in range(n_out):
+            ex_rng._rekey(rng.seed, int(ids[i]), (k0, keys[i]))
+            raw[i] = ex_rng.random_raw(raw.shape[1])
+            if is_mixup:
+                draws[i] = ex_rng.multinomial(r, pvals)
+            u[i] = ex_rng.random()
+        redo = _decode_draws(raw, n, picks, None if is_mixup else draws)
+        del raw
+        if reject:  # one-hot: one class holds all r of the source counts
+            counts = draws if is_mixup else _block_counts(draws, m)
+            redo |= _class_mass(base.labels[picks], counts, c).max(axis=1) == r
+        redo = np.flatnonzero(redo)
+
+    labels = base.labels.tolist() if reject else None
+    for i in redo.tolist():
         ex_rng._rekey(rng.seed, int(ids[i]), (k0, keys[i]))
         for _ in range(_DEGENERATE_RETRIES + 1):
-            pick = ex_rng.choice(base.n_examples, size=m, replace=False)
-            if is_mixup:
-                draw = counts = ex_rng.multinomial(r, pvals)
-            else:
-                draw = ex_rng.integers(0, m, size=r)
-                counts = _block_counts(draw[None], m)[0] if reject else None
-            if not (reject and _is_onehot_mix(labels, pick, counts)):
+            pick = ex_rng.choice(n, size=m, replace=False)
+            draw = ex_rng.multinomial(r, pvals) if is_mixup else ex_rng.integers(0, m, size=r)
+            if not reject:
+                break
+            # list.count skips an invalid assignment, which the check below reports
+            counts = draw.tolist() if is_mixup else list(map(draw.tolist().count, range(m)))
+            if not _is_onehot_mix(labels, pick, counts):
                 break
         else:
             raise RuntimeError(

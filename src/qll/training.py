@@ -51,6 +51,7 @@ the order of every float operation are as in the plain loop.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -108,6 +109,10 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         _require_ints(self, epochs=1, batch_size=2, hidden_dim=None, seed=None)
+        for name in ("lr", "momentum", "weight_decay"):
+            # a bool would train as 0 or 1, and a string fail late with a TypeError
+            if isinstance(v := getattr(self, name), bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:

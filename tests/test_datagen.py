@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
+from qll import datagen
 from qll.core import (
     AmbiguousDataset,
     RngStream,
@@ -25,6 +27,7 @@ from qll.datagen import (
     MixSpec,
     MixWeights,
     _block_counts,
+    _decode_draws,
     _is_onehot_mix,
     _mix_rows,
     _patch_rows,
@@ -262,12 +265,12 @@ class TestGenerateAmbiguous:
 
 
 def _counting(monkeypatch, name, replace=None):
-    """Count calls of ``RngStream.<name>``; call ``k`` (from 1) returns
-    ``replace(k)`` when that is not None, else the real draw."""
+    """Record the stream id of each ``RngStream.<name>`` call; call ``k``
+    (from 1) returns ``replace(k)`` when that is not None, else the real draw."""
     real, calls = getattr(RngStream, name), []
 
     def wrapped(self, *args, **kwargs):
-        calls.append(None)
+        calls.append(self.stream_id)
         out = replace(len(calls)) if replace else None
         return real(self, *args, **kwargs) if out is None else out
 
@@ -275,9 +278,22 @@ def _counting(monkeypatch, name, replace=None):
     return calls
 
 
+def _decoding(monkeypatch, edit):
+    """Let ``edit(rejected, picks, assign)`` change each decode's result."""
+    real = datagen._decode_draws
+
+    def decode(raw, n, picks, assign):
+        rejected = real(raw, n, picks, assign)
+        edit(rejected, picks, assign)
+        return rejected
+
+    monkeypatch.setattr(datagen, "_decode_draws", decode)
+
+
 class TestDrawLoop:
-    """The per-example loop makes one ``choice`` call per draw attempt, and
-    its draws are checked in one pass after it."""
+    """The per-example loop reads raw words and makes ``choice`` calls only
+    for the examples it redraws, one per draw attempt; its draws are checked
+    in one pass after it."""
 
     BASE = synth_base(BaseSpec(c=4, d=8, n_per_class=10), RngStream(2, 1))
 
@@ -287,15 +303,17 @@ class TestDrawLoop:
         spec = MixSpec(kind, 2, 4, reject_degenerate=reject)
         calls = _counting(monkeypatch, "choice")
         generate_ambiguous_dataset(self.BASE, spec, 60, RngStream(6, 2))
-        attempts = len(calls)
+        got = Counter(calls)
         calls.clear()
         reference_generate(self.BASE, spec, 60, RngStream(6, 2))
-        assert attempts == len(calls)
-        assert attempts > 60 if reject else attempts == 60
+        # an example kept at its first attempt is decoded from raw words; a
+        # rejected one is redrawn from its first attempt on
+        assert got == Counter({s: k for s, k in Counter(calls).items() if k > 1})
+        assert sum(got.values()) > 0 if reject else not got
 
     @pytest.mark.parametrize("reject", [False, True])
     @pytest.mark.parametrize(
-        "kind, method, bad, message",
+        "kind, draw, bad, message",
         [
             ("mixup", "multinomial", [5, -1], "counts must be nonnegative and sum to r=4"),
             ("mixup", "multinomial", [1, 2], "counts must be nonnegative and sum to r=4"),
@@ -303,12 +321,88 @@ class TestDrawLoop:
             ("patchmix", "integers", [0, 1, 2, 1], r"assignments must lie in \[0, 2\)"),
         ],
     )
-    def test_invalid_draws_fail_after_the_loop(self, kind, method, bad, message, reject, monkeypatch):
+    def test_invalid_draws_fail_after_the_loop(self, kind, draw, bad, message, reject, monkeypatch):
+        # ``draw`` names the call whose result example 6 gets replaced; the
+        # assignments that ``integers`` would return come from the decode
         spec = MixSpec(kind, 2, 4, reject_degenerate=reject)
-        calls = _counting(monkeypatch, method, lambda k: np.array(bad) if k == 7 else None)
+        if draw == "multinomial":
+            calls = _counting(monkeypatch, draw, lambda k: np.array(bad) if k == 7 else None)
+        else:
+            def corrupt(rejected, picks, assign):
+                assign[6] = bad
+
+            calls = _counting(monkeypatch, "random_raw")
+            _decoding(monkeypatch, corrupt)
         with pytest.raises(ValueError, match=message):
             generate_ambiguous_dataset(self.BASE, spec, 30, RngStream(6, 2))
         assert len(calls) >= 30  # every example drew before the check ran
+
+    @pytest.mark.parametrize("reject", [False, True])
+    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
+    def test_forced_redo_matches_per_example_loop(self, kind, reject, monkeypatch, tmp_path):
+        def reject_every_third(rejected, picks, assign):  # as if their Lemire draws rejected
+            rejected[::3] = True
+
+        _decoding(monkeypatch, reject_every_third)
+        calls = _counting(monkeypatch, "choice")
+        spec = MixSpec(kind, 3, 4, reject_degenerate=reject)
+        _assert_matches_reference(self.BASE, spec, 60, RngStream(6, 2), tmp_path)
+        assert len(set(calls)) >= 20
+
+
+class TestDecodeDraws:
+    """The decode of raw words against numpy's ``choice`` and ``integers``
+    reading the same words."""
+
+    @staticmethod
+    def stream(words):
+        """A generator whose next raw words are ``words`` (at most four),
+        then Philox output."""
+        gen = np.random.Generator(np.random.Philox(key=[3, 5]))
+        state = gen.bit_generator.state
+        state["buffer"] = np.array([0] * (4 - len(words)) + list(words), dtype=np.uint64)
+        state["buffer_pos"] = 4 - len(words)
+        gen.bit_generator.state = state
+        return gen
+
+    @staticmethod
+    def decode(words, n, m, r):
+        picks, assign = np.empty((1, m), dtype=np.int64), np.empty((1, r), dtype=np.int64)
+        rejected = _decode_draws(np.array([words], dtype=np.uint64), n, picks, assign)
+        return picks[0], assign[0], bool(rejected[0])
+
+    # n=5, m=3, r=2 reads 7 halves with bounds 3, 4, 5 (Floyd), 3, 2 (the
+    # tail) and 3, 3 (the blocks); a half of 0 is rejected by each bound
+    # that is not a power of two
+    @pytest.mark.parametrize("k, bound", enumerate([3, 4, 5, 3, 2, 3, 3]))
+    def test_zero_half_rejects_unless_bound_is_a_power_of_two(self, k, bound):
+        def words(halves):
+            return [lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])]
+
+        halves = [0x9E3779B9, 0x7F4A7C15, 0xF39CC060, 0x5CEDC834, 0x1B873593, 0xCC9E2D51, 0x85EBCA6B]
+        crafted = [*halves[:k], 0, *halves[k:]]
+        picks, assign, rejected = self.decode(words(crafted), 5, 3, 2)
+        assert rejected == (bound & (bound - 1) != 0)
+        gen = self.stream(words(crafted))
+        want = gen.choice(5, 3, replace=False), gen.integers(0, 3, size=2)
+        if rejected:  # numpy skipped the 0 and read the next half in its place
+            picks, assign, rejected = self.decode(words([*halves, 1]), 5, 3, 2)
+            assert not rejected
+        assert np.array_equal(picks, want[0]) and np.array_equal(assign, want[1])
+
+    @given(
+        words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        m=st.integers(2, 6),
+        extra=st.integers(1, 20_000),  # n > 10,000 keeps Floyd's sampler while m <= n // 50
+        r=st.integers(0, 5),
+    )
+    def test_matches_numpy_on_any_words(self, words, m, extra, r):
+        raw = self.stream(words).bit_generator.random_raw((2 * m + r) // 2)
+        picks, assign, rejected = self.decode(raw, m + extra, m, r)
+        gen = self.stream(words)
+        want_picks, want_assign = gen.choice(m + extra, m, replace=False), gen.integers(0, m, size=r)
+        if not rejected:  # random words rarely reject; a zero half can
+            assert np.array_equal(picks, want_picks) and np.array_equal(assign, want_assign)
 
 
 class TestSpecIntegers:
@@ -343,6 +437,15 @@ def _qll_bytes(ds, path):
     return path.read_bytes(), path.with_suffix(".meta").read_bytes()
 
 
+def _assert_matches_reference(base, spec, n_out, rng, tmp_path):
+    got = generate_ambiguous_dataset(base, spec, n_out, rng)
+    want = reference_generate(base, spec, n_out, rng)
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.diagnostics, want.diagnostics)
+    assert _qll_bytes(got, tmp_path / "got.qll") == _qll_bytes(want, tmp_path / "want.qll")
+
+
 class TestBatchedGeneratorBitExact:
     """The draw-only loop plus batched kernels against the per-example
     reference loop in ``_oracles``: equal arrays and equal file bytes."""
@@ -365,12 +468,26 @@ class TestBatchedGeneratorBitExact:
                     reference_generate(self.BASE, spec, 50, rng)
                 assert str(got.value) == str(want.value)
                 continue
-            got = generate_ambiguous_dataset(self.BASE, spec, 150, rng)
-            want = reference_generate(self.BASE, spec, 150, rng)
-            assert np.array_equal(got.features, want.features)
-            assert np.array_equal(got.labels, want.labels)
-            assert np.array_equal(got.diagnostics, want.diagnostics)
-            assert _qll_bytes(got, tmp_path / "got.qll") == _qll_bytes(want, tmp_path / "want.qll")
+            _assert_matches_reference(self.BASE, spec, 150, rng, tmp_path)
+
+    @pytest.mark.parametrize("reject", [False, True])
+    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
+    def test_base_of_exactly_m_examples(self, kind, reject, monkeypatch, tmp_path):
+        # choice's first draw has bound 1 and reads no word: every example
+        # takes the per-example calls
+        base = synth_base(BaseSpec(c=3, d=7, n_per_class=1), RngStream(4, 1))
+        calls = _counting(monkeypatch, "choice")
+        _assert_matches_reference(base, MixSpec(kind, 3, 4, reject), 40, RngStream(9, 2), tmp_path)
+        assert len(set(calls)) == 40
+
+    @pytest.mark.parametrize("m, redrawn", [(201, 0), (202, 30)])
+    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
+    def test_large_base_past_floyds_sampler(self, kind, m, redrawn, monkeypatch, tmp_path):
+        # past 10,000 examples numpy's choice shuffles a tail once m > n // 50
+        base = synth_base(BaseSpec(c=3, d=4, n_per_class=3350), RngStream(4, 1))  # n = 10,050
+        calls = _counting(monkeypatch, "choice")
+        _assert_matches_reference(base, MixSpec(kind, m, 4), 30, RngStream(9, 2), tmp_path)
+        assert len(calls) - 30 == redrawn  # the reference draws once per example
 
     @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
     def test_single_class_base_raises_as_per_example_loop(self, kind):
@@ -433,6 +550,7 @@ class TestRekeyedStream:
         "beta": lambda g: g.beta(0.5, 0.5),
         "permutation": lambda g: g.permutation(9),
         "choice": lambda g: g.choice(50, size=4, replace=False),
+        "random_raw": lambda g: g.random_raw(3),
     }
 
     @pytest.mark.parametrize("method", sorted(DRAWS))

@@ -104,6 +104,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{name} must be a finite number"):
             TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), **{name: value})
 
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, 1j])
+    @pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay"])
+    def test_rejects_non_real_step_settings(self, name, value):
+        # True trained as 1.0 and "0.1" raised a TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+            TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), **{name: value})
+
+    def test_real_step_settings_pass(self):
+        cfg = TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), lr=1, momentum=np.float32(0.5),
+                          weight_decay=0)
+        assert (cfg.lr, cfg.momentum, cfg.weight_decay) == (1, 0.5, 0)
+
     def test_rejects_what_init_model_refuses(self):
         with pytest.raises(ValueError, match="model_kind must be one of"):
             TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), model_kind="cnn")

@@ -5,8 +5,11 @@
 Runs, in this process and with ``DIR`` as the working directory, ``qll
 generate`` for Mixup and PatchMix (600 examples each), once plain and once
 with ``--reject-degenerate`` (whose redraw loop the plain runs never
-enter); ``qll train`` for all seven methods with the MLP and for cpu-sjs,
-cpu-kl and ce with the linear model (8 epochs each), then ``qll report``
+enter); ``qll generate`` for PatchMix with m=3 (two Fisher-Yates swap
+draws per example) and for Mixup m=3 on a base of exactly 3 examples
+(where every example takes the per-example ``choice`` calls); ``qll
+train`` for all seven methods with the MLP and for cpu-sjs, cpu-kl and
+ce with the linear model (8 epochs each), then ``qll report``
 over those runs, then ``qll train`` for cpu-sjs and cpu-kl with the MLP
 and ``--u-mode full`` (the report comes first, as it refuses a cell whose
 runs differ in u_mode); one config ``qll sweep`` of ce and cpu-sjs over 3
@@ -84,6 +87,10 @@ def calls() -> list[list[str]]:
     argvs = [["generate", *DATA, "--mix", mix, *reject, "--seed", "7",
               "--out", f"data-{mix}" + ("-reject" if reject else "")]
              for mix in ("mixup", "patchmix") for reject in ((), ("--reject-degenerate",))]
+    argvs.append(["generate", *DATA[:6], "--m", "3", "--r", "4", "--n", "600", "--mix", "patchmix",
+                  "--seed", "7", "--out", "data-patchmix-m3"])
+    argvs.append(["generate", "--c", "3", "--d", "8", "--n-per-class", "1", "--m", "3", "--r", "4",
+                  "--n", "200", "--mix", "mixup", "--seed", "7", "--out", "data-base-of-m"])
 
     def train(data: str, method: str, model: str, u_mode: str = "complement") -> list[str]:
         full = ["--u-mode", "full"] if u_mode == "full" else []
