@@ -66,6 +66,14 @@ def _require_ints(spec, **least: int | None) -> None:
             raise ValueError(f"{name} must be >= {low}, got {v}")
 
 
+def _check_seed(seed) -> int:
+    """The seed as an int; one outside [0, 2**64) is refused, as the stream
+    keys reduce it mod 2**64 and it would alias another seed."""
+    if not 0 <= int(seed) <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return int(seed)
+
+
 def _mix64(x):
     """SplitMix64 finalizer; a bijection on 64-bit words (an int, or uint64s)."""
     x = x & _MASK64
@@ -104,7 +112,7 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
-        self.seed = int(seed) & _MASK64
+        self.seed = _check_seed(seed)
         self.stream_id = int(stream_id) & _MASK64
         key = np.array(_philox_key(self.seed, self.stream_id), dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
@@ -131,10 +139,6 @@ class RngStream:
     # about which stream they consume.
     def random(self, size=None):
         return self._gen.random(size)
-
-    def random_raw(self, size=None):
-        """The next raw 64-bit Philox words, as numpy's draws consume them."""
-        return self._gen.bit_generator.random_raw(size)
 
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size=size)

@@ -6,8 +6,10 @@ stitches contiguous feature blocks from different sources. Both strategies
 produce a ground-truth soft label from the mixing weights, and the observed
 hard label is sampled from it.
 
-Only the generator calls run per example; the keys, the checks of the
-draws, the features, soft labels and hard labels come from batched kernels.
+Each example's draws are decoded from its Philox words, which are computed
+for many examples at once; only the examples the decode cannot follow run
+numpy's generator calls. The checks of the draws, the features, soft labels
+and hard labels come from batched kernels too.
 
 Also provides a synthetic Gaussian-cluster base dataset so the whole
 pipeline runs at desk scale without any external data.
@@ -15,11 +17,14 @@ pipeline runs at desk scale without any external data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import (
+    _MASK64,
     AmbiguousDataset,
     GenMeta,
     RngStream,
@@ -50,6 +55,15 @@ _DEGENERATE_RETRIES = 100
 # most this or m <= n // 50; past that it shuffles a tail of arange(n).
 _FLOYD_MAX_N = 10_000
 _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# Philox4x64-10 as numpy's Philox runs it (Salmon et al., "Parallel Random
+# Numbers: As Easy as 1, 2, 3", SC 2011): the round multipliers of counter
+# words 0 and 2, and the Weyl increments of the two key words.
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# numpy draws a binomial count by inversion while n * min(p, 1 - p) is at
+# most this, and by BTPE rejection sampling past it.
+_INVERSION_MAX_MEAN = 30.0
 # Groups mixed per batched call: bounds the (rows, m, d) float64 temporaries.
 _MIX_ROWS = 2048
 # Fixed tag for the substream that draws class-mean directions, so train and
@@ -264,6 +278,172 @@ def _decode_draws(raw: np.ndarray, n: int, picks: np.ndarray, assign: np.ndarray
     return rejected
 
 
+def _mulhilo(a: np.ndarray, mul: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of each 128-bit product a * mul, for uint64
+    ``a``; the high word from the 32-bit halves of both factors."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    m_lo, m_hi = np.uint64(mul & 0xFFFFFFFF), np.uint64(mul >> 32)
+    mid = a_hi * m_lo + (a_lo * m_lo >> _SHIFT32)  # each sum < 2**64
+    mid2 = a_lo * m_hi + (mid & _LOW32)
+    return a_hi * m_hi + (mid >> _SHIFT32) + (mid2 >> _SHIFT32), a * np.uint64(mul)
+
+
+def _philox_words(k0: int, k1: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """(rows, 4 K) raw words that numpy's ``Philox(key=(k0, k1[i]))`` outputs
+    as its blocks ``blocks[i]``, for (rows, K) uint64 block indices. numpy
+    raises the counter before each block, so block b is Philox4x64-10 of
+    counter (b + 1, 0, 0, 0)."""
+    x0, x1, x2, x3 = blocks + np.uint64(1), *np.zeros((3, *blocks.shape), dtype=np.uint64)
+    k1 = k1[:, None]
+    for i in range(_PHILOX_ROUNDS):  # the round keys are (k0, k1) + i * bump
+        hi0, lo0 = _mulhilo(x0, _PHILOX_MUL[0])
+        hi1, lo1 = _mulhilo(x2, _PHILOX_MUL[1])
+        x0 = hi1 ^ x1 ^ np.uint64((k0 + i * _PHILOX_BUMP[0]) & _MASK64)
+        x2 = hi0 ^ x3 ^ (k1 + np.uint64(i * _PHILOX_BUMP[1] & _MASK64))
+        x1, x3 = lo1, lo0
+    return np.stack((x0, x1, x2, x3), axis=-1).reshape(len(blocks), -1)
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """The float64 in [0, 1) that numpy's ``random()`` makes of each word."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+@lru_cache(maxsize=32)
+def _binomial_tables(m: int, r: int) -> tuple[tuple[np.ndarray, np.ndarray, bool], ...]:
+    """For each category j < m - 1 of numpy's ``multinomial(r, full(m,
+    1/m))``, the binomial inversion that draws its count from the trials
+    left: (px, bound, flip). Row dn of the (rows, X) table px holds the
+    inversion's terms for dn trials left (+inf past ``bound[dn]``), for
+    each dn up to r that inversion serves (a larger dn reaches BTPE). With
+    ``flip`` numpy draws the complement's count. The floats are computed
+    as numpy's C code does: p from the running remainder of the pvals,
+    then exp, log and the term recursion in the same order."""
+    pix, rest, tables = 1.0 / m, 1.0, []
+    for _ in range(m - 1):
+        p, rest = pix / rest, rest - pix
+        flip = not p <= 0.5
+        p = 1.0 - p if flip else p
+        q = 1.0 - p
+        terms, bound = [[]], [0]  # no draw with no trials left
+        for dn in range(1, r + 1):
+            if not p * dn <= _INVERSION_MAX_MEAN:
+                break
+            mean = dn * p
+            bound.append(int(min(dn, mean + 10.0 * math.sqrt(mean * q + 1))))
+            px = [math.exp(dn * math.log(q))]
+            for x in range(1, bound[-1] + 1):
+                px.append(((dn - x + 1) * p * px[-1]) / (x * q))
+            terms.append(px)
+        table = np.full((len(terms), max(bound) + 1), np.inf)
+        for dn, px in enumerate(terms):
+            table[dn, : len(px)] = px
+        bound = np.array(bound)
+        table.flags.writeable = bound.flags.writeable = False  # shared by every call
+        tables.append((table, bound, flip))
+    return tuple(tables)
+
+
+def _decode_counts(words: np.ndarray, at: np.ndarray, r: int, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode into (rows, m) ``counts`` what numpy's ``multinomial(r,
+    full(m, 1/m))`` returns reading doubles from ``words[i, at[i]:]``: a
+    binomial inversion per category, each on one double, until no trials
+    are left. Returns the words each row read, and where numpy would have
+    drawn a count by BTPE or restarted an inversion on another double;
+    those rows hold no valid draw."""
+    rows = np.arange(len(words))
+    left, used = np.full(len(words), r), np.zeros(len(words), dtype=np.int64)
+    lost = np.zeros(len(words), dtype=bool)
+    for j, (px, bound, flip) in enumerate(_binomial_tables(counts.shape[1], r)):
+        live = left > 0
+        lost |= left >= len(bound)
+        dn = np.minimum(left, len(bound) - 1)
+        u = _doubles(words[rows, at + used])
+        used += live
+        x, go = np.zeros_like(left), live & ~lost
+        for t in range(px.shape[1]):  # while u > px: x += 1; u -= px; px = next term
+            term = px[dn, t]
+            step = go & (u > term)
+            if not step.any():
+                break
+            np.subtract(u, term, out=u, where=step)
+            x += step
+            go = step & (t < bound[dn])
+            lost |= step & ~go  # x passed the bound: numpy restarts
+        counts[:, j] = np.where(live, left - x if flip else x, 0)
+        left -= counts[:, j]
+    counts[:, -1] = left
+    return used, lost
+
+
+def _degenerate(spec: MixSpec) -> RuntimeError:
+    return RuntimeError(
+        f"mix spec {spec} kept producing one-hot soft labels after "
+        f"{_DEGENERATE_RETRIES} retries; the spec is degenerate for this base"
+    )
+
+
+def _decode_rows(
+    base: AmbiguousDataset, spec: MixSpec, k0: int, keys: np.ndarray, picks: np.ndarray, draws: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Decode each example's draws, keyed (k0, keys[i]), from its Philox
+    words into rows i of ``picks``, ``draws`` (counts or assignment) and
+    ``u``; with ``reject_degenerate``, redraw the one-hot rows in rounds
+    from where each row's stream stands. Returns the rows that the decode
+    cannot follow (they hold no valid draw)."""
+    n, m, r, c = base.n_examples, spec.m, spec.r, base.class_count
+    is_mixup = spec.kind == "mixup"
+    halves = 2 * m - 1 + (0 if is_mixup else r)  # 32-bit draws per attempt
+    n_raw = (halves + 1) // 2
+    # the words one attempt reads at most, with the uniform after it
+    span = n_raw + (m - 1 if is_mixup else 0) + 1
+    lost = np.zeros(len(keys), dtype=bool)
+    pos = np.zeros(len(keys), dtype=np.int64)  # the next word a double reads
+    # choice and integers read 32-bit halves, low first; the high half of
+    # the last word they read waits in numpy's buffer through any doubles
+    carry, cached = np.zeros(len(keys), dtype=np.uint64), np.zeros(len(keys), dtype=bool)
+    # words[i] holds the row's words from block first[i] on
+    todo, first, words = np.arange(len(keys)), np.zeros_like(pos), np.empty((len(keys), 0), dtype=np.uint64)
+    for _ in range(_DEGENERATE_RETRIES + 1):
+        if (pos[todo] + span > 4 * first + words.shape[1]).any():
+            # new blocks from each row's position; when rejecting, a few
+            # rows left take words for later rounds too, as the cost of a
+            # call is mostly per call
+            first = pos[todo] // 4
+            n_blocks = (int((pos[todo] - 4 * first).max()) + span + 3) // 4
+            if spec.reject_degenerate:
+                n_blocks = max(n_blocks, min(2 * len(keys) // len(todo), n_blocks * (_DEGENERATE_RETRIES + 1)))
+            words = _philox_words(k0, keys[todo], (first[:, None] + np.arange(n_blocks)).astype(np.uint64))
+        off = pos[todo] - 4 * first
+        seg = np.take_along_axis(words, off[:, None] + np.arange(n_raw), axis=1)
+        held = cached[todo]
+        prev = np.concatenate((carry[todo, None], seg[:, :-1]), axis=1)
+        raw = np.where(held[:, None], prev >> _SHIFT32 | seg << _SHIFT32, seg)  # halves in read order
+        p, k = np.empty((len(todo), m), dtype=np.int64), np.empty((len(todo), draws.shape[1]), dtype=np.int64)
+        bad = _decode_draws(raw, n, p, None if is_mixup else k)
+        read = (halves - held + 1) // 2
+        at = np.arange(len(todo))
+        carry[todo], cached[todo] = seg[at, read - 1], (halves - held) % 2 == 1
+        end = off + read
+        if is_mixup:
+            used, unfollowed = _decode_counts(words, end, r, k)
+            bad |= unfollowed
+            end += used
+        again = np.zeros(len(todo), dtype=bool)
+        if spec.reject_degenerate:  # one-hot: one class holds all r of the source counts
+            counts = k if is_mixup else _block_counts(k, m)
+            again = ~bad & (_class_mass(base.labels[p], counts, c).max(axis=1) == r)
+        done = ~(bad | again)
+        rows = todo[done]
+        picks[rows], draws[rows], u[rows] = p[done], k[done], _doubles(words[at, end][done])
+        lost[todo[bad]] = True
+        pos[todo] += end - off
+        todo, words, first = todo[again], words[again], first[again]
+        if not todo.size:
+            return lost
+    raise _degenerate(spec)
+
+
 def generate_ambiguous_dataset(
     base: AmbiguousDataset, spec: MixSpec, n_out: int, rng: RngStream
 ) -> AmbiguousDataset:
@@ -276,21 +456,27 @@ def generate_ambiguous_dataset(
     while ``reject_degenerate`` sees a one-hot soft label), and the uniform
     that quantizes its label.
 
-    The loop re-keys one stream per example (all substream keys are derived
-    at once) and reads the raw Philox words that ``choice`` and
-    ``integers`` would consume, then draws Mixup's weights and the uniform.
-    One vectorized pass after it decodes the words as numpy does: Lemire's
-    bounded draw on each 32-bit half, Floyd's sampler with its Fisher-Yates
-    tail, then the block draws. An example is redrawn by the per-example
-    generator calls when a Lemire draw rejected (numpy would have read
-    another half), when ``reject_degenerate`` finds its first draw one-hot,
-    or, for every example, when numpy's ``choice`` would not use Floyd's
-    sampler (a base of exactly m examples, or one of more than 10,000
-    examples with m > n // 50). So the output bytes rest on numpy's
-    ``choice`` and ``integers`` algorithms; tests compare them with the
-    plain per-example loop. The draws are checked in one pass, and the mixed
-    features, the soft labels (kept as diagnostics) and the hard labels are
-    then computed for all examples at once.
+    No generator call runs per example. For chunks of examples at once, the
+    Philox4x64-10 words of each example's stream are computed with uint64
+    array arithmetic (all substream keys are derived at once), and the
+    draws are decoded from them as numpy makes them: Lemire's bounded draw
+    on each 32-bit half for ``choice`` (Floyd's sampler with its
+    Fisher-Yates tail) and ``integers``; Mixup's ``multinomial`` by
+    replaying numpy's binomial inversion on doubles, one per category; and
+    the uniform from the next word. One-hot examples under
+    ``reject_degenerate`` are redrawn in vectorized rounds, each row read
+    on from where its stream stands. An example is redrawn by the
+    per-example generator calls when numpy would have read past what the
+    decode follows (a Lemire draw rejected, a binomial inversion restarted,
+    or a count drawn by BTPE, where n * min(p, 1 - p) > 30), and every
+    example is when numpy's ``choice`` would not use Floyd's sampler (a
+    base of exactly m examples, or one of more than 10,000 examples with m
+    > n // 50). So the output bytes rest on numpy's Philox, its ``choice``,
+    ``integers`` and binomial inversion algorithms and the host's ``exp``
+    and ``log``; tests compare them with the plain per-example loop. The
+    draws are checked in one pass, and the mixed features, the soft labels
+    (kept as diagnostics) and the hard labels are then computed for all
+    examples at once.
     """
     if n_out < 1:
         raise ValueError("n_out must be >= 1")
@@ -301,32 +487,22 @@ def generate_ambiguous_dataset(
 
     n, m, r, c = base.n_examples, spec.m, spec.r, base.class_count
     is_mixup, reject = spec.kind == "mixup", spec.reject_degenerate
-    pvals = np.full(m, 1.0 / m)
     picks = np.empty((n_out, m), dtype=np.int64)
     draws = np.empty((n_out, m if is_mixup else r), dtype=np.int64)  # counts or assignment
     u = np.empty(n_out)
 
     ids = _child_id(rng.stream_id, np.arange(n_out, dtype=np.uint64))
     k0, keys = _philox_key(rng.seed, ids)
-    ex_rng = rng.substream(0)
     redo = np.arange(n_out)
     if m < n and (n <= _FLOYD_MAX_N or m <= n // 50):
-        # 2m - 1 halves for choice, r for integers, and the last word's
-        # spare high half stays unread, as numpy's double draws skip it
-        raw = np.empty((n_out, (2 * m + (0 if is_mixup else r)) // 2), dtype=np.uint64)
-        for i in range(n_out):
-            ex_rng._rekey(rng.seed, int(ids[i]), (k0, keys[i]))
-            raw[i] = ex_rng.random_raw(raw.shape[1])
-            if is_mixup:
-                draws[i] = ex_rng.multinomial(r, pvals)
-            u[i] = ex_rng.random()
-        redo = _decode_draws(raw, n, picks, None if is_mixup else draws)
-        del raw
-        if reject:  # one-hot: one class holds all r of the source counts
-            counts = draws if is_mixup else _block_counts(draws, m)
-            redo |= _class_mass(base.labels[picks], counts, c).max(axis=1) == r
-        redo = np.flatnonzero(redo)
+        lost = np.zeros(n_out, dtype=bool)
+        for lo in range(0, n_out, _MIX_ROWS):
+            at = slice(lo, lo + _MIX_ROWS)
+            lost[at] = _decode_rows(base, spec, k0, keys[at], picks[at], draws[at], u[at])
+        redo = np.flatnonzero(lost)
 
+    pvals = np.full(m, 1.0 / m)
+    ex_rng = rng.substream(0)
     labels = base.labels.tolist() if reject else None
     for i in redo.tolist():
         ex_rng._rekey(rng.seed, int(ids[i]), (k0, keys[i]))
@@ -340,10 +516,7 @@ def generate_ambiguous_dataset(
             if not _is_onehot_mix(labels, pick, counts):
                 break
         else:
-            raise RuntimeError(
-                f"mix spec {spec} kept producing one-hot soft labels after "
-                f"{_DEGENERATE_RETRIES} retries; the spec is degenerate for this base"
-            )
+            raise _degenerate(spec)
         picks[i] = pick
         draws[i] = draw
         u[i] = ex_rng.random()

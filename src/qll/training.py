@@ -64,6 +64,7 @@ from .core import (
     AmbiguousDataset,
     ClassPriors,
     RngStream,
+    _check_seed,
     _require_ints,
     frozen_0d,
     zero_one_test_risk,
@@ -109,6 +110,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         _require_ints(self, epochs=1, batch_size=2, hidden_dim=None, seed=None)
+        _check_seed(self.seed)
         for name in ("lr", "momentum", "weight_decay"):
             # a bool would train as 0 or 1, and a string fail late with a TypeError
             if isinstance(v := getattr(self, name), bool) or not isinstance(v, numbers.Real):

@@ -66,6 +66,13 @@ class TestGenerate:
             assert (a / f"{stem}.qll").read_bytes() == (b / f"{stem}.qll").read_bytes()
             assert (a / f"{stem}.meta").read_bytes() == (b / f"{stem}.meta").read_bytes()
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_2_writing_nothing(self, tmp_path, capsys, seed):
+        # 2**64 wrote the bytes of seed 0, and -1 those of 2**64 - 1
+        assert run(*GEN_SMALL[:-2], f"--seed={seed}", "--out", str(tmp_path / "d")) == 2
+        assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_patchmix_r_exceeding_d_rejected(self, tmp_path, capsys):
         code = run(
             "generate", "--c", "3", "--d", "4", "--mix", "patchmix",
@@ -155,6 +162,13 @@ class TestTrain:
         data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
         assert run("train", *data, "--epochs", "1", f"--{flag}={value}", "--out", str(tmp_path / "r")) == 2
         assert f"{flag.replace('-', '_')} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_2_writing_nothing(self, datadir, tmp_path, capsys, seed):
+        data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
+        assert run("train", *data, "--epochs", "1", f"--seed={seed}", "--out", str(tmp_path / "r")) == 2
+        assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_one_example_final_batch_exits_2_naming_it(self, tmp_path, capsys):
@@ -528,6 +542,14 @@ class TestSettings:
         cfg = write_config(tmp_path)
         assert run("sweep", "--config", str(cfg), "--data", str(datadir / "ambig_train.qll")) == 1
         assert "--data" in capsys.readouterr().err
+
+    def test_seed_outside_64_bits_exits_2_before_any_run(self, datadir, tmp_path, capsys):
+        # 2**64 aliased seed 0, and the table pooled the one run as n_seeds 2
+        data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
+        argv = ["sweep", *data, "--method", "ce", "--seeds", "0,18446744073709551616", "--epochs", "1"]
+        assert run(*argv, "--out", str(tmp_path / "s")) == 2
+        assert "seed must lie in [0, 2**64), got 18446744073709551616" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_sweep_seed_flag_abbreviates_seeds(self, datadir, tmp_path):
         # sweep has no --seed of its own, so argparse reads it as --seeds

@@ -179,6 +179,17 @@ class TestRngStream:
         assert np.array_equal(c1.random(16), c2.random(16))
         assert c1.stream_id != root.substream(18).stream_id
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, -(2**64)])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # the keys reduce a seed mod 2**64: 2**64 would replay seed 0
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            RngStream(seed)
+
+    def test_seed_range_ends_are_distinct_streams(self):
+        lo, hi = RngStream(0, 3), RngStream(2**64 - 1, 3)
+        assert (lo.seed, hi.seed) == (0, 2**64 - 1)
+        assert not np.array_equal(lo.random(4), hi.random(4))
+
     def test_draws_on_one_stream_do_not_shift_another(self):
         # counter-based keys: a sibling's consumption is invisible
         a = RngStream(8, 1)

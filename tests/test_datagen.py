@@ -1,6 +1,12 @@
+import glob
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,11 +32,15 @@ from qll.datagen import (
     BlockAssignment,
     MixSpec,
     MixWeights,
+    _binomial_tables,
     _block_counts,
+    _decode_counts,
     _decode_draws,
+    _doubles,
     _is_onehot_mix,
     _mix_rows,
     _patch_rows,
+    _philox_words,
     block_bounds,
     generate_ambiguous_dataset,
     mixed_soft_labels,
@@ -278,38 +288,58 @@ def _counting(monkeypatch, name, replace=None):
     return calls
 
 
+def _after(monkeypatch, name, edit=None):
+    """Wrap ``datagen.<name>``: after call ``k`` (from 1) returns, call
+    ``edit(k, args, result)``, which may change the result in place.
+    Returns the list of each call's arguments."""
+    real, calls = getattr(datagen, name), []
+
+    def wrapped(*args):
+        out = real(*args)
+        calls.append(args)
+        if edit:
+            edit(len(calls), args, out)
+        return out
+
+    monkeypatch.setattr(datagen, name, wrapped)
+    return calls
+
+
 def _decoding(monkeypatch, edit):
     """Let ``edit(rejected, picks, assign)`` change each decode's result."""
-    real = datagen._decode_draws
+    _after(monkeypatch, "_decode_draws", lambda k, args, rejected: edit(rejected, *args[2:]))
 
-    def decode(raw, n, picks, assign):
-        rejected = real(raw, n, picks, assign)
-        edit(rejected, picks, assign)
-        return rejected
 
-    monkeypatch.setattr(datagen, "_decode_draws", decode)
+def _stream_ids(rng, rows):
+    return {rng.substream(i).stream_id for i in rows}
 
 
 class TestDrawLoop:
-    """The per-example loop reads raw words and makes ``choice`` calls only
-    for the examples it redraws, one per draw attempt; its draws are checked
-    in one pass after it."""
+    """Examples the decode follows make no generator call; the rest take the
+    per-example loop, one ``choice`` call per draw attempt. The draws are
+    checked in one pass after it."""
 
     BASE = synth_base(BaseSpec(c=4, d=8, n_per_class=10), RngStream(2, 1))
 
     @pytest.mark.parametrize("reject", [False, True])
     @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
     def test_one_choice_per_attempt(self, kind, reject, monkeypatch):
+        def lose_every_fourth(k, args, rejected):  # in the first round only
+            if k == 1:
+                rejected[::4] = True
+
         spec = MixSpec(kind, 2, 4, reject_degenerate=reject)
+        _after(monkeypatch, "_decode_draws", lose_every_fourth)
         calls = _counting(monkeypatch, "choice")
         generate_ambiguous_dataset(self.BASE, spec, 60, RngStream(6, 2))
         got = Counter(calls)
         calls.clear()
         reference_generate(self.BASE, spec, 60, RngStream(6, 2))
-        # an example kept at its first attempt is decoded from raw words; a
-        # rejected one is redrawn from its first attempt on
-        assert got == Counter({s: k for s, k in Counter(calls).items() if k > 1})
-        assert sum(got.values()) > 0 if reject else not got
+        # no choice call outside the lost rows; those redraw from their
+        # first attempt on, as the reference does
+        lost = _stream_ids(RngStream(6, 2), range(0, 60, 4))
+        assert got == Counter({s: k for s, k in Counter(calls).items() if s in lost})
+        assert len(got) == 15 and (sum(got.values()) > 15) == reject
 
     @pytest.mark.parametrize("reject", [False, True])
     @pytest.mark.parametrize(
@@ -325,17 +355,16 @@ class TestDrawLoop:
         # ``draw`` names the call whose result example 6 gets replaced; the
         # assignments that ``integers`` would return come from the decode
         spec = MixSpec(kind, 2, 4, reject_degenerate=reject)
-        if draw == "multinomial":
-            calls = _counting(monkeypatch, draw, lambda k: np.array(bad) if k == 7 else None)
-        else:
-            def corrupt(rejected, picks, assign):
-                assign[6] = bad
 
-            calls = _counting(monkeypatch, "random_raw")
-            _decoding(monkeypatch, corrupt)
+        def corrupt(k, args, out):  # row 6 of the first round's counts or assignment
+            if k == 1:
+                args[-1 if draw == "multinomial" else 3][6] = bad
+
+        _after(monkeypatch, "_decode_counts" if draw == "multinomial" else "_decode_draws", corrupt)
+        words = _after(monkeypatch, "_philox_words")
         with pytest.raises(ValueError, match=message):
             generate_ambiguous_dataset(self.BASE, spec, 30, RngStream(6, 2))
-        assert len(calls) >= 30  # every example drew before the check ran
+        assert len(words[0][1]) == 30  # every example drew before the check ran
 
     @pytest.mark.parametrize("reject", [False, True])
     @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
@@ -405,6 +434,205 @@ class TestDecodeDraws:
             assert np.array_equal(picks, want_picks) and np.array_equal(assign, want_assign)
 
 
+def _philox_at(k0, k1, block):
+    """numpy's Philox keyed (k0, k1) with its counter set to read ``block`` next."""
+    bit_gen = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64))
+    state = bit_gen.state
+    state["state"]["counter"] = np.array([block, 0, 0, 0], dtype=np.uint64)
+    bit_gen.state = state
+    return bit_gen
+
+
+class TestPhiloxWords:
+    """The vectorized Philox4x64-10 blocks against numpy's bit generator."""
+
+    @given(
+        k0=st.integers(0, 2**64 - 1),
+        k1=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        blocks=st.lists(st.integers(0, 2**64 - 2), min_size=1, max_size=3),
+    )
+    @example(k0=0, k1=[0], blocks=[0])
+    @example(k0=2**64 - 1, k1=[2**64 - 1], blocks=[2**64 - 2, 2**32 - 1])
+    def test_blocks_equal_numpy_random_raw(self, k0, k1, blocks):
+        idx = np.tile(np.array(blocks, dtype=np.uint64), (len(k1), 1))
+        words = _philox_words(k0, np.array(k1, dtype=np.uint64), idx)
+        assert words.dtype == np.uint64 and words.shape == (len(k1), 4 * len(blocks))
+        for i, key in enumerate(k1):
+            want = [_philox_at(k0, key, b).random_raw(4) for b in blocks]
+            assert np.array_equal(words[i], np.concatenate(want))
+
+    def test_consecutive_blocks_are_one_stream(self):
+        words = _philox_words(7, np.arange(3, dtype=np.uint64), np.tile(np.arange(5, dtype=np.uint64), (3, 1)))
+        for i in range(3):
+            assert np.array_equal(words[i], np.random.Philox(key=[7, i]).random_raw(20))
+
+    def test_doubles_equal_numpy_random(self):
+        gen = np.random.Generator(np.random.Philox(key=[3, 4]))
+        raw = np.random.Philox(key=[3, 4]).random_raw(64)
+        assert np.array_equal(_doubles(raw), gen.random(64))
+
+
+class TestDecodeCounts:
+    """The replay of numpy's binomial inversion against ``multinomial(r,
+    full(m, 1/m))`` on the same stream."""
+
+    KEYS = 40
+
+    @staticmethod
+    def decode(m, r, keys):
+        words = _philox_words(11, keys, np.tile(np.arange(2, dtype=np.uint64), (len(keys), 1)))
+        counts = np.empty((len(keys), m), dtype=np.int64)
+        used, lost = _decode_counts(words, np.zeros(len(keys), dtype=np.int64), r, counts)
+        return words, counts, used, lost
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_numpy_where_inversion_serves(self, m):
+        # n * min(p, 1 - p) <= 30 for every count of trials left while r <= 60
+        keys = np.arange(self.KEYS, dtype=np.uint64)
+        early = 0
+        for r in range(1, 61):
+            words, counts, used, lost = self.decode(m, r, keys)
+            assert not lost.any()
+            for i in range(self.KEYS):
+                gen = np.random.Generator(np.random.Philox(key=[11, i]))
+                assert counts[i].tolist() == gen.multinomial(r, np.full(m, 1.0 / m)).tolist()
+                # the words read: numpy's next double is the decode's next word
+                assert gen.random() == _doubles(words[i, used[i]])
+            early += int((used < m - 1).sum())  # no trials left before category m - 2
+        assert early > 0 if m > 2 else early == 0
+
+    @pytest.mark.parametrize("m, r", [(2, 61), (2, 64), (3, 91)])
+    def test_btpe_counts_are_not_followed(self, m, r):
+        # the first category's binomial has n * p > 30: numpy draws it by BTPE
+        _, _, _, lost = self.decode(m, r, np.arange(self.KEYS, dtype=np.uint64))
+        assert lost.all()
+
+    def test_tables_stop_where_btpe_starts(self):
+        (px, bound, flip), = _binomial_tables(2, 100)
+        assert px.shape[0] == 61 and not flip  # dn = 0 ... 60 at p = 0.5
+        assert bound[0] == 0 and (bound[1:] <= np.arange(1, 61)).all()
+        assert np.isinf(px[1, 2:]).all() and px[1, :2].tolist() == [0.5, 0.5]
+
+
+class TestFallbackRoutes:
+    """Rows the decode cannot follow take the per-example calls, and the
+    output still equals the per-example loop."""
+
+    BASE = synth_base(BaseSpec(c=4, d=7, n_per_class=20), RngStream(21, 1))
+
+    @pytest.mark.parametrize("reject", [False, True])
+    def test_btpe_spec(self, reject, monkeypatch, tmp_path):
+        # m = 2, r = 64: the one binomial has n * p = 32 > 30, so every row
+        calls = _counting(monkeypatch, "choice")
+        spec = MixSpec("mixup", 2, 64, reject_degenerate=reject)
+        got = generate_ambiguous_dataset(self.BASE, spec, 40, RngStream(5, 2))
+        assert len(set(calls)) == 40
+        _assert_matches_reference(self.BASE, spec, 40, RngStream(5, 2), tmp_path, got)
+
+    def test_spec_that_reaches_btpe_on_some_rows(self, monkeypatch, tmp_path):
+        # m = 3, r = 85: the second category's binomial reaches BTPE only
+        # where the first left more than 60 trials
+        calls = _counting(monkeypatch, "choice")
+        spec = MixSpec("mixup", 3, 85)
+        got = generate_ambiguous_dataset(self.BASE, spec, 200, RngStream(5, 2))
+        assert 0 < len(set(calls)) < 100
+        _assert_matches_reference(self.BASE, spec, 200, RngStream(5, 2), tmp_path, got)
+
+    @pytest.mark.parametrize("reject", [False, True])
+    def test_forced_restart(self, reject, monkeypatch, tmp_path):
+        # cap every inversion's bound at 1: a row whose count would pass it
+        # restarts (numpy would read another double) and is redrawn
+        real = _binomial_tables
+
+        def capped(m, r):
+            return tuple((px, np.minimum(bound, 1), flip) for px, bound, flip in real(m, r))
+
+        monkeypatch.setattr(datagen, "_binomial_tables", capped)
+        calls = _counting(monkeypatch, "choice")
+        spec = MixSpec("mixup", 3, 4, reject_degenerate=reject)
+        got = generate_ambiguous_dataset(self.BASE, spec, 60, RngStream(5, 2))
+        assert 10 < len(set(calls)) < 60
+        _assert_matches_reference(self.BASE, spec, 60, RngStream(5, 2), tmp_path, got)
+
+    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
+    def test_lemire_rejection_in_a_later_round(self, kind, monkeypatch, tmp_path):
+        lost = []
+
+        def reject_in_round_two(k, args, rejected):  # as if a Lemire draw rejected there
+            if k == 2:
+                rejected[::2] = True
+                lost.append(int(rejected.sum()))
+
+        _after(monkeypatch, "_decode_draws", reject_in_round_two)
+        calls = _counting(monkeypatch, "choice")
+        spec = MixSpec(kind, 3, 4, reject_degenerate=True)
+        got = generate_ambiguous_dataset(self.BASE, spec, 60, RngStream(5, 2))
+        assert lost and len(set(calls)) == lost[0]
+        _assert_matches_reference(self.BASE, spec, 60, RngStream(5, 2), tmp_path, got)
+
+    @pytest.mark.parametrize("reject", [False, True])
+    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
+    def test_one_past_a_chunk(self, kind, reject, tmp_path):
+        spec = MixSpec(kind, 3, 4, reject_degenerate=reject)
+        _assert_matches_reference(self.BASE, spec, datagen._MIX_ROWS + 1, RngStream(5, 2), tmp_path)
+
+    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
+    def test_degenerate_spec_raises_within_the_first_chunk(self, kind, monkeypatch):
+        x = np.random.default_rng(0).normal(size=(10, 4)).astype(np.float32)
+        base = AmbiguousDataset(2, 4, x, np.zeros(10, dtype=int))
+        spec = MixSpec(kind, 2, 4, reject_degenerate=True)
+        rng = RngStream(5, 1)
+        words = _after(monkeypatch, "_philox_words")
+        with pytest.raises(RuntimeError, match="degenerate") as got:
+            generate_ambiguous_dataset(base, spec, 2 * datagen._MIX_ROWS + 5, rng)
+        with pytest.raises(RuntimeError) as want:
+            reference_generate(base, spec, 3, rng)
+        assert str(got.value) == str(want.value)
+        _, first_chunk = _philox_key(rng.seed, _child_id(rng.stream_id, np.arange(datagen._MIX_ROWS, dtype=np.uint64)))
+        assert words and all(np.isin(args[1], first_chunk).all() for args in words)
+
+
+_KERNEL_PROBE = """
+import contextlib, ctypes, glob, hashlib, os, sys
+import numpy as np
+from qll import cli
+
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*.so"))
+name = ""
+if libs:
+    get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
+    if get is not None:
+        get.restype = ctypes.c_char_p
+        name = get().decode()
+print(name)
+with contextlib.redirect_stdout(sys.stderr):
+    for mix in ("mixup", "patchmix"):
+        out = os.path.join(sys.argv[1], mix)
+        argv = ["generate", "--n-per-class", "50", "--n", "600", "--mix", mix, "--seed", "3", "--out", out]
+        assert cli.main(argv) == 0
+for path in sorted(glob.glob(os.path.join(sys.argv[1], "*", "*.qll"))):
+    print(os.path.relpath(path, sys.argv[1]), hashlib.sha256(open(path, "rb").read()).hexdigest())
+"""
+
+
+def test_generated_bytes_do_not_depend_on_the_openblas_kernels(tmp_path):
+    """Generate one set in processes that OpenBLAS runs with different
+    kernel sets (``OPENBLAS_CORETYPE``), where the build lets the variable
+    change them, and compare the ``.qll`` bytes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for core in ("Haswell", "Sandybridge"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run([sys.executable, "-c", _KERNEL_PROBE, str(tmp_path / core)], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout.splitlines())
+    (name_a, *files_a), (name_b, *files_b) = outputs
+    if name_a == name_b:
+        pytest.skip(f"OPENBLAS_CORETYPE does not change the kernels here ({name_a or 'no OpenBLAS name'})")
+    assert len(files_a) == 6 and files_a == files_b
+
+
 class TestSpecIntegers:
     """Counts and sizes must be integers: with a float r, Mixup's weights
     counts / r would miss unit mass, and a file header could not store r."""
@@ -437,8 +665,8 @@ def _qll_bytes(ds, path):
     return path.read_bytes(), path.with_suffix(".meta").read_bytes()
 
 
-def _assert_matches_reference(base, spec, n_out, rng, tmp_path):
-    got = generate_ambiguous_dataset(base, spec, n_out, rng)
+def _assert_matches_reference(base, spec, n_out, rng, tmp_path, got=None):
+    got = generate_ambiguous_dataset(base, spec, n_out, rng) if got is None else got
     want = reference_generate(base, spec, n_out, rng)
     assert np.array_equal(got.features, want.features)
     assert np.array_equal(got.labels, want.labels)
@@ -550,7 +778,8 @@ class TestRekeyedStream:
         "beta": lambda g: g.beta(0.5, 0.5),
         "permutation": lambda g: g.permutation(9),
         "choice": lambda g: g.choice(50, size=4, replace=False),
-        "random_raw": lambda g: g.random_raw(3),
+        # the raw words numpy's draws read, which the generator decodes
+        "random_raw": lambda g: g._gen.bit_generator.random_raw(3),
     }
 
     @pytest.mark.parametrize("method", sorted(DRAWS))
@@ -587,6 +816,7 @@ class TestRekeyedStream:
         k0, k1 = _philox_key(seed, ids)
         assert ids.dtype == k1.dtype == np.uint64 and ids.shape == k1.shape == (len(keys),)
         stream = RngStream(seed ^ 1, 7)
+        words = _philox_words(k0, k1, np.zeros((len(keys), 1), dtype=np.uint64))
         for i, key in enumerate(keys):
             fresh = parent.substream(key)
             assert (seed, int(ids[i])) == (fresh.seed, fresh.stream_id)
@@ -596,6 +826,7 @@ class TestRekeyedStream:
             assert (stream.seed, stream.stream_id) == (fresh.seed, fresh.stream_id)
             for draw in self.DRAWS.values():
                 assert np.array_equal(draw(stream), draw(fresh))
+            assert np.array_equal(words[i], parent.substream(key)._gen.bit_generator.random_raw(4))
 
 
 class TestSynthBase:

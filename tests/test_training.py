@@ -111,6 +111,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
             TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), **{name: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), seed=seed)
+        assert TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), seed=2**64 - 1).seed == 2**64 - 1
+
     def test_real_step_settings_pass(self):
         cfg = TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), lr=1, momentum=np.float32(0.5),
                           weight_decay=0)

@@ -6,8 +6,12 @@ Runs, in this process and with ``DIR`` as the working directory, ``qll
 generate`` for Mixup and PatchMix (600 examples each), once plain and once
 with ``--reject-degenerate`` (whose redraw loop the plain runs never
 enter); ``qll generate`` for PatchMix with m=3 (two Fisher-Yates swap
-draws per example) and for Mixup m=3 on a base of exactly 3 examples
-(where every example takes the per-example ``choice`` calls); ``qll
+draws per example), for Mixup m=3 on a base of exactly 3 examples
+(where every example takes the per-example ``choice`` calls), for Mixup
+and PatchMix with m=3 and ``--reject-degenerate`` (redraw rounds that
+read on from a cached 32-bit half), and for Mixup m=2 r=64 (whose
+binomial count numpy draws by BTPE, so every example takes the
+per-example calls); ``qll
 train`` for all seven methods with the MLP and for cpu-sjs, cpu-kl and
 ce with the linear model (8 epochs each), then ``qll report``
 over those runs, then ``qll train`` for cpu-sjs and cpu-kl with the MLP
@@ -91,6 +95,11 @@ def calls() -> list[list[str]]:
                   "--seed", "7", "--out", "data-patchmix-m3"])
     argvs.append(["generate", "--c", "3", "--d", "8", "--n-per-class", "1", "--m", "3", "--r", "4",
                   "--n", "200", "--mix", "mixup", "--seed", "7", "--out", "data-base-of-m"])
+    argvs += [["generate", *DATA[:6], "--m", "3", "--r", "4", "--n", "600", "--mix", mix,
+               "--reject-degenerate", "--seed", "7", "--out", f"data-{mix}-m3-reject"]
+              for mix in ("mixup", "patchmix")]
+    argvs.append(["generate", *DATA[:6], "--m", "2", "--r", "64", "--n", "600", "--mix", "mixup",
+                  "--seed", "7", "--out", "data-mixup-r64"])
 
     def train(data: str, method: str, model: str, u_mode: str = "complement") -> list[str]:
         full = ["--u-mode", "full"] if u_mode == "full" else []
