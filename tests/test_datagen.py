@@ -602,7 +602,7 @@ name = ""
 if libs:
     get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
     if get is not None:
-        get.restype = ctypes.c_char_p
+        get.argtypes, get.restype = [], ctypes.c_char_p
         name = get().decode()
 print(name)
 with contextlib.redirect_stdout(sys.stderr):
