@@ -377,6 +377,7 @@ def _decode_counts(words: np.ndarray, at: np.ndarray, r: int, counts: np.ndarray
 
 
 def _degenerate(spec: MixSpec) -> RuntimeError:
+    """The error for a spec whose draws stay one-hot through every retry."""
     return RuntimeError(
         f"mix spec {spec} kept producing one-hot soft labels after "
         f"{_DEGENERATE_RETRIES} retries; the spec is degenerate for this base"
@@ -384,7 +385,8 @@ def _degenerate(spec: MixSpec) -> RuntimeError:
 
 
 def _decode_rows(
-    base: AmbiguousDataset, spec: MixSpec, k0: int, keys: np.ndarray, picks: np.ndarray, draws: np.ndarray, u: np.ndarray
+    base: AmbiguousDataset, spec: MixSpec, k0: int, keys: np.ndarray,
+    picks: np.ndarray, draws: np.ndarray, u: np.ndarray,
 ) -> np.ndarray:
     """Decode each example's draws, keyed (k0, keys[i]), from its Philox
     words into rows i of ``picks``, ``draws`` (counts or assignment) and
