@@ -67,8 +67,11 @@ def _require_ints(spec, **least: int | None) -> None:
 
 
 def _check_seed(seed) -> int:
-    """The seed as an int; one outside [0, 2**64) is refused, as the stream
-    keys reduce it mod 2**64 and it would alias another seed."""
+    """The seed as an int. A bool or a non-integer is refused (int() would
+    truncate 1.5 to seed 1), and so is an integer outside [0, 2**64), as the
+    stream keys reduce it mod 2**64 and it would alias another seed."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= int(seed) <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return int(seed)

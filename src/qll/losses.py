@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -135,6 +135,27 @@ class MulticlassLossKind:
             raise ValueError("sce needs a > 0 and b > 0")
         if v == "js" and not (self.pi1 is not None and 0.0 < self.pi1 < 1.0):
             raise ValueError("js needs pi1 in (0, 1)")
+
+    @cached_property
+    def operands(self) -> tuple[np.ndarray, ...]:
+        """The parameter terms ``baseline_loss_batch`` multiplies and
+        divides by, each computed as its formula reads and held as a 0-d
+        array (see ``core.frozen_0d``), once per loss: bs (beta, 1 - beta,
+        -(1 - beta)), gce (q, q - 1), sce (-a, b * 4), js (w, 1 - w, -w,
+        -w * (1 - w), sjs_scale(w)) with w = pi1; ce none."""
+        v = self.variant
+        if v == "bs":
+            terms = (self.beta, 1.0 - self.beta, -(1.0 - self.beta))
+        elif v == "gce":
+            terms = (self.q, self.q - 1.0)
+        elif v == "sce":
+            terms = (-self.a, self.b * _RCE_LOG_FLOOR)
+        elif v == "js":
+            w = self.pi1
+            terms = (w, 1.0 - w, -w, -w * (1.0 - w), sjs_scale(w))
+        else:
+            terms = ()
+        return tuple(map(frozen_0d, terms))
 
     @classmethod
     def ce(cls) -> "MulticlassLossKind":
@@ -355,32 +376,33 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels, *, at=None):
         loss = -np.log(pyc)
         g_p.put(at, np.where(py > _EPS, MINUS_ONE / pyc, ZERO))
     elif v == "bs":
-        beta = kind.beta
-        target = beta * onehot + (1.0 - beta) * p
+        beta, one_m_beta, neg_one_m_beta = kind.operands
+        target = beta * onehot + one_m_beta * p
         loss = -np.add.reduce(target * log_pc, axis=-1)
-        g_p = -(1.0 - beta) * log_pc - np.where(interior, target / pc, ZERO)
+        g_p = neg_one_m_beta * log_pc - np.where(interior, target / pc, ZERO)
     elif v == "gce":
-        q = kind.q
-        loss = (ONE - py**q) / q
-        g_p.put(at, -pyc ** (q - 1.0))
+        q, q_m1 = kind.operands
+        # The exponent stays a Python float: numpy computes x ** 0.5 by
+        # np.sqrt for a Python float 0.5 and by np.power for an array.
+        loss = (ONE - py**kind.q) / q
+        g_p.put(at, -pyc**q_m1)
     elif v == "sce":
-        a, b = kind.a, kind.b
-        loss = -a * np.log(pyc) + b * _RCE_LOG_FLOOR * (ONE - py)
-        g_p.put(at, np.where(py > _EPS, -a / pyc, ZERO) - b * _RCE_LOG_FLOOR)
+        neg_a, b_floor = kind.operands
+        loss = neg_a * np.log(pyc) + b_floor * (ONE - py)
+        g_p.put(at, np.where(py > _EPS, neg_a / pyc, ZERO) - b_floor)
     else:  # js
-        w = kind.pi1
-        m = w * onehot + (1.0 - w) * p
+        w, one_m_w, neg_w, neg_w_one_m_w, scale = kind.operands
+        m = w * onehot + one_m_w * p
         mc = np.maximum(m, _EPS)
         m_int = m > _EPS
         log_ratio = log_pc - np.log(mc)
         # D = w * KL(onehot||m) + (1-w) * KL(p||m), with KL(onehot||m) = -ln m_y
-        loss = -w * np.log(mc.take(at)) + (1.0 - w) * np.add.reduce(p * log_ratio, axis=-1)
-        g_p = -w * (1.0 - w) * np.where(m_int, onehot / mc, ZERO) + (1.0 - w) * (
-            log_ratio + np.where(interior, ONE, ZERO) - (1.0 - w) * np.where(m_int, p / mc, ZERO)
+        loss = neg_w * np.log(mc.take(at)) + one_m_w * np.add.reduce(p * log_ratio, axis=-1)
+        g_p = neg_w_one_m_w * np.where(m_int, onehot / mc, ZERO) + one_m_w * (
+            log_ratio + np.where(interior, ONE, ZERO) - one_m_w * np.where(m_int, p / mc, ZERO)
         )
         if kind.scaled:
-            s = sjs_scale(w)
-            loss, g_p = s * loss, s * g_p
+            loss, g_p = scale * loss, scale * g_p
 
     # Chain through softmax: dL/dz_j = p_j * (g_j - sum_k g_k p_k).
     inner = np.add.reduce(g_p * p, axis=-1, keepdims=True)

@@ -11,6 +11,11 @@ A model may also hold K models stacked on a leading axis (weights (K, c, d),
 biases (K, c), and so on): forward and backward work on the trailing two
 axes, so one call serves all K, and member k's slices equal what the same
 call computes for that member alone, bit for bit.
+
+``forward`` and ``backward`` check their inputs, resolve the layers with
+``bind_layers`` and run one kernel. A caller that steps one model many
+times binds it once and passes ``layers=``, which skips the checks and the
+resolving and runs the same kernel.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "init_model",
     "forward",
     "backward",
+    "bind_layers",
     "predict",
     "save_model",
     "load_model",
@@ -102,52 +108,81 @@ def init_model(
     return _MODEL_CLASSES[hidden](*blocks)
 
 
-def forward(model, x) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Logits for a batch x of shape (n, d): (n, c), or (K, n, c) when the
-    model is stacked. A stacked model also takes (K, n, d), one batch per
-    member; an unstacked one refuses it. Also returns each layer's input,
-    which ``backward`` reads."""
-    x = np.asarray(x, dtype=np.float64)
-    layers = model.layers()
-    w_in = layers[0][0]
-    d = w_in.shape[-1]
-    if x.ndim not in (2, w_in.ndim) or x.shape[-1] != d:
-        wanted = f"(n, {d}) or (K, n, {d})" if w_in.ndim == 3 else f"(n, {d}) (the model is unstacked)"
-        raise ValueError(f"expected an {wanted} feature batch, got shape {x.shape}")
+def bind_layers(model, grads=None) -> list[tuple]:
+    """Each layer of ``model`` resolved ahead for the kernels of ``forward``
+    and ``backward``: its weights, their transposed view, the bias shaped as
+    it is added to a ([K,] n, out) batch, and the arrays its weight and bias
+    gradients are written into, from ``grads`` (a dict keyed and shaped like
+    ``model.params()``; None for a forward-only binding). All are views, so
+    a binding follows in-place updates of the parameters and gradients."""
+    params = model.params()
+    out = iter([None] * len(params) if grads is None else [grads[k] for k in params])
+    return [(w, w.swapaxes(-1, -2), b[..., None, :] if b.ndim > 1 else b, next(out), next(out))
+            for w, b in model.layers()]
 
+
+def _forward(layers, x) -> tuple[np.ndarray, list[np.ndarray]]:
     # Biases and the rectifier apply in place, so a stacked evaluation
     # holds one (K, n, h) array at a time.
     inputs = []
-    for w, b in layers:
+    for _, w_t, b, _, _ in layers:
         if inputs:
             np.maximum(x, ZERO, out=x)  # x > 0 is then the ReLU mask
         inputs.append(x)
-        x = x @ w.swapaxes(-1, -2)
-        x += b[..., None, :] if b.ndim > 1 else b
+        x = x @ w_t
+        x += b
     return x, inputs
 
 
-def backward(model, inputs, d_logits, out=None) -> dict[str, np.ndarray]:
+def _backward(layers, inputs, g) -> None:
+    for i in range(len(layers) - 1, -1, -1):
+        w, _, _, g_w, g_b = layers[i]
+        x = inputs[i]
+        np.matmul(g.swapaxes(-1, -2), x, out=g_w)
+        np.add.reduce(g, axis=-2, out=g_b)
+        if i:
+            g = (g @ w) * (x > ZERO)
+
+
+def forward(model, x, *, layers=None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Logits for a batch x of shape (n, d): (n, c), or (K, n, c) when the
+    model is stacked. A stacked model also takes (K, n, d), one batch per
+    member; an unstacked one refuses it. Also returns each layer's input,
+    which ``backward`` reads.
+
+    ``layers`` may give ``bind_layers(model)``, resolved ahead. x is then
+    taken as a checked float64 batch, and ``model`` is not read."""
+    if layers is None:
+        x = np.asarray(x, dtype=np.float64)
+        w_in = model.layers()[0][0]
+        d = w_in.shape[-1]
+        if x.ndim not in (2, w_in.ndim) or x.shape[-1] != d:
+            wanted = f"(n, {d}) or (K, n, {d})" if w_in.ndim == 3 else f"(n, {d}) (the model is unstacked)"
+            raise ValueError(f"expected an {wanted} feature batch, got shape {x.shape}")
+        layers = bind_layers(model)
+    return _forward(layers, x)
+
+
+def backward(model, inputs, d_logits, out=None, *, layers=None) -> dict[str, np.ndarray]:
     """Parameter gradients from d(loss)/d(logits) via the chain rule, given the
     layer inputs ``forward`` returned with logits of d_logits' shape. With
     ``out``, a dict of caller-owned arrays keyed and shaped like
     ``model.params()``, the gradients are written into those arrays and
-    ``out`` is returned; the values are the same bit for bit."""
-    g = np.asarray(d_logits, dtype=np.float64)
-    params = model.params()
-    names = list(params)  # weights, bias per layer, input layer first
-    out_w, out_b = params[names[-2]], params[names[-1]]
-    if g.shape != (*out_b.shape[:-1], inputs[0].shape[-2], out_w.shape[-2]):
-        raise ValueError(f"d_logits shape {g.shape} does not match the forward pass")
+    ``out`` is returned; the values are the same bit for bit.
 
-    grads = {} if out is None else out
-    for i in range(len(inputs) - 1, -1, -1):
-        x, w_name, b_name = inputs[i], names[2 * i], names[2 * i + 1]
-        grads[w_name] = np.matmul(g.swapaxes(-1, -2), x, out=grads.get(w_name))
-        grads[b_name] = np.add.reduce(g, axis=-2, out=grads.get(b_name))
-        if i:
-            g = (g @ params[w_name]) * (x > ZERO)
-    return grads
+    ``layers`` may give ``bind_layers(model, out)``, resolved ahead.
+    d_logits is then taken as a checked float64 array, and ``model`` is
+    not read."""
+    if layers is None:
+        d_logits = np.asarray(d_logits, dtype=np.float64)
+        params = model.params()
+        *_, (out_w, out_b) = model.layers()
+        if d_logits.shape != (*out_b.shape[:-1], inputs[0].shape[-2], out_w.shape[-2]):
+            raise ValueError(f"d_logits shape {d_logits.shape} does not match the forward pass")
+        out = {k: np.empty_like(v) for k, v in params.items()} if out is None else out
+        layers = bind_layers(model, out)
+    _backward(layers, inputs, d_logits)
+    return out
 
 
 def predict(logits):

@@ -11,9 +11,9 @@ All three, and their gradients, come from one sigmoid pass over the batch
 logits that stacks every loss and gradient against +1 and -1 as (2, ...);
 label masks looked up per term then reduce all three in one pass. All
 else depends on labels, priors and alpha only: the trainer builds each
-epoch's ``batch_tables`` (mask counts, their divisors, and branch weights
-over them) in one call, and a call without tables builds its one batch's
-the same way. ``CpuRiskReport.value``, unread in training, is lazy.
+epoch's term masks and ``batch_tables`` (mask counts, their divisors, and
+branch weights over them) once, and a call without tables builds its one
+batch's the same way. ``CpuRiskReport.value``, unread in training, is lazy.
 
 The unbiased PU risk is  pi * r_p_plus + r_u_minus - pi * r_p_minus  and may
 go negative. The non-negative class-wise estimator with two practical priors
@@ -172,30 +172,37 @@ _ONE_BATCH = np.zeros(1, dtype=np.intp)
 def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
               loss: BinaryLossKind, alpha: float | Sequence[float] | None, u_mode: str,
               want_grad: bool, tables=None):
-    z, y = batch_logits, labels
-    if tables is None:  # checked inputs, and the tables of their one batch
-        z = np.asarray(batch_logits, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.int64)
-        if z.ndim not in (2, 3) or y.shape != z.shape[:-1]:
-            raise ValueError(
-                f"need (n, c) logits with (n,) labels or (K, n, c) logits with (K, n) labels, "
-                f"got {z.shape} and {y.shape}"
-            )
-        if y.shape[-1] < 2:
-            raise ValueError("batch must contain at least 2 examples")
-        single = isinstance(priors, ClassPriors)
-        if single != (z.ndim == 2) or (not single and len(priors) != z.shape[0]):
-            raise ValueError("(n, c) logits take one ClassPriors; (K, n, c) logits a sequence of K")
-        weights = _branch_weights(priors if single else tuple(priors))
-        table, coefs = batch_tables(y, _ONE_BATCH, z.shape[-1], u_mode, weights)
-        tables = (weights, table[..., 0, :], coefs[..., 0, :], _resolve_terms(loss, alpha, z.shape))
-    weights, table, coefs, terms = tables
+    if tables is not None:
+        return _cpu_kernel(loss, batch_logits, *tables, want_grad)
+    # Checked inputs, and the tables of their one batch.
+    z = np.asarray(batch_logits, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if z.ndim not in (2, 3) or y.shape != z.shape[:-1]:
+        raise ValueError(
+            f"need (n, c) logits with (n,) labels or (K, n, c) logits with (K, n) labels, "
+            f"got {z.shape} and {y.shape}"
+        )
+    if y.shape[-1] < 2:
+        raise ValueError("batch must contain at least 2 examples")
+    single = isinstance(priors, ClassPriors)
+    if single != (z.ndim == 2) or (not single and len(priors) != z.shape[0]):
+        raise ValueError("(n, c) logits take one ClassPriors; (K, n, c) logits a sequence of K")
+    weights = _branch_weights(priors if single else tuple(priors))
+    c = z.shape[-1]
+    table, coefs = batch_tables(y, _ONE_BATCH, c, u_mode, weights)
+    masks = _term_masks(c, u_mode).take(y, axis=1)
+    terms = _resolve_terms(loss, alpha, z.shape)
+    return _cpu_kernel(loss, z, weights, masks, table[..., 0, :], coefs[..., 0, :], terms, want_grad)
+
+
+def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, want_grad: bool):
+    """The risk of (n, c) or (K, n, c) float64 logits ``z``, given the
+    tables of ``cpu_risk_with_grad``: no check but the logits' finiteness."""
     pi1, pi2 = weights[1, 0], weights[0, 1]  # the weights of r_p_plus and r_p_minus
     c = z.shape[-1]
 
-    # (3, *labels, c) masks, one per term; (2, ...) loss and gradient, index
-    # 0 against +1 and index 1 against -1.
-    masks = _term_masks(c, u_mode).take(y, axis=1)
+    # (2, ...) loss and gradient, index 0 against +1 and index 1 against -1;
+    # the (3, *labels, c) masks reduce them per term.
     losses, grads = _binary_parts(loss, z, terms)
     r_p_plus, r_p_minus, r_u_minus = np.add.reduce(masks * losses.take(_TERM_TARGET, axis=0), axis=-2) / table[1]
 
@@ -233,10 +240,13 @@ def cpu_risk_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="comple
 def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement", *, tables=None):
     """(CpuRiskReport, gradient) in one pass: the training loop's entry point.
 
-    ``tables`` may give, resolved ahead, ``(weights, table, coefs, terms)``:
-    the priors' ``_branch_weights``, as they are or broadcast to (2, 3, [K,]
-    c), the batch's (2, 3, [K,] c) slices of the epoch's ``batch_tables``
-    and its alpha's ``_alpha_terms`` (four 0-d arrays or scalars for one
-    run, (K, 1, 1) columns for K runs; None for kl). The logits and labels
-    are then taken as checked, and ``priors`` and ``alpha`` are not read."""
+    ``tables`` may give, resolved ahead, ``(weights, masks, table, coefs,
+    terms)``: the priors' ``_branch_weights``, as they are or broadcast to
+    (2, 3, [K,] c); the batch's (3, [K,] n, c) term masks,
+    ``_term_masks(c, u_mode).take(labels, axis=1)``; the batch's (2, 3,
+    [K,] c) slices of the epoch's ``batch_tables``; and its alpha's
+    ``_alpha_terms`` (four 0-d arrays or scalars for one run, (K, 1, 1)
+    columns for K runs; None for kl). The logits are then taken as checked
+    float64 (and still checked to be finite), and ``labels``, ``priors``,
+    ``alpha`` and ``u_mode`` are not read."""
     return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True, tables=tables)

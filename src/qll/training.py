@@ -25,23 +25,36 @@ is the K=1 case: unstacked parameters, scalar priors and alpha.
 
 Work that does not depend on the parameters runs as rarely as it can:
 
-- once per run: the distinct train sets are concatenated and cast to
-  float64 (exactly), and their labels checked; the parameters, their
+- once per run: the train sets' labels are checked; the parameters, their
   gradients and the SGD velocity are each one flat vector, the first two
-  viewed per parameter; momentum and weight decay as 0-d arrays; for PU
-  methods the priors' branch weights, broadcast to the class axis, and
-  for baselines the label entries' offsets;
+  viewed per parameter, and the model's layers are bound to those views
+  (``models.bind_layers``: transposed weights, biases shaped as added and
+  gradient out-arrays), which follow every in-place update; one features
+  buffer and one labels buffer per stream; each batch's bounds and size,
+  and the size as a 0-d divisor (only the final batch may be smaller);
+  momentum and weight decay as 0-d arrays; for PU methods the priors'
+  branch weights, broadcast to the class axis, and the u_mode's term mask
+  table; for baselines the label entries' offsets (their loss parameters
+  are 0-d operands cached on the loss kind);
 - once per epoch: the learning rate as a 0-d array; each stream's batch
-  order; for PU methods its ``risk.batch_tables`` (which checks the labels
-  and that every batch spans two classes), and its alphas, drawn at once,
-  as their terms, which a single run reads per step through 0-d views;
-  for baselines every run's label indices, the flat index of each
-  example's label entry in its batch's logits;
-- once per step: the feature gather, ``forward``, ``cpu_risk_with_grad``
-  (given the batch's labels and tables) or ``baseline_loss_batch`` (given
-  the batch's label indices, so it reads no labels), ``backward`` into the
-  gradient's views, and one ``sgd_step`` on the flat vectors. Test accuracy
-  is evaluated once per epoch.
+  order, and its features (cast to float64, exactly) and labels gathered in
+  that order into its buffers; for PU methods ``risk.batch_tables`` over
+  those labels (which checks them and that every batch spans two classes),
+  and each stream's alphas, drawn at once, as their terms, which a single
+  run reads per step through 0-d views; for baselines every run's label
+  indices, the flat index of each example's label entry in its batch's
+  logits;
+- once per step: numpy calls only. The batch is a slice of the buffers (a
+  view for one run; K runs gather their streams' rows), then come
+  ``forward`` on the bound layers, ``cpu_risk_with_grad`` (given the
+  batch's term masks, looked up from its labels, and its tables) or
+  ``baseline_loss_batch`` (given the batch's label indices, so it reads no
+  labels), ``backward`` on the bound layers into the gradient's views, and
+  one ``sgd_step`` on the flat vectors. Forward, backward and the risk
+  check no shape on a step, as ``train_runs`` ties every dataset's d and
+  c to the model before the first; the risk and the loss still check that
+  the logits are finite, which is how a diverged run is caught. Test
+  accuracy is evaluated once per epoch.
 
 The 0-d arrays and the pre-broadcast weights spare each step's ufunc calls
 a scalar conversion or a broadcast (see ``core.frozen_0d``); the values and
@@ -70,8 +83,8 @@ from .core import (
     zero_one_test_risk,
 )
 from .losses import BinaryLossKind, MulticlassLossKind, _alpha_terms, baseline_loss_batch, sample_alpha
-from .models import MODEL_KINDS, backward, forward, init_model, predict
-from .risk import U_MODES, _branch_weights, batch_tables, cpu_risk_with_grad
+from .models import MODEL_KINDS, backward, bind_layers, forward, init_model, predict
+from .risk import U_MODES, _branch_weights, _term_masks, batch_tables, cpu_risk_with_grad
 from .dataio import atomic_write_text
 
 __all__ = [
@@ -305,26 +318,29 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     }
     # Every parameter is a view into one flat vector, with flat velocity and
     # gradient vectors beside it: backward writes into the gradient's views,
-    # and one sgd_step call updates them all.
+    # and one sgd_step call updates them all. The layers are bound once, to
+    # views that follow every step's in-place update.
     flat = np.concatenate([b.ravel() for b in blocks.values()])
     model = type(models[0])(**_views(flat, blocks))
     params = model.params()
     velocity = np.zeros_like(flat)
     grad_flat = np.empty_like(flat)
     grads = _views(grad_flat, blocks)
+    layers = bind_layers(model, grads)
 
-    # Distinct train sets are stacked once, as blocks of n rows, in float64
-    # (exact for float32 features), so no batch is cast again. Each distinct
-    # (seed, train set) pair is a stream: it draws one batch order and one
-    # alpha per batch each epoch, shared by its runs.
+    # Each distinct (seed, train set) pair is a stream: it draws one batch
+    # order and one alpha per batch each epoch, shared by its runs. Each
+    # epoch rewrites every stream's features (cast to float64, exactly) and
+    # labels in its batch order, so a run's batch is a slice of its
+    # stream's row and no batch is gathered or cast again.
     datas, data_of = _distinct(trains)
-    x_all = np.concatenate([t.features for t in datas], dtype=np.float64)
-    y_all = np.concatenate([t.labels for t in datas])
-    if y_all.view(np.uint64).max() >= c:  # checked when each dataset was made, unless changed since
+    if any(t.labels.view(np.uint64).max() >= c for t in datas):  # checked when made, unless changed since
         raise ValueError(f"labels must lie in [0, {c})")
     streams, stream_of = _distinct(zip((r.seed for r in cfgs), data_of), key=tuple)
     batch_rngs = [RngStream(seed, STREAM_BATCHING) for seed, _ in streams]
     alpha_rngs = [RngStream(seed, STREAM_ALPHA) for seed, _ in streams]
+    x_epoch = np.empty((len(streams), n, d))
+    y_epoch = np.empty((len(streams), n), dtype=np.int64)
     # Evaluation makes one forward pass per distinct test set, over the runs
     # it serves, so activations stay (runs per test set, N, h).
     test_sets, test_of = _distinct(tests)
@@ -333,35 +349,40 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
 
     # Each run's stream: a single run reads stream 0 as one (n,) row, K runs
     # read a (K, n) block.
+    loss, u_mode, batch_size = cfg.loss, cfg.u_mode, cfg.batch_size
     is_cpu = cfg.is_cpu_method
-    needs_alpha = is_cpu and cfg.loss.needs_alpha
+    needs_alpha = is_cpu and loss.needs_alpha
     if is_cpu:  # broadcast to the class axis here, so that no step's risk broadcasts them
         weights = np.repeat(_branch_weights(priors), c, axis=-1)
+        term_masks = _term_masks(c, u_mode)
     momentum, weight_decay = frozen_0d(cfg.momentum), frozen_0d(cfg.weight_decay)
     pick = np.array(stream_of, dtype=np.intp) if runs > 1 else 0
-    starts = range(0, n, cfg.batch_size)
+    starts = range(0, n, batch_size)
+    # Each batch's rows of the epoch, and its size as an int and as a 0-d
+    # divisor: all batches but the final one hold batch_size rows.
+    steps = [(start, min(start + batch_size, n)) for start in starts]
+    steps = [(start, stop, stop - start, frozen_0d(stop - start)) for start, stop in steps]
     if not is_cpu:
         # A label entry's flat index in its batch's ([K,] size, c) logits is
         # the label plus c * (row + run * size); one (n,) row for one run.
-        offsets = np.arange(n) % cfg.batch_size  # each example's row in its batch
+        offsets = np.arange(n) % batch_size  # each example's row in its batch
         if runs > 1:  # a batch starting at row s of the epoch holds min(batch_size, n - s) rows
-            offsets = offsets + np.arange(runs)[:, None] * np.minimum(cfg.batch_size, n - np.arange(n) + offsets)
+            offsets = offsets + np.arange(runs)[:, None] * np.minimum(batch_size, n - np.arange(n) + offsets)
         offsets *= c
     objectives, accuracies = [], []
     for epoch in range(cfg.epochs):
         lr = frozen_0d(lr_at_epoch(cfg, epoch))
-        # Row indices into x_all, one order per stream; for PU methods each
-        # stream's batch counts and divisors, and each run's branch weights
-        # over them.
-        orders = np.stack([
-            _epoch_order(y_all[k * n : (k + 1) * n], cfg.batch_size, rng, is_cpu) + k * n
-            for (_, k), rng in zip(streams, batch_rngs)
-        ])
+        # Each stream's features and labels in its batch order; for PU
+        # methods each stream's batch counts and divisors, and each run's
+        # branch weights over them.
+        for s, ((_, k), rng) in enumerate(zip(streams, batch_rngs)):
+            order = _epoch_order(datas[k].labels, batch_size, rng, is_cpu)
+            x_epoch[s] = datas[k].features[order]
+            np.take(datas[k].labels, order, out=y_epoch[s])
         if is_cpu:
-            table, coefs = batch_tables(y_all.take(orders), starts, c, cfg.u_mode, weights, pick)
+            table, coefs = batch_tables(y_epoch, starts, c, u_mode, weights, pick)
         else:
-            label_at = y_all.take(orders[pick])
-            label_at += offsets
+            label_at = y_epoch[pick] + offsets
         if needs_alpha:  # batch b's terms are [b]: four 0-d views for one run, (4, K, 1, 1) columns for K runs
             alphas = np.stack([sample_alpha(rng, size=len(starts)) for rng in alpha_rngs])
             if runs > 1:
@@ -371,23 +392,20 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
                 alpha_terms = [tuple(columns[j, b, ...] for j in range(4)) for b in range(len(starts))]
         objective_sum = 0.0
         try:
-            for it, start in enumerate(starts):
-                rows = orders[pick, start : start + cfg.batch_size]
-                size = rows.shape[-1]
-                logits, cache = forward(model, x_all.take(rows, axis=0))
+            for it, (start, stop, size, divisor) in enumerate(steps):
+                logits, cache = forward(model, x_epoch[pick, start:stop], layers=layers)
                 if is_cpu:
                     terms = alpha_terms[it] if needs_alpha else None  # kl takes no alpha
-                    batch = (weights, table[:, :, pick, it], coefs[..., it, :], terms)
-                    report, d_logits = cpu_risk_with_grad(logits, y_all.take(rows), priors, cfg.loss,
-                                                          u_mode=cfg.u_mode, tables=batch)
+                    masks = term_masks.take(y_epoch[pick, start:stop], axis=1)
+                    batch = (weights, masks, table[:, :, pick, it], coefs[..., it, :], terms)
+                    report, d_logits = cpu_risk_with_grad(logits, None, priors, loss, tables=batch)
                     objective = report.objective_value
                 else:
-                    at = label_at[..., start : start + cfg.batch_size]
-                    losses, d_logits = baseline_loss_batch(cfg.loss, logits, None, at=at)
+                    losses, d_logits = baseline_loss_batch(loss, logits, None, at=label_at[..., start:stop])
                     # np.mean over the batch is this sum divided by its size.
                     objective = np.add.reduce(losses, axis=-1) / size
-                    d_logits /= frozen_0d(size)
-                backward(model, cache, d_logits, out=grads)
+                    d_logits /= divisor
+                backward(model, cache, d_logits, out=grads, layers=layers)
                 sgd_step(flat, grad_flat, velocity, lr, momentum, weight_decay)
                 objective_sum += objective * size
             accuracy = np.empty(runs)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +185,20 @@ class TestRngStream:
         # the keys reduce a seed mod 2**64: 2**64 would replay seed 0
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
             RngStream(seed)
+
+    @pytest.mark.parametrize("seed", [True, False, np.bool_(True), 1.5, 1.0, np.float64(2.0), Fraction(3, 2), "1"])
+    def test_seed_that_is_no_integer_is_refused(self, seed):
+        # int() would truncate 1.5 to seed 1 and read True as seed 1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RngStream(seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int8(7)])
+    def test_numpy_integer_seed_is_its_int(self, seed):
+        assert RngStream(seed, 3).seed == 7
+        assert np.array_equal(RngStream(seed, 3).random(4), RngStream(7, 3).random(4))
+        top = RngStream(np.uint64(2**64 - 1), 3)
+        assert top.seed == 2**64 - 1
+        assert np.array_equal(top.random(4), RngStream(2**64 - 1, 3).random(4))
 
     def test_seed_range_ends_are_distinct_streams(self):
         lo, hi = RngStream(0, 3), RngStream(2**64 - 1, 3)

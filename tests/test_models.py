@@ -10,6 +10,7 @@ from qll.models import (
     LinearModel,
     MlpModel,
     backward,
+    bind_layers,
     forward,
     init_model,
     load_model,
@@ -230,6 +231,58 @@ class TestBackward:
         fd = unpack(central_diff(objective, flat0))
         for name in names:
             assert rel_err(grads[name], fd[name]) < 1e-4
+
+
+class TestBoundLayers:
+    """A trainer binds its model's layers once, to views of flat parameter
+    and gradient vectors, and passes ``layers=`` on every step: the same
+    kernels as the checked calls, without the checks."""
+
+    @staticmethod
+    def _views(flat, like):
+        ends = np.cumsum([v.size for v in like.values()])
+        return {k: flat[e - v.size : e].reshape(v.shape) for (k, v), e in zip(like.items(), ends)}
+
+    @pytest.mark.parametrize("runs", [None, 3])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_bound_calls_equal_checked_calls_bit_for_bit(self, kind, runs):
+        m = init_model(kind, 4, 6, RngStream(12, 3), hidden_dim=8)
+        rng = np.random.default_rng(12)
+        lead = () if runs is None else (runs,)
+        if runs is not None:
+            m = type(m)(**{k: v + rng.normal(size=(runs, *v.shape)) for k, v in m.params().items()})
+        flat = np.concatenate([v.ravel() for v in m.params().values()])
+        grad_flat = np.empty_like(flat)
+        model = type(m)(**self._views(flat, m.params()))
+        grads = self._views(grad_flat, m.params())
+        layers = bind_layers(model, grads)
+        for n in (16, 6, 16):  # a partial batch between full ones
+            x = rng.normal(size=(*lead, n, 6))
+            g = rng.normal(size=(*lead, n, 4))
+            logits, cache = forward(model, x, layers=layers)
+            assert backward(model, cache, g, out=grads, layers=layers) is grads
+            # A model that owns copies of the current parameters: the bound
+            # views must read the values the previous step wrote in place.
+            alone = type(m)(**{k: v.copy() for k, v in model.params().items()})
+            want_logits, want_cache = forward(alone, x)
+            assert np.array_equal(logits, want_logits)
+            for k, want in backward(alone, want_cache, g).items():
+                assert np.array_equal(grads[k], want), k
+            flat -= 0.1 * grad_flat
+
+    @pytest.mark.parametrize("runs", [None, 3])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_checked_calls_still_refuse_wrong_shapes(self, kind, runs):
+        m = init_model(kind, 4, 6, RngStream(12, 3), hidden_dim=8)
+        lead = () if runs is None else (runs,)
+        if runs is not None:
+            m = type(m)(**{k: np.stack([v] * runs) for k, v in m.params().items()})
+        with pytest.raises(ValueError, match="feature batch"):
+            forward(m, np.zeros((*lead, 16, 5)))
+        _, cache = forward(m, np.zeros((*lead, 16, 6)))
+        for shape in ((*lead, 6, 4), (*lead, 16, 3)):  # another batch's rows, or classes
+            with pytest.raises(ValueError, match="does not match the forward pass"):
+                backward(m, cache, np.zeros(shape))
 
 
 class TestPredict:

@@ -443,20 +443,23 @@ class TestBatchCounts:
     @pytest.mark.parametrize("loss,alpha", [(KL, None), (SJS, 0.25)])
     @pytest.mark.parametrize("runs", [None, 3])
     def test_risk_with_counts_matches_without(self, runs, loss, alpha, u_mode):
-        # The trainer's path: per-epoch tables, the run's branch weights and
-        # alpha terms from an array of per-batch alphas, sliced per batch.
+        # The trainer's path: per-epoch masks and tables, the run's branch
+        # weights and alpha terms from an array of per-batch alphas, sliced
+        # per batch; the labels are then not read.
         y = self.epoch_labels(runs)
         priors = ClassPriors(0.1, 0.5) if runs is None else [ClassPriors(0.1, p) for p in (0.2, 0.5, 0.9)]
         weights = _branch_weights(priors if runs is None else tuple(priors))
         table, coefs = batch_tables(y, self.STARTS, 4, u_mode, weights)
+        masks = _term_masks(4, u_mode).take(y, axis=1)
         alphas = np.full((*y.shape[:-1], self.STARTS.size), alpha or 0.0)
         terms = _alpha_terms(alphas)[..., None, None] if alpha else None
         rng = np.random.default_rng(41)
         for b, (lo, hi) in enumerate(zip(self.STARTS, [*self.STARTS[1:], 23])):
             z = rng.normal(size=(*y.shape[:-1], hi - lo, 4)) * 3.0
             rep, grad = cpu_risk_with_grad(z, y[..., lo:hi], priors, loss, alpha, u_mode)
-            batch = (weights, table[..., b, :], coefs[..., b, :], None if terms is None else terms[..., b, :, :])
-            got, got_grad = cpu_risk_with_grad(z, y[..., lo:hi], priors, loss, u_mode=u_mode, tables=batch)
+            batch = (weights, masks[..., lo:hi, :], table[..., b, :], coefs[..., b, :],
+                     None if terms is None else terms[..., b, :, :])
+            got, got_grad = cpu_risk_with_grad(z, None, priors, loss, u_mode=u_mode, tables=batch)
             assert np.array_equal(got.value, rep.value)
             assert np.array_equal(got.objective_value, rep.objective_value)
             assert got.per_class == rep.per_class

@@ -1,9 +1,12 @@
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from _oracles import reference_train
+
+import qll.training
 
 from qll.core import (
     AmbiguousDataset,
@@ -246,7 +249,7 @@ class TestTrain:
         data = AmbiguousDataset(2, 2, x, labels)
         cfg = TrainConfig(epochs=2, loss=BinaryLossKind.kl(), priors=ClassPriors(0.1, 0.5), batch_size=16)
         steps = []
-        monkeypatch.setattr("qll.training.forward", lambda *a: steps.append(1) or forward(*a))
+        monkeypatch.setattr("qll.training.forward", lambda *a, **k: steps.append(1) or forward(*a, **k))
         if minority == 100:
             assert len(train(data, data, cfg).per_epoch) == 2
             assert len(steps) == 2 * (100 + 1)  # every step and each epoch's evaluation
@@ -407,6 +410,46 @@ class TestTrainRuns:
             train_runs(ambig, [test, narrow], cfgs)
         with pytest.raises(ValueError, match="2 runs"):
             train_runs([ambig], test, cfgs)
+
+
+class TestStepCallContract:
+    """perfbench's tracer wraps these ``qll.training`` names: a step makes
+    one call each to forward, the risk or baseline loss, backward and
+    sgd_step, an epoch one evaluate per distinct test set (whose forward
+    call the tracer also sees) and one alpha draw per stream, and the
+    risk's report lists every run's classes."""
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("loss", [MulticlassLossKind.ce(), BinaryLossKind.scaled_sjs()], ids=["ce", "cpu-sjs"])
+    def test_one_call_per_step(self, monkeypatch, loss, runs):
+        _, test, ambig = small_data(n_out=230)  # 14 batches of 16 and a final batch of 6
+        _, other_test, _ = small_data(seed=8)
+        cpu = isinstance(loss, BinaryLossKind)
+        # Runs 0 and 2 share seed 4 (one stream) and one test set.
+        cfgs = [TrainConfig(epochs=2, loss=loss, priors=ClassPriors(0.1, 0.25 * (k + 1)) if cpu else None,
+                            seed=4 + k % 2, hidden_dim=8) for k in range(runs)]
+        tests = [test, other_test, test][:runs]
+        risk = "cpu_risk_with_grad" if cpu else "baseline_loss_batch"
+        calls = Counter()
+
+        def count(name):
+            original = getattr(qll.training, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                result = original(*args, **kwargs)
+                if name == "cpu_risk_with_grad":
+                    assert len(result[0].per_class) == runs * 4
+                return result
+
+            monkeypatch.setattr(qll.training, name, wrapper)
+
+        for name in ("forward", "backward", risk, "sgd_step", "evaluate", "sample_alpha"):
+            count(name)
+        train_runs(ambig, tests, cfgs)
+        steps, evals, streams = 2 * 15, 2 * min(runs, 2), min(runs, 2)
+        assert calls == Counter({"forward": steps + evals, "backward": steps, risk: steps, "sgd_step": steps,
+                                 "evaluate": evals, "sample_alpha": 2 * streams if cpu else 0})
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

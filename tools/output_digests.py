@@ -29,7 +29,10 @@ whose run.json records a loss parameter off its default; one ``qll train
 --method ce`` on the Mixup set's clean base file (``base_train.qll``,
 header m=0) into ``clean-ce/``; and a one-run ``qll sweep`` (cpu-kl, seed
 1, pi2 0.5) into ``one-run/sweep/`` next to the matching ``qll train``
-into ``one-run/train/``, whose run files read the same. Then prints one
+into ``one-run/train/``, whose run files read the same; and for bs and
+js one ``qll sweep`` of the Mixup files over 3 seeds (4 epochs), three
+stacked runs whose label entries lie at per-run offsets in each batch's
+logits, 8 rows apart in the final batch of 8. Then prints one
 ``sha256  path`` line, sorted by path, for every ``.qll``,
 ``metrics.csv``, ``model.ckpt``, ``run.json``, ``sweep_table.csv`` and
 (report) ``table.csv`` under ``DIR``. The commands' own output goes to
@@ -128,6 +131,9 @@ def calls() -> list[list[str]]:
                   "--method", "cpu-kl", "--seeds", "1", "--pi2-grid", "0.5", "--epochs", "8",
                   "--out", "one-run/sweep"])
     argvs.append([*train("data-mixup", "cpu-kl", "mlp")[:-2], "--pi2", "0.5", "--out", "one-run/train"])
+    argvs += [["sweep", "--data", "data-mixup/ambig_train.qll", "--test", "data-mixup/base_test.qll",
+               "--method", m, "--seeds", "1,2,3", "--epochs", "4", "--out", f"sweep-{m}"]
+              for m in ("bs", "js")]
     return argvs
 
 
