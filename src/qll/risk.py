@@ -11,9 +11,10 @@ All three, and their gradients, come from one sigmoid pass over the batch
 logits that stacks every loss and gradient against +1 and -1 as (2, ...);
 label masks looked up per term then reduce all three in one pass. All
 else depends on labels, priors and alpha only: the trainer builds each
-epoch's term masks and ``batch_tables`` (mask counts, their divisors, and
-branch weights over them) once, and a call without tables builds its one
-batch's the same way. ``CpuRiskReport.value``, unread in training, is lazy.
+epoch's ``batch_tables`` (mask counts, their divisors, and branch weights
+over them) in one call and passes them with each batch's term masks, and a
+call without tables builds its one batch's the same way.
+``CpuRiskReport.value``, unread in training, is lazy.
 
 The unbiased PU risk is  pi * r_p_plus + r_u_minus - pi * r_p_minus  and may
 go negative. The non-negative class-wise estimator with two practical priors

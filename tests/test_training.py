@@ -7,7 +7,6 @@ import pytest
 from _oracles import reference_train
 
 import qll.training
-
 from qll.core import (
     AmbiguousDataset,
     ClassPriors,
