@@ -10,7 +10,9 @@ Subcommands:
     report     aggregate completed runs into a results table
 
 ``train`` is a sweep of one run: both commands plan, train and write their
-runs through ``_run_experiment``.
+runs through ``_run_experiment``. A sweep's methods train side by side on
+the usable cores, each in one process (see ``_train_groups``), and its
+output bytes do not depend on the core count.
 
 A command that takes ``--seed`` repeats its output bytes within one
 environment (Python, numpy and BLAS build) and one OpenBLAS kernel set. The
@@ -28,7 +30,10 @@ import hashlib
 import json
 import numbers
 import os
+import pickle
+import signal
 import sys
+import warnings
 from dataclasses import InitVar, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -41,7 +46,7 @@ from .datagen import MIX_KINDS, BaseSpec, MixSpec, generate_ambiguous_dataset, s
 from .losses import BinaryLossKind, MulticlassLossKind
 from .models import MODEL_KINDS, save_model
 from .risk import U_MODES
-from .training import TrainConfig, train, train_runs, write_metrics
+from .training import TrainConfig, TrainReport, train, train_runs, write_metrics
 
 __all__ = ["main", "METHODS", "ExperimentConfig", "TrainSettings", "build_loss"]
 
@@ -370,12 +375,107 @@ def _write_table(runs: dict[Path, dict], keys: tuple[str, ...], out_dir: Path, n
     print(text, end="")
 
 
+def _train_group(trains, tests, cfgs) -> list[TrainReport] | Exception:
+    """One method's runs trained as one stacked run: their reports, or the
+    ValueError or RuntimeError that training raised."""
+    try:
+        # A lone run calls train, train_runs' K=1 case, as perfbench traces qll.cli.train.
+        return train_runs(trains, tests, cfgs) if len(cfgs) > 1 else [train(trains[0], tests[0], cfgs[0])]
+    except (ValueError, RuntimeError) as e:
+        return e
+
+
+def _lanes(weights: list[int], count: int) -> list[list[int]]:
+    """The indices of ``weights`` dealt to ``count`` lanes, heaviest first,
+    each to the lightest lane so far; heaviest lane first, each lane's
+    indices ascending."""
+    lanes, loads = [[] for _ in range(count)], [0] * count
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        lane = loads.index(min(loads))
+        lanes[lane].append(i)
+        loads[lane] += weights[i]
+    return [sorted(lane) for _, lane in sorted(zip(loads, lanes), key=lambda pair: -pair[0])]
+
+
+def _fork_lane(groups, lane: list[int]):
+    """Fork a child that trains the groups of ``lane`` and pickles their
+    results (see _train_group) into a pipe; returns its pid and the pipe's
+    read end. The child leaves by os._exit, so it runs no exit handler and
+    flushes none of the parent's buffers (flushed here before the fork);
+    an error outside a group is printed, and the child exits 1 with no
+    result."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns that a fork with threads alive may deadlock
+        # the child. The threads are OpenBLAS's pool, which OpenBLAS stops
+        # before a fork by its pthread_atfork handler.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump([_train_group(*groups[i]) for i in lane], pipe)
+            code = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _train_groups(groups: list[tuple]) -> list[list[TrainReport] | Exception]:
+    """Each group's result (see _train_group), in order. Groups share no
+    state, so they train on as many lanes as there are groups and usable
+    cores, dealt by weight (runs x epochs x examples; see _lanes). This
+    process trains the heaviest lane, and one forked child each other lane.
+    A child that ends without a result fails its groups with a RuntimeError.
+    On any exception the children are killed; they are reaped on every
+    path. One lane forks nothing."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    weights = [sum(t.n_examples for t in trains) * cfgs[0].epochs for trains, _, cfgs in groups]
+    lanes = _lanes(weights, min(len(groups), cores))
+    results, children = {}, []  # children: (pid, pipe, lane) of each forked lane not yet reaped
+    try:
+        for lane in lanes[1:]:
+            children.append((*_fork_lane(groups, lane), lane))
+        for i in lanes[0]:
+            results[i] = _train_group(*groups[i])
+        while children:
+            pid, pipe, lane = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code == 0:
+                results.update(zip(lane, pickle.loads(data)))
+            else:
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                lost = RuntimeError(f"its training process ended without a result ({how})")
+                results.update(dict.fromkeys(lane, lost))
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[i] for i in range(len(groups))]
+
+
 def _run_experiment(exp: ExperimentConfig, data: tuple[Path, Path] | Path, run_dir) -> dict[Path, dict]:
     """Train every run of ``exp`` and write each into ``run_dir(method,
     seed, pi1, pi2)`` (the priors None for a baseline); returns the run
     records by run.json path. ``data`` is the (train, test) files of every
     run, or, for an ``exp`` with data specs, the directory that each seed's
-    generated sets go into (as ``seed<seed>/``)."""
+    generated sets go into (as ``seed<seed>/``). The runs are written in
+    plan order once all have trained, so their bytes do not depend on the
+    lanes (see _train_groups). A method whose training fails writes no run,
+    but the others still write theirs; then a RuntimeError names each
+    failed method and its error."""
     # Every seed's train set has one shape and mix (one train file, or data
     # made from one spec), so pi2 "auto" is one m/c.
     if exp.data is None:
@@ -409,15 +509,18 @@ def _run_experiment(exp: ExperimentConfig, data: tuple[Path, Path] | Path, run_d
         loaded = {path: load_dataset(path) for pair in data_by_seed.values() for path in pair}
 
     # Each method trains its seeds x prior grid as one stacked run, seed-major.
-    runs = {}
-    for method, members, cfgs in plans:
-        trains = [loaded[data_by_seed[seed][0]] for seed, *_ in members]
-        tests = [loaded[data_by_seed[seed][1]] for seed, *_ in members]
-        # A lone run calls train, train_runs' K=1 case, as perfbench traces qll.cli.train.
-        reports = train_runs(trains, tests, cfgs) if len(cfgs) > 1 else [train(trains[0], tests[0], cfgs[0])]
-        for (seed, p1, p2), cfg, report, *pair in zip(members, cfgs, reports, trains, tests):
+    groups = [([loaded[data_by_seed[seed][0]] for seed, *_ in members],
+               [loaded[data_by_seed[seed][1]] for seed, *_ in members], cfgs) for _, members, cfgs in plans]
+    runs, failures = {}, []
+    for (method, members, cfgs), (trains, tests, _), result in zip(plans, groups, _train_groups(groups)):
+        if isinstance(result, Exception):
+            failures.append(f"{method}: {result}")
+            continue
+        for (seed, p1, p2), cfg, report, *pair in zip(members, cfgs, result, trains, tests):
             path = run_dir(method, seed, p1, p2)
             runs[path / "run.json"] = _write_run(path, method, cfg, report, pair, data_by_seed[seed])
+    if failures:
+        raise RuntimeError("\n".join(failures))
     return runs
 
 

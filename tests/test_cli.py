@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import signal
+import time
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qll import cli, training
 from qll.cli import ExperimentConfig, TrainSettings, build_loss, main, resolve_pi2
 from qll.dataio import load_dataset
 from qll.datagen import BaseSpec, MixSpec
@@ -429,6 +433,136 @@ def write_config(tmp_path, **changes):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({**SMALL_CONFIG, "out": str(tmp_path / "exp"), **changes}))
     return path
+
+
+# Three methods, so that with two lanes the child's lane holds two groups:
+# cpu-kl (6 runs) is the heaviest lane and the main process trains it, and
+# ce and gce (2 runs each) go to one forked child.
+LANE_CONFIG = {**SMALL_CONFIG, "train": {"epochs": 4, "pi1": 0.1}, "methods": ["ce", "gce", "cpu-kl"],
+               "seeds": [1, 2], "pi2_grid": [0.3, 0.5, 0.7], "out": "exp"}
+LANE_OUTPUTS = ("metrics.csv", "model.ckpt", "run.json", "sweep_table.csv")
+
+
+def method_of(cfg: TrainConfig) -> str:
+    return next(m for m in ("ce", "gce", "cpu-kl") if build_loss(m) == cfg.loss)
+
+
+class TestLanes:
+    """A sweep trains its method groups on as many lanes as there are groups
+    and usable cores: the main process and one forked child per other lane."""
+
+    @pytest.fixture
+    def sweep(self, tmp_path, monkeypatch):
+        """Run LANE_CONFIG in ``tmp_path/<name>`` with ``cores`` usable cores;
+        returns the exit code and the forks made."""
+
+        def _sweep(name, cores, **changes):
+            forks = []
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            monkeypatch.setattr(os, "fork", lambda fork=os.fork: forks.append(1) or fork())
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            Path("exp.json").write_text(json.dumps({**LANE_CONFIG, **changes}))
+            return run("sweep", "--config", "exp.json"), len(forks)
+
+        return _sweep
+
+    @staticmethod
+    def outputs(root: Path) -> dict[str, bytes]:
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.name in LANE_OUTPUTS}
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_outputs_do_not_depend_on_the_lane_count(self, sweep, tmp_path, monkeypatch):
+        trained = tmp_path / "trained.txt"  # "<pid> <method>" per group, from every process
+
+        def train_runs(trains, tests, cfgs):
+            with trained.open("a") as fh:
+                fh.write(f"{os.getpid()} {method_of(cfgs[0])}\n")
+            return real(trains, tests, cfgs)
+
+        real = cli.train_runs
+        monkeypatch.setattr(cli, "train_runs", train_runs)
+        assert sweep("one", 1) == (0, 0)
+        assert sweep("two", 2) == (0, 1)
+        self.assert_no_child_left()
+        one, two = self.outputs(tmp_path / "one"), self.outputs(tmp_path / "two")
+        assert len(one) == 3 * 10 + 1 and one == two
+        lines = [line.split() for line in trained.read_text().splitlines()]
+        assert lines[:3] == [[str(os.getpid()), m] for m in ("ce", "gce", "cpu-kl")]  # one lane: plan order
+        by_pid = {}
+        for pid, method in lines[3:]:
+            by_pid.setdefault(pid, []).append(method)
+        assert by_pid.pop(str(os.getpid())) == ["cpu-kl"] and list(by_pid.values()) == [["ce", "gce"]]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("failing", ["gce", "cpu-kl"])  # in the child's lane, in the main lane
+    def test_failed_group_writes_the_others_and_exits_2(self, sweep, tmp_path, monkeypatch, capsys,
+                                                        cores, failing):
+        def train_runs(trains, tests, cfgs):
+            if method_of(cfgs[0]) == failing:
+                raise RuntimeError("training diverged at epoch 1")
+            return real(trains, tests, cfgs)
+
+        real = cli.train_runs
+        monkeypatch.setattr(cli, "train_runs", train_runs)
+        assert sweep("s", cores)[0] == 2
+        self.assert_no_child_left()
+        assert capsys.readouterr().err == f"error: {failing}: training diverged at epoch 1\n"
+        runs = sorted(p.name for p in (tmp_path / "s" / "exp" / "runs").iterdir())
+        assert len(runs) == 10 - {"gce": 2, "cpu-kl": 6}[failing]
+        assert not any(r.startswith(failing + "-") for r in runs)
+        assert not (tmp_path / "s" / "exp" / "sweep_table.csv").exists()
+
+    def test_failed_groups_write_what_the_serial_loop_writes(self, sweep, tmp_path, monkeypatch):
+        def train_runs(trains, tests, cfgs):
+            if method_of(cfgs[0]) != "gce":
+                raise ValueError(f"{method_of(cfgs[0])} fails")
+            return real(trains, tests, cfgs)
+
+        real = cli.train_runs
+        monkeypatch.setattr(cli, "train_runs", train_runs)
+        assert sweep("one", 1) == (2, 0)
+        assert sweep("two", 2) == (2, 1)
+        one, two = self.outputs(tmp_path / "one"), self.outputs(tmp_path / "two")
+        assert len(one) == 3 * 2 and one == two
+
+    def test_killed_child_exits_2_naming_its_methods(self, sweep, tmp_path, monkeypatch, capsys):
+        main_pid = os.getpid()
+
+        def evaluate(*args):
+            if os.getpid() != main_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        real = training.evaluate
+        monkeypatch.setattr(training, "evaluate", evaluate)
+        assert sweep("s", 2) == (2, 1)
+        self.assert_no_child_left()
+        err = capsys.readouterr().err
+        lost = "its training process ended without a result (killed by signal 9)"
+        assert err == f"error: ce: {lost}\ngce: {lost}\n"
+        runs = sorted(p.name for p in (tmp_path / "s" / "exp" / "runs").iterdir())
+        assert runs == [f"cpu-kl-pi1_0.1-pi2_{p}-seed{s}" for p in (0.3, 0.5, 0.7) for s in (1, 2)]
+
+    def test_error_in_the_main_lane_kills_the_children(self, sweep, monkeypatch):
+        main_pid = os.getpid()
+
+        def train_runs(trains, tests, cfgs):
+            if os.getpid() != main_pid:
+                time.sleep(60)
+            raise TypeError("not a training failure")
+
+        monkeypatch.setattr(cli, "train_runs", train_runs)
+        start = time.perf_counter()
+        with pytest.raises(TypeError, match="not a training failure"):
+            sweep("s", 2)
+        assert time.perf_counter() - start < 30
+        self.assert_no_child_left()
 
 
 class TestSettings:

@@ -21,9 +21,16 @@ The JSON file written to ``--out`` holds:
   ``BENCHMARK.json``, both sides' values by pair, their medians and
   quartiles, the change of the median relative to the parent's, and the
   pairs the change won, lost and tied (``better`` gives the direction);
-  the failed and attempted operations of each side; and for each pair its
-  seed, which side ran first and whether the two runs printed the same
-  ``sha256`` lines.
+  the failed and attempted operations of each side; under ``passes``, the
+  same summary of each run's median raw pass time (``raw_wall_s``: the
+  measured ``wall_s`` of its ``pass k untraced`` lines, not scaled to the
+  reference speed) and median ``host_factor`` from those lines; and for
+  each pair its seed, which side ran first and whether the two runs
+  printed the same ``sha256`` lines.
+
+A change that keeps a second core busy while the benchmark's host-speed
+slices run could read as host slowness and so as a scaled gain; the raw
+pass times and host factors show whether its gain is also there unscaled.
 
 A run that exits nonzero or prints no result stops the script with exit
 code 1, and nothing is written.
@@ -65,12 +72,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if out.returncode != 0 or not lines or not env:
         sys.exit(f"{' '.join(cmd)} in {checkout} exited {out.returncode}:\n{out.stderr[-2000:]}")
     result = json.loads(lines[-1])
+    # "pass K untraced wall_s W host_factor F ref_s R"
+    passes = [line.split() for line in lines if line.startswith("pass ") and line.split()[2] == "untraced"]
     return {
         "env": env[0],
         "sha256": sorted(line for line in lines if line.startswith("sha256 ")),
         "failed": result["failed"],
         "attempted": result["attempted"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "passes": {name: statistics.median(float(words[i]) for words in passes)
+                   for name, i in (("raw_wall_s", 4), ("host_factor", 6))},
     }
 
 
@@ -81,10 +92,16 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(metric: dict, pairs: list[dict]) -> dict:
-    """One end-to-end metric over the pairs of one workload."""
+# Read from each run's untraced pass lines; a lower value is better for
+# both, the second being a faster host.
+PASS_FIGURES = ({"name": "raw_wall_s", "unit": "s", "better": "lower", "bound": None},
+                {"name": "host_factor", "unit": "ratio", "better": "lower", "bound": None})
+
+
+def summarise(metric: dict, pairs: list[dict], key: str = "metrics") -> dict:
+    """One metric, from each run's ``key`` values, over the pairs of one workload."""
     name, lower = metric["name"], metric["better"] == "lower"
-    values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
+    values = {side: [p[side][key][name] for p in pairs] for side in SIDES}
     won = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
     tied = sum(p == c for p, c in zip(values["parent"], values["change"]))
     stats = {side: spread(values[side]) for side in SIDES}
@@ -123,11 +140,13 @@ def main(argv=None) -> int:
                 pair[side] = run_once(checkouts[side], workload, seed, seconds)
                 envs.append(pair[side].pop("env"))
                 print(f"{workload} pair {i} seed {seed} {side}: "
-                      f"wall_s {pair[side]['metrics'].get('wall_s')!r} failed {pair[side]['failed']}",
+                      f"wall_s {pair[side]['metrics'].get('wall_s')!r} "
+                      f"raw_wall_s {pair[side]['passes']['raw_wall_s']!r} failed {pair[side]['failed']}",
                       file=sys.stderr)
             pairs.append(pair)
         report[workload] = {
             "metrics": {m["name"]: summarise(m, pairs) for m in bench["end_to_end"]},
+            "passes": {m["name"]: summarise(m, pairs, "passes") for m in PASS_FIGURES},
             **{f"{side}_{tally}": sum(p[side][tally] for p in pairs)
                for side in SIDES for tally in ("failed", "attempted")},
             "pairs": [{"seed": p["seed"], "first": p["first"],

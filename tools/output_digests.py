@@ -32,7 +32,11 @@ header m=0) into ``clean-ce/``; and a one-run ``qll sweep`` (cpu-kl, seed
 into ``one-run/train/``, whose run files read the same; and for bs and
 js one ``qll sweep`` of the Mixup files over 3 seeds (4 epochs), three
 stacked runs whose label entries lie at per-run offsets in each batch's
-logits, 8 rows apart in the final batch of 8. Then prints one
+logits, 8 rows apart in the final batch of 8; and one config ``qll
+sweep`` of ce, gce and cpu-kl over 2 seeds x 2 pi2 values (4 epochs) into
+``sweep-lanes/``, which on two or more usable cores trains cpu-kl (4 runs)
+in this process and ce and gce (2 runs each) in one forked child, and
+whose bytes do not depend on that split. Then prints one
 ``sha256  path`` line, sorted by path, for every ``.qll``,
 ``metrics.csv``, ``model.ckpt``, ``run.json``, ``sweep_table.csv`` and
 (report) ``table.csv`` under ``DIR``. The commands' own output goes to
@@ -87,6 +91,14 @@ CLEAN_SWEEP = {
     "pi2_grid": [0.5],  # pi2 auto is m/c, which a clean base has not
     "out": "sweep-clean",
 }
+LANES_SWEEP = {
+    **SWEEP,
+    "train": {"epochs": 4, "batch_size": 16, "pi1": 0.1},
+    "methods": ["ce", "gce", "cpu-kl"],
+    "seeds": [1, 2],
+    "pi2_grid": [0.3, 0.6],
+    "out": "sweep-lanes",
+}
 
 
 def calls() -> list[list[str]]:
@@ -134,6 +146,7 @@ def calls() -> list[list[str]]:
     argvs += [["sweep", "--data", "data-mixup/ambig_train.qll", "--test", "data-mixup/base_test.qll",
                "--method", m, "--seeds", "1,2,3", "--epochs", "4", "--out", f"sweep-{m}"]
               for m in ("bs", "js")]
+    argvs.append(["sweep", "--config", "sweep-lanes.json"])
     return argvs
 
 
@@ -152,7 +165,7 @@ def main(argv=None) -> int:
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
-    for name, config in (("sweep", SWEEP), ("sweep-clean", CLEAN_SWEEP)):
+    for name, config in (("sweep", SWEEP), ("sweep-clean", CLEAN_SWEEP), ("sweep-lanes", LANES_SWEEP)):
         (out / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
 
     cwd = Path.cwd()
