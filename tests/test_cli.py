@@ -455,15 +455,16 @@ class TestLanes:
     def sweep(self, tmp_path, monkeypatch):
         """Run LANE_CONFIG in ``tmp_path/<name>`` with ``cores`` usable cores;
         returns the exit code and the forks made."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
 
-        def _sweep(name, cores, **changes):
-            forks = []
+        def _sweep(name, cores):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-            monkeypatch.setattr(os, "fork", lambda fork=os.fork: forks.append(1) or fork())
             (tmp_path / name).mkdir()
             monkeypatch.chdir(tmp_path / name)
-            Path("exp.json").write_text(json.dumps({**LANE_CONFIG, **changes}))
-            return run("sweep", "--config", "exp.json"), len(forks)
+            Path("exp.json").write_text(json.dumps(LANE_CONFIG))
+            made = len(forks)
+            return run("sweep", "--config", "exp.json"), len(forks) - made
 
         return _sweep
 
