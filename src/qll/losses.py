@@ -227,13 +227,14 @@ def sample_alpha(rng: RngStream, size: int | None = None):
 
 
 def _alpha_terms(a) -> np.ndarray:
-    """(alpha, 1 - alpha, ln(1 - alpha), sjs_scale(alpha)) of an alpha or an
-    array of alphas, as a (4, *shape) array; a float gives (4,). Each element
-    is the ``math`` operation on its alpha (numpy's log1p may differ in the
-    last bit), so every alpha evaluates bit for bit alike."""
+    """(alpha, 1 - alpha, ln(1 - alpha), sjs_scale(alpha), 1 / ln(1 - alpha))
+    of an alpha or an array of alphas, as a (5, *shape) array; a float gives
+    (5,). Each element is the ``math`` operation on its alpha (numpy's log1p
+    may differ in the last bit), so every alpha evaluates bit for bit alike.
+    The last is the factor f of ``_binary_parts``' gradient pair."""
     a = np.asarray(a, dtype=np.float64)
-    terms = [(v, 1.0 - v, math.log1p(-v), sjs_scale(v)) for v in a.ravel().tolist()]
-    return np.array(terms).T.reshape(4, *a.shape)
+    terms = [(v, 1.0 - v, math.log1p(-v), sjs_scale(v), 1.0 / math.log1p(-v)) for v in a.ravel().tolist()]
+    return np.array(terms).T.reshape(5, *a.shape)
 
 
 def _resolve_terms(kind: BinaryLossKind, alpha, shape: tuple[int, ...]):
@@ -247,28 +248,36 @@ def _resolve_terms(kind: BinaryLossKind, alpha, shape: tuple[int, ...]):
     return _alpha_terms(a)[..., None, None]
 
 
-def _sjs_pos_parts(sig: np.ndarray, alpha, one_m_a, log1m_a) -> tuple[np.ndarray, np.ndarray]:
-    """Loss and d(loss)/d(sigma) of D_sjs(t || (sigma, 1-sigma)) for the
-    positive one-hot target t = (1, 0), given ``_alpha_terms``. ``sig`` must
-    already be clamped; the stacked pair (sigma, 1 - sigma) gives both targets."""
-    t = one_m_a * sig
-    m1 = alpha + t
+def _sjs_pos_loss(sig: np.ndarray, alpha, one_m_a, log1m_a, out: np.ndarray) -> np.ndarray:
+    """Writes D_sjs(t || (sigma, 1-sigma)) for the positive one-hot target
+    t = (1, 0) into ``out``, given ``_alpha_terms``, and returns ln(sigma /
+    m1), which its gradient reads. ``sig`` must already be clamped; the
+    stacked pair (sigma, 1 - sigma) gives both targets."""
+    m1 = alpha + one_m_a * sig
     # alpha*KL(t||M) + (1-alpha)*KL(q||M); KL(t||M) = -ln m1, KL(q||M) = sig*ln(sig/m1) - (1-sig)*ln(1-alpha)
     log_ratio = np.log(sig / m1)
-    loss = one_m_a * (sig * log_ratio - (ONE - sig) * log1m_a) - alpha * np.log(m1)
-    # [()] reads a 0-d term as a numpy scalar, whose product is scalar math, not two ufunc calls.
-    dloss = -alpha[()] * one_m_a[()] / m1 + one_m_a * (log_ratio + log1m_a + ONE - t / m1)
-    return loss, dloss
+    np.subtract(one_m_a * (sig * log_ratio - (ONE - sig) * log1m_a), alpha * np.log(m1), out=out)
+    return log_ratio
 
 
-def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> tuple[np.ndarray, np.ndarray]:
+def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> np.ndarray:
     """Losses and logit gradients against both targets from one sigmoid
-    pass: (loss, grad), each (2, *x.shape) for float64 logits ``x`` of at
-    least one dimension, index 0 against +1. binary_loss, binary_loss_grad
-    and the class-wise risk all evaluate through it. ``terms`` are the
-    alpha's ``_resolve_terms``: a (4,) array or four 0-d arrays for one
-    run, a (4, K, 1, 1) array of columns for (K, n, c) logits of K stacked
-    runs, or None for kl."""
+    pass, as one (2, 2, *x.shape) array for float64 logits ``x`` of at
+    least one dimension: [0] holds the losses and [1] the gradient pair,
+    each with index 0 against +1 and index 1 against -1. binary_loss,
+    binary_loss_grad and the class-wise risk all evaluate through it.
+    ``terms`` are the alpha's ``_resolve_terms``: a (5,) array or five 0-d
+    arrays for one run, a (5, K, 1, 1) array of columns for (K, n, c)
+    logits of K stacked runs, or None for kl.
+
+    Three constants are left to the caller, which applies them to fewer
+    or smaller arrays: scaled sjs losses come without their scale
+    (``terms[3]``), and the gradient against +1 is -f times the pair's
+    first entry, the gradient against -1 f times its second, with f = 1
+    for kl and 1 / ln(1 - alpha) (``terms[4]``) for scaled sjs. Inside the
+    clamp kl's pair is (1 - sigma, sigma), the clamped pair reversed, and
+    scaled sjs's is (ln(s / m1) + ln(1 - alpha)) * sigma * (1 - sigma) with
+    s the target side's probability; outside it both are 0."""
     if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError("logit must be finite")
 
@@ -279,28 +288,35 @@ def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> tuple[np.ndarra
     np.minimum(np.maximum(sig, _EPS, out=both[0]), _ONE_M_EPS, out=both[0])
     np.subtract(ONE, both[0], out=both[1])
 
+    out = np.zeros((2, 2, *x.shape))
     if kind.variant == "kl":
-        # One-hot target makes KL(t||q) the negative log of the target side.
-        loss = np.log(both)
-        np.negative(loss, out=loss)
-        dls = np.divide(ONE, both)
-        dls[0] *= MINUS_ONE
+        # One-hot target makes KL(t||q) the negative log of the target side,
+        # whose logit gradients are -(1 - sigma) and sigma.
+        np.negative(np.log(both, out=out[0]), out=out[0])
+        np.copyto(out[1], both[::-1], where=interior)
     else:
-        a, one_m_a, log1m_a, scale = terms
-        loss, dls = _sjs_pos_parts(both, a, one_m_a, log1m_a)
-        loss *= scale
-        dls *= scale
-        dls[1] *= MINUS_ONE
-    # Where interior, both[0] is sigma and both[1] is 1 - sigma, bit for bit.
-    grad = np.where(interior, dls * both[0] * both[1], ZERO)
-    return loss, grad
+        # d(loss)/d(s) is (1 - alpha) * (ln(s / m1) + ln(1 - alpha)), and the
+        # scale times (1 - alpha) is -f; where interior, both[0] is sigma and
+        # both[1] is 1 - sigma, bit for bit.
+        log_ratio = _sjs_pos_loss(both, *terms[:3], out=out[0])
+        np.add(log_ratio, terms[2], out=log_ratio)
+        np.multiply(log_ratio, both[0] * both[1], out=out[1], where=interior)
+    return out
 
 
 def _binary_select(kind: BinaryLossKind, logit, target: int, alpha: float | None, grad: bool):
     if target not in (1, -1):
         raise ValueError(f"target must be +1 or -1, got {target}")
     x = np.atleast_1d(np.asarray(logit, dtype=np.float64))
-    out = _binary_parts(kind, x, _resolve_terms(kind, alpha, x.shape))[1 if grad else 0][0 if target == 1 else 1]
+    terms = _resolve_terms(kind, alpha, x.shape)
+    side = 0 if target == 1 else 1
+    out = _binary_parts(kind, x, terms)[int(grad), side]
+    # The constants _binary_parts leaves to its caller.
+    if grad:
+        f = ONE if terms is None else terms[4]
+        out = out * (-f if side == 0 else f)
+    elif terms is not None:
+        out = out * terms[3]
     return float(out[0]) if np.ndim(logit) == 0 else out
 
 

@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import ZERO, ClassPriors, frozen_0d
+from .core import ZERO, ClassPriors
 # binary_loss and binary_loss_grad are unused here but stay importable from
 # this module: perfbench's tracer wraps qll.risk.binary_loss and
 # qll.risk.binary_loss_grad.
@@ -105,8 +105,11 @@ class CpuRiskReport:
 
 
 # The three risk terms in order: r_p_plus, r_p_minus, r_u_minus. Each reads
-# the loss against +1 (index 0) or -1 (index 1) of the stacked binary pass.
+# the loss and gradient against +1 (index 0) or -1 (index 1) of the binary
+# pass; the gradient pair's sign for that target (see losses._binary_parts)
+# goes into the coefficient table.
 _TERM_TARGET = np.array([0, 1, 1])
+_TERM_SIGN = np.array([-1.0, 1.0, 1.0])
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +138,7 @@ def _branch_weights(priors: ClassPriors | tuple[ClassPriors, ...]) -> np.ndarray
 
 
 def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, pick=slice(None)):
-    """Every batch's term tables, and the branch weights over them.
+    """Every batch's term tables, and the gradient coefficients over them.
 
     ``labels`` is the epoch's (n,) labels in batch order, or (S, n) for S
     streams, and ``starts`` the ascending batch starts, 0 first; batch b is
@@ -143,10 +146,12 @@ def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, pick=
     n_batches, c) table of the (P, P, U) term masks' counts, whose
     ``[0, ..., b, :]`` equals ``masks.sum(axis=-2)`` of batch b bit for bit,
     and their divisors max(count, 1); and the (2, 3, [K,] n_batches, c)
-    ``weights`` ((2, 3, [K,] 1), or broadcast to c) of K runs if corrected
-    and otherwise over the divisors of the stream ``pick`` gives each run.
-    Raises the ValueErrors of ``cpu_risk`` for every batch at once: an
-    unknown ``u_mode``, a label outside [0, c), or a batch of one class.
+    coefficients of K runs if corrected and otherwise: the branch
+    ``weights`` ((2, 3, [K,] 1), or broadcast to c) times each term's
+    gradient sign over the class count c, over the divisors of the stream
+    ``pick`` gives each run. Raises the ValueErrors of ``cpu_risk`` for
+    every batch at once: an unknown ``u_mode``, a label outside [0, c), or
+    a batch of one class.
     """
     if u_mode not in U_MODES:
         raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
@@ -164,7 +169,8 @@ def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, pick=
     table[0, 1] = n_p
     np.matmul(n_p, masks[2], out=table[0, 2])
     np.maximum(table[0], 1.0, out=table[1])
-    return table, weights[..., None, :] / table[1][:, pick]
+    signed = weights * (_TERM_SIGN / c).reshape(3, *[1] * (weights.ndim - 2))
+    return table, signed[..., None, :] / table[1][:, pick]
 
 
 _ONE_BATCH = np.zeros(1, dtype=np.intp)
@@ -202,10 +208,14 @@ def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, wa
     pi1, pi2 = weights[1, 0], weights[0, 1]  # the weights of r_p_plus and r_p_minus
     c = z.shape[-1]
 
-    # (2, ...) loss and gradient, index 0 against +1 and index 1 against -1;
-    # the (3, *labels, c) masks reduce them per term.
-    losses, grads = _binary_parts(loss, z, terms)
-    r_p_plus, r_p_minus, r_u_minus = np.add.reduce(masks * losses.take(_TERM_TARGET, axis=0), axis=-2) / table[1]
+    # The binary pass's losses and gradient pairs, one per term: (2, 3,
+    # *labels, c), masked by the term's examples.
+    per_term = _binary_parts(loss, z, terms).take(_TERM_TARGET, axis=1)
+    per_term *= masks
+    risks = np.add.reduce(per_term[0], axis=-2) / table[1]
+    if terms is not None:  # the sjs scale, on the (3, [K,] c) risks; [K, 1, 1] columns broadcast so
+        risks[..., None, :] *= terms[3]
+    r_p_plus, r_p_minus, r_u_minus = risks
 
     neg_part = r_u_minus - pi2 * r_p_minus
     corrected = neg_part < ZERO
@@ -218,12 +228,15 @@ def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, wa
     if not want_grad:
         return report, None
 
-    # Each term's branch weight over its mask size, times that term's
-    # gradient: d(objective)/d(logit) gathers the P terms and the U term.
-    g = grads.take(_TERM_TARGET, axis=0)
-    g *= np.where(corrected, coefs[0], coefs[1])[..., None, :]
-    grad = (masks[0] * (g[0] + g[1]) + masks[2] * g[2]) / frozen_0d(c)
-    return report, grad
+    # d(objective)/d(logit) sums each term's gradient over its examples,
+    # times the term's coefficient: its branch weight and gradient sign
+    # over its mask size and c, and sjs's factor f.
+    coef = np.where(corrected, coefs[0], coefs[1])[..., None, :]
+    if terms is not None:
+        coef *= terms[4]
+    grads = per_term[1]
+    grads *= coef
+    return report, np.add.reduce(grads, axis=0)
 
 
 # Each entry point takes (n, c) logits, (n,) labels and one ClassPriors, or

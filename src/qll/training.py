@@ -383,13 +383,13 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
             table, coefs = batch_tables(y_epoch, starts, c, u_mode, weights, pick)
         else:
             label_at = y_epoch[pick] + offsets
-        if needs_alpha:  # batch b's terms are [b]: four 0-d views for one run, (4, K, 1, 1) columns for K runs
+        if needs_alpha:  # batch b's terms are [b]: five 0-d views for one run, (5, K, 1, 1) columns for K runs
             alphas = np.stack([sample_alpha(rng, size=len(starts)) for rng in alpha_rngs])
             if runs > 1:
                 alpha_terms = np.moveaxis(_alpha_terms(alphas.T[..., None, None])[:, :, pick], 1, 0)
             else:
-                columns = _alpha_terms(alphas[0])  # (4, n_batches)
-                alpha_terms = [tuple(columns[j, b, ...] for j in range(4)) for b in range(len(starts))]
+                columns = _alpha_terms(alphas[0])  # (5, n_batches)
+                alpha_terms = [tuple(column[b, ...] for column in columns) for b in range(len(starts))]
         objective_sum = 0.0
         try:
             for it, (start, stop, size, divisor) in enumerate(steps):

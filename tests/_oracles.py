@@ -111,8 +111,9 @@ def nnpu_class_risk(
 
 def per_target_binary_loss(kind, logits, target, alpha=None):
     """Binary loss and its logit gradient against one target, written out
-    one target at a time. The fused production pass must match it bit for
-    bit: any change to the float operation order changes metrics.csv."""
+    one target at a time. The fused production pass must match its losses
+    bit for bit and its gradients within ``assert_kernel_close``: the pass
+    takes the gradients in closed form, which rounds differently."""
     x = np.atleast_1d(np.asarray(logits, dtype=np.float64))
     sig = np.empty_like(x)
     nonneg = x >= 0
@@ -225,6 +226,22 @@ def rel_err(a, b, floor=1e-12):
     return np.linalg.norm(a - b) / max(na, nb, floor)
 
 
+def assert_kernel_close(got, want):
+    """Every element within 1e-12 of the largest magnitude in ``want``, and
+    zero exactly where ``want`` is, so a gradient outside the clamp stays
+    exactly zero. The binary pass and the risk kernel take gradients in
+    closed form and apply the sjs scale, the targets' signs and the class
+    mean's 1/c to fewer and smaller arrays than the oracles do, which
+    rounds differently in the last bits. The bound is relative to the
+    array, not to each element: where a full-U example's P and U gradient
+    terms nearly cancel, a last-bit difference in each term is a larger
+    share of their sum."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got == 0, want == 0)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(initial=0.0))
+
+
 def central_diff(f, x, h=1e-5):
     """Central finite differences of a scalar function over a flat vector."""
     x = np.asarray(x, dtype=np.float64)
@@ -314,7 +331,8 @@ def reference_generate(base, spec, n_out, rng):
 # -- the fused risk pass as four separate arrays: loss and gradient against
 # +1 and -1 from two calls of the positive-target SJS kernel, dense label
 # masks scattered by index, and one reduction per risk term. The stacked
-# (2, ...) production layout must reproduce it bit for bit.
+# production layout must reproduce its losses and counts bit for bit, and
+# its gradients and scaled risks within ``assert_kernel_close``.
 
 
 def _oracle_alpha_terms(a):

@@ -217,7 +217,10 @@ def test_epoch_tables_equal_per_batch_mask_sums(case, u_mode, data):
         assert np.array_equal(table[0][..., b, :], masks.sum(axis=-2))
     assert np.array_equal(table[1], np.maximum(table[0], 1.0))
     assert coefs.shape == (2, *weights.shape[1:-1], starts.size, c)
-    assert np.array_equal(coefs, weights[..., None] / table[1][:, pick])
+    # Each term's weight takes its gradient sign (-1 for r_p_plus, +1 for the
+    # -1 target's two terms) over c.
+    signs = (np.array([-1.0, 1.0, 1.0]) / c).reshape(3, *[1] * (weights.ndim - 2))
+    assert np.array_equal(coefs, (weights * signs)[..., None] / table[1][:, pick])
 
     # The checks of a one-batch call, made for every batch at once.
     b = data.draw(st.integers(0, starts.size - 1))
