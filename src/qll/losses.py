@@ -20,7 +20,11 @@ A binary loss against +1 at sigma is the same loss against -1 at 1 - sigma,
 so both targets evaluate as one stacked (2, ...) array: index 0 against +1,
 index 1 against -1. All logarithms are natural. Probabilities are clamped
 to [EPS, 1 - EPS] before any logarithm; gradients are exact derivatives of
-the clamped forms, so they vanish in the (saturated) clamp regions.
+the clamped forms, so they vanish in the (saturated) clamp regions. They
+are taken in closed form: for the unscaled SJS against +1, d(loss)/d(sigma)
+= (1 - alpha) * (ln(sigma / m1) + ln(1 - alpha)) with m1 = alpha + (1 -
+alpha) * sigma, as the other terms of its derivative cancel; for KL, the
+logit gradient is -(1 - sigma) against +1 and sigma against -1.
 """
 
 from __future__ import annotations

@@ -8,13 +8,19 @@ rest). Three empirical risks per class:
     r_p_minus = mean loss of P logits against -1
 
 All three, and their gradients, come from one sigmoid pass over the batch
-logits that stacks every loss and gradient against +1 and -1 as (2, ...);
-label masks looked up per term then reduce all three in one pass. All
-else depends on labels, priors and alpha only: the trainer builds each
-epoch's ``batch_tables`` (mask counts, their divisors, and branch weights
-over them) in one call and passes them with each batch's term masks, and a
-call without tables builds its one batch's the same way.
-``CpuRiskReport.value``, unread in training, is lazy.
+logits that stacks the losses and logit gradients against +1 and -1 as
+(2, 2, ...) (``losses._binary_parts``); the label masks of each term mask
+losses and gradients at once, one reduction over the batch gives the three
+risks, and one over the terms the logit gradient. The pass leaves three
+constants out, to be applied to smaller arrays: the scaled-SJS scale
+multiplies the (3, [K,] c) risks, each term's gradient sign and the class
+mean's 1/c sit in the gradient coefficients, and the SJS gradient factor
+multiplies the (3, [K,] c) coefficients a step selects. All else depends
+on labels, priors and alpha only: the trainer builds each epoch's
+``batch_tables`` (mask counts, their divisors, and the coefficients: branch
+weights, signs and 1/c over the divisors) in one call and passes them with
+each batch's term masks, and a call without tables builds its one batch's
+the same way. ``CpuRiskReport.value``, unread in training, is lazy.
 
 The unbiased PU risk is  pi * r_p_plus + r_u_minus - pi * r_p_minus  and may
 go negative. The non-negative class-wise estimator with two practical priors
@@ -213,7 +219,7 @@ def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, wa
     per_term = _binary_parts(loss, z, terms).take(_TERM_TARGET, axis=1)
     per_term *= masks
     risks = np.add.reduce(per_term[0], axis=-2) / table[1]
-    if terms is not None:  # the sjs scale, on the (3, [K,] c) risks; [K, 1, 1] columns broadcast so
+    if terms is not None:  # the sjs scale; K runs' (K, 1, 1) columns broadcast against ([K,] 1, c)
         risks[..., None, :] *= terms[3]
     r_p_plus, r_p_minus, r_u_minus = risks
 
@@ -259,7 +265,7 @@ def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="c
     (2, 3, [K,] c); the batch's (3, [K,] n, c) term masks,
     ``_term_masks(c, u_mode).take(labels, axis=1)``; the batch's (2, 3,
     [K,] c) slices of the epoch's ``batch_tables``; and its alpha's
-    ``_alpha_terms`` (four 0-d arrays or scalars for one run, (K, 1, 1)
+    ``_alpha_terms`` (five 0-d arrays or scalars for one run, (K, 1, 1)
     columns for K runs; None for kl). The logits are then taken as checked
     float64 (and still checked to be finite), and ``labels``, ``priors``,
     ``alpha`` and ``u_mode`` are not read."""
