@@ -12,7 +12,7 @@ r=4, 2000 ambiguous train and 1000 clean test examples, MLP h=32, batch 16)
 with its own ``synth_base`` and ``generate_ambiguous_dataset``. It then
 trains ``--runs`` stacked runs of ``cpu-<loss>`` (seeds 1..K, pi1 0.1 and
 pi2 cycling over 0.25, 0.5, 0.75) and one run of the ``--baseline`` loss
-through the tree's own ``train_runs``, stops each at step ``--step``, and
+through the tree's own ``train_runs``, stops each at step 60, and
 keeps the arguments that ``train_runs`` passed to ``forward``,
 ``cpu_risk_with_grad`` (with its resolved tables), ``backward`` and
 ``baseline_loss_batch`` on that step. So each side's call is timed on the
@@ -20,8 +20,7 @@ arguments its own trainer builds, whatever their layout.
 
 Then, for ``--rounds`` rounds, each call is timed in one block of ``--calls``
 calls per side, the side that goes first alternating by round; the short
-``train`` block is one ``train_runs`` call of ``--train-epochs`` epochs of
-the PU method. The garbage collector is off inside a block. For each call the
+``train`` block is one ``train_runs`` call of two epochs of the PU method. The garbage collector is off inside a block. For each call the
 script prints each side's median µs per call over the rounds, the ratio of
 the change's median to the parent's, and the rounds each side won.
 
@@ -48,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 CALLS = ("forward", "cpu_risk_with_grad", "backward", "baseline_loss_batch", "train")
 PI2_CYCLE = (0.25, 0.5, 0.75)
+STEP, TRAIN_EPOCHS = 60, 2
 
 
 def load_tree(checkout: Path, name: str):
@@ -102,19 +102,17 @@ def side_calls(qll, args) -> dict:
     """Each timed call of one tree, as a function of no arguments."""
     core, datagen, losses, training = qll.core, qll.datagen, qll.losses, qll.training
     base_spec = datagen.BaseSpec(c=4, d=8, n_per_class=250)
-    base = datagen.synth_base(base_spec, core.RngStream(args.data_seed, core.STREAM_DATAGEN))
-    test = datagen.synth_base(base_spec, core.RngStream(args.data_seed, 7))
-    train_set = datagen.generate_ambiguous_dataset(
-        base, datagen.MixSpec("mixup", 2, 4), 2000, core.RngStream(args.data_seed, 11))
+    root = core.RngStream(1, core.STREAM_DATAGEN)
+    base, test = (datagen.synth_base(base_spec, root.substream(k)) for k in (0, 1))
+    train_set = datagen.generate_ambiguous_dataset(base, datagen.MixSpec("mixup", 2, 4), 2000, root.substream(2))
     pu_loss = losses.BinaryLossKind.scaled_sjs() if args.loss == "sjs" else losses.BinaryLossKind.kl()
     common = dict(batch_size=16, hidden_dim=32)
     pu = [training.TrainConfig(epochs=2, loss=pu_loss, seed=k + 1, **common,
                                priors=core.ClassPriors(0.1, PI2_CYCLE[k % 3])) for k in range(args.runs)]
     baseline = getattr(losses.MulticlassLossKind, {"bs": "bootstrap", "js": "js_pi"}.get(args.baseline, args.baseline))()
-    seen = capture(qll, train_set, test, pu, args.step)
-    seen.update(capture(qll, train_set, test, [training.TrainConfig(epochs=2, loss=baseline, **common)],
-                        args.step))
-    short = [replace(c, epochs=args.train_epochs) for c in pu]
+    seen = capture(qll, train_set, test, pu, STEP)
+    seen.update(capture(qll, train_set, test, [training.TrainConfig(epochs=2, loss=baseline, **common)], STEP))
+    short = [replace(c, epochs=TRAIN_EPOCHS) for c in pu]
     fns = {name: (lambda fn=getattr(training, name), a=seen[name]: fn(*a[0], **a[1])) for name in CALLS[:-1]}
     fns["train"] = lambda: training.train_runs(train_set, test, short)
     return fns
@@ -139,15 +137,12 @@ def main(argv=None) -> int:
     p.add_argument("--loss", choices=("sjs", "kl"), default="sjs", help="the PU method's binary loss")
     p.add_argument("--baseline", choices=("ce", "bs", "gce", "sce", "js"), default="ce")
     p.add_argument("--runs", type=int, default=1, help="stacked PU runs K")
-    p.add_argument("--step", type=int, default=60, help="the step whose arguments are timed")
     p.add_argument("--rounds", type=int, default=60)
     p.add_argument("--calls", type=int, default=400, help="calls per block")
-    p.add_argument("--train-epochs", type=int, default=2, help="epochs of the train block")
     p.add_argument("--only", nargs="+", choices=CALLS, default=list(CALLS), help="calls to time")
-    p.add_argument("--data-seed", type=int, default=1)
     args = p.parse_args(argv)
-    if min(args.runs, args.rounds, args.calls, args.train_epochs) < 1 or args.step < 0:
-        p.error("--runs, --rounds, --calls and --train-epochs must be >= 1, --step >= 0")
+    if min(args.runs, args.rounds, args.calls) < 1:
+        p.error("--runs, --rounds and --calls must be >= 1")
 
     trees = {side: load_tree(path.resolve(), f"qll_{side}")
              for side, path in (("parent", args.parent), ("change", args.change))}
@@ -160,8 +155,8 @@ def main(argv=None) -> int:
                 times[name][side].append(time_block(fns[side][name], calls))
 
     print(f"python {platform.python_version()}, numpy {np.__version__}; loss {args.loss}, "
-          f"baseline {args.baseline}, K={args.runs}, step {args.step}; {args.rounds} rounds of "
-          f"{args.calls} calls (train: 1 call of {args.train_epochs} epochs)")
+          f"baseline {args.baseline}, K={args.runs}, step {STEP}; {args.rounds} rounds of "
+          f"{args.calls} calls (train: 1 call of {TRAIN_EPOCHS} epochs)")
     print(f"{'call':<22}{'parent µs':>12}{'change µs':>12}{'ratio':>8}{'won parent/change':>20}")
     for name, t in times.items():
         med = {side: statistics.median(t[side]) for side in SIDES}
