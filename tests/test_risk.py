@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    assert_kernel_close,
     brute_force_cpu_risk,
     central_diff,
     class_partition,
     nnpu_class_risk,
     per_target_binary_loss,
     pu_risk_unbiased,
-    assert_kernel_close,
     rel_err,
     solve_kl_logit_minus,
     solve_kl_logits,
