@@ -264,6 +264,11 @@ def _sjs_pos_loss(sig: np.ndarray, alpha, one_m_a, log1m_a, out: np.ndarray) -> 
     return log_ratio
 
 
+# The sign each entry of _binary_parts' gradient pair takes: against +1 the
+# gradient is -f times the first entry, against -1 f times the second.
+_PAIR_SIGN = np.array([-1.0, 1.0])
+
+
 def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> np.ndarray:
     """Losses and logit gradients against both targets from one sigmoid
     pass, as one (2, 2, *x.shape) array for float64 logits ``x`` of at
@@ -276,11 +281,10 @@ def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> np.ndarray:
 
     Three constants are left to the caller, which applies them to fewer
     or smaller arrays: scaled sjs losses come without their scale
-    (``terms[3]``), and the gradient against +1 is -f times the pair's
-    first entry, the gradient against -1 f times its second, with f = 1
-    for kl and 1 / ln(1 - alpha) (``terms[4]``) for scaled sjs. Inside the
-    clamp kl's pair is (1 - sigma, sigma), the clamped pair reversed, and
-    scaled sjs's is (ln(s / m1) + ln(1 - alpha)) * sigma * (1 - sigma) with
+    (``terms[3]``), and each gradient is ``_PAIR_SIGN`` times f times its
+    entry of the pair, with f = 1 for kl and 1 / ln(1 - alpha)
+    (``terms[4]``) for scaled sjs. Inside the clamp kl's pair is (1 -
+    sigma, sigma), the clamped pair reversed, and scaled sjs's is (ln(s / m1) + ln(1 - alpha)) * sigma * (1 - sigma) with
     s the target side's probability; outside it both are 0."""
     if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError("logit must be finite")
@@ -318,7 +322,7 @@ def _binary_select(kind: BinaryLossKind, logit, target: int, alpha: float | None
     # The constants _binary_parts leaves to its caller.
     if grad:
         f = ONE if terms is None else terms[4]
-        out = out * (-f if side == 0 else f)
+        out = out * (_PAIR_SIGN[side] * f)
     elif terms is not None:
         out = out * terms[3]
     return float(out[0]) if np.ndim(logit) == 0 else out

@@ -55,6 +55,7 @@ from .core import ZERO, ClassPriors
 # this module: perfbench's tracer wraps qll.risk.binary_loss and
 # qll.risk.binary_loss_grad.
 from .losses import BinaryLossKind, _binary_parts, _resolve_terms, binary_loss, binary_loss_grad  # noqa: F401
+from .losses import _PAIR_SIGN
 
 __all__ = [
     "ClassRiskBreakdown",
@@ -112,10 +113,10 @@ class CpuRiskReport:
 
 # The three risk terms in order: r_p_plus, r_p_minus, r_u_minus. Each reads
 # the loss and gradient against +1 (index 0) or -1 (index 1) of the binary
-# pass; the gradient pair's sign for that target (see losses._binary_parts)
-# goes into the coefficient table.
+# pass; the gradient pair's sign for that target (losses._PAIR_SIGN) goes
+# into the coefficient table.
 _TERM_TARGET = np.array([0, 1, 1])
-_TERM_SIGN = np.array([-1.0, 1.0, 1.0])
+_TERM_SIGN = _PAIR_SIGN[_TERM_TARGET]
 
 
 @lru_cache(maxsize=None)

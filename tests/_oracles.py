@@ -227,15 +227,23 @@ def rel_err(a, b, floor=1e-12):
 
 
 def assert_kernel_close(got, want):
+    """Every element within 1e-12 of its own magnitude in ``want``, so a
+    zero stays exactly zero (a gradient outside the clamp, say). The binary
+    pass and the risk kernel take gradients in closed form and apply the
+    sjs scale, the targets' signs and the class mean's 1/c to fewer and
+    smaller arrays than the oracles do, which rounds differently in the
+    last bits."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def assert_kernel_close_to_max(got, want):
     """Every element within 1e-12 of the largest magnitude in ``want``, and
-    zero exactly where ``want`` is, so a gradient outside the clamp stays
-    exactly zero. The binary pass and the risk kernel take gradients in
-    closed form and apply the sjs scale, the targets' signs and the class
-    mean's 1/c to fewer and smaller arrays than the oracles do, which
-    rounds differently in the last bits. The bound is relative to the
-    array, not to each element: where a full-U example's P and U gradient
-    terms nearly cancel, a last-bit difference in each term is a larger
-    share of their sum."""
+    zero exactly where ``want`` is. Only for the summed risk gradient in
+    u_mode="full": there a P example's P and U gradient terms can nearly
+    cancel, so a last-bit difference in each term is a larger share of
+    their sum than ``assert_kernel_close`` allows."""
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
     assert np.array_equal(got == 0, want == 0)
@@ -332,7 +340,8 @@ def reference_generate(base, spec, n_out, rng):
 # +1 and -1 from two calls of the positive-target SJS kernel, dense label
 # masks scattered by index, and one reduction per risk term. The stacked
 # production layout must reproduce its losses and counts bit for bit, and
-# its gradients and scaled risks within ``assert_kernel_close``.
+# its gradients and scaled risks within ``assert_kernel_close`` (the summed
+# gradient in u_mode="full" within ``assert_kernel_close_to_max``).
 
 
 def _oracle_alpha_terms(a):

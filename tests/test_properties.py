@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qll.core import STREAM_BATCHING, ClassPriors, RngStream
 from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
 from qll.dataio import load_dataset, save_dataset
-from qll.losses import ALPHA_FLOOR, BinaryLossKind, sample_alpha
+from qll.losses import ALPHA_FLOOR, _PAIR_SIGN, BinaryLossKind, sample_alpha
 from qll.models import init_model, load_model, save_model
 from qll.risk import _term_masks, batch_tables, cpu_risk, cpu_risk_with_grad
 from qll.training import _epoch_order
@@ -217,9 +217,9 @@ def test_epoch_tables_equal_per_batch_mask_sums(case, u_mode, data):
         assert np.array_equal(table[0][..., b, :], masks.sum(axis=-2))
     assert np.array_equal(table[1], np.maximum(table[0], 1.0))
     assert coefs.shape == (2, *weights.shape[1:-1], starts.size, c)
-    # Each term's weight takes its gradient sign (-1 for r_p_plus, +1 for the
-    # -1 target's two terms) over c.
-    signs = (np.array([-1.0, 1.0, 1.0]) / c).reshape(3, *[1] * (weights.ndim - 2))
+    # Each term's weight takes its target's gradient sign (r_p_plus reads the
+    # +1 target, the other two the -1 target) over c.
+    signs = (_PAIR_SIGN[[0, 1, 1]] / c).reshape(3, *[1] * (weights.ndim - 2))
     assert np.array_equal(coefs, (weights * signs)[..., None] / table[1][:, pick])
 
     # The checks of a one-batch call, made for every batch at once.

@@ -2,8 +2,8 @@
 
     python3 tools/ab_calls.py --parent ../qll-parent [--loss sjs] [--runs 1]
 
-``--parent`` and ``--change`` are checkouts (directories holding ``src/qll``);
-the change defaults to the checkout that holds this script. Each tree is
+``--parent`` is a checkout (a directory holding ``src/qll``) of the parent
+commit; the change is the checkout that holds this script. Each tree is
 imported under its own package name (``qll_parent``, ``qll_change``), so both
 live in this process at once and share its numpy, BLAS and host.
 
@@ -11,18 +11,19 @@ From each tree the script builds the acceptance setting (c=4, d=8, Mixup m=2
 r=4, 2000 ambiguous train and 1000 clean test examples, MLP h=32, batch 16)
 with its own ``synth_base`` and ``generate_ambiguous_dataset``. It then
 trains ``--runs`` stacked runs of ``cpu-<loss>`` (seeds 1..K, pi1 0.1 and
-pi2 cycling over 0.25, 0.5, 0.75) and one run of the ``--baseline`` loss
-through the tree's own ``train_runs``, stops each at step 60, and
-keeps the arguments that ``train_runs`` passed to ``forward``,
-``cpu_risk_with_grad`` (with its resolved tables), ``backward`` and
-``baseline_loss_batch`` on that step. So each side's call is timed on the
-arguments its own trainer builds, whatever their layout.
+pi2 cycling over 0.25, 0.5, 0.75) and one run of ce through the tree's own
+``train_runs``, stops each at step 60, and keeps the arguments that
+``train_runs`` passed to ``forward``, ``cpu_risk_with_grad`` (with its
+resolved tables), ``backward`` and ``baseline_loss_batch`` on that step. So
+each side's call is timed on the arguments its own trainer builds, whatever
+their layout.
 
 Then, for ``--rounds`` rounds, each call is timed in one block of ``--calls``
 calls per side, the side that goes first alternating by round; the short
-``train`` block is one ``train_runs`` call of two epochs of the PU method. The garbage collector is off inside a block. For each call the
-script prints each side's median µs per call over the rounds, the ratio of
-the change's median to the parent's, and the rounds each side won.
+``train`` block is one ``train_runs`` call of two epochs of the PU method.
+The garbage collector is off inside a block. For each call the script
+prints each side's median µs per call over the rounds, the ratio of the
+change's median to the parent's, and the rounds each side won.
 
 Per-call differences of a few percent need this: a traced benchmark pass
 reads each layer on a host whose speed drifts between passes.
@@ -109,9 +110,9 @@ def side_calls(qll, args) -> dict:
     common = dict(batch_size=16, hidden_dim=32)
     pu = [training.TrainConfig(epochs=2, loss=pu_loss, seed=k + 1, **common,
                                priors=core.ClassPriors(0.1, PI2_CYCLE[k % 3])) for k in range(args.runs)]
-    baseline = getattr(losses.MulticlassLossKind, {"bs": "bootstrap", "js": "js_pi"}.get(args.baseline, args.baseline))()
     seen = capture(qll, train_set, test, pu, STEP)
-    seen.update(capture(qll, train_set, test, [training.TrainConfig(epochs=2, loss=baseline, **common)], STEP))
+    ce = training.TrainConfig(epochs=2, loss=losses.MulticlassLossKind.ce(), **common)
+    seen.update(capture(qll, train_set, test, [ce], STEP))
     short = [replace(c, epochs=TRAIN_EPOCHS) for c in pu]
     fns = {name: (lambda fn=getattr(training, name), a=seen[name]: fn(*a[0], **a[1])) for name in CALLS[:-1]}
     fns["train"] = lambda: training.train_runs(train_set, test, short)
@@ -133,9 +134,7 @@ def time_block(fn, calls: int) -> float:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    p.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (default: this one)")
     p.add_argument("--loss", choices=("sjs", "kl"), default="sjs", help="the PU method's binary loss")
-    p.add_argument("--baseline", choices=("ce", "bs", "gce", "sce", "js"), default="ce")
     p.add_argument("--runs", type=int, default=1, help="stacked PU runs K")
     p.add_argument("--rounds", type=int, default=60)
     p.add_argument("--calls", type=int, default=400, help="calls per block")
@@ -145,7 +144,7 @@ def main(argv=None) -> int:
         p.error("--runs, --rounds and --calls must be >= 1")
 
     trees = {side: load_tree(path.resolve(), f"qll_{side}")
-             for side, path in (("parent", args.parent), ("change", args.change))}
+             for side, path in (("parent", args.parent), ("change", ROOT))}
     fns = {side: side_calls(qll, args) for side, qll in trees.items()}
     times = {name: {side: [] for side in SIDES} for name in args.only}
     for r in range(args.rounds):
@@ -155,7 +154,7 @@ def main(argv=None) -> int:
                 times[name][side].append(time_block(fns[side][name], calls))
 
     print(f"python {platform.python_version()}, numpy {np.__version__}; loss {args.loss}, "
-          f"baseline {args.baseline}, K={args.runs}, step {STEP}; {args.rounds} rounds of "
+          f"baseline ce, K={args.runs}, step {STEP}; {args.rounds} rounds of "
           f"{args.calls} calls (train: 1 call of {TRAIN_EPOCHS} epochs)")
     print(f"{'call':<22}{'parent µs':>12}{'change µs':>12}{'ratio':>8}{'won parent/change':>20}")
     for name, t in times.items():
