@@ -284,8 +284,9 @@ def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> np.ndarray:
     (``terms[3]``), and each gradient is ``_PAIR_SIGN`` times f times its
     entry of the pair, with f = 1 for kl and 1 / ln(1 - alpha)
     (``terms[4]``) for scaled sjs. Inside the clamp kl's pair is (1 -
-    sigma, sigma), the clamped pair reversed, and scaled sjs's is (ln(s / m1) + ln(1 - alpha)) * sigma * (1 - sigma) with
-    s the target side's probability; outside it both are 0."""
+    sigma, sigma), the clamped pair reversed, and scaled sjs's is (ln(s /
+    m1) + ln(1 - alpha)) * sigma * (1 - sigma) with s the target side's
+    probability; outside it both are 0."""
     if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ValueError("logit must be finite")
 

@@ -21,7 +21,15 @@ from _oracles import (
     per_parameter_sgd_step,
 )
 from qll.core import ClassPriors, RngStream
-from qll.losses import EPS, _PAIR_SIGN, BinaryLossKind, MulticlassLossKind, _binary_parts, _resolve_terms, baseline_loss_batch
+from qll.losses import (
+    EPS,
+    _PAIR_SIGN,
+    BinaryLossKind,
+    MulticlassLossKind,
+    _binary_parts,
+    _resolve_terms,
+    baseline_loss_batch,
+)
 from qll.models import init_model
 from qll.risk import cpu_risk_with_grad
 from qll.training import sgd_step
