@@ -677,9 +677,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser, built by the first ``main`` call of a process and reused by
+# the rest: building it costs some 25 times what one parse does. Not built
+# at import, so that code which imports the module only to read a file does
+# not pay for it. ``parse_args`` keeps no state on the parser between calls.
+_parser = None
+
+
 def main(argv=None) -> int:
+    global _parser
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         return args.func(args) or 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

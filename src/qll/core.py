@@ -53,7 +53,7 @@ def frozen_0d(value) -> np.ndarray:
     return a
 
 
-ZERO, ONE, MINUS_ONE = map(frozen_0d, (0.0, 1.0, -1.0))
+ZERO, ONE = map(frozen_0d, (0.0, 1.0))
 
 
 def _require_ints(spec, **least: int | None) -> None:

@@ -14,7 +14,11 @@ iteration from Beta(0.5, 0.5) halved.
 
 Multiclass baseline losses (CE, soft Bootstrap, GCE, SCE, weighted JS) are
 provided for comparison runs. Every loss ships an analytic gradient that
-matches central finite differences.
+matches central finite differences. CE, GCE and SCE read only the label's
+softmax probability p_y, so the chain through the softmax, p * (g - <g, p>)
+for g = d(loss)/dp, collapses to w * (p - onehot) with one weight per row,
+w = -g_y * p_y: [p_y > EPS] for CE, p_y * max(p_y, EPS)**(q - 1) for GCE,
+and a * [p_y > EPS] + 4b * p_y for SCE.
 
 A binary loss against +1 at sigma is the same loss against -1 at 1 - sigma,
 so both targets evaluate as one stacked (2, ...) array: index 0 against +1,
@@ -35,7 +39,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import MINUS_ONE, ONE, ZERO, RngStream, frozen_0d
+from .core import ONE, ZERO, RngStream, frozen_0d
 
 __all__ = [
     "EPS",
@@ -145,7 +149,7 @@ class MulticlassLossKind:
         """The parameter terms ``baseline_loss_batch`` multiplies and
         divides by, each computed as its formula reads and held as a 0-d
         array (see ``core.frozen_0d``), once per loss: bs (beta, 1 - beta,
-        -(1 - beta)), gce (q, q - 1), sce (-a, b * 4), js (w, 1 - w, -w,
+        -(1 - beta)), gce (q, q - 1), sce (-a, b * 4, a), js (w, 1 - w, -w,
         -w * (1 - w), sjs_scale(w)) with w = pi1; ce none."""
         v = self.variant
         if v == "bs":
@@ -153,7 +157,7 @@ class MulticlassLossKind:
         elif v == "gce":
             terms = (self.q, self.q - 1.0)
         elif v == "sce":
-            terms = (-self.a, self.b * _RCE_LOG_FLOOR)
+            terms = (-self.a, self.b * _RCE_LOG_FLOOR, self.a)
         elif v == "js":
             w = self.pi1
             terms = (w, 1.0 - w, -w, -w * (1.0 - w), sjs_scale(w))
@@ -387,34 +391,47 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels, *, at=None):
 
     p = _softmax(z)
     v = kind.variant
-    if v in ("bs", "js"):
-        pc = np.maximum(p, _EPS)  # softmax entries are <= 1: the clamp to [EPS, 1]
-        interior = p > _EPS
-        log_pc = np.log(pc)
-        onehot = np.zeros(z.shape)
-        onehot.put(at, 1.0)
-    else:  # ce, gce and sce read the label entries only, and have gradients there only
+    if v in ("ce", "gce", "sce"):
+        # ce, gce and sce read the label entries p_y only, so g_p is zero off
+        # the label, and the chain through softmax (below, for bs and js)
+        # collapses to w * (p - onehot) with one weight per row, w = -g_y *
+        # p_y: ce [p_y > EPS], gce p_y * max(p_y, EPS)**(q-1), sce a * [p_y >
+        # EPS] + 4b * p_y. p becomes the gradient in place.
         py = p.take(at)
         pyc = np.maximum(py, _EPS)
-        g_p = np.zeros(z.shape)
-    if v == "ce":
-        loss = -np.log(pyc)
-        g_p.put(at, np.where(py > _EPS, MINUS_ONE / pyc, ZERO))
-    elif v == "bs":
+        if v == "ce":
+            loss = -np.log(pyc)
+            # w is 1, and 0 on saturated rows, which stay +0.0 throughout as
+            # the chain gives them (w * (p_y - 1) would be -0.0 at the label).
+            p.put(at, py - ONE)
+            np.copyto(p, ZERO, where=(py <= _EPS)[..., None])
+            return loss, p
+        if v == "gce":
+            q, q_m1 = kind.operands
+            # The exponent stays a Python float: numpy computes x ** 0.5 by
+            # np.sqrt for a Python float 0.5 and by np.power for an array.
+            loss = (ONE - py**kind.q) / q
+            w = py * pyc**q_m1
+        else:
+            neg_a, b_floor, a = kind.operands
+            loss = neg_a * np.log(pyc) + b_floor * (ONE - py)
+            w = b_floor * py
+            np.add(w, a, out=w, where=py > _EPS)
+        at_y = w * (py - ONE)
+        np.multiply(p, w[..., None], out=p)
+        p.put(at, at_y)
+        return loss, p
+
+    pc = np.maximum(p, _EPS)  # softmax entries are <= 1: the clamp to [EPS, 1]
+    interior = p > _EPS
+    log_pc = np.log(pc)
+    onehot = np.zeros(z.shape)
+    onehot.put(at, 1.0)
+    if v == "bs":
         beta, one_m_beta, neg_one_m_beta = kind.operands
         target = beta * onehot + one_m_beta * p
         loss = -np.add.reduce(target * log_pc, axis=-1)
         g_p = neg_one_m_beta * log_pc - np.where(interior, target / pc, ZERO)
-    elif v == "gce":
-        q, q_m1 = kind.operands
-        # The exponent stays a Python float: numpy computes x ** 0.5 by
-        # np.sqrt for a Python float 0.5 and by np.power for an array.
-        loss = (ONE - py**kind.q) / q
-        g_p.put(at, -pyc**q_m1)
-    elif v == "sce":
-        neg_a, b_floor = kind.operands
-        loss = neg_a * np.log(pyc) + b_floor * (ONE - py)
-        g_p.put(at, np.where(py > _EPS, neg_a / pyc, ZERO) - b_floor)
     else:  # js
         w, one_m_w, neg_w, neg_w_one_m_w, scale = kind.operands
         m = w * onehot + one_m_w * p

@@ -932,6 +932,27 @@ class TestUsage:
     def test_unknown_command_is_usage_error(self):
         assert run("frobnicate") == 1
 
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, monkeypatch, capsys):
+        build, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        data = tmp_path / "data"
+        assert run(*GEN_SMALL, "--out", str(data)) == 0
+        assert run(
+            "train", "--data", str(data / "ambig_train.qll"), "--test", str(data / "base_test.qll"),
+            "--method", "ce", "--epochs", "1", "--out", str(tmp_path / "ce"),
+        ) == 0
+        assert (tmp_path / "ce" / "metrics.csv").exists()
+        capsys.readouterr()
+        # A usage error after a cached parse still exits 1 with its message,
+        # and the next call parses afresh.
+        assert run("train", "--data", str(data / "ambig_train.qll")) == 1
+        assert "usage error: the following arguments are required: --test" in capsys.readouterr().err
+        assert run("frobnicate") == 1
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+        assert run(*GEN_SMALL, "--out", str(tmp_path / "again")) == 0
+        assert len(built) == 1
+
     def test_qll_out_env_controls_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QLL_OUT", str(tmp_path / "envroot"))
         assert run(*GEN_SMALL) == 0

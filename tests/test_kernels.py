@@ -5,9 +5,11 @@ baseline kernel against full-array clamps and logs, and the flat SGD
 buffer against per-parameter updates. All are bit for bit except the
 gradients and sjs risks of the first two, which take closed forms and
 folded constants and match within ``assert_kernel_close``, element by
-element; the summed risk gradient in u_mode="full" matches within
-``assert_kernel_close_to_max``. These hold in any environment: both sides
-run on the same machine."""
+element (the summed risk gradient in u_mode="full" within
+``assert_kernel_close_to_max``), and the ce, gce and sce gradients, which
+take the closed form w * (p - onehot) and match within an absolute 1e-15,
+with every zero exact, sign included. These hold in any environment: both
+sides run on the same machine."""
 
 import numpy as np
 import pytest
@@ -138,7 +140,16 @@ def test_label_entry_baseline_equals_full_arrays(shape, kind):
         assert got_loss.shape == y.shape and got_grad.shape == z.shape
         # Bit for bit, down to the sign of zeros.
         assert np.array_equal(got_loss.view(np.uint64), want_loss.view(np.uint64))
-        assert np.array_equal(got_grad.view(np.uint64), want_grad.view(np.uint64))
+        if kind.variant in ("bs", "js"):
+            assert np.array_equal(got_grad.view(np.uint64), want_grad.view(np.uint64))
+            continue
+        # The closed form rounds apart from the chain p * (g_p - <g_p, p>),
+        # which loses bits to cancellation where p_y -> 1, so an element's
+        # gap can be large against its own magnitude but not in absolute
+        # terms. Zeros stay exact, sign included.
+        assert np.all(np.abs(got_grad - want_grad) <= 1e-15)
+        zero = (got_grad == 0) | (want_grad == 0)
+        assert np.array_equal(got_grad[zero].view(np.uint64), want_grad[zero].view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])

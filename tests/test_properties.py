@@ -1,7 +1,10 @@
 """Property tests: byte-exact file round trips, errors on damaged files,
 the label invariants of generated data, the class-wise risk's
 non-negativity, batch-order invariance and stacking, the per-epoch PU
-tables, PU batching, and per-epoch alpha draws."""
+tables, PU batching, per-epoch alpha draws, and the closed form of the
+label-entry baseline gradients."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +14,15 @@ from hypothesis import strategies as st
 from qll.core import STREAM_BATCHING, ClassPriors, RngStream
 from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
 from qll.dataio import load_dataset, save_dataset
-from qll.losses import ALPHA_FLOOR, _PAIR_SIGN, BinaryLossKind, sample_alpha
+from qll.losses import (
+    ALPHA_FLOOR,
+    EPS,
+    _PAIR_SIGN,
+    BinaryLossKind,
+    MulticlassLossKind,
+    baseline_loss_batch,
+    sample_alpha,
+)
 from qll.models import init_model, load_model, save_model
 from qll.risk import _term_masks, batch_tables, cpu_risk, cpu_risk_with_grad
 from qll.training import _epoch_order
@@ -280,3 +291,43 @@ def test_alpha_array_draw_equals_scalar_draws(seed, stream_id, n):
     assert draws.shape == (n,) and draws.dtype == np.float64
     assert draws.tolist() == [sample_alpha(scalar) for _ in range(n)]
     assert sample_alpha(batched) == sample_alpha(scalar)
+
+
+@st.composite
+def baseline_batches(draw):
+    """(n, c) or (K, n, c) logits with labels. Logits include +-800, and
+    the first row's label sits at -800 beside an 800, so its p_y is 0."""
+    c, n, runs = draw(st.integers(2, 6)), draw(st.integers(1, 8)), draw(st.sampled_from([None, 2, 3]))
+    shape = (n, c) if runs is None else (runs, n, c)
+    size = math.prod(shape)
+    logit = st.floats(-60.0, 60.0) | st.sampled_from([0.0, 40.0, -40.0, 800.0, -800.0])
+    z = np.array(draw(st.lists(logit, min_size=size, max_size=size))).reshape(shape)
+    y = np.array(draw(st.lists(st.integers(0, c - 1), min_size=size // c, max_size=size // c)))
+    z.reshape(-1, c)[0, [y[0], (y[0] + 1) % c]] = -800.0, 800.0
+    return z, y.reshape(shape[:-1])
+
+
+@given(batch=baseline_batches(), kind=st.sampled_from(
+    [MulticlassLossKind.ce(), MulticlassLossKind.gce(0.7), MulticlassLossKind.gce(1.0), MulticlassLossKind.sce()]))
+def test_label_entry_gradient_is_a_row_weight_times_p_minus_onehot(batch, kind):
+    z, y = batch
+    c = z.shape[-1]
+    _, grad = baseline_loss_batch(kind, z, y)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    py = np.take_along_axis(p, y[..., None], axis=-1)[..., 0]
+    live = py > EPS
+    # w = -g_y * p_y, with g_y the loss's derivative in p_y.
+    if kind.variant == "ce":
+        w = np.where(live, 1.0, 0.0)
+    elif kind.variant == "gce":
+        w = py * np.power(np.maximum(py, EPS), kind.q - 1.0)
+    else:
+        w = np.where(live, kind.a, 0.0) + 4.0 * kind.b * py
+    assert np.array_equal(grad, w[..., None] * (p - (np.arange(c) == y[..., None])))
+    # Each row sums to w * (sum(p) - 1): 0 within c ulps of w.
+    sums = np.array([math.fsum(row) for row in grad.reshape(-1, c)])
+    assert np.all(np.abs(sums) <= c * np.finfo(np.float64).eps * w.ravel())
+    if kind.variant == "ce":  # saturated rows are +0.0 throughout
+        assert not live.all()
+        assert not grad[~live].view(np.uint64).any()

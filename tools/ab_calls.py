@@ -1,6 +1,6 @@
 """Time the training step's calls of two ``src/`` trees side by side, in one process.
 
-    python3 tools/ab_calls.py --parent ../qll-parent [--loss sjs] [--runs 1]
+    python3 tools/ab_calls.py --parent ../qll-parent [--loss sjs] [--runs 1] [--baseline ce]
 
 ``--parent`` is a checkout (a directory holding ``src/qll``) of the parent
 commit; the change is the checkout that holds this script. Each tree is
@@ -11,7 +11,8 @@ From each tree the script builds the acceptance setting (c=4, d=8, Mixup m=2
 r=4, 2000 ambiguous train and 1000 clean test examples, MLP h=32, batch 16)
 with its own ``synth_base`` and ``generate_ambiguous_dataset``. It then
 trains ``--runs`` stacked runs of ``cpu-<loss>`` (seeds 1..K, pi1 0.1 and
-pi2 cycling over 0.25, 0.5, 0.75) and one run of ce through the tree's own
+pi2 cycling over 0.25, 0.5, 0.75) and one run of the ``--baseline`` loss
+(default ce, at the CLI's default parameters) through the tree's own
 ``train_runs``, stops each at step 60, and keeps the arguments that
 ``train_runs`` passed to ``forward``, ``cpu_risk_with_grad`` (with its
 resolved tables), ``backward`` and ``baseline_loss_batch`` on that step. So
@@ -49,6 +50,7 @@ SIDES = ("parent", "change")
 CALLS = ("forward", "cpu_risk_with_grad", "backward", "baseline_loss_batch", "train")
 PI2_CYCLE = (0.25, 0.5, 0.75)
 STEP, TRAIN_EPOCHS = 60, 2
+BASELINES = ("ce", "bs", "gce", "sce", "js")
 
 
 def load_tree(checkout: Path, name: str):
@@ -111,8 +113,8 @@ def side_calls(qll, args) -> dict:
     pu = [training.TrainConfig(epochs=2, loss=pu_loss, seed=k + 1, **common,
                                priors=core.ClassPriors(0.1, PI2_CYCLE[k % 3])) for k in range(args.runs)]
     seen = capture(qll, train_set, test, pu, STEP)
-    ce = training.TrainConfig(epochs=2, loss=losses.MulticlassLossKind.ce(), **common)
-    seen.update(capture(qll, train_set, test, [ce], STEP))
+    baseline = importlib.import_module(f"{qll.__name__}.cli").build_loss(args.baseline)
+    seen.update(capture(qll, train_set, test, [training.TrainConfig(epochs=2, loss=baseline, **common)], STEP))
     short = [replace(c, epochs=TRAIN_EPOCHS) for c in pu]
     fns = {name: (lambda fn=getattr(training, name), a=seen[name]: fn(*a[0], **a[1])) for name in CALLS[:-1]}
     fns["train"] = lambda: training.train_runs(train_set, test, short)
@@ -136,6 +138,7 @@ def main(argv=None) -> int:
     p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     p.add_argument("--loss", choices=("sjs", "kl"), default="sjs", help="the PU method's binary loss")
     p.add_argument("--runs", type=int, default=1, help="stacked PU runs K")
+    p.add_argument("--baseline", choices=BASELINES, default="ce", help="the baseline run's loss")
     p.add_argument("--rounds", type=int, default=60)
     p.add_argument("--calls", type=int, default=400, help="calls per block")
     p.add_argument("--only", nargs="+", choices=CALLS, default=list(CALLS), help="calls to time")
@@ -154,7 +157,7 @@ def main(argv=None) -> int:
                 times[name][side].append(time_block(fns[side][name], calls))
 
     print(f"python {platform.python_version()}, numpy {np.__version__}; loss {args.loss}, "
-          f"baseline ce, K={args.runs}, step {STEP}; {args.rounds} rounds of "
+          f"baseline {args.baseline}, K={args.runs}, step {STEP}; {args.rounds} rounds of "
           f"{args.calls} calls (train: 1 call of {TRAIN_EPOCHS} epochs)")
     print(f"{'call':<22}{'parent µs':>12}{'change µs':>12}{'ratio':>8}{'won parent/change':>20}")
     for name, t in times.items():
