@@ -238,10 +238,15 @@ def _alpha_terms(a) -> np.ndarray:
     """(alpha, 1 - alpha, ln(1 - alpha), sjs_scale(alpha), 1 / ln(1 - alpha))
     of an alpha or an array of alphas, as a (5, *shape) array; a float gives
     (5,). Each element is the ``math`` operation on its alpha (numpy's log1p
-    may differ in the last bit), so every alpha evaluates bit for bit alike.
-    The last is the factor f of ``_binary_parts``' gradient pair."""
+    may differ in the last bit), so every alpha evaluates bit for bit alike;
+    ln(1 - alpha) is taken once, and the scale by ``sjs_scale``'s
+    expression. The last is the factor f of ``_binary_parts``' gradient
+    pair."""
     a = np.asarray(a, dtype=np.float64)
-    terms = [(v, 1.0 - v, math.log1p(-v), sjs_scale(v), 1.0 / math.log1p(-v)) for v in a.ravel().tolist()]
+    terms = []
+    for v in a.ravel().tolist():
+        log1m = math.log1p(-v)
+        terms.append((v, 1.0 - v, log1m, -1.0 / ((1.0 - v) * log1m), 1.0 / log1m))
     return np.array(terms).T.reshape(5, *a.shape)
 
 

@@ -20,7 +20,14 @@ on labels, priors and alpha only: the trainer builds each epoch's
 ``batch_tables`` (mask counts, their divisors, and the coefficients: branch
 weights, signs and 1/c over the divisors) in one call and passes them with
 each batch's term masks, and a call without tables builds its one batch's
-the same way. ``CpuRiskReport.value``, unread in training, is lazy.
+the same way. The trainer also passes each step's row of its epoch log,
+and the risks are divided straight into it.
+
+The step computes only what the gradient needs: the risks and which
+classes are corrected. ``CpuRiskReport`` builds ``value``,
+``objective_value`` and ``per_class`` from those on first access, and the
+trainer books the epoch's objectives from its log in one pass; both go
+through ``_branch_objective``.
 
 The unbiased PU risk is  pi * r_p_plus + r_u_minus - pi * r_p_minus  and may
 go negative. The non-negative class-wise estimator with two practical priors
@@ -81,7 +88,7 @@ class ClassRiskBreakdown:
     corrected: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpuRiskReport:
     """Class-wise PU risk over one batch.
 
@@ -89,19 +96,26 @@ class CpuRiskReport:
     ``objective_value`` is the branch objective the gradients follow. The
     two agree exactly whenever no class is corrected. For K stacked runs
     both are (K,) arrays and ``per_class`` lists K*c breakdowns, run-major.
+    All three are built from ``parts`` on first access; two reports are
+    equal when all three are.
     """
 
-    objective_value: float | np.ndarray
-    # (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected, pi1 * r_p_plus,
-    # r_u_minus - pi2 * r_p_minus) arrays; value and the breakdowns are
-    # built from them on first access.
-    parts: tuple = field(repr=False, compare=False)
+    # (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected, r_u_minus - pi2
+    # * r_p_minus) arrays, and pi1 and pi2 as they broadcast against them.
+    parts: tuple = field(repr=False)
 
     @cached_property
     def value(self) -> float | np.ndarray:
-        pos_part, neg_part = self.parts[6:]  # the mean over classes, as in _cpu_core
+        r_p_plus, *_, neg_part, pi1, _ = self.parts
+        pos_part = pi1 * r_p_plus  # the mean over classes, as in _branch_objective
         value = (pos_part + np.maximum(neg_part, 0.0)).sum(axis=-1) / pos_part.shape[-1]
         return value if value.ndim else float(value)
+
+    @cached_property
+    def objective_value(self) -> float | np.ndarray:
+        r_p_plus, r_u_minus, r_p_minus, *_, pi1, pi2 = self.parts
+        objective = _branch_objective((r_p_plus, r_p_minus, r_u_minus), pi1, pi2)
+        return objective if objective.ndim else float(objective)
 
     @cached_property
     def per_class(self) -> tuple[ClassRiskBreakdown, ...]:
@@ -109,6 +123,29 @@ class CpuRiskReport:
         counts = (k.astype(np.int64).ravel().tolist() for k in (n_p, n_u))
         columns = [a.ravel().tolist() for a in risks]
         return tuple(map(ClassRiskBreakdown, *columns, *counts, corrected.ravel().tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CpuRiskReport):
+            return NotImplemented
+        return (self.per_class == other.per_class and np.array_equal(self.value, other.value)
+                and np.array_equal(self.objective_value, other.objective_value))
+
+    def __repr__(self) -> str:
+        return f"CpuRiskReport(value={self.value!r}, objective_value={self.objective_value!r})"
+
+
+def _branch_objective(risks, pi1, pi2):
+    """The branch objective of the (..., c) risks (r_p_plus, r_p_minus,
+    r_u_minus), a sequence of three or a (3, ..., c) array, with ``pi1``
+    and ``pi2`` broadcasting against one risk: the mean over classes of
+    pi2 * r_p_minus - r_u_minus in a corrected class and of the value pi1 *
+    r_p_plus + r_u_minus - pi2 * r_p_minus otherwise, as a (...) array."""
+    r_p_plus, r_p_minus, r_u_minus = risks
+    neg_part = r_u_minus - pi2 * r_p_minus
+    # np.mean over classes is this sum divided by the class count (an int:
+    # one run's sum is a numpy scalar, and scalar math is no ufunc call).
+    objective = np.where(neg_part < ZERO, -neg_part, pi1 * r_p_plus + neg_part)
+    return np.add.reduce(objective, axis=-1) / objective.shape[-1]
 
 
 # The three risk terms in order: r_p_plus, r_p_minus, r_u_minus. Each reads
@@ -187,7 +224,7 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
               loss: BinaryLossKind, alpha: float | Sequence[float] | None, u_mode: str,
               want_grad: bool, tables=None):
     if tables is not None:
-        return _cpu_kernel(loss, batch_logits, *tables, want_grad)
+        return _cpu_kernel(loss, batch_logits, *tables, want_grad=want_grad)
     # Checked inputs, and the tables of their one batch.
     z = np.asarray(batch_logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -206,32 +243,30 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
     table, coefs = batch_tables(y, _ONE_BATCH, c, u_mode, weights)
     masks = _term_masks(c, u_mode).take(y, axis=1)
     terms = _resolve_terms(loss, alpha, z.shape)
-    return _cpu_kernel(loss, z, weights, masks, table[..., 0, :], coefs[..., 0, :], terms, want_grad)
+    return _cpu_kernel(loss, z, weights, masks, table[..., 0, :], coefs[..., 0, :], terms, want_grad=want_grad)
 
 
-def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, want_grad: bool):
+def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, risks=None, *, want_grad: bool):
     """The risk of (n, c) or (K, n, c) float64 logits ``z``, given the
-    tables of ``cpu_risk_with_grad``: no check but the logits' finiteness."""
+    tables of ``cpu_risk_with_grad``: no check but the logits' finiteness.
+    The (3, [K,] c) risks are written into ``risks`` if given."""
     pi1, pi2 = weights[1, 0], weights[0, 1]  # the weights of r_p_plus and r_p_minus
-    c = z.shape[-1]
 
     # The binary pass's losses and gradient pairs, one per term: (2, 3,
     # *labels, c), masked by the term's examples.
     per_term = _binary_parts(loss, z, terms).take(_TERM_TARGET, axis=1)
     per_term *= masks
-    risks = np.add.reduce(per_term[0], axis=-2) / table[1]
+    risks = np.divide(np.add.reduce(per_term[0], axis=-2), table[1], out=risks)
     if terms is not None:  # the sjs scale; K runs' (K, 1, 1) columns broadcast against ([K,] 1, c)
         risks[..., None, :] *= terms[3]
-    r_p_plus, r_p_minus, r_u_minus = risks
 
+    # The report builds the objective when it is read; the gradient needs
+    # only which classes are corrected.
+    r_p_plus, r_p_minus, r_u_minus = risks
     neg_part = r_u_minus - pi2 * r_p_minus
     corrected = neg_part < ZERO
-    pos_part = pi1 * r_p_plus
-    # np.mean over classes is this sum divided by the class count (an int
-    # here: one run's sum is a numpy scalar, and scalar math is no ufunc call).
-    objective = np.add.reduce(np.where(corrected, -neg_part, pos_part + neg_part), axis=-1) / c
-    parts = (r_p_plus, r_u_minus, r_p_minus, table[0, 0], table[0, 2], corrected, pos_part, neg_part)
-    report = CpuRiskReport(objective if z.ndim == 3 else float(objective), parts)
+    parts = (r_p_plus, r_u_minus, r_p_minus, table[0, 0], table[0, 2], corrected, neg_part, pi1, pi2)
+    report = CpuRiskReport(parts)
     if not want_grad:
         return report, None
 
@@ -267,7 +302,10 @@ def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="c
     ``_term_masks(c, u_mode).take(labels, axis=1)``; the batch's (2, 3,
     [K,] c) slices of the epoch's ``batch_tables``; and its alpha's
     ``_alpha_terms`` (five 0-d arrays or scalars for one run, (K, 1, 1)
-    columns for K runs; None for kl). The logits are then taken as checked
-    float64 (and still checked to be finite), and ``labels``, ``priors``,
-    ``alpha`` and ``u_mode`` are not read."""
+    columns for K runs; None for kl); and, optionally, a (3, [K,] c)
+    float64 array that the risks are written into, such as a row of the
+    trainer's epoch log. The logits are then taken as checked float64 (and
+    still checked to be finite), and ``labels``, ``priors``, ``alpha`` and
+    ``u_mode`` are not read. A report over such an array reads it when a
+    value is first asked for, so read it before the array is rewritten."""
     return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True, tables=tables)

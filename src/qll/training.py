@@ -33,24 +33,29 @@ Work that does not depend on the parameters runs as rarely as it can:
   buffer and one labels buffer per stream; each batch's bounds and size,
   and the size as a 0-d divisor (only the final batch may be smaller);
   momentum and weight decay as 0-d arrays; for PU methods the priors'
-  branch weights, broadcast to the class axis, and the u_mode's term mask
-  table; for baselines the label entries' offsets (their loss parameters
-  are 0-d operands cached on the loss kind);
+  branch weights, broadcast to the class axis, the u_mode's term mask
+  table, and an epoch log of every batch's (3, [K,] c) risks; for a single
+  cpu-sjs run a (5, n_batches) buffer of alpha terms and the five 0-d
+  views of each batch's column; for baselines the label entries' offsets
+  (their loss parameters are 0-d operands cached on the loss kind);
 - once per epoch: the learning rate as a 0-d array; each stream's batch
   order, and its features (cast to float64, exactly) and labels gathered in
   that order into its buffers; for PU methods ``risk.batch_tables`` over
   those labels (which checks them and that every batch spans two classes),
-  and each stream's alphas, drawn at once, as their terms, which a single
-  run reads per step through 0-d views; for baselines every run's label
-  indices, the flat index of each example's label entry in its batch's
-  logits;
+  each stream's alphas, drawn at once, as their terms (written into the
+  single run's buffer, or (K, 1, 1) columns for K runs), and, after the
+  last step, every batch's branch objective from the log in one pass,
+  added up in batch order; for baselines every run's label indices, the
+  flat index of each example's label entry in its batch's logits;
 - once per step: numpy calls only. The batch is a slice of the buffers (a
   view for one run; K runs gather their streams' rows), then come
   ``forward`` on the bound layers, ``cpu_risk_with_grad`` (given the
-  batch's term masks, looked up from its labels, and its tables) or
-  ``baseline_loss_batch`` (given the batch's label indices, so it reads no
-  labels), ``backward`` on the bound layers into the gradient's views, and
-  one ``sgd_step`` on the flat vectors. Forward, backward and the risk
+  batch's term masks, looked up from its labels, its tables and its row of
+  the epoch log, into which it writes the risks; the step computes no
+  objective) or ``baseline_loss_batch`` (given the batch's label indices,
+  so it reads no labels; the batch's mean loss is added to the epoch's
+  objective), ``backward`` on the bound layers into the gradient's views,
+  and one ``sgd_step`` on the flat vectors. Forward, backward and the risk
   check no shape on a step, as ``train_runs`` ties every dataset's d and
   c to the model before the first; the risk and the loss still check that
   the logits are finite, which is how a diverged run is caught. Test
@@ -84,7 +89,7 @@ from .core import (
 )
 from .losses import BinaryLossKind, MulticlassLossKind, _alpha_terms, baseline_loss_batch, sample_alpha
 from .models import MODEL_KINDS, backward, bind_layers, forward, init_model, predict
-from .risk import U_MODES, _branch_weights, _term_masks, batch_tables, cpu_risk_with_grad
+from .risk import U_MODES, _branch_objective, _branch_weights, _term_masks, batch_tables, cpu_risk_with_grad
 from .dataio import atomic_write_text
 
 __all__ = [
@@ -352,9 +357,6 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     loss, u_mode, batch_size = cfg.loss, cfg.u_mode, cfg.batch_size
     is_cpu = cfg.is_cpu_method
     needs_alpha = is_cpu and loss.needs_alpha
-    if is_cpu:  # broadcast to the class axis here, so that no step's risk broadcasts them
-        weights = np.repeat(_branch_weights(priors), c, axis=-1)
-        term_masks = _term_masks(c, u_mode)
     momentum, weight_decay = frozen_0d(cfg.momentum), frozen_0d(cfg.weight_decay)
     pick = np.array(stream_of, dtype=np.intp) if runs > 1 else 0
     starts = range(0, n, batch_size)
@@ -362,6 +364,20 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     # divisor: all batches but the final one hold batch_size rows.
     steps = [(start, min(start + batch_size, n)) for start in starts]
     steps = [(start, stop, stop - start, frozen_0d(stop - start)) for start, stop in steps]
+    if is_cpu:
+        # Broadcast to the class axis here, so that no step's risk broadcasts them.
+        weights = np.repeat(_branch_weights(priors), c, axis=-1)
+        term_masks = _term_masks(c, u_mode)
+        # Each step writes its (3, [K,] c) risks into its row; the epoch's
+        # objectives are booked from the whole log at once.
+        risk_log = np.empty((len(steps), 3, *weights.shape[2:]))
+        sizes = np.array([size for _, _, size, _ in steps])
+        sizes = sizes[:, None] if runs > 1 else sizes  # against (n_batches, [K])
+    if needs_alpha and runs == 1:
+        # Each epoch writes its (5, n_batches) alpha terms into these columns,
+        # and step b reads the five 0-d views of column b.
+        alpha_columns = np.empty((5, len(steps)))
+        alpha_terms = [tuple(row[b, ...] for row in alpha_columns) for b in range(len(steps))]
     if not is_cpu:
         # A label entry's flat index in its batch's ([K,] size, c) logits is
         # the label plus c * (row + run * size); one (n,) row for one run.
@@ -388,8 +404,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
             if runs > 1:
                 alpha_terms = np.moveaxis(_alpha_terms(alphas.T[..., None, None])[:, :, pick], 1, 0)
             else:
-                columns = _alpha_terms(alphas[0])  # (5, n_batches)
-                alpha_terms = [tuple(column[b, ...] for column in columns) for b in range(len(starts))]
+                alpha_columns[...] = _alpha_terms(alphas[0])
         objective_sum = 0.0
         try:
             for it, (start, stop, size, divisor) in enumerate(steps):
@@ -397,17 +412,15 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
                 if is_cpu:
                     terms = alpha_terms[it] if needs_alpha else None  # kl takes no alpha
                     masks = term_masks.take(y_epoch[pick, start:stop], axis=1)
-                    batch = (weights, masks, table[:, :, pick, it], coefs[..., it, :], terms)
-                    report, d_logits = cpu_risk_with_grad(logits, None, priors, loss, tables=batch)
-                    objective = report.objective_value
+                    batch = (weights, masks, table[:, :, pick, it], coefs[..., it, :], terms, risk_log[it])
+                    _, d_logits = cpu_risk_with_grad(logits, None, priors, loss, tables=batch)
                 else:
                     losses, d_logits = baseline_loss_batch(loss, logits, None, at=label_at[..., start:stop])
                     # np.mean over the batch is this sum divided by its size.
-                    objective = np.add.reduce(losses, axis=-1) / size
+                    objective_sum += np.add.reduce(losses, axis=-1) / size * size
                     d_logits /= divisor
                 backward(model, cache, d_logits, out=grads, layers=layers)
                 sgd_step(flat, grad_flat, velocity, lr, momentum, weight_decay)
-                objective_sum += objective * size
             accuracy = np.empty(runs)
             for index, t in evals:
                 members = type(model)(**{k: v[index] for k, v in params.items()})
@@ -415,6 +428,10 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         except ValueError:
             _raise_if_diverged(cfgs, epoch, it, [logits, *params.values()])
             raise
+        if is_cpu:  # every batch's objective from the log, added in batch order as the steps ran
+            per_batch = _branch_objective(np.moveaxis(risk_log, 1, 0), weights[1, 0], weights[0, 1]) * sizes
+            for objective in per_batch:
+                objective_sum += objective
         objectives.append(objective_sum / n)
         accuracies.append(accuracy)
 

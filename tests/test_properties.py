@@ -4,6 +4,7 @@ non-negativity, batch-order invariance and stacking, the per-epoch PU
 tables, PU batching, per-epoch alpha draws, and the closed form of the
 label-entry baseline gradients."""
 
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from qll.losses import (
     sample_alpha,
 )
 from qll.models import init_model, load_model, save_model
-from qll.risk import _term_masks, batch_tables, cpu_risk, cpu_risk_with_grad
+from qll.risk import CpuRiskReport, _term_masks, batch_tables, cpu_risk, cpu_risk_with_grad
 from qll.training import _epoch_order
 
 
@@ -189,6 +190,53 @@ def test_stacked_cpu_risk_equals_per_run_calls(runs, data):
         assert rep.objective_value[k] == solo.objective_value
         assert rep.per_class[k * c : (k + 1) * c] == solo.per_class
         assert np.array_equal(grad[k], solo_grad)
+
+
+@given(runs=st.sampled_from([None, 1, 3]), data=st.data())
+def test_lazy_report_is_the_branch_objective_of_its_risks_in_any_read_order(runs, data):
+    z, y, kind, _ = data.draw(risk_batches(runs))
+    prs = data.draw(st.lists(priors, min_size=runs or 1, max_size=runs or 1))
+    alpha = None
+    if kind.needs_alpha:
+        alpha = data.draw(alphas) if runs is None else data.draw(st.lists(alphas, min_size=runs, max_size=runs))
+    u_mode = data.draw(st.sampled_from(["complement", "full"]))
+    args = (z, y, prs[0], kind, alpha, u_mode) if runs is None else (
+        z, np.broadcast_to(y, (runs, y.size)), prs, kind, alpha, u_mode)
+
+    # Each read order of a fresh report reads the same three values.
+    names = ("value", "per_class", "objective_value")
+    reads = []
+    for order in itertools.permutations(names):
+        rep = cpu_risk_with_grad(*args)[0]
+        reads.append({name: getattr(rep, name) for name in order})
+    for read in reads[1:]:
+        assert read["per_class"] == reads[0]["per_class"]
+        assert np.array_equal(read["value"], reads[0]["value"])
+        assert np.array_equal(read["objective_value"], reads[0]["objective_value"])
+    if runs is None:
+        assert type(rep.objective_value) is float and type(rep.value) is float
+    else:
+        assert rep.objective_value.shape == rep.value.shape == (runs,)
+
+    # Both values, rebuilt per run from the breakdowns and the priors.
+    c = z.shape[-1]
+    for k, pr in enumerate(prs):
+        objectives, values = [], []
+        for b in rep.per_class[k * c : (k + 1) * c]:
+            neg_part = b.r_u_minus - pr.pi2 * b.r_p_minus
+            assert b.corrected == (neg_part < 0.0)
+            objectives.append(-neg_part if b.corrected else pr.pi1 * b.r_p_plus + neg_part)
+            values.append(pr.pi1 * b.r_p_plus + max(neg_part, 0.0))
+        got = (rep.objective_value, rep.value) if runs is None else (rep.objective_value[k], rep.value[k])
+        assert got == (np.add.reduce(np.array(objectives)) / c, np.add.reduce(np.array(values)) / c)
+
+    # Equal inputs give equal reports; a report whose risks differ in one
+    # last bit is not equal.
+    assert rep == cpu_risk_with_grad(*args)[0]
+    for t in range(3):
+        parts = list(rep.parts)
+        parts[t] = np.nextafter(parts[t], np.inf)
+        assert rep != CpuRiskReport(tuple(parts))
 
 
 @st.composite

@@ -469,3 +469,11 @@ class TestBatchCounts:
             assert np.array_equal(got.objective_value, rep.objective_value)
             assert got.per_class == rep.per_class
             assert np.array_equal(got_grad, grad)
+            # With a row of the trainer's epoch log, the risks land in it
+            # and the report reads them from there.
+            row = np.full((3, *y.shape[:-1], 4), np.nan)
+            logged, logged_grad = cpu_risk_with_grad(z, None, priors, loss, u_mode=u_mode, tables=(*batch, row))
+            assert logged == rep
+            assert np.array_equal(logged_grad, grad)
+            assert np.array_equal(row, np.stack([got.parts[0], got.parts[2], got.parts[1]]))
+            assert all(np.shares_memory(part, row) for part in logged.parts[:3])

@@ -3,6 +3,7 @@ from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import _oracles
 import pytest
 from _oracles import reference_train
 
@@ -269,7 +270,15 @@ METHOD_LOSSES = {
 class TestReferenceLoop:
     """``train`` equals the plain per-step loop of ``_oracles.reference_train``
     in every epoch and in the final parameters, bit for bit, for both model
-    kinds."""
+    kinds; so does each member of a stacked ``train_runs`` group."""
+
+    @staticmethod
+    def assert_matches(report, stats, params):
+        assert report.per_epoch == stats
+        got = report.final_model.params()
+        assert list(got) == list(params)
+        for name, p in params.items():
+            assert np.array_equal(got[name], p), name
 
     @pytest.mark.parametrize("u_mode", ["complement", "full"])
     @pytest.mark.parametrize("loss,model_kind", [
@@ -281,13 +290,39 @@ class TestReferenceLoop:
         priors = ClassPriors(0.1, 0.5) if isinstance(loss, BinaryLossKind) else None
         cfg = TrainConfig(epochs=4, loss=loss, priors=priors, seed=6, model_kind=model_kind, hidden_dim=8,
                           u_mode=u_mode)
-        report = train(ambig, test, cfg)
-        stats, params = reference_train(ambig, test, cfg)
-        assert report.per_epoch == stats
-        got = report.final_model.params()
-        assert list(got) == list(params)
-        for name, p in params.items():
-            assert np.array_equal(got[name], p), name
+        self.assert_matches(train(ambig, test, cfg), *reference_train(ambig, test, cfg))
+
+    @pytest.mark.parametrize("pi2", [0.75, 1.0])
+    @pytest.mark.parametrize("u_mode", ["complement", "full"])
+    @pytest.mark.parametrize("loss", [BinaryLossKind.scaled_sjs(), BinaryLossKind.kl()], ids=["cpu-sjs", "cpu-kl"])
+    def test_train_matches_reference_loop_where_the_correction_fires(self, monkeypatch, loss, u_mode, pi2):
+        # At these priors most steps correct some class, so most booked
+        # objectives take the corrected branch. The reference loop counts
+        # them; the trainer reads no report.
+        _, test, ambig = small_data(n_out=230)
+        cfg = TrainConfig(epochs=4, loss=loss, priors=ClassPriors(0.1, pi2), seed=6, hidden_dim=8, u_mode=u_mode)
+        risk, corrected = _oracles.cpu_risk_with_grad, []
+
+        def counting(*args, **kwargs):
+            result = risk(*args, **kwargs)
+            corrected.append(any(b.corrected for b in result[0].per_class))
+            return result
+
+        monkeypatch.setattr(_oracles, "cpu_risk_with_grad", counting)
+        self.assert_matches(train(ambig, test, cfg), *reference_train(ambig, test, cfg))
+        assert len(corrected) == 4 * 15 and np.mean(corrected) > 0.8
+
+    @pytest.mark.parametrize("u_mode", ["complement", "full"])
+    @pytest.mark.parametrize("loss", [BinaryLossKind.scaled_sjs(), BinaryLossKind.kl()], ids=["cpu-sjs", "cpu-kl"])
+    def test_stacked_members_match_reference_loop(self, loss, u_mode):
+        # Runs 0 and 2 share seed 6 and the train set: one batch order and
+        # one alpha stream, under different priors.
+        _, test, ambig = small_data(n_out=230)
+        cfgs = [TrainConfig(epochs=4, loss=loss, priors=ClassPriors(pi1, pi2), seed=seed, hidden_dim=8,
+                            u_mode=u_mode)
+                for seed, pi1, pi2 in ((6, 0.1, 0.5), (7, 0.2, 1.0), (6, 0.1, 0.75))]
+        for cfg, report in zip(cfgs, train_runs(ambig, test, cfgs)):
+            self.assert_matches(report, *reference_train(ambig, test, cfg))
 
 
 class TestMetricsFile:

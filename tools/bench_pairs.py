@@ -14,7 +14,14 @@ parent first in even pairs, the change first in odd ones. Each run imports
 The JSON file written to ``--out`` holds:
 
 - ``env``: the ``env {...}`` fingerprint the runs printed, and whether
-  every run printed the same one;
+  every run printed the same one; and the name of the OpenBLAS kernel set
+  (``SkylakeX``, ``Haswell``, ...) that numpy's OpenBLAS picks in a fresh
+  interpreter with the runs' environment, read after each run through
+  ``ctypes`` (null where no loaded OpenBLAS library exports
+  ``scipy_openblas_get_corename64_`` or ``openblas_get_corename``), and
+  whether every run saw the same name. Two kernel sets round matrix
+  products differently, so a file whose runs saw different names compares
+  different arithmetic; the script then says so on stderr;
 - ``checkouts``: each side's ``git describe --always --dirty`` and a
   sha256 over its ``src/`` files, which names the code that ran;
 - ``workloads``: for each workload and each end-to-end metric of
@@ -49,6 +56,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
+# Prints, as JSON, the kernel set name that the first OpenBLAS library
+# loaded with numpy reports, or null. /proc/self/maps lists the loaded
+# libraries on Linux; elsewhere the name reads null.
+KERNEL_PROBE = """
+import ctypes, json, numpy
+try:
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+except OSError:
+    paths = []
+getters = (getattr(ctypes.CDLL(path), symbol, None) for path in paths
+           for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"))
+get = next((g for g in getters if g is not None), None)
+if get is not None:
+    get.restype = ctypes.c_char_p
+print(json.dumps(None if get is None else get().decode()))
+"""
+
 
 def describe(checkout: Path) -> dict:
     """The checkout's git description and a digest of its ``src/`` files."""
@@ -59,6 +84,14 @@ def describe(checkout: Path) -> dict:
     for path in sorted(p for p in src.rglob("*.py") if "__pycache__" not in p.parts):
         digest.update(path.relative_to(src).as_posix().encode() + b"\0" + path.read_bytes())
     return {"git": out.stdout.strip() or None, "src_sha256": digest.hexdigest()}
+
+
+def openblas_kernel() -> str | None:
+    """The OpenBLAS kernel set name a fresh interpreter of this environment
+    reports (``KERNEL_PROBE``), or None."""
+    out = subprocess.run([sys.executable, "-c", KERNEL_PROBE], capture_output=True, text=True,
+                         check=False, timeout=120)
+    return json.loads(out.stdout) if out.returncode == 0 else None
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -76,6 +109,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     passes = [line.split() for line in lines if line.startswith("pass ") and line.split()[2] == "untraced"]
     return {
         "env": env[0],
+        "openblas_kernel": openblas_kernel(),
         "sha256": sorted(line for line in lines if line.startswith("sha256 ")),
         "failed": result["failed"],
         "attempted": result["attempted"],
@@ -129,7 +163,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = float(bench["run_seconds"])
 
-    envs, report = [], {}
+    envs, kernels, report = [], [], {}
     for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
         for i in range(args.pairs):
@@ -139,6 +173,7 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = run_once(checkouts[side], workload, seed, seconds)
                 envs.append(pair[side].pop("env"))
+                kernels.append(pair[side].pop("openblas_kernel"))
                 print(f"{workload} pair {i} seed {seed} {side}: "
                       f"wall_s {pair[side]['metrics'].get('wall_s')!r} "
                       f"raw_wall_s {pair[side]['passes']['raw_wall_s']!r} failed {pair[side]['failed']}",
@@ -154,8 +189,12 @@ def main(argv=None) -> int:
                        "sha256_lines": len(p["change"]["sha256"])} for p in pairs],
         }
 
+    if len(set(kernels)) > 1:
+        print(f"warning: the runs saw different OpenBLAS kernel sets: {sorted(set(kernels), key=str)}",
+              file=sys.stderr)
     out = {
-        "env": {"fingerprint": envs[0], "same_in_every_run": all(e == envs[0] for e in envs)},
+        "env": {"fingerprint": envs[0], "same_in_every_run": all(e == envs[0] for e in envs),
+                "openblas_kernel": kernels[0], "openblas_kernel_same_in_every_run": len(set(kernels)) == 1},
         "settings": {"pairs": args.pairs, "first_seed": args.seed, "seconds": seconds, "trace": 0},
         "checkouts": {side: describe(path) for side, path in checkouts.items()},
         "workloads": report,
