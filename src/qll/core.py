@@ -124,20 +124,6 @@ class RngStream:
         """Derive an independent child stream; same (parent, key) -> same child."""
         return RngStream(self.seed, _child_id(self.stream_id, key))
 
-    def _rekey(self, seed: int, stream_id: int, key) -> None:
-        """Become a fresh ``RngStream(seed, stream_id)`` with Philox ``key``
-        in place (counter 0, empty buffer, no cached 32-bit half). Unlike a
-        new Philox, this seeds no unused SeedSequence from OS entropy."""
-        self.seed, self.stream_id = seed, stream_id
-        self._gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": key},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
     # Thin wrappers over the numpy generator so call sites stay explicit
     # about which stream they consume.
     def random(self, size=None):

@@ -6,9 +6,9 @@ stitches contiguous feature blocks from different sources. Both strategies
 produce a ground-truth soft label from the mixing weights, and the observed
 hard label is sampled from it.
 
-Each example's draws are decoded from its Philox words, which are computed
-for many examples at once; only the examples the decode cannot follow run
-numpy's generator calls. The checks of the draws, the features, soft labels
+Each example's draws follow a law the module owns: bounded integers by
+multiply-shift from the example's own Philox words, which are computed for
+many examples at once. The checks of the draws, the features, soft labels
 and hard labels come from batched kernels too.
 
 Also provides a synthetic Gaussian-cluster base dataset so the whole
@@ -17,9 +17,8 @@ pipeline runs at desk scale without any external data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,9 +50,6 @@ __all__ = [
 MIX_KINDS = ("mixup", "patchmix")
 
 _DEGENERATE_RETRIES = 100
-# numpy's choice(n, m, replace=False) runs Floyd's sampler while n is at
-# most this or m <= n // 50; past that it shuffles a tail of arange(n).
-_FLOYD_MAX_N = 10_000
 _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 # Philox4x64-10 as numpy's Philox runs it (Salmon et al., "Parallel Random
 # Numbers: As Easy as 1, 2, 3", SC 2011): the round multipliers of counter
@@ -61,9 +57,6 @@ _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-# numpy draws a binomial count by inversion while n * min(p, 1 - p) is at
-# most this, and by BTPE rejection sampling past it.
-_INVERSION_MAX_MEAN = 30.0
 # Groups mixed per batched call: bounds the (rows, m, d) float64 temporaries.
 _MIX_ROWS = 2048
 # Fixed tag for the substream that draws class-mean directions, so train and
@@ -166,7 +159,9 @@ def _check_draws(draws: np.ndarray, kind: str, m: int, r: int) -> None:
 
 
 def sample_mix_weights(m: int, r: int, rng: RngStream) -> MixWeights:
-    """Draw mixing weights with r*lam ~ MultiNom(1/m, ..., 1/m; r)."""
+    """Draw mixing weights with r*lam ~ MultiNom(1/m, ..., 1/m; r) by
+    numpy's ``multinomial``. ``generate_ambiguous_dataset`` does not call
+    this; it draws the same law from its own words."""
     if m < 2 or r < 1:
         raise ValueError("need m >= 2 and r >= 1")
     counts = rng.multinomial(r, np.full(m, 1.0 / m))
@@ -181,7 +176,9 @@ def _mix_rows(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def sample_block_assignment(m: int, r: int, rng: RngStream) -> BlockAssignment:
-    """Assign each of r blocks an independent uniform source in [0, m)."""
+    """Assign each of r blocks an independent uniform source in [0, m) by
+    numpy's ``integers``. ``generate_ambiguous_dataset`` does not call this;
+    it draws the same law from its own words."""
     if m < 2 or r < 1:
         raise ValueError("need m >= 2 and r >= 1")
     return BlockAssignment(rng.integers(0, m, size=r), m)
@@ -202,8 +199,9 @@ def block_bounds(d: int, r: int) -> np.ndarray:
 
 
 def _block_counts(assign: np.ndarray, m: int) -> np.ndarray:
-    """(n, m) blocks per source of n (n, r) block assignments."""
-    return np.count_nonzero(assign[:, :, None] == np.arange(m), axis=1)
+    """(n, m) blocks per source of n (n, r) block assignments in [0, m)."""
+    n = len(assign)
+    return np.bincount((assign + m * np.arange(n)[:, None]).ravel(), minlength=n * m).reshape(n, m)
 
 
 def _patch_rows(x: np.ndarray, picks: np.ndarray, assign: np.ndarray) -> np.ndarray:
@@ -232,50 +230,6 @@ def mixed_soft_labels(src_labels, counts, c: int) -> np.ndarray:
     """(n, c) soft labels of n groups from (n, m) source labels and integer
     mixing counts; exact, as each row's class masses sum to r exactly."""
     return _normalize_rows(_class_mass(src_labels, counts, c))
-
-
-def _is_onehot_mix(labels: list, pick: np.ndarray, counts) -> bool:
-    """Whether a group's sources with a positive count (a list, or any
-    sequence of m numbers) share one base label."""
-    return len({labels[j] for j, k in zip(pick.tolist(), counts) if k}) == 1
-
-
-def _bounded(raw: np.ndarray, k: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lemire's draw in [0, bound) from 32-bit half k of each row of raw
-    Philox words, low half first, as numpy's ``choice`` and ``integers``
-    read them; and where it rejected (numpy would then read another half)."""
-    x = raw[:, k // 2] >> _SHIFT32 if k % 2 else raw[:, k // 2] & _LOW32
-    x *= np.uint64(bound)
-    rejected = (x & _LOW32) < np.uint64((2**32 - bound) % bound)
-    return (x >> _SHIFT32).view(np.int64), rejected
-
-
-def _decode_draws(raw: np.ndarray, n: int, picks: np.ndarray, assign: np.ndarray | None) -> np.ndarray:
-    """Decode, for each row of ``raw`` words, what numpy's ``choice(n, m,
-    replace=False)`` on a base with m < n (Floyd's sampler, then a
-    Fisher-Yates tail) and then, if ``assign`` is given, ``integers(0, m,
-    size=r)`` return, into (rows, m) ``picks`` and (rows, r) ``assign``.
-    Returns where a Lemire draw rejected; those rows hold no valid draw."""
-    rows, m = picks.shape
-    rejected = np.zeros(rows, dtype=bool)
-
-    def draw(k: int, bound: int) -> np.ndarray:
-        val, rej = _bounded(raw, k, bound)
-        np.logical_or(rejected, rej, out=rejected)
-        return val
-
-    for t, j in enumerate(range(n - m, n)):  # Floyd: draw in [0, j]; a repeat takes j
-        val = draw(t, j + 1)
-        picks[:, t] = np.where((picks[:, :t] == val[:, None]).any(axis=1), j, val)
-    at = np.arange(rows)
-    for k, i in enumerate(range(m - 1, 0, -1), start=m):  # swap slot i with one in [0, i]
-        j = draw(k, i + 1)
-        held = picks[at, j]
-        picks[at, j] = picks[:, i]
-        picks[:, i] = held
-    for b in range(0 if assign is None else assign.shape[1]):
-        assign[:, b] = draw(2 * m - 1 + b, m)
-    return rejected
 
 
 def _mulhilo(a: np.ndarray, mul: int) -> tuple[np.ndarray, np.ndarray]:
@@ -309,71 +263,23 @@ def _doubles(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-@lru_cache(maxsize=32)
-def _binomial_tables(m: int, r: int) -> tuple[tuple[np.ndarray, np.ndarray, bool], ...]:
-    """For each category j < m - 1 of numpy's ``multinomial(r, full(m,
-    1/m))``, the binomial inversion that draws its count from the trials
-    left: (px, bound, flip). Row dn of the (rows, X) table px holds the
-    inversion's terms for dn trials left (+inf past ``bound[dn]``), for
-    each dn up to r that inversion serves (a larger dn reaches BTPE). With
-    ``flip`` numpy draws the complement's count. The floats are computed
-    as numpy's C code does: p from the running remainder of the pvals,
-    then exp, log and the term recursion in the same order."""
-    pix, rest, tables = 1.0 / m, 1.0, []
-    for _ in range(m - 1):
-        p, rest = pix / rest, rest - pix
-        flip = not p <= 0.5
-        p = 1.0 - p if flip else p
-        q = 1.0 - p
-        terms, bound = [[]], [0]  # no draw with no trials left
-        for dn in range(1, r + 1):
-            if not p * dn <= _INVERSION_MAX_MEAN:
-                break
-            mean = dn * p
-            bound.append(int(min(dn, mean + 10.0 * math.sqrt(mean * q + 1))))
-            px = [math.exp(dn * math.log(q))]
-            for x in range(1, bound[-1] + 1):
-                px.append(((dn - x + 1) * p * px[-1]) / (x * q))
-            terms.append(px)
-        table = np.full((len(terms), max(bound) + 1), np.inf)
-        for dn, px in enumerate(terms):
-            table[dn, : len(px)] = px
-        bound = np.array(bound)
-        table.flags.writeable = bound.flags.writeable = False  # shared by every call
-        tables.append((table, bound, flip))
-    return tuple(tables)
+def _below(words: np.ndarray, bound: int) -> np.ndarray:
+    """A draw in [0, bound) from each word: the high word of word * bound
+    (multiply-shift without rejection; its bias is below bound / 2**64).
+    For bound <= 2**32, which holds any base, the high word is that of the
+    32-bit halves' products summed, and no sum reaches 2**64."""
+    b = np.uint64(bound)
+    return ((words >> _SHIFT32) * b + ((words & _LOW32) * b >> _SHIFT32) >> _SHIFT32).view(np.int64)
 
 
-def _decode_counts(words: np.ndarray, at: np.ndarray, r: int, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode into (rows, m) ``counts`` what numpy's ``multinomial(r,
-    full(m, 1/m))`` returns reading doubles from ``words[i, at[i]:]``: a
-    binomial inversion per category, each on one double, until no trials
-    are left. Returns the words each row read, and where numpy would have
-    drawn a count by BTPE or restarted an inversion on another double;
-    those rows hold no valid draw."""
-    rows = np.arange(len(words))
-    left, used = np.full(len(words), r), np.zeros(len(words), dtype=np.int64)
-    lost = np.zeros(len(words), dtype=bool)
-    for j, (px, bound, flip) in enumerate(_binomial_tables(counts.shape[1], r)):
-        live = left > 0
-        lost |= left >= len(bound)
-        dn = np.minimum(left, len(bound) - 1)
-        u = _doubles(words[rows, at + used])
-        used += live
-        x, go = np.zeros_like(left), live & ~lost
-        for t in range(px.shape[1]):  # while u > px: x += 1; u -= px; px = next term
-            term = px[dn, t]
-            step = go & (u > term)
-            if not step.any():
-                break
-            np.subtract(u, term, out=u, where=step)
-            x += step
-            go = step & (t < bound[dn])
-            lost |= step & ~go  # x passed the bound: numpy restarts
-        counts[:, j] = np.where(live, left - x if flip else x, 0)
-        left -= counts[:, j]
-    counts[:, -1] = left
-    return used, lost
+def _attempt(words: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """One attempt of each row from its (rows, m + r) words: m distinct base
+    indices in [0, n) by Floyd's sampler, then r draws in [0, m)."""
+    picks = np.empty((len(words), m), dtype=np.int64)
+    for t, j in enumerate(range(n - m, n)):  # a draw in [0, j]; a repeat takes j
+        v = _below(words[:, t], j + 1)
+        picks[:, t] = np.where((picks[:, :t] == v[:, None]).any(axis=1), j, v)
+    return picks, _below(words[:, m:], m)
 
 
 def _degenerate(spec: MixSpec) -> RuntimeError:
@@ -384,65 +290,34 @@ def _degenerate(spec: MixSpec) -> RuntimeError:
     )
 
 
-def _decode_rows(
+def _draw_rows(
     base: AmbiguousDataset, spec: MixSpec, k0: int, keys: np.ndarray,
     picks: np.ndarray, draws: np.ndarray, u: np.ndarray,
-) -> np.ndarray:
-    """Decode each example's draws, keyed (k0, keys[i]), from its Philox
-    words into rows i of ``picks``, ``draws`` (counts or assignment) and
-    ``u``; with ``reject_degenerate``, redraw the one-hot rows in rounds
-    from where each row's stream stands. Returns the rows that the decode
-    cannot follow (they hold no valid draw)."""
-    n, m, r, c = base.n_examples, spec.m, spec.r, base.class_count
-    is_mixup = spec.kind == "mixup"
-    halves = 2 * m - 1 + (0 if is_mixup else r)  # 32-bit draws per attempt
-    n_raw = (halves + 1) // 2
-    # the words one attempt reads at most, with the uniform after it
-    span = n_raw + (m - 1 if is_mixup else 0) + 1
-    lost = np.zeros(len(keys), dtype=bool)
-    pos = np.zeros(len(keys), dtype=np.int64)  # the next word a double reads
-    # choice and integers read 32-bit halves, low first; the high half of
-    # the last word they read waits in numpy's buffer through any doubles
-    carry, cached = np.zeros(len(keys), dtype=np.uint64), np.zeros(len(keys), dtype=bool)
-    # words[i] holds the row's words from block first[i] on
-    todo, first, words = np.arange(len(keys)), np.zeros_like(pos), np.empty((len(keys), 0), dtype=np.uint64)
-    for _ in range(_DEGENERATE_RETRIES + 1):
-        if (pos[todo] + span > 4 * first + words.shape[1]).any():
-            # new blocks from each row's position; when rejecting, a few
-            # rows left take words for later rounds too, as the cost of a
-            # call is mostly per call
-            first = pos[todo] // 4
-            n_blocks = (int((pos[todo] - 4 * first).max()) + span + 3) // 4
-            if spec.reject_degenerate:
-                n_blocks = max(n_blocks, min(2 * len(keys) // len(todo), n_blocks * (_DEGENERATE_RETRIES + 1)))
-            words = _philox_words(k0, keys[todo], (first[:, None] + np.arange(n_blocks)).astype(np.uint64))
-        off = pos[todo] - 4 * first
-        seg = np.take_along_axis(words, off[:, None] + np.arange(n_raw), axis=1)
-        held = cached[todo]
-        prev = np.concatenate((carry[todo, None], seg[:, :-1]), axis=1)
-        raw = np.where(held[:, None], prev >> _SHIFT32 | seg << _SHIFT32, seg)  # halves in read order
-        p, k = np.empty((len(todo), m), dtype=np.int64), np.empty((len(todo), draws.shape[1]), dtype=np.int64)
-        bad = _decode_draws(raw, n, p, None if is_mixup else k)
-        read = (halves - held + 1) // 2
-        at = np.arange(len(todo))
-        carry[todo], cached[todo] = seg[at, read - 1], (halves - held) % 2 == 1
-        end = off + read
-        if is_mixup:
-            used, unfollowed = _decode_counts(words, end, r, k)
-            bad |= unfollowed
-            end += used
+) -> None:
+    """Draw rows i of ``picks``, ``draws`` (Mixup counts or the PatchMix
+    assignment) and ``u`` from the Philox words of key (k0, keys[i]): word 0
+    is the uniform, and attempt a reads the m + r words from 1 + a (m + r)
+    on. With ``reject_degenerate`` the one-hot rows go on to their next
+    attempt, all in one round."""
+    m, r, width = spec.m, spec.r, spec.m + spec.r
+    todo = np.arange(len(keys))
+    for a in range(_DEGENERATE_RETRIES + 1):
+        start = 1 + a * width
+        first = 0 if a == 0 else start // 4  # the first block read
+        blocks = np.arange(first, (start + width + 3) // 4, dtype=np.uint64)
+        words = _philox_words(k0, keys[todo], np.broadcast_to(blocks, (len(todo), len(blocks))))
+        if a == 0:
+            u[:] = _doubles(words[:, 0])
+        p, k = _attempt(words[:, start - 4 * first : start - 4 * first + width], base.n_examples, m)
+        counts = _block_counts(k, m)
         again = np.zeros(len(todo), dtype=bool)
         if spec.reject_degenerate:  # one-hot: one class holds all r of the source counts
-            counts = k if is_mixup else _block_counts(k, m)
-            again = ~bad & (_class_mass(base.labels[p], counts, c).max(axis=1) == r)
-        done = ~(bad | again)
-        rows = todo[done]
-        picks[rows], draws[rows], u[rows] = p[done], k[done], _doubles(words[at, end][done])
-        lost[todo[bad]] = True
-        pos[todo] += end - off
-        todo, words, first = todo[again], words[again], first[again]
+            again = _class_mass(base.labels[p], counts, base.class_count).max(axis=1) == r
+        done = todo[~again]
+        picks[done], draws[done] = p[~again], (counts if spec.kind == "mixup" else k)[~again]
+        todo = todo[again]
         if not todo.size:
-            return lost
+            return
     raise _degenerate(spec)
 
 
@@ -451,77 +326,44 @@ def generate_ambiguous_dataset(
 ) -> AmbiguousDataset:
     """Produce n_out ambiguous examples with quantized labels from a clean base.
 
-    Example i draws from its own substream ``rng.substream(i)``, so the
-    result is a pure function of (base, spec, n_out, rng). It draws, in this
-    order, m distinct base indices with ``choice``, mixing weights with
-    ``multinomial`` or a block assignment with ``integers`` (both redrawn
-    while ``reject_degenerate`` sees a one-hot soft label), and the uniform
-    that quantizes its label.
+    Example i draws from the Philox4x64-10 words of its own substream
+    ``rng.substream(i)``, so the result is a pure function of (base, spec,
+    n_out, rng), and the first k examples do not depend on n_out. Word 0 is
+    the uniform that quantizes the label. Attempt a reads the next m + r
+    words: m base indices by Floyd's sampler (a draw in [0, j] for j = n -
+    m, ..., n - 1, where a repeat takes j), then r draws in [0, m). Each
+    draw is the high word of word * bound. Mixup's counts are how often each
+    source was drawn, which is Multinomial(r; 1/m, ..., 1/m); PatchMix's
+    block assignment is the draws themselves. With ``reject_degenerate``, an
+    example whose soft label is one-hot reads its next attempt, up to
+    ``_DEGENERATE_RETRIES`` times.
 
-    No generator call runs per example. For chunks of examples at once, the
-    Philox4x64-10 words of each example's stream are computed with uint64
-    array arithmetic (all substream keys are derived at once), and the
-    draws are decoded from them as numpy makes them: Lemire's bounded draw
-    on each 32-bit half for ``choice`` (Floyd's sampler with its
-    Fisher-Yates tail) and ``integers``; Mixup's ``multinomial`` by
-    replaying numpy's binomial inversion on doubles, one per category; and
-    the uniform from the next word. One-hot examples under
-    ``reject_degenerate`` are redrawn in vectorized rounds, each row read
-    on from where its stream stands. An example is redrawn by the
-    per-example generator calls when numpy would have read past what the
-    decode follows (a Lemire draw rejected, a binomial inversion restarted,
-    or a count drawn by BTPE, where n * min(p, 1 - p) > 30), and every
-    example is when numpy's ``choice`` would not use Floyd's sampler (a
-    base of exactly m examples, or one of more than 10,000 examples with m
-    > n // 50). So the output bytes rest on numpy's Philox, its ``choice``,
-    ``integers`` and binomial inversion algorithms and the host's ``exp``
-    and ``log``; tests compare them with the plain per-example loop. The
-    draws are checked in one pass, and the mixed features, the soft labels
-    (kept as diagnostics) and the hard labels are then computed for all
-    examples at once.
+    Floyd's sampler picks a uniform set of sources in a non-uniform order.
+    Both kinds treat their sources alike, so the law of (features, soft
+    label) is that of uniform picks.
+
+    The words are computed for chunks of examples at once with uint64 array
+    arithmetic, so the bytes rest on Philox and the repo's integer
+    arithmetic only, not on numpy's ``Generator`` algorithms. The draws are
+    checked in one pass, and the mixed features, the soft labels (kept as
+    diagnostics) and the hard labels are then computed for all examples at
+    once.
     """
-    if n_out < 1:
-        raise ValueError("n_out must be >= 1")
+    _require_ints(SimpleNamespace(n_out=n_out), n_out=1)
     if base.n_examples < spec.m:
         raise ValueError(f"base has {base.n_examples} examples, need at least m={spec.m}")
     if spec.kind == "patchmix" and spec.r > base.feature_dim:
         raise ValueError(f"patchmix needs r <= feature_dim, got r={spec.r}, d={base.feature_dim}")
 
-    n, m, r, c = base.n_examples, spec.m, spec.r, base.class_count
-    is_mixup, reject = spec.kind == "mixup", spec.reject_degenerate
+    m, r, c = spec.m, spec.r, base.class_count
+    is_mixup = spec.kind == "mixup"
     picks = np.empty((n_out, m), dtype=np.int64)
     draws = np.empty((n_out, m if is_mixup else r), dtype=np.int64)  # counts or assignment
     u = np.empty(n_out)
-
-    ids = _child_id(rng.stream_id, np.arange(n_out, dtype=np.uint64))
-    k0, keys = _philox_key(rng.seed, ids)
-    redo = np.arange(n_out)
-    if m < n and (n <= _FLOYD_MAX_N or m <= n // 50):
-        lost = np.zeros(n_out, dtype=bool)
-        for lo in range(0, n_out, _MIX_ROWS):
-            at = slice(lo, lo + _MIX_ROWS)
-            lost[at] = _decode_rows(base, spec, k0, keys[at], picks[at], draws[at], u[at])
-        redo = np.flatnonzero(lost)
-
-    pvals = np.full(m, 1.0 / m)
-    ex_rng = rng.substream(0)
-    labels = base.labels.tolist() if reject else None
-    for i in redo.tolist():
-        ex_rng._rekey(rng.seed, int(ids[i]), (k0, keys[i]))
-        for _ in range(_DEGENERATE_RETRIES + 1):
-            pick = ex_rng.choice(n, size=m, replace=False)
-            draw = ex_rng.multinomial(r, pvals) if is_mixup else ex_rng.integers(0, m, size=r)
-            if not reject:
-                break
-            # list.count skips an invalid assignment, which the check below reports
-            counts = draw.tolist() if is_mixup else list(map(draw.tolist().count, range(m)))
-            if not _is_onehot_mix(labels, pick, counts):
-                break
-        else:
-            raise _degenerate(spec)
-        picks[i] = pick
-        draws[i] = draw
-        u[i] = ex_rng.random()
+    k0, keys = _philox_key(rng.seed, _child_id(rng.stream_id, np.arange(n_out, dtype=np.uint64)))
+    for lo in range(0, n_out, _MIX_ROWS):
+        at = slice(lo, lo + _MIX_ROWS)
+        _draw_rows(base, spec, k0, keys[at], picks[at], draws[at], u[at])
     _check_draws(draws, spec.kind, m, r)
 
     feats = np.empty((n_out, base.feature_dim), dtype=np.float32)

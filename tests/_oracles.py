@@ -18,7 +18,6 @@ from qll.core import (
     GenMeta,
     RngStream,
 )
-from qll.datagen import sample_block_assignment, sample_mix_weights
 from qll.losses import EPS, BinaryLossKind, baseline_loss_batch, binary_loss, sample_alpha
 from qll.models import backward, forward, init_model
 from qll.risk import ClassRiskBreakdown, cpu_risk_with_grad
@@ -262,8 +261,9 @@ def central_diff(f, x, h=1e-5):
     return g
 
 
-# -- the per-example generator: one fresh substream, one soft label and one
-# quantization per example. The batched generator must reproduce its
+# -- the generator's draw law, one example at a time: each example reads
+# the raw words of its own substream with Python-int arithmetic, makes one
+# soft label and quantizes it. The batched generator must reproduce its
 # features, labels and diagnostics bit for bit.
 
 _DEGENERATE_RETRIES = 100
@@ -276,46 +276,33 @@ def reference_soft_label(labels, counts, c):
     return numer / float(numer.sum())
 
 
-def reference_quantize(weights, rng) -> int:
-    """One uniform draw, then a right-sided search of the cdf."""
-    u = float(rng.random())
-    cdf = np.cumsum(weights)
-    k = int(np.searchsorted(cdf, u, side="right"))
-    return min(k, weights.size - 1)
-
-
-def reference_draw_group(base, spec, rng):
-    """One candidate mixed example: (float64 features, soft label weights)."""
-    idx = rng.choice(base.n_examples, size=spec.m, replace=False)
-    feats = base.features[idx].astype(np.float64)
-    labels = base.labels[idx]
-    if spec.kind == "mixup":
-        w = sample_mix_weights(spec.m, spec.r, rng)
-        x = w.lam @ feats
-        counts = w.counts
-    else:
-        a = sample_block_assignment(spec.m, spec.r, rng)
-        d = feats.shape[1]
-        q, rem = divmod(d, a.r)
-        sizes = np.full(a.r, q, dtype=np.int64)
-        sizes[:rem] += 1
-        x = feats[np.repeat(a.assign, sizes), np.arange(d)]
-        counts = np.bincount(a.assign, minlength=a.m)
-    return x, reference_soft_label(labels, counts, base.class_count)
+def reference_draw_group(base, spec, words):
+    """One attempt from its m + r raw words: (picks, draws in [0, m)). Each
+    draw is the high word of word * bound; Floyd's sampler draws in [0, j]
+    for j = n - m, ..., n - 1 and takes j on a repeat."""
+    n, m = base.n_examples, spec.m
+    picks = []
+    for w, j in zip(words, range(n - m, n)):
+        v = (w * (j + 1)) >> 64
+        picks.append(j if v in set(picks) else v)
+    return picks, [(w * m) >> 64 for w in words[m:]]
 
 
 def reference_generate(base, spec, n_out, rng):
-    """The per-example generation loop: substream i, draw (and redraw while
-    rejecting one-hot labels), mix, soft label, quantize."""
-    d = base.feature_dim
-    c = base.class_count
+    """The per-example generation loop: substream i's word 0 is the
+    quantizing uniform, and each attempt reads its next m + r words (redrawn
+    while rejecting one-hot labels); then mix, soft label, quantize."""
+    n, m, r, d, c = base.n_examples, spec.m, spec.r, base.feature_dim, base.class_count
     feats = np.empty((n_out, d), dtype=np.float32)
     labels = np.empty(n_out, dtype=np.int64)
     soft = np.empty((n_out, c), dtype=np.float32)
     for i in range(n_out):
-        ex_rng = rng.substream(i)
+        bits = rng.substream(i)._gen.bit_generator
+        u = (int(bits.random_raw()) >> 11) * 2.0**-53
         for attempt in range(_DEGENERATE_RETRIES + 1):
-            x, s = reference_draw_group(base, spec, ex_rng)
+            picks, draws = reference_draw_group(base, spec, [int(w) for w in bits.random_raw(m + r)])
+            counts = np.bincount(draws, minlength=m)
+            s = reference_soft_label(base.labels[picks], counts, c)
             if not (spec.reject_degenerate and np.count_nonzero(s) == 1):
                 break
         else:
@@ -323,9 +310,17 @@ def reference_generate(base, spec, n_out, rng):
                 f"mix spec {spec} kept producing one-hot soft labels after "
                 f"{_DEGENERATE_RETRIES} retries; the spec is degenerate for this base"
             )
+        x = base.features[picks].astype(np.float64)
+        if spec.kind == "mixup":
+            x = (counts / float(r)) @ x
+        else:
+            q, rem = divmod(d, r)
+            sizes = np.full(r, q, dtype=np.int64)
+            sizes[:rem] += 1
+            x = x[np.repeat(draws, sizes), np.arange(d)]
         feats[i] = x.astype(np.float32)
         soft[i] = s.astype(np.float32)
-        labels[i] = reference_quantize(s, ex_rng)
+        labels[i] = min(int(np.searchsorted(np.cumsum(s), u, side="right")), c - 1)
     meta = GenMeta(
         kind=spec.kind,
         m=spec.m,

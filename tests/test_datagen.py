@@ -1,14 +1,12 @@
 import itertools
-import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import reference_draw_group, reference_generate, reference_soft_label
+from _oracles import reference_generate, reference_soft_label
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
@@ -30,12 +28,10 @@ from qll.datagen import (
     BlockAssignment,
     MixSpec,
     MixWeights,
-    _binomial_tables,
+    _below,
     _block_counts,
-    _decode_counts,
-    _decode_draws,
+    _class_mass,
     _doubles,
-    _is_onehot_mix,
     _mix_rows,
     _patch_rows,
     _philox_words,
@@ -230,9 +226,9 @@ class TestGenerateAmbiguous:
                 break
         assert target is not None
         s = out.diagnostics[target].astype(np.float64)
-        # replay the group draw, then quantize repeatedly with fresh streams
-        ex_rng = RngStream(4, 1).substream(target)
-        x, weights = reference_draw_group(base, MixSpec("mixup", 2, 4), ex_rng)
+        # the group's soft label by the per-example loop, then quantize
+        # repeatedly with fresh streams
+        weights = reference_generate(base, MixSpec("mixup", 2, 4), target + 1, RngStream(4, 1)).diagnostics[target]
         soft = SoftLabel(weights)
         assert np.allclose(soft.weights, s, atol=1e-6)
         n = 10_000
@@ -244,12 +240,10 @@ class TestGenerateAmbiguous:
     def test_diagnostics_reconstruct_from_group_records(self):
         base = two_class_base(seed=9)
         spec = MixSpec("patchmix", 3, 4)
-        rng = RngStream(8, 2)
-        out = generate_ambiguous_dataset(base, spec, 25, rng)
-        for i in range(25):
-            x, weights = reference_draw_group(base, spec, RngStream(8, 2).substream(i))
-            assert np.allclose(out.features[i], x.astype(np.float32))
-            assert np.allclose(out.diagnostics[i], weights.astype(np.float32))
+        out = generate_ambiguous_dataset(base, spec, 25, RngStream(8, 2))
+        want = reference_generate(base, spec, 25, RngStream(8, 2))
+        assert np.allclose(out.features, want.features)
+        assert np.allclose(out.diagnostics, want.diagnostics)
 
     def test_reject_degenerate_errors_when_unavoidable(self):
         # single-class base: every mixed soft label is one-hot
@@ -272,20 +266,6 @@ class TestGenerateAmbiguous:
             generate_ambiguous_dataset(base, MixSpec("patchmix", 2, 8), 5, RngStream(7, 1))
 
 
-def _counting(monkeypatch, name, replace=None):
-    """Record the stream id of each ``RngStream.<name>`` call; call ``k``
-    (from 1) returns ``replace(k)`` when that is not None, else the real draw."""
-    real, calls = getattr(RngStream, name), []
-
-    def wrapped(self, *args, **kwargs):
-        calls.append(self.stream_id)
-        out = replace(len(calls)) if replace else None
-        return real(self, *args, **kwargs) if out is None else out
-
-    monkeypatch.setattr(RngStream, name, wrapped)
-    return calls
-
-
 def _after(monkeypatch, name, edit=None):
     """Wrap ``datagen.<name>``: after call ``k`` (from 1) returns, call
     ``edit(k, args, result)``, which may change the result in place.
@@ -303,124 +283,114 @@ def _after(monkeypatch, name, edit=None):
     return calls
 
 
-class TestDrawLoop:
-    """Examples the decode follows make no generator call; the rest take the
-    per-example loop, one ``choice`` call per draw attempt. The draws are
-    checked in one pass after it."""
+def _draws(base, spec, n_out, rng):
+    """(picks, draws) of the generator's draw stage for n_out examples."""
+    picks = np.empty((n_out, spec.m), dtype=np.int64)
+    draws = np.empty((n_out, spec.m if spec.kind == "mixup" else spec.r), dtype=np.int64)
+    k0, keys = _philox_key(rng.seed, _child_id(rng.stream_id, np.arange(n_out, dtype=np.uint64)))
+    datagen._draw_rows(base, spec, k0, keys, picks, draws, np.empty(n_out))
+    return picks, draws
 
-    BASE = synth_base(BaseSpec(c=4, d=8, n_per_class=10), RngStream(2, 1))
 
-    @pytest.mark.parametrize("reject", [False, True])
+def _index_base(n, d=8, c=2):
+    """A base of n examples whose labels cycle through c classes."""
+    x = np.random.default_rng(n).normal(size=(n, d)).astype(np.float32)
+    return AmbiguousDataset(c, d, x, np.arange(n) % c)
+
+
+class TestDrawLaw:
+    """The law of the generator's own draws, by chi-square tests as in
+    criterion 4 and by properties of every draw."""
+
+    N = 100_000
+
+    @given(
+        words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+        bound=st.integers(1, 2**32),
+    )
+    @example(words=[2**64 - 1, 0, 2**63], bound=2**32)
+    @example(words=[2**33 - 1, 2**64 - 1], bound=2**32 - 1)  # the low half's product carries
+    def test_below_is_the_high_word_of_the_product(self, words, bound):
+        got = _below(np.array(words, dtype=np.uint64), bound)
+        assert got.tolist() == [(w * bound) >> 64 for w in words]
+
+    @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
-    def test_one_choice_per_attempt(self, kind, reject, monkeypatch):
-        def lose_every_fourth(k, args, rejected):  # in the first round only
-            if k == 1:
-                rejected[::4] = True
+    def test_smaller_index_source_share_is_binomial(self, kind, m):
+        # exchangeable sources: the count (Mixup) or block share (PatchMix)
+        # of any one source, here the one of smaller base index, is
+        # Binomial(r, 1/m) whatever slot Floyd's sampler put it in
+        spec = MixSpec(kind, m, 4)
+        picks, draws = _draws(_index_base(1000), spec, self.N, RngStream(41, 2))
+        counts = draws if kind == "mixup" else datagen._block_counts(draws, m)
+        share = counts[np.arange(self.N), picks.argmin(axis=1)]
+        expected = stats.binom.pmf(np.arange(5), 4, 1 / m) * self.N
+        assert stats.chisquare(np.bincount(share, minlength=5), f_exp=expected).pvalue > 0.001
 
-        spec = MixSpec(kind, 2, 4, reject_degenerate=reject)
-        _after(monkeypatch, "_decode_draws", lose_every_fourth)
-        calls = _counting(monkeypatch, "choice")
-        generate_ambiguous_dataset(self.BASE, spec, 60, RngStream(6, 2))
-        got = Counter(calls)
-        calls.clear()
-        reference_generate(self.BASE, spec, 60, RngStream(6, 2))
-        # no choice call outside the lost rows; those redraw from their
-        # first attempt on, as the reference does
-        lost = {RngStream(6, 2).substream(i).stream_id for i in range(0, 60, 4)}
-        assert got == Counter({s: k for s, k in Counter(calls).items() if s in lost})
-        assert len(got) == 15 and (sum(got.values()) > 15) == reject
+    def test_pick_sets_are_uniform(self):
+        # every one of the C(9, 3) = 84 sets of distinct base indices
+        picks, _ = _draws(_index_base(9), MixSpec("mixup", 3, 4), self.N, RngStream(42, 2))
+        sets = np.sort(picks, axis=1)
+        assert (np.diff(sets, axis=1) > 0).all()
+        code = (sets * np.array([81, 9, 1])).sum(axis=1)
+        seen = np.unique(code, return_counts=True)[1]
+        assert len(seen) == 84
+        assert stats.chisquare(seen).pvalue > 0.001
+
+    @given(
+        n_extra=st.integers(0, 12_000),
+        m=st.integers(2, 6),
+        r=st.integers(1, 8),
+        kind=st.sampled_from(["mixup", "patchmix"]),
+        reject=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+        k=st.integers(1, 40),
+    )
+    @example(n_extra=0, m=3, r=4, kind="mixup", reject=True, seed=1, k=40)  # a base of exactly m
+    @example(n_extra=10_001, m=2, r=4, kind="patchmix", reject=False, seed=2, k=5)  # more than 10,000
+    @example(n_extra=10_001, m=6, r=8, kind="mixup", reject=True, seed=3, k=40)
+    def test_every_draw_is_valid_and_a_prefix_is_stable(self, n_extra, m, r, kind, reject, seed, k):
+        reject = reject and r > 1  # one block or one trial is always one-hot
+        n = m + n_extra
+        base, spec = _index_base(n), MixSpec(kind, m, r, reject_degenerate=reject)
+        rng = RngStream(seed, 3)
+        picks, draws = _draws(base, spec, 40, rng)
+        assert ((picks >= 0) & (picks < n)).all()
+        assert (np.sort(picks, axis=1)[:, 1:] > np.sort(picks, axis=1)[:, :-1]).all()
+        if kind == "mixup":
+            assert (draws >= 0).all() and (draws.sum(axis=1) == r).all()
+        else:
+            assert ((draws >= 0) & (draws < m)).all()
+        whole = generate_ambiguous_dataset(base, spec, 40, rng)
+        if reject:
+            assert (np.count_nonzero(whole.diagnostics, axis=1) > 1).all()
+        part = generate_ambiguous_dataset(base, spec, k, rng)
+        assert np.array_equal(part.features, whole.features[:k])
+        assert np.array_equal(part.labels, whole.labels[:k])
+        assert np.array_equal(part.diagnostics, whole.diagnostics[:k])
 
     @pytest.mark.parametrize("reject", [False, True])
     @pytest.mark.parametrize(
-        "kind, draw, bad, message",
+        "kind, bad, message",
         [
-            ("mixup", "multinomial", [5, -1], "counts must be nonnegative and sum to r=4"),
-            ("mixup", "multinomial", [1, 2], "counts must be nonnegative and sum to r=4"),
-            ("patchmix", "integers", [0, -1, 1, 0], r"assignments must lie in \[0, 2\)"),
-            ("patchmix", "integers", [0, 1, 2, 1], r"assignments must lie in \[0, 2\)"),
+            ("mixup", [5, -1], "counts must be nonnegative and sum to r=4"),
+            ("mixup", [1, 2], "counts must be nonnegative and sum to r=4"),
+            ("patchmix", [0, -1, 1, 0], r"assignments must lie in \[0, 2\)"),
+            ("patchmix", [0, 1, 2, 1], r"assignments must lie in \[0, 2\)"),
         ],
     )
-    def test_invalid_draws_fail_after_the_loop(self, kind, draw, bad, message, reject, monkeypatch):
-        # ``draw`` names the call whose result example 6 gets replaced; the
-        # assignments that ``integers`` would return come from the decode
-        spec = MixSpec(kind, 2, 4, reject_degenerate=reject)
-
-        def corrupt(k, args, out):  # row 6 of the first round's counts or assignment
+    def test_invalid_draws_fail_after_the_loop(self, kind, bad, message, reject, monkeypatch):
+        def corrupt(k, args, out):  # row 6 of the first chunk's counts or assignment
             if k == 1:
-                args[-1 if draw == "multinomial" else 3][6] = bad
+                args[5][6] = bad
 
-        _after(monkeypatch, "_decode_counts" if draw == "multinomial" else "_decode_draws", corrupt)
+        spec = MixSpec(kind, 2, 4, reject_degenerate=reject)
+        base = synth_base(BaseSpec(c=4, d=8, n_per_class=10), RngStream(2, 1))
+        _after(monkeypatch, "_draw_rows", corrupt)
         words = _after(monkeypatch, "_philox_words")
         with pytest.raises(ValueError, match=message):
-            generate_ambiguous_dataset(self.BASE, spec, 30, RngStream(6, 2))
+            generate_ambiguous_dataset(base, spec, 30, RngStream(6, 2))
         assert len(words[0][1]) == 30  # every example drew before the check ran
-
-    @pytest.mark.parametrize("reject", [False, True])
-    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
-    def test_forced_redo_matches_per_example_loop(self, kind, reject, monkeypatch, tmp_path):
-        def reject_every_third(k, args, rejected):  # as if their Lemire draws rejected
-            rejected[::3] = True
-
-        _after(monkeypatch, "_decode_draws", reject_every_third)
-        calls = _counting(monkeypatch, "choice")
-        spec = MixSpec(kind, 3, 4, reject_degenerate=reject)
-        _assert_matches_reference(self.BASE, spec, 60, RngStream(6, 2), tmp_path)
-        assert len(set(calls)) >= 20
-
-
-class TestDecodeDraws:
-    """The decode of raw words against numpy's ``choice`` and ``integers``
-    reading the same words."""
-
-    @staticmethod
-    def stream(words):
-        """A generator whose next raw words are ``words`` (at most four),
-        then Philox output."""
-        gen = np.random.Generator(np.random.Philox(key=[3, 5]))
-        state = gen.bit_generator.state
-        state["buffer"] = np.array([0] * (4 - len(words)) + list(words), dtype=np.uint64)
-        state["buffer_pos"] = 4 - len(words)
-        gen.bit_generator.state = state
-        return gen
-
-    @staticmethod
-    def decode(words, n, m, r):
-        picks, assign = np.empty((1, m), dtype=np.int64), np.empty((1, r), dtype=np.int64)
-        rejected = _decode_draws(np.array([words], dtype=np.uint64), n, picks, assign)
-        return picks[0], assign[0], bool(rejected[0])
-
-    # n=5, m=3, r=2 reads 7 halves with bounds 3, 4, 5 (Floyd), 3, 2 (the
-    # tail) and 3, 3 (the blocks); a half of 0 is rejected by each bound
-    # that is not a power of two
-    @pytest.mark.parametrize("k, bound", enumerate([3, 4, 5, 3, 2, 3, 3]))
-    def test_zero_half_rejects_unless_bound_is_a_power_of_two(self, k, bound):
-        def words(halves):
-            return [lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])]
-
-        halves = [0x9E3779B9, 0x7F4A7C15, 0xF39CC060, 0x5CEDC834, 0x1B873593, 0xCC9E2D51, 0x85EBCA6B]
-        crafted = [*halves[:k], 0, *halves[k:]]
-        picks, assign, rejected = self.decode(words(crafted), 5, 3, 2)
-        assert rejected == (bound & (bound - 1) != 0)
-        gen = self.stream(words(crafted))
-        want = gen.choice(5, 3, replace=False), gen.integers(0, 3, size=2)
-        if rejected:  # numpy skipped the 0 and read the next half in its place
-            picks, assign, rejected = self.decode(words([*halves, 1]), 5, 3, 2)
-            assert not rejected
-        assert np.array_equal(picks, want[0]) and np.array_equal(assign, want[1])
-
-    @given(
-        words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
-        m=st.integers(2, 6),
-        extra=st.integers(1, 20_000),  # n > 10,000 keeps Floyd's sampler while m <= n // 50
-        r=st.integers(0, 5),
-    )
-    def test_matches_numpy_on_any_words(self, words, m, extra, r):
-        raw = self.stream(words).bit_generator.random_raw((2 * m + r) // 2)
-        picks, assign, rejected = self.decode(raw, m + extra, m, r)
-        gen = self.stream(words)
-        want_picks, want_assign = gen.choice(m + extra, m, replace=False), gen.integers(0, m, size=r)
-        if not rejected:  # random words rarely reject; a zero half can
-            assert np.array_equal(picks, want_picks) and np.array_equal(assign, want_assign)
 
 
 def _philox_at(k0, k1, block):
@@ -459,130 +429,6 @@ class TestPhiloxWords:
         gen = np.random.Generator(np.random.Philox(key=[3, 4]))
         raw = np.random.Philox(key=[3, 4]).random_raw(64)
         assert np.array_equal(_doubles(raw), gen.random(64))
-
-
-class TestDecodeCounts:
-    """The replay of numpy's binomial inversion against ``multinomial(r,
-    full(m, 1/m))`` on the same stream."""
-
-    KEYS = 40
-
-    @staticmethod
-    def decode(m, r, keys):
-        words = _philox_words(11, keys, np.tile(np.arange(3, dtype=np.uint64), (len(keys), 1)))
-        counts = np.empty((len(keys), m), dtype=np.int64)
-        used, lost = _decode_counts(words, np.zeros(len(keys), dtype=np.int64), r, counts)
-        return words, counts, used, lost
-
-    # at m = 9 the last category's p = (1/9) / (2/9) rounds above 0.5, so
-    # numpy draws the complement's count
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 9])
-    def test_matches_numpy_where_inversion_serves(self, m):
-        # n * min(p, 1 - p) <= 30 for every count of trials left while r <= 60
-        assert [flip for _, _, flip in _binomial_tables(m, 1)] == [m == 9 and j == 7 for j in range(m - 1)]
-        keys = np.arange(self.KEYS, dtype=np.uint64)
-        early = 0
-        for r in range(1, 61):
-            words, counts, used, lost = self.decode(m, r, keys)
-            assert not lost.any()
-            for i in range(self.KEYS):
-                gen = np.random.Generator(np.random.Philox(key=[11, i]))
-                assert counts[i].tolist() == gen.multinomial(r, np.full(m, 1.0 / m)).tolist()
-                # the words read: numpy's next double is the decode's next word
-                assert gen.random() == _doubles(words[i, used[i]])
-            early += int((used < m - 1).sum())  # no trials left before category m - 2
-        assert early > 0 if m > 2 else early == 0
-
-    @pytest.mark.parametrize("m, r", [(2, 61), (2, 64), (3, 91)])
-    def test_btpe_counts_are_not_followed(self, m, r):
-        # the first category's binomial has n * p > 30: numpy draws it by BTPE
-        _, _, _, lost = self.decode(m, r, np.arange(self.KEYS, dtype=np.uint64))
-        assert lost.all()
-
-    def test_tables_stop_where_btpe_starts(self):
-        (px, bound, flip), = _binomial_tables(2, 100)
-        assert px.shape[0] == 61 and not flip  # dn = 0 ... 60 at p = 0.5
-        assert bound[0] == 0 and (bound[1:] <= np.arange(1, 61)).all()
-        assert np.isinf(px[1, 2:]).all() and px[1, :2].tolist() == pytest.approx([0.5, 0.5])
-
-
-class TestFallbackRoutes:
-    """Rows the decode cannot follow take the per-example calls, and the
-    output still equals the per-example loop."""
-
-    BASE = synth_base(BaseSpec(c=4, d=7, n_per_class=20), RngStream(21, 1))
-
-    @pytest.mark.parametrize("reject", [False, True])
-    def test_btpe_spec(self, reject, monkeypatch, tmp_path):
-        # m = 2, r = 64: the one binomial has n * p = 32 > 30, so every row
-        calls = _counting(monkeypatch, "choice")
-        spec = MixSpec("mixup", 2, 64, reject_degenerate=reject)
-        got = generate_ambiguous_dataset(self.BASE, spec, 40, RngStream(5, 2))
-        assert len(set(calls)) == 40
-        _assert_matches_reference(self.BASE, spec, 40, RngStream(5, 2), tmp_path, got)
-
-    def test_spec_that_reaches_btpe_on_some_rows(self, monkeypatch, tmp_path):
-        # m = 3, r = 85: the second category's binomial reaches BTPE only
-        # where the first left more than 60 trials
-        calls = _counting(monkeypatch, "choice")
-        spec = MixSpec("mixup", 3, 85)
-        got = generate_ambiguous_dataset(self.BASE, spec, 200, RngStream(5, 2))
-        assert 0 < len(set(calls)) < 100
-        _assert_matches_reference(self.BASE, spec, 200, RngStream(5, 2), tmp_path, got)
-
-    @pytest.mark.parametrize("reject", [False, True])
-    def test_forced_restart(self, reject, monkeypatch, tmp_path):
-        # cap every inversion's bound at 1: a row whose count would pass it
-        # restarts (numpy would read another double) and is redrawn
-        real = _binomial_tables
-
-        def capped(m, r):
-            return tuple((px, np.minimum(bound, 1), flip) for px, bound, flip in real(m, r))
-
-        monkeypatch.setattr(datagen, "_binomial_tables", capped)
-        calls = _counting(monkeypatch, "choice")
-        spec = MixSpec("mixup", 3, 4, reject_degenerate=reject)
-        got = generate_ambiguous_dataset(self.BASE, spec, 60, RngStream(5, 2))
-        assert 10 < len(set(calls)) < 60
-        _assert_matches_reference(self.BASE, spec, 60, RngStream(5, 2), tmp_path, got)
-
-    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
-    def test_lemire_rejection_in_a_later_round(self, kind, monkeypatch, tmp_path):
-        lost = []
-
-        def reject_in_round_two(k, args, rejected):  # as if a Lemire draw rejected there
-            if k == 2:
-                rejected[::2] = True
-                lost.append(int(rejected.sum()))
-
-        _after(monkeypatch, "_decode_draws", reject_in_round_two)
-        calls = _counting(monkeypatch, "choice")
-        spec = MixSpec(kind, 3, 4, reject_degenerate=True)
-        got = generate_ambiguous_dataset(self.BASE, spec, 60, RngStream(5, 2))
-        assert lost and len(set(calls)) == lost[0]
-        _assert_matches_reference(self.BASE, spec, 60, RngStream(5, 2), tmp_path, got)
-
-    @pytest.mark.parametrize("reject", [False, True])
-    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
-    def test_one_past_a_chunk(self, kind, reject, tmp_path):
-        spec = MixSpec(kind, 3, 4, reject_degenerate=reject)
-        _assert_matches_reference(self.BASE, spec, datagen._MIX_ROWS + 1, RngStream(5, 2), tmp_path)
-
-    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
-    def test_degenerate_spec_raises_within_the_first_chunk(self, kind, monkeypatch):
-        x = np.random.default_rng(0).normal(size=(10, 4)).astype(np.float32)
-        base = AmbiguousDataset(2, 4, x, np.zeros(10, dtype=int))
-        spec = MixSpec(kind, 2, 4, reject_degenerate=True)
-        rng = RngStream(5, 1)
-        words = _after(monkeypatch, "_philox_words")
-        with pytest.raises(RuntimeError, match="degenerate") as got:
-            generate_ambiguous_dataset(base, spec, 2 * datagen._MIX_ROWS + 5, rng)
-        with pytest.raises(RuntimeError) as want:
-            reference_generate(base, spec, 3, rng)
-        assert str(got.value) == str(want.value)
-        ids = _child_id(rng.stream_id, np.arange(datagen._MIX_ROWS, dtype=np.uint64))
-        _, first_chunk = _philox_key(rng.seed, ids)
-        assert words and all(np.isin(args[1], first_chunk).all() for args in words)
 
 
 _KERNEL_PROBE = """
@@ -644,11 +490,19 @@ class TestSpecIntegers:
         with pytest.raises(ValueError, match=f"{next(iter(kw))} must be an integer"):
             BaseSpec(**{"c": 4, "d": 8, "n_per_class": 10, **kw})
 
+    @pytest.mark.parametrize("n_out", [True, 2.5, 3.0, np.float64(3), "3"])
+    def test_generate_refuses_non_integer_n_out(self, n_out):
+        base = synth_base(BaseSpec(4, 8, 10), RngStream(1, 1))
+        with pytest.raises(ValueError, match="n_out must be an integer"):
+            generate_ambiguous_dataset(base, MixSpec("mixup"), n_out, RngStream(1, 2))
+        with pytest.raises(ValueError, match="n_out must be >= 1"):
+            generate_ambiguous_dataset(base, MixSpec("mixup"), np.int64(0), RngStream(1, 2))
+
     def test_numpy_ints_stay_valid(self, tmp_path):
         files = []
         for i, n in enumerate((int, np.int64)):
             base = synth_base(BaseSpec(n(4), n(8), n(10)), RngStream(1, 1))
-            ds = generate_ambiguous_dataset(base, MixSpec("patchmix", n(2), n(4)), 20, RngStream(1, 2))
+            ds = generate_ambiguous_dataset(base, MixSpec("patchmix", n(2), n(4)), n(20), RngStream(1, 2))
             files.append(_qll_bytes(ds, tmp_path / f"{i}.qll"))
         assert files[0] == files[1]
 
@@ -668,8 +522,8 @@ def _assert_matches_reference(base, spec, n_out, rng, tmp_path, got=None):
 
 
 class TestBatchedGeneratorBitExact:
-    """The draw-only loop plus batched kernels against the per-example
-    reference loop in ``_oracles``: equal arrays and equal file bytes."""
+    """The batched draws and kernels against the per-example loop of the
+    same law in ``_oracles``: equal arrays and equal file bytes."""
 
     # d = 7, so r in {3, 4} leaves unequal blocks
     BASE = synth_base(BaseSpec(c=4, d=7, n_per_class=20), RngStream(21, 1))
@@ -693,22 +547,39 @@ class TestBatchedGeneratorBitExact:
 
     @pytest.mark.parametrize("reject", [False, True])
     @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
-    def test_base_of_exactly_m_examples(self, kind, reject, monkeypatch, tmp_path):
-        # choice's first draw has bound 1 and reads no word: every example
-        # takes the per-example calls
+    def test_base_of_exactly_m_examples(self, kind, reject, tmp_path):
+        # Floyd's first draw has bound 1 and picks index 0 from any word
         base = synth_base(BaseSpec(c=3, d=7, n_per_class=1), RngStream(4, 1))
-        calls = _counting(monkeypatch, "choice")
         _assert_matches_reference(base, MixSpec(kind, 3, 4, reject), 40, RngStream(9, 2), tmp_path)
-        assert len(set(calls)) == 40
 
-    @pytest.mark.parametrize("m, redrawn", [(201, 0), (202, 30)])
+    @pytest.mark.parametrize("m", [2, 202])
     @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
-    def test_large_base_past_floyds_sampler(self, kind, m, redrawn, monkeypatch, tmp_path):
-        # past 10,000 examples numpy's choice shuffles a tail once m > n // 50
+    def test_base_of_more_than_10000_examples(self, kind, m, tmp_path):
         base = synth_base(BaseSpec(c=3, d=4, n_per_class=3350), RngStream(4, 1))  # n = 10,050
-        calls = _counting(monkeypatch, "choice")
         _assert_matches_reference(base, MixSpec(kind, m, 4), 30, RngStream(9, 2), tmp_path)
-        assert len(calls) - 30 == redrawn  # the reference draws once per example
+
+    @pytest.mark.parametrize("reject", [False, True])
+    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
+    def test_one_past_a_chunk(self, kind, reject, tmp_path):
+        base = synth_base(BaseSpec(c=4, d=7, n_per_class=20), RngStream(21, 1))
+        spec = MixSpec(kind, 3, 4, reject_degenerate=reject)
+        _assert_matches_reference(base, spec, datagen._MIX_ROWS + 1, RngStream(5, 2), tmp_path)
+
+    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
+    def test_degenerate_spec_raises_within_the_first_chunk(self, kind, monkeypatch):
+        x = np.random.default_rng(0).normal(size=(10, 4)).astype(np.float32)
+        base = AmbiguousDataset(2, 4, x, np.zeros(10, dtype=int))
+        spec = MixSpec(kind, 2, 4, reject_degenerate=True)
+        rng = RngStream(5, 1)
+        words = _after(monkeypatch, "_philox_words")
+        with pytest.raises(RuntimeError, match="degenerate") as got:
+            generate_ambiguous_dataset(base, spec, 2 * datagen._MIX_ROWS + 5, rng)
+        with pytest.raises(RuntimeError) as want:
+            reference_generate(base, spec, 3, rng)
+        assert str(got.value) == str(want.value)
+        ids = _child_id(rng.stream_id, np.arange(datagen._MIX_ROWS, dtype=np.uint64))
+        _, first_chunk = _philox_key(rng.seed, ids)
+        assert words and all(np.isin(args[1], first_chunk).all() for args in words)
 
     @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
     def test_single_class_base_raises_as_per_example_loop(self, kind):
@@ -731,8 +602,9 @@ class TestBatchedGeneratorBitExact:
             ]
             labels, counts = (np.array(a) for a in zip(*groups))
             soft = mixed_soft_labels(labels, counts, 3)
-            for y, k, s in zip(labels, counts, soft):
-                assert _is_onehot_mix(y.tolist(), np.arange(m), k) == (np.count_nonzero(s) == 1)
+            # the generator's test: one class holds all the mass
+            onehot = _class_mass(labels, counts, 3).max(axis=1) == counts.sum(axis=1)
+            assert np.array_equal(onehot, np.count_nonzero(soft, axis=1) == 1)
 
     def test_scalar_helpers_are_rows_of_the_batched_kernels(self):
         gen = np.random.default_rng(8)
@@ -760,38 +632,9 @@ class TestBatchedGeneratorBitExact:
             quantize_labels(np.full((3, 2), 0.5), [0.1, 0.2])
 
 
-class TestRekeyedStream:
-    """A stream re-keyed in place draws exactly what a new substream does."""
-
-    DRAWS = {
-        "random": lambda g: g.random(5),
-        "integers": lambda g: g.integers(0, 3, size=7),
-        "standard_normal": lambda g: g.standard_normal(4),
-        "multinomial": lambda g: g.multinomial(7, [0.2, 0.3, 0.5]),
-        "beta": lambda g: g.beta(0.5, 0.5),
-        "permutation": lambda g: g.permutation(9),
-        "choice": lambda g: g.choice(50, size=4, replace=False),
-        # the raw words numpy's draws read, which the generator decodes
-        "random_raw": lambda g: g._gen.bit_generator.random_raw(3),
-    }
-
-    @pytest.mark.parametrize("method", sorted(DRAWS))
-    def test_equals_new_substream(self, method):
-        draw = self.DRAWS[method]
-        parents = (RngStream(13, 5), RngStream(2**64 - 1, 0), RngStream(13, 5).substream(3))
-        stream = parents[0].substream(0)
-        for parent in parents:
-            for key in (0, 1, 77, 2**64 - 1):
-                # leave a part-used Philox buffer and a cached 32-bit half behind
-                stream.random(3)
-                stream.integers(0, 5, size=3)
-                ids = _child_id(parent.stream_id, np.array([key], dtype=np.uint64))
-                k0, k1 = _philox_key(parent.seed, ids)
-                stream._rekey(parent.seed, int(ids[0]), (k0, k1[0]))
-                fresh = parent.substream(key)
-                assert (stream.seed, stream.stream_id) == (fresh.seed, fresh.stream_id)
-                assert np.array_equal(draw(stream), draw(fresh))
-                assert np.array_equal(draw(stream), draw(fresh))
+class TestBulkSubstreamKeys:
+    """The substream keys the generator derives for many examples at once
+    equal those of ``RngStream.substream``, one at a time."""
 
     @given(
         seed=st.integers(0, 2**64 - 1),
@@ -808,18 +651,12 @@ class TestRekeyedStream:
         ids = _child_id(stream_id, np.array(keys, dtype=np.uint64))
         k0, k1 = _philox_key(seed, ids)
         assert ids.dtype == k1.dtype == np.uint64 and ids.shape == k1.shape == (len(keys),)
-        stream = RngStream(seed ^ 1, 7)
         words = _philox_words(k0, k1, np.zeros((len(keys), 1), dtype=np.uint64))
         for i, key in enumerate(keys):
             fresh = parent.substream(key)
             assert (seed, int(ids[i])) == (fresh.seed, fresh.stream_id)
             assert [k0, int(k1[i])] == fresh._gen.bit_generator.state["state"]["key"].tolist()
-            stream.integers(0, 5, size=3)  # a part-used buffer and a cached 32-bit half
-            stream._rekey(seed, int(ids[i]), (k0, k1[i]))
-            assert (stream.seed, stream.stream_id) == (fresh.seed, fresh.stream_id)
-            for draw in self.DRAWS.values():
-                assert np.array_equal(draw(stream), draw(fresh))
-            assert np.array_equal(words[i], parent.substream(key)._gen.bit_generator.random_raw(4))
+            assert np.array_equal(words[i], fresh._gen.bit_generator.random_raw(4))
 
 
 class TestSynthBase:

@@ -39,6 +39,13 @@ A change that keeps a second core busy while the benchmark's host-speed
 slices run could read as host slowness and so as a scaled gain; the raw
 pass times and host factors show whether its gain is also there unscaled.
 
+The script refuses to start while either checkout holds a
+``__pycache__`` directory under ``src/``, and names it. A run imports
+cached bytecode without compiling it, so a cache on one side only would
+shorten that side's ``setup_s``; remove the directories (or run both sides
+from fresh copies) and start again. Under ``PYTHONDONTWRITEBYTECODE=1`` the
+runs write none.
+
 A run that exits nonzero or prints no result stops the script with exit
 code 1, and nothing is written.
 """
@@ -84,6 +91,11 @@ def describe(checkout: Path) -> dict:
     for path in sorted(p for p in src.rglob("*.py") if "__pycache__" not in p.parts):
         digest.update(path.relative_to(src).as_posix().encode() + b"\0" + path.read_bytes())
     return {"git": out.stdout.strip() or None, "src_sha256": digest.hexdigest()}
+
+
+def cached_bytecode(checkout: Path) -> list[Path]:
+    """The ``__pycache__`` directories under the checkout's ``src/``."""
+    return sorted(p for p in (checkout / "src").rglob("__pycache__") if p.is_dir())
 
 
 def openblas_kernel() -> str | None:
@@ -160,6 +172,10 @@ def main(argv=None) -> int:
         p.error("--pairs must be >= 1")
 
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    for side, path in checkouts.items():
+        if cached := cached_bytecode(path):
+            p.error(f"the {side} checkout holds cached bytecode, which its runs would import "
+                    f"without compiling; remove {', '.join(map(str, cached))}")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = float(bench["run_seconds"])
 

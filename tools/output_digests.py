@@ -3,44 +3,44 @@
     python3 tools/output_digests.py --out DIR > digests.txt
 
 Runs, in this process and with ``DIR`` as the working directory, ``qll
-generate`` for Mixup and PatchMix (600 examples each), once plain and once
-with ``--reject-degenerate`` (whose redraw loop the plain runs never
-enter); ``qll generate`` for PatchMix with m=3 (two Fisher-Yates swap
-draws per example), for Mixup m=3 on a base of exactly 3 examples
-(where every example takes the per-example ``choice`` calls), for Mixup
-and PatchMix with m=3 and ``--reject-degenerate`` (redraw rounds that
-read on from a cached 32-bit half), and for Mixup m=2 r=64 (whose
-binomial count numpy draws by BTPE, so every example takes the
-per-example calls); ``qll
-train`` for all seven methods with the MLP and for cpu-sjs, cpu-kl and
-ce with the linear model (8 epochs each), then ``qll report``
-over those runs, then ``qll train`` for cpu-sjs and cpu-kl with the MLP
-and ``--u-mode full`` (the report comes first, as it refuses a cell whose
-runs differ in u_mode); one config ``qll sweep`` of ce and cpu-sjs over 3
-seeds x 3 pi2 values (6 epochs), and ``qll report`` over its runs; one
-config ``qll sweep`` of ce and cpu-kl on the clean base (``"mix": {}``,
-no ambiguous set) over 2 seeds (2 epochs), and ``qll report`` over its
-runs, whose cells read dataset ``clean``; for cpu-kl and cpu-sjs one
-``qll sweep`` of the PatchMix files with the linear model and ``--u-mode
-full`` over 2 seeds x 2 pi1 x 2 pi2 values (4 epochs), whose runs of one
-seed share one train file and one batch stream; one ``qll train --method
-gce --gce-q 0.3`` with the MLP into ``gce-q0.3/``, outside ``runs/``,
-whose run.json records a loss parameter off its default; one ``qll train
---method ce`` on the Mixup set's clean base file (``base_train.qll``,
-header m=0) into ``clean-ce/``; and a one-run ``qll sweep`` (cpu-kl, seed
-1, pi2 0.5) into ``one-run/sweep/`` next to the matching ``qll train``
-into ``one-run/train/``, whose run files read the same; and for bs and
-js one ``qll sweep`` of the Mixup files over 3 seeds (4 epochs), three
-stacked runs whose label entries lie at per-run offsets in each batch's
-logits, 8 rows apart in the final batch of 8; and one config ``qll
-sweep`` of ce, gce and cpu-kl over 2 seeds x 2 pi2 values (4 epochs) into
-``sweep-lanes/``, which on two or more usable cores trains cpu-kl (4 runs)
-in this process and ce and gce (2 runs each) in one forked child, and
-whose bytes do not depend on that split. Then prints one
-``sha256  path`` line, sorted by path, for every ``.qll``,
-``metrics.csv``, ``model.ckpt``, ``run.json``, ``sweep_table.csv`` and
-(report) ``table.csv`` under ``DIR``. The commands' own output goes to
-standard error.
+generate`` for Mixup and PatchMix (600 examples each), once plain and
+once with ``--reject-degenerate`` (whose redraw loop the plain runs
+never enter); ``qll generate`` for PatchMix with m=3 (three Floyd draws
+and four block draws in [0, 3) per example), for Mixup m=3 on a base of
+exactly 3 examples (Floyd's first draw has bound 1, and every pick set
+is the whole base), for Mixup and PatchMix with m=3 and
+``--reject-degenerate`` (redraw rounds whose 7-word attempts straddle
+Philox's 4-word blocks), and for Mixup m=2 r=64 (an attempt of 66 words
+whose counts sum 64 draws); ``qll train`` for all seven methods with the
+MLP and for cpu-sjs, cpu-kl and ce with the linear model (8 epochs
+each), then ``qll report`` over those runs, then ``qll train`` for
+cpu-sjs and cpu-kl with the MLP and ``--u-mode full`` (the report comes
+first, as it refuses a cell whose runs differ in u_mode); one config
+``qll sweep`` of ce and cpu-sjs over 3 seeds x 3 pi2 values (6 epochs),
+and ``qll report`` over its runs; one config ``qll sweep`` of ce and
+cpu-kl on the clean base (``"mix": {}``, no ambiguous set) over 2 seeds
+(2 epochs), and ``qll report`` over its runs, whose cells read dataset
+``clean``; for cpu-kl and cpu-sjs one ``qll sweep`` of the PatchMix
+files with the linear model and ``--u-mode full`` over 2 seeds x 2 pi1 x
+2 pi2 values (4 epochs), whose runs of one seed share one train file and
+one batch stream; one ``qll train --method gce --gce-q 0.3`` with the
+MLP into ``gce-q0.3/``, outside ``runs/``, whose run.json records a loss
+parameter off its default; one ``qll train --method ce`` on the Mixup
+set's clean base file (``base_train.qll``, header m=0) into
+``clean-ce/``; and a one-run ``qll sweep`` (cpu-kl, seed 1, pi2 0.5)
+into ``one-run/sweep/`` next to the matching ``qll train`` into
+``one-run/train/``, whose run files read the same; and for bs and js one
+``qll sweep`` of the Mixup files over 3 seeds (4 epochs), three stacked
+runs whose label entries lie at per-run offsets in each batch's logits,
+8 rows apart in the final batch of 8; and one config ``qll sweep`` of
+ce, gce and cpu-kl over 2 seeds x 2 pi2 values (4 epochs) into
+``sweep-lanes/``, which on two or more usable cores trains cpu-kl (4
+runs) in this process and ce and gce (2 runs each) in one forked child,
+and whose bytes do not depend on that split. Then prints one ``sha256
+path`` line, sorted by path, for every ``.qll``, ``metrics.csv``,
+``model.ckpt``, ``run.json``, ``sweep_table.csv`` and (report)
+``table.csv`` under ``DIR``. The commands' own output goes to standard
+error.
 
 Every path the commands see is relative to ``DIR``, so the lines do not
 depend on where ``DIR`` is. Run the script at two commits of one
