@@ -566,22 +566,6 @@ class TestBatchedGeneratorBitExact:
         _assert_matches_reference(base, spec, datagen._MIX_ROWS + 1, RngStream(5, 2), tmp_path)
 
     @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
-    def test_degenerate_spec_raises_within_the_first_chunk(self, kind, monkeypatch):
-        x = np.random.default_rng(0).normal(size=(10, 4)).astype(np.float32)
-        base = AmbiguousDataset(2, 4, x, np.zeros(10, dtype=int))
-        spec = MixSpec(kind, 2, 4, reject_degenerate=True)
-        rng = RngStream(5, 1)
-        words = _after(monkeypatch, "_philox_words")
-        with pytest.raises(RuntimeError, match="degenerate") as got:
-            generate_ambiguous_dataset(base, spec, 2 * datagen._MIX_ROWS + 5, rng)
-        with pytest.raises(RuntimeError) as want:
-            reference_generate(base, spec, 3, rng)
-        assert str(got.value) == str(want.value)
-        ids = _child_id(rng.stream_id, np.arange(datagen._MIX_ROWS, dtype=np.uint64))
-        _, first_chunk = _philox_key(rng.seed, ids)
-        assert words and all(np.isin(args[1], first_chunk).all() for args in words)
-
-    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
     def test_single_class_base_raises_as_per_example_loop(self, kind):
         x = np.random.default_rng(0).normal(size=(10, 4)).astype(np.float32)
         base = AmbiguousDataset(2, 4, x, np.zeros(10, dtype=int))
@@ -630,6 +614,28 @@ class TestBatchedGeneratorBitExact:
             mixed_soft_labels([[0, 1], [1, 2]], [[1, 1], [0, 0]], 4)
         with pytest.raises(ValueError, match="draws"):
             quantize_labels(np.full((3, 2), 0.5), [0.1, 0.2])
+
+
+class TestFallbackRoutes:
+    """A spec that cannot be met stops the batched generator in its first
+    chunk of ``_MIX_ROWS`` rows, with the scalar oracle's error, instead of
+    drawing every row first."""
+
+    @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
+    def test_degenerate_spec_raises_within_the_first_chunk(self, kind, monkeypatch):
+        x = np.random.default_rng(0).normal(size=(10, 4)).astype(np.float32)
+        base = AmbiguousDataset(2, 4, x, np.zeros(10, dtype=int))
+        spec = MixSpec(kind, 2, 4, reject_degenerate=True)
+        rng = RngStream(5, 1)
+        words = _after(monkeypatch, "_philox_words")
+        with pytest.raises(RuntimeError, match="degenerate") as got:
+            generate_ambiguous_dataset(base, spec, 2 * datagen._MIX_ROWS + 5, rng)
+        with pytest.raises(RuntimeError) as want:
+            reference_generate(base, spec, 3, rng)
+        assert str(got.value) == str(want.value)
+        ids = _child_id(rng.stream_id, np.arange(datagen._MIX_ROWS, dtype=np.uint64))
+        _, first_chunk = _philox_key(rng.seed, ids)
+        assert words and all(np.isin(args[1], first_chunk).all() for args in words)
 
 
 class TestBulkSubstreamKeys:
