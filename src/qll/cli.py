@@ -45,7 +45,7 @@ from .dataio import atomic_write_text, load_dataset, save_dataset
 from .datagen import MIX_KINDS, BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
 from .losses import BinaryLossKind, MulticlassLossKind
 from .models import MODEL_KINDS, save_model
-from .risk import RULES, U_MODES
+from .risk import U_MODES
 from .training import TrainConfig, TrainReport, train, train_runs, write_metrics
 
 __all__ = ["main", "METHODS", "ExperimentConfig", "TrainSettings", "build_loss"]
@@ -69,7 +69,6 @@ class TrainSettings:
     model: str = TrainConfig.model_kind
     hidden: int = TrainConfig.hidden_dim
     u_mode: str = TrainConfig.u_mode
-    rule: str = TrainConfig.rule  # the PU objective of a corrected class
     bs_beta: float = 0.4
     gce_q: float = 0.7
     sce_a: float = 0.1
@@ -78,7 +77,7 @@ class TrainSettings:
     js_unscaled: bool = False
 
 
-_TRAIN_CHOICES = {"model": MODEL_KINDS, "u_mode": U_MODES, "rule": RULES}
+_TRAIN_CHOICES = {"model": MODEL_KINDS, "u_mode": U_MODES}
 # Method name -> its loss kind, given the train settings.
 _LOSSES = {
     "ce": lambda s: MulticlassLossKind.ce(),
@@ -296,7 +295,6 @@ def _train_config(method: str, s: TrainSettings, seed: int, m: int, c: int) -> T
         model_kind=s.model,
         hidden_dim=s.hidden,
         u_mode=s.u_mode,
-        rule=s.rule,
     )
 
 
@@ -563,8 +561,7 @@ def cmd_sweep(args) -> int:
 def _read_run(path: Path) -> dict:
     """A run.json's record, its table fields checked: method and dataset
     strings, pi1 and pi2 null (or absent) or in (0, 1], best_test_accuracy
-    in [0, 1]. A bool is no number, and NaN lies in no range. A CPU run
-    recorded without a rule gets "defit", the rule it trained under."""
+    in [0, 1]. A bool is no number, and NaN lies in no range."""
     try:
         rec = json.loads(path.read_text(encoding="utf-8"))
         method, dataset, accuracy = rec["method"], rec["dataset"], rec["best_test_accuracy"]
@@ -585,8 +582,6 @@ def _read_run(path: Path) -> dict:
             raise ValueError(f"{path}: {key} must be null or a number in (0, 1], got {v!r}")
     if not (number(accuracy) and 0.0 <= accuracy <= 1.0):
         raise ValueError(f"{path}: best_test_accuracy must be a number in [0, 1], got {accuracy!r}")
-    if method in CPU_METHODS:  # a record from before the rule was a setting trained under "defit"
-        rec.setdefault("rule", "defit")
     return rec
 
 

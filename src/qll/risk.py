@@ -37,20 +37,9 @@ clamps the tail:
 
 and the full risk is the mean of value_j over classes. Training follows the
 branch rule: while the clamp is inactive the objective is the value itself;
-once r_u_minus - pi2 * r_p_minus < 0 (the class is "corrected") the
-objective of that class follows one of two rules:
-
-- "defit" (the default here, nnPU's defitting step with gamma = 1):
-  pi2 * r_p_minus - r_u_minus, which drops the positive term and ascends
-  the negative part;
-- "clamp": pi1 * r_p_plus, the clamped value itself, so the positive term
-  keeps its gradient and the clamped part gives none (the subgradient of
-  the value).
-
-The rule is only the corrected row of the branch weights
-(``_branch_weights``): (0, pi2, -1) or (pi1, 0, 0) on (r_p_plus, r_p_minus,
-r_u_minus), against (pi1, -pi2, 1) otherwise; pi2 is read from the
-uncorrected row. Reported values always use the clamped estimator;
+once r_u_minus - pi2 * r_p_minus < 0 (the class is "corrected") the objective
+switches to  pi2 * r_p_minus - r_u_minus, which drops the positive term and
+ascends the negative part. Reported values always use the clamped estimator;
 gradients always follow the branch objective.
 
 K stacked runs evaluate in one call: logits (K, n, c) with K ``ClassPriors``
@@ -85,7 +74,6 @@ __all__ = [
 ]
 
 U_MODES = ("complement", "full")
-RULES = ("defit", "clamp")
 
 
 @dataclass(frozen=True)
@@ -113,21 +101,20 @@ class CpuRiskReport:
     """
 
     # (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected, r_u_minus - pi2
-    # * r_p_minus) arrays, and the branch weights as they broadcast against
-    # them.
+    # * r_p_minus) arrays, and pi1 and pi2 as they broadcast against them.
     parts: tuple = field(repr=False)
 
     @cached_property
     def value(self) -> float | np.ndarray:
-        r_p_plus, *_, neg_part, weights = self.parts
-        pos_part = weights[1, 0] * r_p_plus  # the mean over classes, as in _branch_objective
+        r_p_plus, *_, neg_part, pi1, _ = self.parts
+        pos_part = pi1 * r_p_plus  # the mean over classes, as in _branch_objective
         value = (pos_part + np.maximum(neg_part, 0.0)).sum(axis=-1) / pos_part.shape[-1]
         return value if value.ndim else float(value)
 
     @cached_property
     def objective_value(self) -> float | np.ndarray:
-        r_p_plus, r_u_minus, r_p_minus, *_, weights = self.parts
-        objective = _branch_objective((r_p_plus, r_p_minus, r_u_minus), weights)
+        r_p_plus, r_u_minus, r_p_minus, *_, pi1, pi2 = self.parts
+        objective = _branch_objective((r_p_plus, r_p_minus, r_u_minus), pi1, pi2)
         return objective if objective.ndim else float(objective)
 
     @cached_property
@@ -147,29 +134,18 @@ class CpuRiskReport:
         return f"CpuRiskReport(value={self.value!r}, objective_value={self.objective_value!r})"
 
 
-def _branch_objective(risks, weights):
+def _branch_objective(risks, pi1, pi2):
     """The branch objective of the (..., c) risks (r_p_plus, r_p_minus,
-    r_u_minus), a sequence of three or a (3, ..., c) array, under the
-    ``_branch_weights`` ``weights``, as they are or broadcast against one
-    risk: the mean over classes of the value pi1 * r_p_plus + r_u_minus -
-    pi2 * r_p_minus in an uncorrected class, and in a corrected one of pi2 *
-    r_p_minus - r_u_minus ("defit") or pi1 * r_p_plus ("clamp"), as a (...)
-    array."""
+    r_u_minus), a sequence of three or a (3, ..., c) array, with ``pi1``
+    and ``pi2`` broadcasting against one risk: the mean over classes of
+    pi2 * r_p_minus - r_u_minus in a corrected class and of the value pi1 *
+    r_p_plus + r_u_minus - pi2 * r_p_minus otherwise, as a (...) array."""
     r_p_plus, r_p_minus, r_u_minus = risks
-    pos_part = weights[1, 0] * r_p_plus
-    neg_part = _neg_part(r_u_minus, r_p_minus, weights)
-    # Only "defit" weighs r_u_minus in a corrected class.
-    corrected = -neg_part if weights[0, 2].any() else pos_part
+    neg_part = r_u_minus - pi2 * r_p_minus
     # np.mean over classes is this sum divided by the class count (an int:
     # one run's sum is a numpy scalar, and scalar math is no ufunc call).
-    objective = np.where(neg_part < ZERO, corrected, pos_part + neg_part)
+    objective = np.where(neg_part < ZERO, -neg_part, pi1 * r_p_plus + neg_part)
     return np.add.reduce(objective, axis=-1) / objective.shape[-1]
-
-
-def _neg_part(r_u_minus, r_p_minus, weights):
-    """r_u_minus - pi2 * r_p_minus, bit for bit, with -pi2 read from the
-    uncorrected row of the branch weights."""
-    return r_u_minus + weights[1, 1] * r_p_minus
 
 
 # The three risk terms in order: r_p_plus, r_p_minus, r_u_minus. Each reads
@@ -192,19 +168,15 @@ def _term_masks(c: int, u_mode: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _branch_weights(priors: ClassPriors | tuple[ClassPriors, ...], rule: str = "defit") -> np.ndarray:
+def _branch_weights(priors: ClassPriors | tuple[ClassPriors, ...]) -> np.ndarray:
     """Read-only (2, 3, K, 1) weights of r_p_plus, r_p_minus and r_u_minus
     in a corrected class (index 0) and otherwise: (2, 3, 1) for one run.
-    Under "defit" corrected classes drop the positive term and flip the
-    clamped part; under "clamp" they keep the positive term alone."""
-    if rule not in RULES:
-        raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
+    Corrected classes drop the positive term and flip the clamped part."""
     single = isinstance(priors, ClassPriors)
     pi1 = np.array([[p.pi1] for p in ([priors] if single else priors)], dtype=np.float64)
     pi2 = np.array([[p.pi2] for p in ([priors] if single else priors)], dtype=np.float64)
     zero, one = np.zeros_like(pi1), np.ones_like(pi1)
-    corrected = [zero, pi2, -one] if rule == "defit" else [pi1, zero, zero]
-    weights = np.array([corrected, [pi1, -pi2, one]])[:, :, 0 if single else slice(None)]
+    weights = np.array([[zero, pi2, -one], [pi1, -pi2, one]])[:, :, 0 if single else slice(None)]
     weights.flags.writeable = False
     return weights
 
@@ -250,7 +222,7 @@ _ONE_BATCH = np.zeros(1, dtype=np.intp)
 
 def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
               loss: BinaryLossKind, alpha: float | Sequence[float] | None, u_mode: str,
-              rule: str, want_grad: bool, tables=None):
+              want_grad: bool, tables=None):
     if tables is not None:
         return _cpu_kernel(loss, batch_logits, *tables, want_grad=want_grad)
     # Checked inputs, and the tables of their one batch.
@@ -266,7 +238,7 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
     single = isinstance(priors, ClassPriors)
     if single != (z.ndim == 2) or (not single and len(priors) != z.shape[0]):
         raise ValueError("(n, c) logits take one ClassPriors; (K, n, c) logits a sequence of K")
-    weights = _branch_weights(priors if single else tuple(priors), rule)
+    weights = _branch_weights(priors if single else tuple(priors))
     c = z.shape[-1]
     table, coefs = batch_tables(y, _ONE_BATCH, c, u_mode, weights)
     masks = _term_masks(c, u_mode).take(y, axis=1)
@@ -278,6 +250,8 @@ def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, ri
     """The risk of (n, c) or (K, n, c) float64 logits ``z``, given the
     tables of ``cpu_risk_with_grad``: no check but the logits' finiteness.
     The (3, [K,] c) risks are written into ``risks`` if given."""
+    pi1, pi2 = weights[1, 0], weights[0, 1]  # the weights of r_p_plus and r_p_minus
+
     # The binary pass's losses and gradient pairs, one per term: (2, 3,
     # *labels, c), masked by the term's examples.
     per_term = _binary_parts(loss, z, terms).take(_TERM_TARGET, axis=1)
@@ -289,9 +263,9 @@ def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, ri
     # The report builds the objective when it is read; the gradient needs
     # only which classes are corrected.
     r_p_plus, r_p_minus, r_u_minus = risks
-    neg_part = _neg_part(r_u_minus, r_p_minus, weights)
+    neg_part = r_u_minus - pi2 * r_p_minus
     corrected = neg_part < ZERO
-    parts = (r_p_plus, r_u_minus, r_p_minus, table[0, 0], table[0, 2], corrected, neg_part, weights)
+    parts = (r_p_plus, r_u_minus, r_p_minus, table[0, 0], table[0, 2], corrected, neg_part, pi1, pi2)
     report = CpuRiskReport(parts)
     if not want_grad:
         return report, None
@@ -308,20 +282,18 @@ def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, ri
 
 
 # Each entry point takes (n, c) logits, (n,) labels and one ClassPriors, or
-# (K, n, c), (K, n) and K of them, and one alpha or K (see _cpu_core). The
-# rule, "defit" or "clamp", picks the corrected classes' branch objective.
-def cpu_risk(batch_logits, labels, priors, loss, alpha=None, u_mode="complement", rule="defit") -> CpuRiskReport:
+# (K, n, c), (K, n) and K of them, and one alpha or K (see _cpu_core).
+def cpu_risk(batch_logits, labels, priors, loss, alpha=None, u_mode="complement") -> CpuRiskReport:
     """Class-wise PU risk over a batch: mean of per-class clamped values."""
-    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, rule, want_grad=False)[0]
+    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=False)[0]
 
 
-def cpu_risk_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement", rule="defit") -> np.ndarray:
+def cpu_risk_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement") -> np.ndarray:
     """Gradient of the branch objective with respect to every logit."""
-    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, rule, want_grad=True)[1]
+    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True)[1]
 
 
-def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement", rule="defit", *,
-                       tables=None):
+def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement", *, tables=None):
     """(CpuRiskReport, gradient) in one pass: the training loop's entry point.
 
     ``tables`` may give, resolved ahead, ``(weights, masks, table, coefs,
@@ -333,8 +305,7 @@ def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="c
     columns for K runs; None for kl); and, optionally, a (3, [K,] c)
     float64 array that the risks are written into, such as a row of the
     trainer's epoch log. The logits are then taken as checked float64 (and
-    still checked to be finite), and ``labels``, ``priors``, ``alpha``,
-    ``u_mode`` and ``rule`` are not read: the weights carry the rule. A
-    report over such an array reads it when a value is first asked for, so
-    read it before the array is rewritten."""
-    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, rule, want_grad=True, tables=tables)
+    still checked to be finite), and ``labels``, ``priors``, ``alpha`` and
+    ``u_mode`` are not read. A report over such an array reads it when a
+    value is first asked for, so read it before the array is rewritten."""
+    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True, tables=tables)

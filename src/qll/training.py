@@ -33,7 +33,7 @@ Work that does not depend on the parameters runs as rarely as it can:
   buffer and one labels buffer per stream; each batch's bounds and size,
   and the size as a 0-d divisor (only the final batch may be smaller);
   momentum and weight decay as 0-d arrays; for PU methods the priors'
-  branch weights under the config's rule, broadcast to the class axis, the u_mode's term mask
+  branch weights, broadcast to the class axis, the u_mode's term mask
   table, and an epoch log of every batch's (3, [K,] c) risks; for a single
   cpu-sjs run a (5, n_batches) buffer of alpha terms and the five 0-d
   views of each batch's column; for baselines the label entries' offsets
@@ -89,7 +89,7 @@ from .core import (
 )
 from .losses import BinaryLossKind, MulticlassLossKind, _alpha_terms, baseline_loss_batch, sample_alpha
 from .models import MODEL_KINDS, backward, bind_layers, forward, init_model, predict
-from .risk import RULES, U_MODES, _branch_objective, _branch_weights, _term_masks, batch_tables, cpu_risk_with_grad
+from .risk import U_MODES, _branch_objective, _branch_weights, _term_masks, batch_tables, cpu_risk_with_grad
 from .dataio import atomic_write_text
 
 __all__ = [
@@ -112,9 +112,7 @@ METRICS_HEADER = "epoch,train_objective,test_accuracy"
 class TrainConfig:
     """One training run. ``loss`` picks the method: a BinaryLossKind trains
     the class-wise PU objective (and then ``priors`` is required), a
-    MulticlassLossKind trains a plain softmax baseline. ``rule`` picks the
-    PU objective of a corrected class (see ``risk``): "clamp" follows the
-    subgradient of the clamped value, "defit" nnPU's defitting step."""
+    MulticlassLossKind trains a plain softmax baseline."""
 
     epochs: int
     loss: BinaryLossKind | MulticlassLossKind
@@ -127,7 +125,6 @@ class TrainConfig:
     model_kind: str = "mlp"
     hidden_dim: int = 32
     u_mode: str = "complement"
-    rule: str = "clamp"
 
     def __post_init__(self) -> None:
         _require_ints(self, epochs=1, batch_size=2, hidden_dim=None, seed=None)
@@ -144,8 +141,6 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay}")
         if self.u_mode not in U_MODES:
             raise ValueError(f"u_mode must be one of {U_MODES}")
-        if self.rule not in RULES:
-            raise ValueError(f"rule must be one of {RULES}, got {self.rule!r}")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
         if self.model_kind == "mlp" and self.hidden_dim < 1:
@@ -371,7 +366,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     steps = [(start, stop, stop - start, frozen_0d(stop - start)) for start, stop in steps]
     if is_cpu:
         # Broadcast to the class axis here, so that no step's risk broadcasts them.
-        weights = np.repeat(_branch_weights(priors, cfg.rule), c, axis=-1)
+        weights = np.repeat(_branch_weights(priors), c, axis=-1)
         term_masks = _term_masks(c, u_mode)
         # Each step writes its (3, [K,] c) risks into its row; the epoch's
         # objectives are booked from the whole log at once.
@@ -434,7 +429,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
             _raise_if_diverged(cfgs, epoch, it, [logits, *params.values()])
             raise
         if is_cpu:  # every batch's objective from the log, added in batch order as the steps ran
-            per_batch = _branch_objective(np.moveaxis(risk_log, 1, 0), weights) * sizes
+            per_batch = _branch_objective(np.moveaxis(risk_log, 1, 0), weights[1, 0], weights[0, 1]) * sizes
             for objective in per_batch:
                 objective_sum += objective
         objectives.append(objective_sum / n)

@@ -444,7 +444,7 @@ def reference_train(train_set, test_set, cfg):
             if cfg.is_cpu_method:
                 alpha = sample_alpha(alpha_rng) if cfg.loss.needs_alpha else None
                 report, d_logits = cpu_risk_with_grad(logits, train_set.labels[rows], cfg.priors,
-                                                      cfg.loss, alpha, u_mode=cfg.u_mode, rule=cfg.rule)
+                                                      cfg.loss, alpha, u_mode=cfg.u_mode)
                 objective = report.objective_value
             else:
                 losses, d_logits = baseline_loss_batch(cfg.loss, logits, train_set.labels[rows])

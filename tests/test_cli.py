@@ -153,18 +153,6 @@ class TestTrain:
         assert (record["train_n_examples"], record["train_n_out"], record["test_separation"]) == (80, "80", "6.0")
         assert [k for k in record if "seed" in k] == ["seed"]
 
-    def test_rule_flag_reaches_the_run(self, datadir, tmp_path):
-        records = {}
-        for rule in ("defit", "clamp"):
-            rundir = tmp_path / rule
-            assert run(
-                "train", "--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll"),
-                "--method", "cpu-kl", "--pi2", "1.0", "--rule", rule, "--epochs", "2", "--out", str(rundir),
-            ) == 0
-            records[rule] = json.loads((rundir / "run.json").read_text())
-            assert records[rule]["rule"] == rule
-        assert (tmp_path / "defit" / "metrics.csv").read_bytes() != (tmp_path / "clamp" / "metrics.csv").read_bytes()
-
     def test_missing_data_is_runtime_error(self, tmp_path):
         assert run(
             "train", "--data", str(tmp_path / "nope.qll"),
@@ -845,17 +833,6 @@ class TestReport:
         rec = json.loads(last.read_text())
         del rec[key]
         last.write_text(json.dumps(rec))
-        assert run("report", "--runs", str(root)) == 0
-
-    def test_cpu_run_recorded_without_a_rule_trained_under_defit(self, tmp_path, capsys):
-        root = tmp_path / "runs"
-        for seed in (1, 2):
-            self._fake_run(root, "cpu-sjs", "mixup-m2-r4", seed, 0.8)
-        first, last = (root / f"cpu-sjs-mixup-m2-r4-s{s}" / "run.json" for s in (1, 2))
-        last.write_text(json.dumps({**json.loads(last.read_text()), "rule": "clamp"}))
-        assert run("report", "--runs", str(root)) == 2
-        assert f"{first} and {last} share a table cell but differ in rule: 'defit' != 'clamp'" in capsys.readouterr().err
-        last.write_text(json.dumps({**json.loads(last.read_text()), "rule": "defit"}))
         assert run("report", "--runs", str(root)) == 0
 
     @pytest.mark.parametrize("first, second, separation, message", [

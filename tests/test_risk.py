@@ -286,81 +286,6 @@ class TestCpuRiskGrad:
         assert np.array_equal(grad1, grad2)
 
 
-class TestClampRule:
-    """Under rule="clamp" a corrected class keeps only pi1 * r_p_plus, so
-    the objective is the value and the gradient its subgradient."""
-
-    @staticmethod
-    def corrected_batches(rng, pr, loss, alpha, count):
-        """``count`` batches with a corrected class, each |neg_part| >= 1e-3."""
-        while count:
-            z, y = random_batch(rng, scale=4.0)
-            rep = cpu_risk(z, y, pr, loss, alpha, rule="clamp")
-            negs = [b.r_u_minus - pr.pi2 * b.r_p_minus for b in rep.per_class]
-            if any(b.corrected for b in rep.per_class) and min(abs(v) for v in negs) >= 1e-3:
-                count -= 1
-                yield z, y, rep
-
-    @pytest.mark.parametrize("loss,alpha", [(KL, None), (SJS, 0.3)])
-    def test_matches_fd_of_the_value_away_from_the_kink(self, loss, alpha):
-        pr = ClassPriors(0.1, 0.8)
-        for z, y, rep in self.corrected_batches(np.random.default_rng(12), pr, loss, alpha, 5):
-            assert rep.objective_value == rep.value
-            g = cpu_risk_grad(z, y, pr, loss, alpha, rule="clamp")
-
-            def f(flat):
-                return cpu_risk(flat.reshape(z.shape), y, pr, loss, alpha, rule="clamp").value
-
-            fd = central_diff(f, z.ravel()).reshape(z.shape)
-            assert rel_err(g, fd) < 1e-4
-
-    def test_corrected_class_gets_only_its_positive_gradient(self):
-        pr = ClassPriors(0.1, 0.8)
-        z, y, rep = next(self.corrected_batches(np.random.default_rng(13), pr, KL, None, 1))
-        g = cpu_risk_grad(z, y, pr, KL, rule="clamp")
-        n, c = z.shape
-        for j, b in enumerate(rep.per_class):
-            if b.corrected:
-                pos = y == j
-                want = np.where(pos, pr.pi1 * binary_loss_grad(KL, z[:, j], +1) / max(pos.sum(), 1) / c, 0.0)
-                np.testing.assert_allclose(g[:, j], want, rtol=1e-12, atol=1e-15)
-
-    @pytest.mark.parametrize("loss,alpha", [(KL, None), (SJS, 0.3)])
-    def test_rules_agree_where_no_class_is_corrected(self, loss, alpha):
-        rng = np.random.default_rng(14)
-        pr = ClassPriors(0.1, 0.2)
-        uncorrected = 0
-        for _ in range(20):
-            z, y = random_batch(rng, scale=0.7)
-            defit, defit_grad = cpu_risk_with_grad(z, y, pr, loss, alpha)
-            clamp, clamp_grad = cpu_risk_with_grad(z, y, pr, loss, alpha, rule="clamp")
-            assert clamp.per_class == defit.per_class and clamp.value == defit.value
-            if not any(b.corrected for b in defit.per_class):
-                assert clamp.objective_value == defit.objective_value
-                assert np.array_equal(clamp_grad, defit_grad)
-                uncorrected += 1
-        assert uncorrected >= 5
-
-    def test_stacked_members_match_solo_calls(self):
-        rng = np.random.default_rng(15)
-        z = rng.normal(size=(3, 8, 4)) * 4.0
-        y = np.tile([0, 1, 2, 3], (3, 2))
-        priors = [ClassPriors(0.1, p) for p in (0.25, 0.5, 0.9)]
-        alphas = [0.1, 0.2, 0.3]
-        rep, grad = cpu_risk_with_grad(z, y, priors, SJS, alphas, rule="clamp")
-        for k, (pr, alpha) in enumerate(zip(priors, alphas)):
-            solo, solo_grad = cpu_risk_with_grad(z[k], y[k], pr, SJS, alpha, rule="clamp")
-            assert rep.per_class[4 * k : 4 * k + 4] == solo.per_class
-            assert rep.objective_value[k] == solo.objective_value == solo.value
-            assert np.array_equal(grad[k], solo_grad)
-
-    def test_unknown_rule_is_refused(self):
-        z, y = random_batch(np.random.default_rng(16))
-        for call in (cpu_risk, cpu_risk_grad, cpu_risk_with_grad):
-            with pytest.raises(ValueError, match=r"rule must be one of \('defit', 'clamp'\), got 'nnpu'"):
-                call(z, y, ClassPriors(0.1, 0.5), KL, rule="nnpu")
-
-
 # Both clamp regions (+-40), the sigmoid's branch point (0, +-1e-9) and
 # ordinary logits; class 3 is absent, so its P side is empty.
 EDGE_LOGITS = np.array(
