@@ -117,6 +117,8 @@ def resolve_pi2(spec: str | float, m: int, c: int) -> float:
     if _is_auto(spec):
         if m < 1:
             raise ValueError("pi2 auto is m/c, so it needs a mixed train set (m >= 1)")
+        if m > c:
+            raise ValueError(f"pi2 auto is m/c = {m}/{c} = {m / c!r}, above 1; give pi2 as a number in (0, 1]")
         return m / c
     try:
         return float(spec)
@@ -618,11 +620,17 @@ def _train_flags(args) -> dict:
 
 
 def _seed_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",")]
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _prior_grid(text: str) -> list:
-    return ["auto" if _is_auto(tok) else float(tok) for tok in text.split(",")]
+    try:
+        return ["auto" if _is_auto(tok) else float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers or auto, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

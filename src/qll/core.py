@@ -129,14 +129,12 @@ class RngStream:
     def random(self, size=None):
         return self._gen.random(size)
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size=size)
+    def words(self, size: int) -> np.ndarray:
+        """The stream's next ``size`` raw Philox words, as uint64."""
+        return self._gen.bit_generator.random_raw(size)
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
-
-    def multinomial(self, n: int, pvals):
-        return self._gen.multinomial(n, pvals)
 
     def beta(self, a: float, b: float, size=None):
         u = self._gen.beta(a, b, size)  # a size-n array holds the next n float draws

@@ -159,13 +159,12 @@ def _check_draws(draws: np.ndarray, kind: str, m: int, r: int) -> None:
 
 
 def sample_mix_weights(m: int, r: int, rng: RngStream) -> MixWeights:
-    """Draw mixing weights with r*lam ~ MultiNom(1/m, ..., 1/m; r) by
-    numpy's ``multinomial``. ``generate_ambiguous_dataset`` does not call
-    this; it draws the same law from its own words."""
+    """Draw mixing weights with r*lam ~ MultiNom(1/m, ..., 1/m; r): the
+    counts of r draws in [0, m) by the generator's law (``_below``) from
+    the stream's next r words."""
     if m < 2 or r < 1:
         raise ValueError("need m >= 2 and r >= 1")
-    counts = rng.multinomial(r, np.full(m, 1.0 / m))
-    return MixWeights(counts, r)
+    return MixWeights(np.bincount([(w * m) >> 64 for w in rng.words(r).tolist()], minlength=m), r)
 
 
 def _mix_rows(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -177,11 +176,10 @@ def _mix_rows(lam: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def sample_block_assignment(m: int, r: int, rng: RngStream) -> BlockAssignment:
     """Assign each of r blocks an independent uniform source in [0, m) by
-    numpy's ``integers``. ``generate_ambiguous_dataset`` does not call this;
-    it draws the same law from its own words."""
+    the generator's law (``_below``) from the stream's next r words."""
     if m < 2 or r < 1:
         raise ValueError("need m >= 2 and r >= 1")
-    return BlockAssignment(rng.integers(0, m, size=r), m)
+    return BlockAssignment([(w * m) >> 64 for w in rng.words(r).tolist()], m)
 
 
 def block_bounds(d: int, r: int) -> np.ndarray:

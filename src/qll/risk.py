@@ -40,7 +40,8 @@ branch rule: while the clamp is inactive the objective is the value itself;
 once r_u_minus - pi2 * r_p_minus < 0 (the class is "corrected") the objective
 switches to  pi2 * r_p_minus - r_u_minus, which drops the positive term and
 ascends the negative part. Reported values always use the clamped estimator;
-gradients always follow the branch objective.
+gradients always follow the branch objective. Both rows of the rule are one
+table, ``_branch_weights``: the only code here that reads the priors.
 
 K stacked runs evaluate in one call: logits (K, n, c) with K ``ClassPriors``
 and (K, n) labels, one row per run, so runs of different seeds and datasets
@@ -100,21 +101,21 @@ class CpuRiskReport:
     equal when all three are.
     """
 
-    # (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected, r_u_minus - pi2
-    # * r_p_minus) arrays, and pi1 and pi2 as they broadcast against them.
+    # (r_p_plus, r_u_minus, r_p_minus, n_p, n_u, corrected, clamped part)
+    # arrays, and the (2, 3, [K,] c) _branch_weights table of the call.
     parts: tuple = field(repr=False)
 
     @cached_property
     def value(self) -> float | np.ndarray:
-        r_p_plus, *_, neg_part, pi1, _ = self.parts
-        pos_part = pi1 * r_p_plus  # the mean over classes, as in _branch_objective
+        r_p_plus, *_, neg_part, weights = self.parts
+        pos_part = weights[1, 0] * r_p_plus  # the mean over classes, as in _branch_objective
         value = (pos_part + np.maximum(neg_part, 0.0)).sum(axis=-1) / pos_part.shape[-1]
         return value if value.ndim else float(value)
 
     @cached_property
     def objective_value(self) -> float | np.ndarray:
-        r_p_plus, r_u_minus, r_p_minus, *_, pi1, pi2 = self.parts
-        objective = _branch_objective((r_p_plus, r_p_minus, r_u_minus), pi1, pi2)
+        r_p_plus, r_u_minus, r_p_minus, *_, weights = self.parts
+        objective = _branch_objective((r_p_plus, r_p_minus, r_u_minus), weights)
         return objective if objective.ndim else float(objective)
 
     @cached_property
@@ -134,17 +135,19 @@ class CpuRiskReport:
         return f"CpuRiskReport(value={self.value!r}, objective_value={self.objective_value!r})"
 
 
-def _branch_objective(risks, pi1, pi2):
+def _branch_objective(risks, weights):
     """The branch objective of the (..., c) risks (r_p_plus, r_p_minus,
-    r_u_minus), a sequence of three or a (3, ..., c) array, with ``pi1``
-    and ``pi2`` broadcasting against one risk: the mean over classes of
-    pi2 * r_p_minus - r_u_minus in a corrected class and of the value pi1 *
-    r_p_plus + r_u_minus - pi2 * r_p_minus otherwise, as a (...) array."""
+    r_u_minus), a sequence of three or a (3, ..., c) array, under a
+    ``_branch_weights`` table: the mean over classes of the risks weighted
+    by row 0 where the clamped part r_u_minus + W[1, 1] * r_p_minus is
+    negative (the class is corrected) and by row 1 otherwise, as a (...)
+    array."""
     r_p_plus, r_p_minus, r_u_minus = risks
-    neg_part = r_u_minus - pi2 * r_p_minus
+    corrected = r_u_minus + weights[1, 1] * r_p_minus < ZERO
+    w = [np.where(corrected, *rows) for rows in weights.swapaxes(0, 1)]
+    objective = w[0] * r_p_plus + (w[2] * r_u_minus + w[1] * r_p_minus)
     # np.mean over classes is this sum divided by the class count (an int:
     # one run's sum is a numpy scalar, and scalar math is no ufunc call).
-    objective = np.where(neg_part < ZERO, -neg_part, pi1 * r_p_plus + neg_part)
     return np.add.reduce(objective, axis=-1) / objective.shape[-1]
 
 
@@ -168,13 +171,16 @@ def _term_masks(c: int, u_mode: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _branch_weights(priors: ClassPriors | tuple[ClassPriors, ...]) -> np.ndarray:
-    """Read-only (2, 3, K, 1) weights of r_p_plus, r_p_minus and r_u_minus
-    in a corrected class (index 0) and otherwise: (2, 3, 1) for one run.
-    Corrected classes drop the positive term and flip the clamped part."""
+def _branch_weights(priors: ClassPriors | tuple[ClassPriors, ...], c: int) -> np.ndarray:
+    """The update rule: read-only (2, 3, K, c) weights of r_p_plus,
+    r_p_minus and r_u_minus in a corrected class (row 0) and otherwise (row
+    1), for K runs' priors; (2, 3, c) for one run's. Row 1 weighs the value
+    pi1 * r_p_plus + (r_u_minus - pi2 * r_p_minus), whose second term is the
+    clamped part. A corrected class takes nnPU's defitting step: it drops
+    the positive term and ascends the clamped part."""
     single = isinstance(priors, ClassPriors)
-    pi1 = np.array([[p.pi1] for p in ([priors] if single else priors)], dtype=np.float64)
-    pi2 = np.array([[p.pi2] for p in ([priors] if single else priors)], dtype=np.float64)
+    pi1 = np.array([[p.pi1] * c for p in ([priors] if single else priors)], dtype=np.float64)
+    pi2 = np.array([[p.pi2] * c for p in ([priors] if single else priors)], dtype=np.float64)
     zero, one = np.zeros_like(pi1), np.ones_like(pi1)
     weights = np.array([[zero, pi2, -one], [pi1, -pi2, one]])[:, :, 0 if single else slice(None)]
     weights.flags.writeable = False
@@ -190,12 +196,12 @@ def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, pick=
     n_batches, c) table of the (P, P, U) term masks' counts, whose
     ``[0, ..., b, :]`` equals ``masks.sum(axis=-2)`` of batch b bit for bit,
     and their divisors max(count, 1); and the (2, 3, [K,] n_batches, c)
-    coefficients of K runs if corrected and otherwise: the branch
-    ``weights`` ((2, 3, [K,] 1), or broadcast to c) times each term's
-    gradient sign over the class count c, over the divisors of the stream
-    ``pick`` gives each run. Raises the ValueErrors of ``cpu_risk`` for
-    every batch at once: an unknown ``u_mode``, a label outside [0, c), or
-    a batch of one class.
+    coefficients of K runs if corrected and otherwise: the (2, 3, [K,] c)
+    ``_branch_weights`` table ``weights`` times each term's gradient sign
+    over the class count c, over the divisors of the stream ``pick`` gives
+    each run. Raises the ValueErrors of ``cpu_risk`` for every batch at
+    once: an unknown ``u_mode``, a label outside [0, c), or a batch of one
+    class.
     """
     if u_mode not in U_MODES:
         raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
@@ -238,8 +244,8 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
     single = isinstance(priors, ClassPriors)
     if single != (z.ndim == 2) or (not single and len(priors) != z.shape[0]):
         raise ValueError("(n, c) logits take one ClassPriors; (K, n, c) logits a sequence of K")
-    weights = _branch_weights(priors if single else tuple(priors))
     c = z.shape[-1]
+    weights = _branch_weights(priors if single else tuple(priors), c)
     table, coefs = batch_tables(y, _ONE_BATCH, c, u_mode, weights)
     masks = _term_masks(c, u_mode).take(y, axis=1)
     terms = _resolve_terms(loss, alpha, z.shape)
@@ -250,8 +256,6 @@ def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, ri
     """The risk of (n, c) or (K, n, c) float64 logits ``z``, given the
     tables of ``cpu_risk_with_grad``: no check but the logits' finiteness.
     The (3, [K,] c) risks are written into ``risks`` if given."""
-    pi1, pi2 = weights[1, 0], weights[0, 1]  # the weights of r_p_plus and r_p_minus
-
     # The binary pass's losses and gradient pairs, one per term: (2, 3,
     # *labels, c), masked by the term's examples.
     per_term = _binary_parts(loss, z, terms).take(_TERM_TARGET, axis=1)
@@ -263,9 +267,9 @@ def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, ri
     # The report builds the objective when it is read; the gradient needs
     # only which classes are corrected.
     r_p_plus, r_p_minus, r_u_minus = risks
-    neg_part = r_u_minus - pi2 * r_p_minus
+    neg_part = r_u_minus + weights[1, 1] * r_p_minus  # the clamped part, as in _branch_objective
     corrected = neg_part < ZERO
-    parts = (r_p_plus, r_u_minus, r_p_minus, table[0, 0], table[0, 2], corrected, neg_part, pi1, pi2)
+    parts = (r_p_plus, r_u_minus, r_p_minus, table[0, 0], table[0, 2], corrected, neg_part, weights)
     report = CpuRiskReport(parts)
     if not want_grad:
         return report, None
@@ -297,8 +301,8 @@ def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="c
     """(CpuRiskReport, gradient) in one pass: the training loop's entry point.
 
     ``tables`` may give, resolved ahead, ``(weights, masks, table, coefs,
-    terms)``: the priors' ``_branch_weights``, as they are or broadcast to
-    (2, 3, [K,] c); the batch's (3, [K,] n, c) term masks,
+    terms)``: a (2, 3, [K,] c) branch weights table, such as the priors'
+    ``_branch_weights``; the batch's (3, [K,] n, c) term masks,
     ``_term_masks(c, u_mode).take(labels, axis=1)``; the batch's (2, 3,
     [K,] c) slices of the epoch's ``batch_tables``; and its alpha's
     ``_alpha_terms`` (five 0-d arrays or scalars for one run, (K, 1, 1)

@@ -33,7 +33,7 @@ Work that does not depend on the parameters runs as rarely as it can:
   buffer and one labels buffer per stream; each batch's bounds and size,
   and the size as a 0-d divisor (only the final batch may be smaller);
   momentum and weight decay as 0-d arrays; for PU methods the priors'
-  branch weights, broadcast to the class axis, the u_mode's term mask
+  ``risk._branch_weights`` table, (2, 3, [K,] c), the u_mode's term mask
   table, and an epoch log of every batch's (3, [K,] c) risks; for a single
   cpu-sjs run a (5, n_batches) buffer of alpha terms and the five 0-d
   views of each batch's column; for baselines the label entries' offsets
@@ -61,9 +61,9 @@ Work that does not depend on the parameters runs as rarely as it can:
   the logits are finite, which is how a diverged run is caught. Test
   accuracy is evaluated once per epoch.
 
-The 0-d arrays and the pre-broadcast weights spare each step's ufunc calls
-a scalar conversion or a broadcast (see ``core.frozen_0d``); the values and
-the order of every float operation are as in the plain loop.
+The 0-d arrays and the class-width weights table spare each step's ufunc
+calls a scalar conversion or a broadcast (see ``core.frozen_0d``); the
+values and the order of every float operation are as in the plain loop.
 """
 
 from __future__ import annotations
@@ -365,8 +365,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     steps = [(start, min(start + batch_size, n)) for start in starts]
     steps = [(start, stop, stop - start, frozen_0d(stop - start)) for start, stop in steps]
     if is_cpu:
-        # Broadcast to the class axis here, so that no step's risk broadcasts them.
-        weights = np.repeat(_branch_weights(priors), c, axis=-1)
+        weights = _branch_weights(priors, c)
         term_masks = _term_masks(c, u_mode)
         # Each step writes its (3, [K,] c) risks into its row; the epoch's
         # objectives are booked from the whole log at once.
@@ -429,7 +428,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
             _raise_if_diverged(cfgs, epoch, it, [logits, *params.values()])
             raise
         if is_cpu:  # every batch's objective from the log, added in batch order as the steps ran
-            per_batch = _branch_objective(np.moveaxis(risk_log, 1, 0), weights[1, 0], weights[0, 1]) * sizes
+            per_batch = _branch_objective(np.moveaxis(risk_log, 1, 0), weights) * sizes
             for objective in per_batch:
                 objective_sum += objective
         objectives.append(objective_sum / n)

@@ -126,6 +126,18 @@ class TestTrain:
         record = json.loads((rundir / "run.json").read_text())
         assert record["pi2"] == pytest.approx(2 / 3)  # m=2, c=3
 
+    def test_pi2_auto_above_one_names_auto(self, tmp_path, capsys):
+        data = tmp_path / "m5"
+        assert run("generate", "--c", "4", "--d", "6", "--n-per-class", "20", "--m", "5", "--n", "80",
+                   "--out", str(data)) == 0
+        capsys.readouterr()
+        assert run(
+            "train", "--data", str(data / "ambig_train.qll"), "--test", str(data / "base_test.qll"),
+            "--method", "cpu-kl", "--pi2", "auto", "--epochs", "1", "--out", str(tmp_path / "r"),
+        ) == 2
+        assert "pi2 auto is m/c = 5/4 = 1.25, above 1" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_baseline_dispatch(self, datadir, tmp_path):
         rundir = tmp_path / "run3"
         assert run(
@@ -404,7 +416,9 @@ class TestSweep:
         ({"pi2_grid": [0.0]}, "pi2 must lie in (0, 1]"),
         ({"pi2_grid": ["auto"], "mix": {}}, "pi2 auto is m/c, so it needs a mixed train set"),
         ({"train": {"epochs": 1, "pi2": "auto"}, "mix": {}}, "pi2 auto is m/c, so it needs a mixed train set"),
-    ], ids=["model", "hidden", "gce_q", "pi1", "pi2", "auto-unmixed", "auto-setting-unmixed"])
+        ({"pi2_grid": ["auto"], "base": {"c": 4, "d": 6, "n_per_class": 15},
+          "mix": {"kind": "mixup", "m": 5, "r": 4, "n_out": 60}}, "pi2 auto is m/c = 5/4 = 1.25, above 1"),
+    ], ids=["model", "hidden", "gce_q", "pi1", "pi2", "auto-unmixed", "auto-setting-unmixed", "auto-above-one"])
     def test_bad_run_setting_in_config_fails_before_any_data(self, changes, message, tmp_path, capsys):
         assert run("sweep", "--config", str(write_config(tmp_path, **changes))) == 2
         assert message in capsys.readouterr().err
@@ -713,11 +727,13 @@ class TestSettings:
 
     @pytest.mark.parametrize("flag, value", [
         ("--pi2-grid", "0.3,"), ("--pi1-grid", "x"), ("--pi2-grid", "0.3,,auto"), ("--seeds", "1,"), ("--seeds", "1.5"),
+        ("--seeds", "1,x"), ("--pi1-grid", "abc"),
     ])
     def test_bad_list_token_is_usage_error_naming_the_flag(self, datadir, tmp_path, capsys, flag, value):
         data = ["--data", str(datadir / "ambig_train.qll"), "--test", str(datadir / "base_test.qll")]
         assert run("sweep", *data, "--epochs", "1", flag, value, "--out", str(tmp_path / "s")) == 1
-        assert f"argument {flag}" in capsys.readouterr().err
+        expected = "integers" if flag == "--seeds" else "numbers or auto"
+        assert f"argument {flag}: expected comma-separated {expected}, got {value!r}" in capsys.readouterr().err
 
 
 class TestReport:

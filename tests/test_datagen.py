@@ -314,6 +314,32 @@ class TestDrawLaw:
         got = _below(np.array(words, dtype=np.uint64), bound)
         assert got.tolist() == [(w * bound) >> 64 for w in words]
 
+    @given(
+        words=st.lists(st.integers(0, 2**64 - 1) | st.integers(2**64 - 2**33, 2**64 - 1), min_size=1, max_size=8),
+        bound=st.integers(2, 2**32),
+        small=st.integers(2, 64),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(words=[2**64 - 1, 2**64 - 2**32, 0], bound=2**32, small=64, seed=0)
+    def test_samplers_draw_below_of_the_stream_words(self, words, bound, small, seed):
+        # The samplers' scalar draws are the generator's law on the next r
+        # words of the stream: PatchMix's assignment is the draws, Mixup's
+        # counts their bincount (over a small bound, as they hold m entries).
+        class Given:
+            def words(self, size):
+                assert size == len(words)
+                return np.array(words, dtype=np.uint64)
+
+        below = _below(np.array(words, dtype=np.uint64), bound)
+        assert sample_block_assignment(bound, len(words), Given()).assign.tolist() == below.tolist()
+        below = _below(np.array(words, dtype=np.uint64), small)
+        counts = sample_mix_weights(small, len(words), Given()).counts
+        assert counts.tolist() == np.bincount(below, minlength=small).tolist()
+        rng, same = RngStream(seed, 9), RngStream(seed, 9)
+        assign = sample_block_assignment(bound, len(words), rng).assign
+        assert assign.tolist() == _below(same.words(len(words)), bound).tolist()
+        assert rng.random() == same.random()  # each call took r words
+
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("kind", ["mixup", "patchmix"])
     def test_smaller_index_source_share_is_binomial(self, kind, m):

@@ -1,8 +1,8 @@
 """Property tests: byte-exact file round trips, errors on damaged files,
 the label invariants of generated data, the class-wise risk's
-non-negativity, batch-order invariance and stacking, the per-epoch PU
-tables, PU batching, per-epoch alpha draws, and the closed form of the
-label-entry baseline gradients."""
+non-negativity, batch-order invariance and stacking, its gradient under
+any branch weights table, the per-epoch PU tables, PU batching, per-epoch
+alpha draws, and the closed form of the label-entry baseline gradients."""
 
 import itertools
 import math
@@ -21,6 +21,7 @@ from qll.losses import (
     _PAIR_SIGN,
     BinaryLossKind,
     MulticlassLossKind,
+    _resolve_terms,
     baseline_loss_batch,
     sample_alpha,
 )
@@ -240,6 +241,65 @@ def test_lazy_report_is_the_branch_objective_of_its_risks_in_any_read_order(runs
 
 
 @st.composite
+def branch_table_cases(draw):
+    """(logits, labels, loss kind, alpha, rule, table): a batch of one run or
+    K=3 with logits in [-6, 6], and a (2, 3, [K,] c) branch table. Under the
+    "random" rule both rows are random in [-2, 2]; otherwise row 1 is the
+    value's (pi1, -pi2, 1) and row 0 nnPU's corrected row (0, pi2, -1) or
+    the clamp row (pi1, 0, 0)."""
+    runs, c, n = draw(st.sampled_from([(), (3,)])), draw(st.integers(3, 4)), draw(st.integers(2, 10))
+    size = math.prod((*runs, n, c))
+    z = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=size, max_size=size))).reshape(*runs, n, c)
+    y = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    y[:2] = draw(st.permutations(range(c)))[:2]
+    kind = draw(st.sampled_from([BinaryLossKind.kl(), BinaryLossKind.scaled_sjs()]))
+    alpha = None
+    if kind.needs_alpha:
+        alpha = draw(st.lists(alphas, min_size=3, max_size=3)) if runs else draw(alphas)
+    rule = draw(st.sampled_from(["random", "nnpu", "clamp"]))
+    if rule == "random":
+        size = 6 * math.prod(runs) * c
+        table = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size))).reshape(2, 3, *runs, c)
+    else:
+        prior = st.floats(0.05, 1.0)
+        pi1, pi2 = (np.array(draw(st.lists(prior, min_size=math.prod(runs), max_size=math.prod(runs))))
+                    .reshape(*runs, 1).repeat(c, axis=-1) for _ in range(2))
+        zero, one = np.zeros_like(pi1), np.ones_like(pi1)
+        corrected = [zero, pi2, -one] if rule == "nnpu" else [pi1, zero, zero]
+        table = np.array([corrected, [pi1, -pi2, one]])
+    return z, np.broadcast_to(y, (*runs, n)), kind, alpha, rule, table
+
+
+@given(case=branch_table_cases(), u_mode=st.sampled_from(["complement", "full"]))
+def test_gradient_follows_the_branch_objective_of_any_table(case, u_mode):
+    # The kernel, the report and the gradient read one table: the gradient
+    # is the derivative of objective_value wherever no class changes row
+    # within +-h, and under the clamp row objective_value is the value.
+    z, y, kind, alpha, rule, weights = case
+    c, h = z.shape[-1], 1e-5
+    table, coefs = batch_tables(y, np.zeros(1, dtype=np.intp), c, u_mode, weights)
+    tables = (weights, _term_masks(c, u_mode).take(y, axis=1), table[..., 0, :], coefs[..., 0, :],
+              _resolve_terms(kind, alpha, z.shape))
+
+    def report(x):
+        return cpu_risk_with_grad(x, None, None, kind, tables=tables)[0]
+
+    rep, grad = cpu_risk_with_grad(z, None, None, kind, tables=tables)
+    if rule == "clamp":
+        assert np.array_equal(rep.objective_value, rep.value)
+    corrected = rep.parts[5]
+    for i in range(z.size):
+        step = np.zeros(z.size)
+        step[i] = h
+        up, down = report(z + step.reshape(z.shape)), report(z - step.reshape(z.shape))
+        if not (np.array_equal(up.parts[5], corrected) and np.array_equal(down.parts[5], corrected)):
+            continue  # a class changes row within +-h
+        # Only the run that holds logit i moves: the others' objectives are equal.
+        numeric = np.sum(np.subtract(up.objective_value, down.objective_value)) / (2.0 * h)
+        assert abs(numeric - grad.flat[i]) <= 1e-7 * max(1.0, abs(grad.flat[i]))
+
+
+@st.composite
 def epoch_tables_input(draw):
     """(labels, starts, c, weights, pick): (n,), (1, n) or (3, n) labels
     whose batches, of two or more examples each, span two classes; and
@@ -261,8 +321,8 @@ def epoch_tables_input(draw):
             np.array(draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=4)), dtype=np.intp),
         ]))
     runs = np.empty(rows)[pick].shape if rows else ()  # () for one run, else (K,)
-    size = 6 * int(np.prod(runs))
-    weights = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size))).reshape(2, 3, *runs, 1)
+    size = 6 * int(np.prod(runs)) * c
+    weights = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size))).reshape(2, 3, *runs, c)
     return y, starts, c, weights, pick
 
 
@@ -279,7 +339,7 @@ def test_epoch_tables_equal_per_batch_mask_sums(case, u_mode, data):
     # Each term's weight takes its target's gradient sign (r_p_plus reads the
     # +1 target, the other two the -1 target) over c.
     signs = (_PAIR_SIGN[[0, 1, 1]] / c).reshape(3, *[1] * (weights.ndim - 2))
-    assert np.array_equal(coefs, (weights * signs)[..., None] / table[1][:, pick])
+    assert np.array_equal(coefs, (weights * signs)[..., None, :] / table[1][:, pick])
 
     # The checks of a one-batch call, made for every batch at once.
     b = data.draw(st.integers(0, starts.size - 1))

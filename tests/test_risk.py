@@ -409,7 +409,7 @@ class TestBatchCounts:
         return rng.integers(0, 4, size=(runs, 23)) if runs else rng.integers(0, 4, size=23)
 
     def weights(self, runs):
-        return _branch_weights(ClassPriors(0.1, 0.5) if runs is None else (ClassPriors(0.1, 0.5),) * runs)
+        return _branch_weights(ClassPriors(0.1, 0.5) if runs is None else (ClassPriors(0.1, 0.5),) * runs, 4)
 
     @pytest.mark.parametrize("u_mode", ["complement", "full"])
     @pytest.mark.parametrize("runs", [None, 1, 3])
@@ -453,7 +453,7 @@ class TestBatchCounts:
         # per batch; the labels are then not read.
         y = self.epoch_labels(runs)
         priors = ClassPriors(0.1, 0.5) if runs is None else [ClassPriors(0.1, p) for p in (0.2, 0.5, 0.9)]
-        weights = _branch_weights(priors if runs is None else tuple(priors))
+        weights = _branch_weights(priors if runs is None else tuple(priors), 4)
         table, coefs = batch_tables(y, self.STARTS, 4, u_mode, weights)
         masks = _term_masks(4, u_mode).take(y, axis=1)
         alphas = np.full((*y.shape[:-1], self.STARTS.size), alpha or 0.0)
