@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import STREAM_DATAGEN, AmbiguousDataset, ClassPriors, RngStream, entropy
+from .core import STREAM_DATAGEN, AmbiguousDataset, ClassPriors, RngStream, _is_number, entropy
 from .dataio import atomic_write_text, load_dataset, save_dataset
 from .datagen import MIX_KINDS, BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
 from .losses import BinaryLossKind, MulticlassLossKind
@@ -224,7 +224,7 @@ class ExperimentConfig:
         # int, as in run directory names.
         for name, grid, also in (("pi1", self.pi1_grid, ""), ("pi2", self.pi2_grid, " or auto")):
             for p in grid or []:
-                if isinstance(p, bool) or not (isinstance(p, numbers.Real) or also and _is_auto(p)):
+                if not (_is_number(p) or also and _is_auto(p)):
                     raise ValueError(f"{name}_grid: {name} must be a real number{also}, got {p!r}")
         for name, section in (("base", base), ("mix", mix), ("train", train)):
             if section is not None:
@@ -575,14 +575,11 @@ def _read_run(path: Path) -> dict:
         if not isinstance(v, str):
             raise ValueError(f"{path}: {key} must be a string, got {v!r}")
 
-    def number(v) -> bool:
-        return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
     for key in ("pi1", "pi2"):
         v = rec.setdefault(key, None)
-        if v is not None and not (number(v) and 0.0 < v <= 1.0):
+        if v is not None and not (_is_number(v) and 0.0 < v <= 1.0):
             raise ValueError(f"{path}: {key} must be null or a number in (0, 1], got {v!r}")
-    if not (number(accuracy) and 0.0 <= accuracy <= 1.0):
+    if not (_is_number(accuracy) and 0.0 <= accuracy <= 1.0):
         raise ValueError(f"{path}: best_test_accuracy must be a number in [0, 1], got {accuracy!r}")
     return rec
 

@@ -56,25 +56,63 @@ def frozen_0d(value) -> np.ndarray:
 ZERO, ONE = map(frozen_0d, (0.0, 1.0))
 
 
+def _is_number(v, kind=numbers.Real) -> bool:
+    """Whether ``v`` is a ``kind``, numbers.Real or numbers.Integral; numpy's
+    numbers are, and a bool is not (it would count as 0 or 1)."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def _require_ints(spec, **least: int | None) -> None:
-    """Refuse a field that is no integer (a bool is none; numpy ints pass) or
-    that lies below its least value, where it has one."""
+    """Refuse a field that is no integer or that lies below its least value,
+    where it has one."""
     for name, low in least.items():
-        if isinstance(v := getattr(spec, name), bool) or not isinstance(v, numbers.Integral):
+        if not _is_number(v := getattr(spec, name), numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {v!r}")
         if low is not None and v < low:
             raise ValueError(f"{name} must be >= {low}, got {v}")
 
 
-def _check_seed(seed) -> int:
-    """The seed as an int. A bool or a non-integer is refused (int() would
-    truncate 1.5 to seed 1), and so is an integer outside [0, 2**64), as the
-    stream keys reduce it mod 2**64 and it would alias another seed."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) <= _MASK64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return int(seed)
+def _require_reals(spec, *names: str, within=None, wants: str = "") -> None:
+    """Refuse a field that is no real number, or for which ``within`` is
+    false, with the message that it must ``wants``."""
+    for name in names:
+        if not _is_number(v := getattr(spec, name)):
+            raise ValueError(f"{name} must be a real number, got {v!r}")
+        if within is not None and not within(v):
+            raise ValueError(f"{name} must {wants}, got {v}")
+
+
+def _word64(v, name: str) -> int:
+    """``v`` as an int: a seed, stream id or substream key, each an integer
+    in [0, 2**64). Anything else would alias another: int() truncates 1.5 to
+    1 and reads True as 1, and the stream keys reduce an integer mod 2**64."""
+    if not _is_number(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if not 0 <= int(v) <= _MASK64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {v}")
+    return int(v)
+
+
+def _check_labels(labels, c: int) -> np.ndarray:
+    """``labels`` as int64, each a class index: an integer in [0, c). Bools,
+    fractions, NaN and infinities are refused; integral floats pass. Through
+    the uint64 view a negative label reads as 2**63 or more."""
+    y = np.asarray(labels)
+    if y.dtype.kind == "f" and ((y >= 0) & (y < c) & (y == np.trunc(y))).all():
+        y = y.astype(np.int64)
+    if y.dtype.kind not in "iu" or y.size and y.astype(np.int64, copy=False).view(np.uint64).max() >= c:
+        raise ValueError(f"labels must lie in [0, {c}) and be integers")
+    return y.astype(np.int64, copy=False)
+
+
+def _check_batch(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(n, c) logits with (n,) labels, or (K, n, c) with (K, n) for K stacked
+    runs, as float64 logits and ``_check_labels``' labels."""
+    z, y = np.asarray(logits, dtype=np.float64), np.asarray(labels)
+    if z.ndim not in (2, 3) or y.shape != z.shape[:-1]:
+        raise ValueError(f"need (n, c) logits with (n,) labels or (K, n, c) logits with (K, n) "
+                         f"labels, got {z.shape} and {y.shape}")
+    return z, _check_labels(y, z.shape[-1])
 
 
 def _mix64(x):
@@ -88,8 +126,7 @@ def _mix64(x):
 
 
 def _child_id(stream_id: int, key):
-    """Stream id of child ``key``, or of each key of a uint64 array."""
-    key = key if isinstance(key, np.ndarray) else int(key) & _MASK64
+    """Stream id of child ``key`` (an int in [0, 2**64)) or of each key of a uint64 array."""
     return _mix64(_mix64(stream_id) + key)
 
 
@@ -115,14 +152,14 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
-        self.seed = _check_seed(seed)
-        self.stream_id = int(stream_id) & _MASK64
+        self.seed = _word64(seed, "seed")
+        self.stream_id = _word64(stream_id, "stream_id")
         key = np.array(_philox_key(self.seed, self.stream_id), dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, key: int) -> "RngStream":
         """Derive an independent child stream; same (parent, key) -> same child."""
-        return RngStream(self.seed, _child_id(self.stream_id, key))
+        return RngStream(self.seed, _child_id(self.stream_id, _word64(key, "substream key")))
 
     # Thin wrappers over the numpy generator so call sites stay explicit
     # about which stream they consume.
@@ -163,9 +200,7 @@ class SoftLabel:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 2:
-            raise ValueError(f"soft label needs at least 2 classes, got shape {w.shape}")
-        object.__setattr__(self, "weights", _normalize_rows(w[None].copy())[0])
+        object.__setattr__(self, "weights", w / _row_mass(w[None])[0])  # refuses all but (c,) weights
 
 
 @dataclass
@@ -191,39 +226,28 @@ class AmbiguousDataset:
     class_count: int
     feature_dim: int
     features: np.ndarray  # (N, d) float32
-    labels: np.ndarray  # (N,) int
+    labels: np.ndarray  # (N,) int64 class indices, each an integer in [0, class_count)
     diagnostics: np.ndarray | None = None  # (N, c) float32
     gen_meta: GenMeta = field(default_factory=GenMeta)
 
     def __post_init__(self) -> None:
-        c = int(self.class_count)
-        d = int(self.feature_dim)
-        if c < 2:
-            raise ValueError("class_count must be >= 2")
-        if d < 1:
-            raise ValueError("feature_dim must be >= 1")
+        _require_ints(self, class_count=2, feature_dim=1)
+        c, d = int(self.class_count), int(self.feature_dim)
         x = np.ascontiguousarray(np.asarray(self.features), dtype=np.float32)
-        y = np.ascontiguousarray(np.asarray(self.labels), dtype=np.int64)
+        y = np.asarray(self.labels)
         if x.ndim != 2 or x.shape[1] != d:
             raise ValueError(f"features must be (N, {d}), got {x.shape}")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise ValueError("labels must align with features")
         if not np.all(np.isfinite(x)):
             raise ValueError("features must be finite")
-        if y.size and (y.min() < 0 or y.max() >= c):
-            raise ValueError(f"labels must lie in [0, {c})")
-        self.class_count = c
-        self.feature_dim = d
-        self.features = x
-        self.labels = y
+        self.class_count, self.feature_dim, self.features = c, d, x
+        self.labels = np.ascontiguousarray(_check_labels(y, c))
         if self.diagnostics is not None:
             s = np.ascontiguousarray(np.asarray(self.diagnostics), dtype=np.float32)
             if s.shape != (x.shape[0], c):
                 raise ValueError(f"diagnostics must be (N, {c}), got {s.shape}")
-            if not np.all(np.isfinite(s)) or np.any(s < 0.0):
-                raise ValueError("diagnostics must be finite and nonnegative")
-            if np.any(s.sum(axis=1) <= 0.0):
-                raise ValueError("each diagnostic row needs positive mass")
+            _row_mass(s)
             self.diagnostics = s
 
     @property
@@ -244,28 +268,18 @@ class ClassPriors:
     pi2: float
 
     def __post_init__(self) -> None:
-        for name, v in (("pi1", self.pi1), ("pi2", self.pi2)):
-            # Not cast: an int prior stays an int, as in run directory names.
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-            if not (0.0 < v <= 1.0):
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
+        # Not cast: an int prior stays an int, as in run directory names.
+        _require_reals(self, "pi1", "pi2", within=lambda v: 0.0 < v <= 1.0, wants="lie in (0, 1]")
 
 
-def _normalize_rows(w: np.ndarray) -> np.ndarray:
-    """Scale the rows of a (n, c) float64 array to unit mass, in place, with
-    SoftLabel's checks and messages."""
+def _row_mass(w: np.ndarray) -> np.ndarray:
+    """The (n, 1) row totals of (n, c) soft-label weights, c >= 2, which
+    must be finite and nonnegative with a positive total in every row."""
     if w.ndim != 2 or w.shape[1] < 2:
         raise ValueError(f"soft label needs at least 2 classes, got shape {w.shape[1:]}")
-    if not np.isfinite(w).all():
-        raise ValueError("soft label weights must be finite")
-    if (w < 0.0).any():
-        raise ValueError("soft label weights must be nonnegative")
-    total = w.sum(axis=1, keepdims=True)
-    if (total <= 0.0).any():
-        raise ValueError("soft label weights must have positive total mass")
-    w /= total
-    return w
+    if np.isfinite(w).all() and (w >= 0.0).all() and ((total := w.sum(axis=1, keepdims=True)) > 0.0).all():
+        return total
+    raise ValueError("soft label weights must be finite and nonnegative, with positive total mass in each row")
 
 
 def entropy(s):
@@ -276,7 +290,8 @@ def entropy(s):
     to ln(c) at the uniform label.
     """
     w = s.weights if isinstance(s, SoftLabel) else np.asarray(s, dtype=np.float64)
-    p = _normalize_rows(np.array(w, dtype=np.float64, ndmin=2))
+    p = np.array(w, dtype=np.float64, ndmin=2)
+    p /= _row_mass(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         # 0 - x rather than -x, so that a one-hot row gives +0.0, not -0.0
         ent = 0.0 - np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=1)

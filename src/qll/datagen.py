@@ -17,6 +17,7 @@ pipeline runs at desk scale without any external data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -27,10 +28,12 @@ from .core import (
     AmbiguousDataset,
     GenMeta,
     RngStream,
+    _check_labels,
     _child_id,
-    _normalize_rows,
     _philox_key,
     _require_ints,
+    _require_reals,
+    _row_mass,
     quantize_labels,
 )
 
@@ -135,7 +138,8 @@ class BaseSpec:
     """Synthetic clean base dataset: c Gaussian clusters in d dimensions.
 
     ``separation`` is the pairwise distance between class means;
-    ``noise_sigma`` the isotropic within-class standard deviation.
+    ``noise_sigma`` the isotropic within-class standard deviation. Both are
+    finite real numbers > 0.
     """
 
     c: int
@@ -146,8 +150,8 @@ class BaseSpec:
 
     def __post_init__(self) -> None:
         _require_ints(self, c=3, d=1, n_per_class=1)
-        if not (float(self.separation) > 0.0 and float(self.noise_sigma) > 0.0):
-            raise ValueError("separation and noise_sigma must be > 0")
+        _require_reals(self, "separation", "noise_sigma", within=lambda v: 0.0 < v < math.inf,
+                       wants="be a finite number > 0")
 
 
 def _check_draws(draws: np.ndarray, kind: str, m: int, r: int) -> None:
@@ -212,12 +216,10 @@ def _patch_rows(x: np.ndarray, picks: np.ndarray, assign: np.ndarray) -> np.ndar
 
 def _class_mass(src_labels, counts, c: int) -> np.ndarray:
     """(n, c) float64: the (n, m) source counts summed per source label."""
-    y = np.asarray(src_labels, dtype=np.int64)
-    k = np.asarray(counts)
+    y, k = np.asarray(src_labels), np.asarray(counts)
     if y.ndim != 2 or y.shape != k.shape:
         raise ValueError(f"need {k.shape} source labels, got shape {y.shape}")
-    if (y < 0).any() or (y >= c).any():
-        raise ValueError(f"labels must lie in [0, {c})")
+    y = _check_labels(y, c)
     mass, rows = np.zeros((y.shape[0], c)), np.arange(y.shape[0])
     for j in range(y.shape[1]):  # no row repeats within one source column
         mass[rows, y[:, j]] += k[:, j]
@@ -227,7 +229,8 @@ def _class_mass(src_labels, counts, c: int) -> np.ndarray:
 def mixed_soft_labels(src_labels, counts, c: int) -> np.ndarray:
     """(n, c) soft labels of n groups from (n, m) source labels and integer
     mixing counts; exact, as each row's class masses sum to r exactly."""
-    return _normalize_rows(_class_mass(src_labels, counts, c))
+    mass = _class_mass(src_labels, counts, c)
+    return mass / _row_mass(mass)
 
 
 def _mulhilo(a: np.ndarray, mul: int) -> tuple[np.ndarray, np.ndarray]:
@@ -408,7 +411,8 @@ def synth_base(spec: BaseSpec, rng: RngStream) -> AmbiguousDataset:
     """Clean synthetic base set: isotropic Gaussian clusters, one-hot labels.
 
     A paired clean test set comes from calling this again with a different
-    stream id on the same seed; the class means are shared.
+    stream id on the same seed; the class means are shared. Settings that
+    put a feature beyond the float32 range raise a ValueError.
     """
     means, mode = _class_means(spec, rng.seed)
     n = spec.c * spec.n_per_class
@@ -416,7 +420,12 @@ def synth_base(spec: BaseSpec, rng: RngStream) -> AmbiguousDataset:
     for k in range(spec.c):
         lo = k * spec.n_per_class
         noise = rng.standard_normal((spec.n_per_class, spec.d))
-        feats[lo : lo + spec.n_per_class] = (means[k] + spec.noise_sigma * noise).astype(np.float32)
+        with np.errstate(over="ignore"):  # refused below
+            x = (means[k] + spec.noise_sigma * noise).astype(np.float32)
+        if not np.isfinite(x).all():
+            raise ValueError(f"separation {spec.separation} and noise_sigma {spec.noise_sigma} "
+                             "put features beyond the float32 range")
+        feats[lo : lo + spec.n_per_class] = x
     labels = np.repeat(np.arange(spec.c, dtype=np.int64), spec.n_per_class)
     diag = np.eye(spec.c, dtype=np.float32)[labels]
     meta = GenMeta(

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import ONE, ZERO, RngStream, frozen_0d
+from .core import ONE, ZERO, RngStream, _check_batch, _require_reals, frozen_0d
 
 __all__ = [
     "EPS",
@@ -133,15 +133,14 @@ class MulticlassLossKind:
         v = self.variant
         if v not in _MULTI_VARIANTS:
             raise ValueError(f"variant must be one of {_MULTI_VARIANTS}, got {v!r}")
-        if v == "bs" and not (self.beta is not None and 0.0 < self.beta < 1.0):
+        _require_reals(self, *{"bs": ("beta",), "gce": ("q",), "sce": ("a", "b"), "js": ("pi1",)}.get(v, ()))
+        if v == "bs" and not 0.0 < self.beta < 1.0:
             raise ValueError("bs needs beta in (0, 1)")
-        if v == "gce" and not (self.q is not None and 0.0 < self.q <= 1.0):
+        if v == "gce" and not 0.0 < self.q <= 1.0:
             raise ValueError("gce needs q in (0, 1]")
-        if v == "sce" and not (
-            self.a is not None and self.b is not None and self.a > 0.0 and self.b > 0.0
-        ):
+        if v == "sce" and not (self.a > 0.0 and self.b > 0.0):
             raise ValueError("sce needs a > 0 and b > 0")
-        if v == "js" and not (self.pi1 is not None and 0.0 < self.pi1 < 1.0):
+        if v == "js" and not 0.0 < self.pi1 < 1.0:
             raise ValueError("js needs pi1 in (0, 1)")
 
     @cached_property
@@ -381,18 +380,13 @@ def baseline_loss_batch(kind: MulticlassLossKind, logits, labels, *, at=None):
     row's label entry, shaped like the labels. The labels are then taken as
     checked and are not read; the logits are still checked to be finite.
     """
-    z = np.asarray(logits, dtype=np.float64)
     if at is None:
-        y = np.asarray(labels, dtype=np.int64)
-        if z.ndim not in (2, 3) or y.shape != z.shape[:-1]:
-            raise ValueError(f"need (n, c) or (K, n, c) logits with matching labels, got {z.shape} and {y.shape}")
+        z, y = _check_batch(logits, labels)
+        at = _row_starts(y.shape, z.shape[-1]) + y
+    else:
+        z = np.asarray(logits, dtype=np.float64)
     if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise ValueError("logits must be finite")
-    if at is None:
-        c = z.shape[-1]
-        if y.size and y.view(np.uint64).max() >= c:  # a negative label reads as >= 2**63
-            raise ValueError(f"labels must lie in [0, {c})")
-        at = _row_starts(y.shape, c) + y
 
     p = _softmax(z)
     v = kind.variant

@@ -58,7 +58,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import ZERO, ClassPriors
+from .core import ZERO, ClassPriors, _check_batch, _check_labels
 # binary_loss and binary_loss_grad are unused here but stay importable from
 # this module: perfbench's tracer wraps qll.risk.binary_loss and
 # qll.risk.binary_loss_grad.
@@ -200,14 +200,12 @@ def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, pick=
     ``_branch_weights`` table ``weights`` times each term's gradient sign
     over the class count c, over the divisors of the stream ``pick`` gives
     each run. Raises the ValueErrors of ``cpu_risk`` for every batch at
-    once: an unknown ``u_mode``, a label outside [0, c), or a batch of one
-    class.
+    once: an unknown ``u_mode``, a label that is no integer in [0, c)
+    (``core._check_labels``), or a batch of one class.
     """
     if u_mode not in U_MODES:
         raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
-    y = np.asarray(labels, dtype=np.int64)
-    if y.view(np.uint64).max() >= c:  # a negative label reads as >= 2**63
-        raise ValueError(f"labels must lie in [0, {c})")
+    y = _check_labels(labels, c)
     table = np.empty((2, 3, *y.shape[:-1], len(starts), c))
     # Only P is summed; U is P through the U masks, exact for small integer counts.
     masks = _term_masks(c, u_mode)
@@ -232,13 +230,7 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
     if tables is not None:
         return _cpu_kernel(loss, batch_logits, *tables, want_grad=want_grad)
     # Checked inputs, and the tables of their one batch.
-    z = np.asarray(batch_logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if z.ndim not in (2, 3) or y.shape != z.shape[:-1]:
-        raise ValueError(
-            f"need (n, c) logits with (n,) labels or (K, n, c) logits with (K, n) labels, "
-            f"got {z.shape} and {y.shape}"
-        )
+    z, y = _check_batch(batch_logits, labels)
     if y.shape[-1] < 2:
         raise ValueError("batch must contain at least 2 examples")
     single = isinstance(priors, ClassPriors)

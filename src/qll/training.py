@@ -69,7 +69,6 @@ values and the order of every float operation are as in the plain loop.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -82,8 +81,10 @@ from .core import (
     AmbiguousDataset,
     ClassPriors,
     RngStream,
-    _check_seed,
+    _check_labels,
     _require_ints,
+    _require_reals,
+    _word64,
     frozen_0d,
     zero_one_test_risk,
 )
@@ -127,18 +128,12 @@ class TrainConfig:
     u_mode: str = "complement"
 
     def __post_init__(self) -> None:
-        _require_ints(self, epochs=1, batch_size=2, hidden_dim=None, seed=None)
-        _check_seed(self.seed)
-        for name in ("lr", "momentum", "weight_decay"):
-            # a bool would train as 0 or 1, and a string fail late with a TypeError
-            if isinstance(v := getattr(self, name), bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
-            raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay}")
+        _require_ints(self, epochs=1, batch_size=2, hidden_dim=None)
+        _word64(self.seed, "seed")
+        # a bool would train as 0 or 1, and a string fail late with a TypeError
+        _require_reals(self, "lr", within=lambda v: 0.0 < v < math.inf, wants="be a finite number > 0")
+        _require_reals(self, "momentum", within=lambda v: 0.0 <= v < 1.0, wants="lie in [0, 1)")
+        _require_reals(self, "weight_decay", within=lambda v: 0.0 <= v < math.inf, wants="be a finite number >= 0")
         if self.u_mode not in U_MODES:
             raise ValueError(f"u_mode must be one of {U_MODES}")
         if self.model_kind not in MODEL_KINDS:
@@ -339,8 +334,7 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     # labels in its batch order, so a run's batch is a slice of its
     # stream's row and no batch is gathered or cast again.
     datas, data_of = _distinct(trains)
-    if any(t.labels.view(np.uint64).max() >= c for t in datas):  # checked when made, unless changed since
-        raise ValueError(f"labels must lie in [0, {c})")
+    labels = [_check_labels(t.labels, c) for t in datas]  # checked when made, unless changed since
     streams, stream_of = _distinct(zip((r.seed for r in cfgs), data_of), key=tuple)
     batch_rngs = [RngStream(seed, STREAM_BATCHING) for seed, _ in streams]
     alpha_rngs = [RngStream(seed, STREAM_ALPHA) for seed, _ in streams]
@@ -391,9 +385,9 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
         # methods each stream's batch counts and divisors, and each run's
         # branch weights over them.
         for s, ((_, k), rng) in enumerate(zip(streams, batch_rngs)):
-            order = _epoch_order(datas[k].labels, batch_size, rng, is_cpu)
+            order = _epoch_order(labels[k], batch_size, rng, is_cpu)
             x_epoch[s] = datas[k].features[order]
-            np.take(datas[k].labels, order, out=y_epoch[s])
+            np.take(labels[k], order, out=y_epoch[s])
         if is_cpu:
             table, coefs = batch_tables(y_epoch, starts, c, u_mode, weights, pick)
         else:

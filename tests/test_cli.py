@@ -77,6 +77,18 @@ class TestGenerate:
         assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--separation", "inf", "separation must be a finite number > 0, got inf"),
+        ("--separation", "nan", "separation must be a finite number > 0, got nan"),
+        ("--noise-sigma", "1e308", "separation 6.0 and noise_sigma 1e+308 put features beyond the float32 range"),
+    ])
+    def test_base_settings_outside_the_real_law_exit_2_writing_nothing(self, tmp_path, capsys, flag, value, message):
+        # inf exited 2 only with "features must be finite", and 1e308 printed
+        # numpy's cast warning first (an error under this suite's settings)
+        assert run(*GEN_SMALL, flag, value, "--out", str(tmp_path / "d")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "d").exists()
+
     def test_patchmix_r_exceeding_d_rejected(self, tmp_path, capsys):
         code = run(
             "generate", "--c", "3", "--d", "4", "--mix", "patchmix",

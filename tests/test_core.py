@@ -200,6 +200,21 @@ class TestRngStream:
         assert top.seed == 2**64 - 1
         assert np.array_equal(top.random(4), RngStream(2**64 - 1, 3).random(4))
 
+    @pytest.mark.parametrize("value, law", [
+        (2.5, "be an integer, got 2.5"),
+        (True, "be an integer, got True"),
+        (-1, r"lie in \[0, 2\*\*64\), got -1"),
+        (2**64, r"lie in \[0, 2\*\*64\), got 18446744073709551616"),
+    ])
+    @pytest.mark.parametrize("name, make", [
+        ("stream_id", lambda v: RngStream(1, v)),
+        ("substream key", lambda v: RngStream(1, 3).substream(v)),
+    ], ids=["stream_id", "substream"])
+    def test_stream_word_that_is_no_64_bit_word_is_refused(self, name, make, value, law):
+        # each aliased another stream: 2.5 read as 2, True as 1, -1 as 2**64 - 1, 2**64 as 0
+        with pytest.raises(ValueError, match=f"^{name} must {law}$"):
+            make(value)
+
     def test_seed_range_ends_are_distinct_streams(self):
         lo, hi = RngStream(0, 3), RngStream(2**64 - 1, 3)
         assert (lo.seed, hi.seed) == (0, 2**64 - 1)
@@ -232,6 +247,13 @@ class TestDatasetTypes:
             AmbiguousDataset(3, 2, x, y)  # width mismatch
         with pytest.raises(ValueError):
             AmbiguousDataset(3, 3, x, y, diagnostics=np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("c, d, name", [(3.7, 2, "class_count"), (3, 2.9, "feature_dim"),
+                                            (np.float64(3), 2, "class_count"), (3, True, "feature_dim")])
+    def test_dataset_sizes_must_be_integers(self, c, d, name):
+        # AmbiguousDataset(3.7, 2.9, ...) stored 3 and 2
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            AmbiguousDataset(c, d, np.zeros((2, 2), dtype=np.float32), np.array([0, 1]))
 
     def test_diagnostics_round_to_soft_labels(self):
         x = np.zeros((2, 2), dtype=np.float32)

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -697,6 +698,27 @@ class TestSynthBase:
         assert ds.n_examples == 200
         assert np.array_equal(np.bincount(ds.labels), [50, 50, 50, 50])
         assert all(np.count_nonzero(row) == 1 for row in ds.diagnostics)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"separation": True}, "separation must be a real number, got True"),
+        ({"separation": "6"}, "separation must be a real number, got '6'"),
+        ({"noise_sigma": None}, "noise_sigma must be a real number, got None"),
+        ({"separation": np.inf}, "separation must be a finite number > 0, got inf"),
+        ({"noise_sigma": np.nan}, "noise_sigma must be a finite number > 0, got nan"),
+        ({"noise_sigma": -1.0}, "noise_sigma must be a finite number > 0, got -1.0"),
+    ])
+    def test_spec_settings_must_be_finite_reals_above_zero(self, kw, message):
+        # separation=True trained as 1.0, and "6" failed inside synth_base with a TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BaseSpec(c=3, d=4, n_per_class=5, **kw)
+
+    @pytest.mark.parametrize("kw", [{"noise_sigma": 1e308}, {"separation": 1e39}])
+    def test_features_beyond_float32_are_refused_without_a_warning(self, kw):
+        # numpy warned "overflow encountered in cast", and the dataset then refused inf features
+        spec = BaseSpec(c=3, d=4, n_per_class=5, **kw)
+        message = f"separation {spec.separation} and noise_sigma {spec.noise_sigma} put features beyond the float32 range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synth_base(spec, RngStream(1, 1))
 
     def test_small_noise_collapses_to_means(self):
         spec = BaseSpec(c=3, d=5, n_per_class=20, separation=4.0, noise_sigma=1e-9)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,6 +351,19 @@ class TestBaselineLoss:
             baseline_loss_batch(MulticlassLossKind.ce(), z[1], y[1])
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
             baseline_loss_batch(MulticlassLossKind.ce(), z, y)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None, [0.5]])
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: MulticlassLossKind.bootstrap(v), "beta"),
+        (lambda v: MulticlassLossKind.gce(v), "q"),
+        (lambda v: MulticlassLossKind.sce(a=v), "a"),
+        (lambda v: MulticlassLossKind.sce(b=v), "b"),
+        (lambda v: MulticlassLossKind.js_pi(v), "pi1"),
+    ], ids=["bs", "gce", "sce-a", "sce-b", "js"])
+    def test_kind_parameters_must_be_real_numbers(self, make, name, bad):
+        # gce("0.5") failed with a TypeError from a comparison, and gce(True) trained at q = 1
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(bad))}$"):
+            make(bad)
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):

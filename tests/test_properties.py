@@ -2,18 +2,20 @@
 the label invariants of generated data, the class-wise risk's
 non-negativity, batch-order invariance and stacking, its gradient under
 any branch weights table, the per-epoch PU tables, PU batching, per-epoch
-alpha draws, and the closed form of the label-entry baseline gradients."""
+alpha draws, the closed form of the label-entry baseline gradients, and the
+one label law of every public label entry point."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qll.core import STREAM_BATCHING, ClassPriors, RngStream
-from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
+from qll.core import STREAM_BATCHING, AmbiguousDataset, ClassPriors, RngStream
+from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, mixed_soft_labels, synth_base
 from qll.dataio import load_dataset, save_dataset
 from qll.losses import (
     ALPHA_FLOOR,
@@ -26,7 +28,7 @@ from qll.losses import (
     sample_alpha,
 )
 from qll.models import init_model, load_model, save_model
-from qll.risk import CpuRiskReport, _term_masks, batch_tables, cpu_risk, cpu_risk_with_grad
+from qll.risk import CpuRiskReport, _term_masks, batch_tables, cpu_risk, cpu_risk_grad, cpu_risk_with_grad
 from qll.training import _epoch_order
 
 
@@ -439,3 +441,53 @@ def test_label_entry_gradient_is_a_row_weight_times_p_minus_onehot(batch, kind):
     if kind.variant == "ce":  # saturated rows are +0.0 throughout
         assert not live.all()
         assert not grad[~live].view(np.uint64).any()
+
+
+def _label_entry_points(c: int, z: np.ndarray, kind: BinaryLossKind, alpha):
+    """Every public call that reads labels, each taking (n,) labels of n =
+    len(z) examples and c classes and returning what it computes of them."""
+    n, priors, ce = z.shape[0], ClassPriors(0.1, 0.5), MulticlassLossKind.ce()
+    return {
+        "AmbiguousDataset": lambda y: AmbiguousDataset(c, 1, np.zeros((n, 1)), y).labels,
+        "cpu_risk": lambda y: cpu_risk(z, y, priors, kind, alpha),
+        "cpu_risk_grad": lambda y: cpu_risk_grad(z, y, priors, kind, alpha),
+        "cpu_risk_with_grad": lambda y: cpu_risk_with_grad(z, y, priors, kind, alpha),
+        "baseline_loss_batch": lambda y: baseline_loss_batch(ce, z, y),
+        "mixed_soft_labels": lambda y: mixed_soft_labels(np.reshape(y, (n, 1)), np.ones((n, 1), dtype=int), c),
+    }
+
+
+def _bit_equal(a, b) -> bool:
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_bit_equal, a, b))
+    if isinstance(a, CpuRiskReport):
+        return a == b
+    return a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+@given(batch=risk_batches(), bad=st.sampled_from(["fraction", "nan", "inf", "-inf", "bool", "-1", "c"]),
+       data=st.data())
+def test_every_label_entry_point_states_one_label_law(batch, bad, data):
+    # A quantized label is a class index: an integer in [0, c). Each entry
+    # point refuses anything else with one message, and takes integral
+    # floats as the ints they equal.
+    z, y, kind, alpha = batch
+    c = z.shape[-1]
+    calls = _label_entry_points(c, z, kind, alpha)
+    for name, call in calls.items():
+        assert _bit_equal(call(y.astype(np.float64)), call(y)), name
+
+    at = data.draw(st.integers(0, len(y) - 1))
+    if bad == "bool":
+        wrong = y > 0
+    elif bad in ("-1", "c"):
+        wrong = y.copy()
+        wrong[at] = -1 if bad == "-1" else c
+    else:
+        wrong = y.astype(np.float64)
+        fraction = y[at] + data.draw(st.floats(0.001, 0.999))
+        wrong[at] = {"fraction": fraction, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[bad]
+    message = re.escape(f"labels must lie in [0, {c}) and be integers")
+    for call in calls.values():
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(wrong)
