@@ -301,20 +301,27 @@ def entropy(s):
 def quantize_labels(weights, u) -> np.ndarray:
     """Hard labels of (n, c) soft labels from n uniform draws; P(y=k) = s_k.
 
-    Row i's label is the number of its cdf entries <= u[i] (the right-sided
-    search of the sorted cdf), capped at c - 1; counting only the first
-    c - 1 entries applies the cap. A (c,) label and a scalar draw give a
-    0-d array."""
+    The rows must be normalized soft labels: they follow the soft-label row
+    law (``_row_mass``), and are not normalized here. Row i's label is the
+    number of its cdf entries <= u[i] (the right-sided search of the sorted
+    cdf), capped at c - 1; counting only the first c - 1 entries applies the
+    cap. A (c,) label and a scalar draw give a 0-d array."""
     w = np.asarray(weights, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if w.ndim not in (1, 2) or u.shape != w.shape[:-1]:
         raise ValueError(f"need (n, c) weights and (n,) draws, got {w.shape} and {u.shape}")
+    _row_mass(np.atleast_2d(w))
+    return _quantize(w, u)
+
+
+def _quantize(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``quantize_labels`` of float64 rows that already follow the law."""
     return np.add.reduce(np.add.accumulate(w[..., :-1], axis=-1) <= u[..., None], axis=-1)
 
 
 def quantize_label(s: SoftLabel, rng: RngStream) -> int:
     """Sample a hard label with P(y=k) = s_k; consumes exactly one draw."""
-    return int(quantize_labels(s.weights, rng.random()))
+    return int(_quantize(s.weights, np.float64(rng.random())))
 
 
 def zero_one_test_risk(predictions, labels):

@@ -277,15 +277,17 @@ def _sjs_pos_loss(sig: np.ndarray, alpha, one_m_a, log1m_a, out: np.ndarray) -> 
 _PAIR_SIGN = np.array([-1.0, 1.0])
 
 
-def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> np.ndarray:
+def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms, out=None, both=None) -> np.ndarray:
     """Losses and logit gradients against both targets from one sigmoid
     pass, as one (2, 2, *x.shape) array for float64 logits ``x`` of at
     least one dimension: [0] holds the losses and [1] the gradient pair,
     each with index 0 against +1 and index 1 against -1. binary_loss,
     binary_loss_grad and the class-wise risk all evaluate through it.
     ``terms`` are the alpha's ``_resolve_terms``: a (5,) array or five 0-d
-    arrays for one run, a (5, K, 1, 1) array of columns for (K, n, c)
-    logits of K stacked runs, or None for kl.
+    arrays for one run, a (5, K, 1, 1) array or five (K, 1, 1) columns for
+    (K, n, c) logits of K stacked runs, or None for kl. The risk passes
+    ``out`` to write into, and ``both``, a (2, *x.shape) buffer for the
+    clamped pair.
 
     Three constants are left to the caller, which applies them to fewer
     or smaller arrays: scaled sjs losses come without their scale
@@ -300,24 +302,27 @@ def _binary_parts(kind: BinaryLossKind, x: np.ndarray, terms) -> np.ndarray:
 
     sig = _stable_sigmoid(x)
     interior = (sig > _EPS) & (sig < _ONE_M_EPS)
+    if out is None:
+        out, both = np.empty((2, 2, *x.shape)), np.empty((2, *x.shape))
+    losses, pair = out
     # The clamped target-side probability: sigma for +1, 1 - sigma for -1.
-    both = np.empty((2, *x.shape))
-    np.minimum(np.maximum(sig, _EPS, out=both[0]), _ONE_M_EPS, out=both[0])
-    np.subtract(ONE, both[0], out=both[1])
+    pos, neg = both
+    np.minimum(np.maximum(sig, _EPS, out=pos), _ONE_M_EPS, out=pos)
+    np.subtract(ONE, pos, out=neg)
 
-    out = np.zeros((2, 2, *x.shape))
+    pair[...] = ZERO  # the pair is written inside the clamp only
     if kind.variant == "kl":
         # One-hot target makes KL(t||q) the negative log of the target side,
         # whose logit gradients are -(1 - sigma) and sigma.
-        np.negative(np.log(both, out=out[0]), out=out[0])
-        np.copyto(out[1], both[::-1], where=interior)
+        np.negative(np.log(both, out=losses), out=losses)
+        np.copyto(pair, both[::-1], where=interior)
     else:
         # d(loss)/d(s) is (1 - alpha) * (ln(s / m1) + ln(1 - alpha)), and the
-        # scale times (1 - alpha) is -f; where interior, both[0] is sigma and
-        # both[1] is 1 - sigma, bit for bit.
-        log_ratio = _sjs_pos_loss(both, *terms[:3], out=out[0])
+        # scale times (1 - alpha) is -f; where interior, pos is sigma and
+        # neg is 1 - sigma, bit for bit.
+        log_ratio = _sjs_pos_loss(both, *terms[:3], out=losses)
         np.add(log_ratio, terms[2], out=log_ratio)
-        np.multiply(log_ratio, both[0] * both[1], out=out[1], where=interior)
+        np.multiply(log_ratio, pos * neg, out=pair, where=interior)
     return out
 
 

@@ -16,12 +16,27 @@ constants out, to be applied to smaller arrays: the scaled-SJS scale
 multiplies the (3, [K,] c) risks, each term's gradient sign and the class
 mean's 1/c sit in the gradient coefficients, and the SJS gradient factor
 multiplies the (3, [K,] c) coefficients a step selects. All else depends
-on labels, priors and alpha only: the trainer builds each epoch's
-``batch_tables`` (mask counts, their divisors, and the coefficients: branch
-weights, signs and 1/c over the divisors) in one call and passes them with
-each batch's term masks, and a call without tables builds its one batch's
-the same way. The trainer also passes each step's row of its epoch log,
-and the risks are divided straight into it.
+on labels, priors and alpha only, and is resolved as rarely as it can be:
+
+- once per run: every batch's step is bound (``bind_tables``) to views of
+  buffers that the caller refills: the batch's term masks, its mask
+  divisors and gradient coefficients, its alpha terms, the row of an
+  epoch log that its risks are written into, the report's parts, and a
+  workspace of its shape (``_workspace``: the clamped pair, the loss and
+  gradient pairs, the three-term stack, the clamped part, the corrected
+  flags and the logit gradient), which the batches of one shape share;
+- once per epoch: ``batch_tables`` writes every batch's mask counts,
+  their divisors and the coefficients (branch weights, signs and 1/c over
+  the divisors) in one call, the term masks are taken for all labels at
+  once, and the alpha terms are written;
+- once per step: the kernel runs on the bound views. It slices and
+  resolves no table and writes its results into the bound buffers;
+  it allocates only the sigmoid pass's temporaries, the coefficients it
+  selects and the report object.
+
+A call without tables binds its one batch's own the same way, into a
+workspace of its own, and runs the same kernel; so no two such calls
+share a buffer. The trainer is the one caller that binds ahead.
 
 The step computes only what the gradient needs: the risks and which
 classes are corrected. ``CpuRiskReport`` builds ``value``,
@@ -55,6 +70,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +85,7 @@ __all__ = [
     "ClassRiskBreakdown",
     "CpuRiskReport",
     "batch_tables",
+    "bind_tables",
     "cpu_risk",
     "cpu_risk_grad",
     "cpu_risk_with_grad",
@@ -187,26 +204,26 @@ def _branch_weights(priors: ClassPriors | tuple[ClassPriors, ...], c: int) -> np
     return weights
 
 
-def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, pick=slice(None)):
+def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, out=None):
     """Every batch's term tables, and the gradient coefficients over them.
 
-    ``labels`` is the epoch's (n,) labels in batch order, or (S, n) for S
-    streams, and ``starts`` the ascending batch starts, 0 first; batch b is
-    ``labels[..., starts[b]:starts[b + 1]]``. Returns a (2, 3, [S,]
+    ``labels`` is the epoch's (n,) labels in batch order, or (K, n) for K
+    runs, and ``starts`` the ascending batch starts, 0 first; batch b is
+    ``labels[..., starts[b]:starts[b + 1]]``. Returns a (2, 3, [K,]
     n_batches, c) table of the (P, P, U) term masks' counts, whose
     ``[0, ..., b, :]`` equals ``masks.sum(axis=-2)`` of batch b bit for bit,
     and their divisors max(count, 1); and the (2, 3, [K,] n_batches, c)
-    coefficients of K runs if corrected and otherwise: the (2, 3, [K,] c)
+    coefficients if corrected and otherwise: the (2, 3, [K,] c)
     ``_branch_weights`` table ``weights`` times each term's gradient sign
-    over the class count c, over the divisors of the stream ``pick`` gives
-    each run. Raises the ValueErrors of ``cpu_risk`` for every batch at
-    once: an unknown ``u_mode``, a label that is no integer in [0, c)
-    (``core._check_labels``), or a batch of one class.
+    over the class count c, over the divisors. ``out`` may give the two
+    arrays to write them into. Raises the ValueErrors of ``cpu_risk`` for
+    every batch at once: an unknown ``u_mode``, a label that is no integer
+    in [0, c) (``core._check_labels``), or a batch of one class.
     """
     if u_mode not in U_MODES:
         raise ValueError(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
     y = _check_labels(labels, c)
-    table = np.empty((2, 3, *y.shape[:-1], len(starts), c))
+    table, coefs = (np.empty((2, 3, *y.shape[:-1], len(starts), c)), None) if out is None else out
     # Only P is summed; U is P through the U masks, exact for small integer counts.
     masks = _term_masks(c, u_mode)
     n_p = table[0, 0]
@@ -218,18 +235,78 @@ def batch_tables(labels, starts, c: int, u_mode: str, weights: np.ndarray, pick=
     np.matmul(n_p, masks[2], out=table[0, 2])
     np.maximum(table[0], 1.0, out=table[1])
     signed = weights * (_TERM_SIGN / c).reshape(3, *[1] * (weights.ndim - 2))
-    return table, signed[..., None, :] / table[1][:, pick]
+    return table, np.divide(signed[..., None, :], table[1], out=coefs)
+
+
+class _Workspace(NamedTuple):
+    """The buffers of one step on ([K,] n, c) logits, and the views of them
+    that the kernel writes through."""
+
+    pairs: np.ndarray  # (2, 2, [K,] n, c) the binary pass's losses and gradient pairs
+    both: np.ndarray  # (2, [K,] n, c) the binary pass's clamped pair
+    stack: np.ndarray  # (2, 3, [K,] n, c) each term's losses and gradients, masked
+    term_losses: np.ndarray  # stack[0]
+    term_grads: np.ndarray  # stack[1]
+    neg_part: np.ndarray  # ([K,] c) the clamped part
+    corrected: np.ndarray  # ([K,] c) bool
+    corrected_cols: np.ndarray  # corrected[..., None, :]
+    grad: np.ndarray  # ([K,] n, c) the logit gradient
+
+
+def _workspace(shape: tuple[int, ...]) -> _Workspace:
+    per_class = shape[:-2] + shape[-1:]
+    stack, corrected = np.empty((2, 3, *shape)), np.empty(per_class, dtype=bool)
+    return _Workspace(np.empty((2, 2, *shape)), np.empty((2, *shape)), stack, *stack, np.empty(per_class),
+                      corrected, corrected[..., None, :], np.empty(shape))
+
+
+class BoundTables(NamedTuple):
+    """One batch's step resolved ahead, for ``cpu_risk_with_grad(...,
+    tables=)`` (see ``bind_tables``). Every array is a view, so a binding
+    follows in-place refills of the arrays it was made from."""
+
+    masks: np.ndarray  # (3, [K,] n, c) term masks
+    divisors: np.ndarray  # (3, [K,] c) term mask sizes, at least 1
+    coefs: tuple  # two (3, [K,] 1, c) gradient coefficients: if corrected, and otherwise
+    terms: Sequence | None  # the alpha's five _alpha_terms; None for kl
+    risks: np.ndarray  # (3, [K,] c): r_p_plus, r_p_minus, r_u_minus
+    risk_cols: np.ndarray  # risks[..., None, :], which the sjs scale multiplies
+    w_minus: np.ndarray  # ([K,] c) weight of r_p_minus in the clamped part
+    parts: tuple  # the CpuRiskReport's parts
+    work: _Workspace  # shared by the batches of one shape
+
+
+def bind_tables(weights, masks, table, coefs, terms, risks) -> list[BoundTables]:
+    """Every batch's tables for ``cpu_risk_with_grad(..., tables=)``, bound
+    once: views, so each binding follows in-place refills of the arrays.
+
+    ``weights`` is the (2, 3, [K,] c) branch weights table, such as the
+    priors' ``_branch_weights``; ``table`` and ``coefs`` are the epoch's
+    (2, 3, [K,] n_batches, c) ``batch_tables``; ``risks`` is an (n_batches,
+    3, [K,] c) float64 array that each batch's risks are written into, such
+    as the trainer's epoch log. ``masks`` and ``terms`` give each batch's
+    (3, [K,] n, c) term masks, ``_term_masks(c, u_mode).take(labels,
+    axis=1)``, and its alpha's five ``_alpha_terms`` (None for kl). The
+    batches of one shape share one ``_workspace``, so a call's report and
+    gradient hold only until the next call on a batch of that shape.
+    """
+    counts = np.moveaxis(table, -2, 0)  # batch-major, as are the rest
+    coef_pairs = np.moveaxis(coefs[..., None, :], -3, 0)
+    report_parts = zip(risks[:, 0], risks[:, 2], risks[:, 1], counts[:, 0, 0], counts[:, 0, 2])
+    work = {shape: _workspace(shape[1:]) for shape in {m.shape for m in masks}}
+    w_minus = weights[1, 1]
+    return [BoundTables(m, d, tuple(cp), t, r, r[..., None, :], w_minus, (*rp, w.corrected, w.neg_part, weights), w)
+            for m, d, cp, t, r, rp, w in zip(masks, counts[:, 1], coef_pairs, terms, risks, report_parts,
+                                             (work[m.shape] for m in masks))]
 
 
 _ONE_BATCH = np.zeros(1, dtype=np.intp)
 
 
-def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
-              loss: BinaryLossKind, alpha: float | Sequence[float] | None, u_mode: str,
-              want_grad: bool, tables=None):
-    if tables is not None:
-        return _cpu_kernel(loss, batch_logits, *tables, want_grad=want_grad)
-    # Checked inputs, and the tables of their one batch.
+def _bind_call(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors], loss: BinaryLossKind,
+               alpha: float | Sequence[float] | None, u_mode: str):
+    """The checked logits of a call without tables, and their one batch's
+    own binding."""
     z, y = _check_batch(batch_logits, labels)
     if y.shape[-1] < 2:
         raise ValueError("batch must contain at least 2 examples")
@@ -241,27 +318,30 @@ def _cpu_core(batch_logits, labels, priors: ClassPriors | Sequence[ClassPriors],
     table, coefs = batch_tables(y, _ONE_BATCH, c, u_mode, weights)
     masks = _term_masks(c, u_mode).take(y, axis=1)
     terms = _resolve_terms(loss, alpha, z.shape)
-    return _cpu_kernel(loss, z, weights, masks, table[..., 0, :], coefs[..., 0, :], terms, want_grad=want_grad)
+    return z, bind_tables(weights, [masks], table, coefs, [terms], np.empty((1, *table.shape[1:-2], c)))[0]
 
 
-def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, risks=None, *, want_grad: bool):
-    """The risk of (n, c) or (K, n, c) float64 logits ``z``, given the
-    tables of ``cpu_risk_with_grad``: no check but the logits' finiteness.
-    The (3, [K,] c) risks are written into ``risks`` if given."""
-    # The binary pass's losses and gradient pairs, one per term: (2, 3,
+def _cpu_kernel(loss: BinaryLossKind, z, tables: BoundTables, want_grad: bool):
+    """The risk of (n, c) or (K, n, c) float64 logits ``z`` under a batch's
+    ``bind_tables``: no check but the logits' finiteness."""
+    masks, divisors, coefs, terms, risks, risk_cols, w_minus, parts, work = tables
+    pairs, both, stack, term_losses, term_grads, neg_part, corrected, corrected_cols, grad = work
+    # The binary pass's losses and gradient pairs, one per term (2, 3,
     # *labels, c), masked by the term's examples.
-    per_term = _binary_parts(loss, z, terms).take(_TERM_TARGET, axis=1)
-    per_term *= masks
-    risks = np.divide(np.add.reduce(per_term[0], axis=-2), table[1], out=risks)
+    _binary_parts(loss, z, terms, out=pairs, both=both)
+    pairs.take(_TERM_TARGET, axis=1, out=stack, mode="clip")  # in range: "clip" spares "raise"'s buffer
+    stack *= masks
+    np.add.reduce(term_losses, axis=-2, out=risks)
+    risks /= divisors
     if terms is not None:  # the sjs scale; K runs' (K, 1, 1) columns broadcast against ([K,] 1, c)
-        risks[..., None, :] *= terms[3]
+        risk_cols *= terms[3]
 
     # The report builds the objective when it is read; the gradient needs
     # only which classes are corrected.
-    r_p_plus, r_p_minus, r_u_minus = risks
-    neg_part = r_u_minus + weights[1, 1] * r_p_minus  # the clamped part, as in _branch_objective
-    corrected = neg_part < ZERO
-    parts = (r_p_plus, r_u_minus, r_p_minus, table[0, 0], table[0, 2], corrected, neg_part, weights)
+    _, r_u_minus, r_p_minus, *_ = parts
+    np.multiply(w_minus, r_p_minus, out=neg_part)
+    neg_part += r_u_minus  # the clamped part, as in _branch_objective
+    np.less(neg_part, ZERO, out=corrected)
     report = CpuRiskReport(parts)
     if not want_grad:
         return report, None
@@ -269,39 +349,35 @@ def _cpu_kernel(loss: BinaryLossKind, z, weights, masks, table, coefs, terms, ri
     # d(objective)/d(logit) sums each term's gradient over its examples,
     # times the term's coefficient: its branch weight and gradient sign
     # over its mask size and c, and sjs's factor f.
-    coef = np.where(corrected, coefs[0], coefs[1])[..., None, :]
+    coef = np.where(corrected_cols, *coefs)
     if terms is not None:
         coef *= terms[4]
-    grads = per_term[1]
-    grads *= coef
-    return report, np.add.reduce(grads, axis=0)
+    term_grads *= coef
+    return report, np.add.reduce(term_grads, axis=0, out=grad)
 
 
 # Each entry point takes (n, c) logits, (n,) labels and one ClassPriors, or
-# (K, n, c), (K, n) and K of them, and one alpha or K (see _cpu_core).
+# (K, n, c), (K, n) and K of them, and one alpha or K (see _bind_call), and
+# binds its own tables.
 def cpu_risk(batch_logits, labels, priors, loss, alpha=None, u_mode="complement") -> CpuRiskReport:
     """Class-wise PU risk over a batch: mean of per-class clamped values."""
-    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=False)[0]
+    return _cpu_kernel(loss, *_bind_call(batch_logits, labels, priors, loss, alpha, u_mode), want_grad=False)[0]
 
 
 def cpu_risk_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement") -> np.ndarray:
     """Gradient of the branch objective with respect to every logit."""
-    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True)[1]
+    return _cpu_kernel(loss, *_bind_call(batch_logits, labels, priors, loss, alpha, u_mode), want_grad=True)[1]
 
 
 def cpu_risk_with_grad(batch_logits, labels, priors, loss, alpha=None, u_mode="complement", *, tables=None):
     """(CpuRiskReport, gradient) in one pass: the training loop's entry point.
 
-    ``tables`` may give, resolved ahead, ``(weights, masks, table, coefs,
-    terms)``: a (2, 3, [K,] c) branch weights table, such as the priors'
-    ``_branch_weights``; the batch's (3, [K,] n, c) term masks,
-    ``_term_masks(c, u_mode).take(labels, axis=1)``; the batch's (2, 3,
-    [K,] c) slices of the epoch's ``batch_tables``; and its alpha's
-    ``_alpha_terms`` (five 0-d arrays or scalars for one run, (K, 1, 1)
-    columns for K runs; None for kl); and, optionally, a (3, [K,] c)
-    float64 array that the risks are written into, such as a row of the
-    trainer's epoch log. The logits are then taken as checked float64 (and
-    still checked to be finite), and ``labels``, ``priors``, ``alpha`` and
-    ``u_mode`` are not read. A report over such an array reads it when a
-    value is first asked for, so read it before the array is rewritten."""
-    return _cpu_core(batch_logits, labels, priors, loss, alpha, u_mode, want_grad=True, tables=tables)
+    ``tables`` may give the batch's binding from ``bind_tables``, resolved
+    ahead. The logits are then taken as checked float64 of the bound shape
+    (and still checked to be finite), and ``labels``, ``priors``,
+    ``alpha`` and ``u_mode`` are not read. The report and the gradient
+    then read the binding's buffers, so read them before the next call on
+    that binding, or on one that shares its workspace, rewrites them."""
+    if tables is None:
+        batch_logits, tables = _bind_call(batch_logits, labels, priors, loss, alpha, u_mode)
+    return _cpu_kernel(loss, batch_logits, tables, want_grad=True)

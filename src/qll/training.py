@@ -25,41 +25,49 @@ is the K=1 case: unstacked parameters, scalar priors and alpha.
 
 Work that does not depend on the parameters runs as rarely as it can:
 
-- once per run: the train sets' labels are checked; the parameters, their
-  gradients and the SGD velocity are each one flat vector, the first two
-  viewed per parameter, and the model's layers are bound to those views
-  (``models.bind_layers``: transposed weights, biases shaped as added and
-  gradient out-arrays), which follow every in-place update; one features
-  buffer and one labels buffer per stream; each batch's bounds and size,
-  and the size as a 0-d divisor (only the final batch may be smaller);
-  momentum and weight decay as 0-d arrays; for PU methods the priors'
-  ``risk._branch_weights`` table, (2, 3, [K,] c), the u_mode's term mask
-  table, and an epoch log of every batch's (3, [K,] c) risks; for a single
-  cpu-sjs run a (5, n_batches) buffer of alpha terms and the five 0-d
-  views of each batch's column; for baselines the label entries' offsets
-  (their loss parameters are 0-d operands cached on the loss kind);
+- once per run: the train and test sets' labels are checked; the
+  parameters, their gradients and the SGD velocity are each one flat
+  vector, the first two viewed per parameter, and the model's layers are
+  bound to those views (``models.bind_layers``: transposed weights, biases
+  shaped as added and gradient out-arrays), which follow every in-place
+  update; one features buffer and one labels buffer per stream; each
+  batch's bounds and size, and the size as a 0-d divisor (only the final
+  batch may be smaller); momentum and weight decay as 0-d arrays; for PU
+  methods the priors' ``risk._branch_weights`` table, (2, 3, [K,] c), the
+  u_mode's term mask table, the runs' buffers that each epoch refills (the
+  (3, [K,] n, c) term masks, the batch tables, stored batch-major, and the
+  (5, n_batches) alpha terms, (K, 1, 1) columns for K runs) and an epoch
+  log of every batch's (3, [K,] c) risks, and every batch's risk step bound
+  to views of them (``risk.bind_tables``: its masks, divisors,
+  coefficients, alpha terms as five 0-d or (K, 1, 1) views, log row and
+  report parts, and one workspace per batch shape, so the full batches
+  share one and the final one has its own); for baselines the label
+  entries' offsets (their loss parameters are 0-d operands cached on the
+  loss kind);
 - once per epoch: the learning rate as a 0-d array; each stream's batch
   order, and its features (cast to float64, exactly) and labels gathered in
   that order into its buffers; for PU methods ``risk.batch_tables`` over
-  those labels (which checks them and that every batch spans two classes),
-  each stream's alphas, drawn at once, as their terms (written into the
-  single run's buffer, or (K, 1, 1) columns for K runs), and, after the
-  last step, every batch's branch objective from the log in one pass,
-  added up in batch order; for baselines every run's label indices, the
-  flat index of each example's label entry in its batch's logits;
+  the runs' labels, written into the runs' buffers (it checks the labels
+  and that every batch spans two classes), one ``take`` of the term masks
+  of all the runs' labels, each stream's alphas, drawn at once, as their
+  terms, written into the alpha buffer, and, after the last step, every
+  batch's branch objective from the log in one pass, added up in batch
+  order; for baselines every run's label indices, the flat index of each
+  example's label entry in its batch's logits;
 - once per step: numpy calls only. The batch is a slice of the buffers (a
   view for one run; K runs gather their streams' rows), then come
-  ``forward`` on the bound layers, ``cpu_risk_with_grad`` (given the
-  batch's term masks, looked up from its labels, its tables and its row of
-  the epoch log, into which it writes the risks; the step computes no
-  objective) or ``baseline_loss_batch`` (given the batch's label indices,
-  so it reads no labels; the batch's mean loss is added to the epoch's
-  objective), ``backward`` on the bound layers into the gradient's views,
-  and one ``sgd_step`` on the flat vectors. Forward, backward and the risk
-  check no shape on a step, as ``train_runs`` ties every dataset's d and
-  c to the model before the first; the risk and the loss still check that
-  the logits are finite, which is how a diverged run is caught. Test
-  accuracy is evaluated once per epoch.
+  ``forward`` on the bound layers, ``cpu_risk_with_grad`` on the batch's
+  bound tables (it slices and resolves no table: it writes the risks
+  into the batch's row of the epoch log and the gradient into its
+  workspace, and computes no objective) or ``baseline_loss_batch`` (given
+  the batch's label indices, so it reads no labels; the batch's mean loss
+  is added to the epoch's objective), ``backward`` on the bound layers
+  into the gradient's views, and one ``sgd_step`` on the flat vectors.
+  Forward, backward and the risk check no shape on a step, as
+  ``train_runs`` ties every dataset's d and c to the model before the
+  first; the risk and the loss still check that the logits are finite,
+  which is how a diverged run is caught. Test accuracy is evaluated once
+  per epoch.
 
 The 0-d arrays and the class-width weights table spare each step's ufunc
 calls a scalar conversion or a broadcast (see ``core.frozen_0d``); the
@@ -90,7 +98,15 @@ from .core import (
 )
 from .losses import BinaryLossKind, MulticlassLossKind, _alpha_terms, baseline_loss_batch, sample_alpha
 from .models import MODEL_KINDS, backward, bind_layers, forward, init_model, predict
-from .risk import U_MODES, _branch_objective, _branch_weights, _term_masks, batch_tables, cpu_risk_with_grad
+from .risk import (
+    U_MODES,
+    _branch_objective,
+    _branch_weights,
+    _term_masks,
+    batch_tables,
+    bind_tables,
+    cpu_risk_with_grad,
+)
 from .dataio import atomic_write_text
 
 __all__ = [
@@ -343,6 +359,8 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     # Evaluation makes one forward pass per distinct test set, over the runs
     # it serves, so activations stay (runs per test set, N, h).
     test_sets, test_of = _distinct(tests)
+    for t in test_sets:
+        _check_labels(t.labels, c)
     evals = [(np.flatnonzero(np.array(test_of) == j) if len(test_sets) > 1 else slice(None), t)
              for j, t in enumerate(test_sets)]
 
@@ -359,18 +377,26 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     steps = [(start, min(start + batch_size, n)) for start in starts]
     steps = [(start, stop, stop - start, frozen_0d(stop - start)) for start, stop in steps]
     if is_cpu:
+        # Each epoch refills the runs' term masks, batch tables and alpha
+        # terms in place, and step b writes its (3, [K,] c) risks into row b
+        # of the epoch log, from which the epoch's objectives are booked at
+        # once. Each batch's tables are bound once, to views of these
+        # buffers and to one workspace per batch shape.
         weights = _branch_weights(priors, c)
         term_masks = _term_masks(c, u_mode)
-        # Each step writes its (3, [K,] c) risks into its row; the epoch's
-        # objectives are booked from the whole log at once.
-        risk_log = np.empty((len(steps), 3, *weights.shape[2:]))
+        lead = (runs,) if runs > 1 else ()
+        masks = np.empty((3, *lead, n, c))
+        # The batch tables are stored batch-major, so each batch's are one block.
+        tables = [np.moveaxis(np.empty((len(steps), 2, 3, *lead, c)), 0, -2) for _ in range(2)]
+        risk_log = np.empty((len(steps), 3, *lead, c))
         sizes = np.array([size for _, _, size, _ in steps])
         sizes = sizes[:, None] if runs > 1 else sizes  # against (n_batches, [K])
-    if needs_alpha and runs == 1:
-        # Each epoch writes its (5, n_batches) alpha terms into these columns,
-        # and step b reads the five 0-d views of column b.
-        alpha_columns = np.empty((5, len(steps)))
-        alpha_terms = [tuple(row[b, ...] for row in alpha_columns) for b in range(len(steps))]
+        # Batch b's alpha terms are column b: five 0-d views for one run,
+        # (K, 1, 1) columns for K runs.
+        alpha_columns = np.empty((5, len(steps), *((runs, 1, 1) if runs > 1 else ())))
+        terms = [tuple(row[b, ...] for row in alpha_columns) if needs_alpha else None for b in range(len(steps))]
+        bound = bind_tables(weights, [masks[..., start:stop, :] for start, stop, _, _ in steps], *tables, terms,
+                            risk_log)
     if not is_cpu:
         # A label entry's flat index in its batch's ([K,] size, c) logits is
         # the label plus c * (row + run * size); one (n,) row for one run.
@@ -382,31 +408,27 @@ def train_runs(train_sets, test_sets, cfgs: Sequence[TrainConfig]) -> list[Train
     for epoch in range(cfg.epochs):
         lr = frozen_0d(lr_at_epoch(cfg, epoch))
         # Each stream's features and labels in its batch order; for PU
-        # methods each stream's batch counts and divisors, and each run's
-        # branch weights over them.
+        # methods the runs' batch tables and term masks of those labels,
+        # and their alpha terms.
         for s, ((_, k), rng) in enumerate(zip(streams, batch_rngs)):
             order = _epoch_order(labels[k], batch_size, rng, is_cpu)
             x_epoch[s] = datas[k].features[order]
             np.take(labels[k], order, out=y_epoch[s])
+        y_runs = y_epoch[pick]
         if is_cpu:
-            table, coefs = batch_tables(y_epoch, starts, c, u_mode, weights, pick)
+            batch_tables(y_runs, starts, c, u_mode, weights, out=tables)
+            term_masks.take(y_runs, axis=1, out=masks, mode="clip")  # labels checked just above
         else:
-            label_at = y_epoch[pick] + offsets
-        if needs_alpha:  # batch b's terms are [b]: five 0-d views for one run, (5, K, 1, 1) columns for K runs
+            label_at = y_runs + offsets
+        if needs_alpha:
             alphas = np.stack([sample_alpha(rng, size=len(starts)) for rng in alpha_rngs])
-            if runs > 1:
-                alpha_terms = np.moveaxis(_alpha_terms(alphas.T[..., None, None])[:, :, pick], 1, 0)
-            else:
-                alpha_columns[...] = _alpha_terms(alphas[0])
+            alpha_columns[...] = _alpha_terms(alphas.T[..., None, None])[:, :, pick].reshape(alpha_columns.shape)
         objective_sum = 0.0
         try:
             for it, (start, stop, size, divisor) in enumerate(steps):
                 logits, cache = forward(model, x_epoch[pick, start:stop], layers=layers)
                 if is_cpu:
-                    terms = alpha_terms[it] if needs_alpha else None  # kl takes no alpha
-                    masks = term_masks.take(y_epoch[pick, start:stop], axis=1)
-                    batch = (weights, masks, table[:, :, pick, it], coefs[..., it, :], terms, risk_log[it])
-                    _, d_logits = cpu_risk_with_grad(logits, None, priors, loss, tables=batch)
+                    _, d_logits = cpu_risk_with_grad(logits, None, priors, loss, tables=bound[it])
                 else:
                     losses, d_logits = baseline_loss_batch(loss, logits, None, at=label_at[..., start:stop])
                     # np.mean over the batch is this sum divided by its size.

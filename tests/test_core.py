@@ -132,6 +132,18 @@ class TestQuantizeLabel:
                     min(int(np.searchsorted(np.cumsum(r), u, side="right")), 2) for r in rows
                 ]
 
+    @pytest.mark.parametrize("bad", [[0.5, -1.0, 0.5], [np.nan, 1.0, 1.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    def test_batched_rows_follow_the_soft_label_law(self, bad):
+        # None of these rows is a soft label, so none may quantize.
+        message = "soft label weights must be finite and nonnegative, with positive total mass in each row"
+        for rows, u in (([[0.2, 0.3, 0.5], bad], [0.3, 0.3]), ([bad, [0.2, 0.3, 0.5]], [0.3, 0.3]), (bad, 0.3)):
+            with pytest.raises(ValueError, match=message):
+                quantize_labels(rows, u)
+        with pytest.raises(ValueError, match=message):
+            quantize_labels([[0.5, -1.0, 0.5], [np.nan, 1.0, 1.0]], [0.3, 0.3])
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            quantize_labels([[1.0], [1.0]], [0.3, 0.3])
+
     def test_bit_for_bit_reproducible(self):
         s = SoftLabel([0.1, 0.2, 0.3, 0.4])
         seq1 = [quantize_label(s, RngStream(11, 2).substream(i)) for i in range(32)]

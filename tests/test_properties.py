@@ -28,7 +28,15 @@ from qll.losses import (
     sample_alpha,
 )
 from qll.models import init_model, load_model, save_model
-from qll.risk import CpuRiskReport, _term_masks, batch_tables, cpu_risk, cpu_risk_grad, cpu_risk_with_grad
+from qll.risk import (
+    CpuRiskReport,
+    _term_masks,
+    batch_tables,
+    bind_tables,
+    cpu_risk,
+    cpu_risk_grad,
+    cpu_risk_with_grad,
+)
 from qll.training import _epoch_order
 
 
@@ -280,13 +288,17 @@ def test_gradient_follows_the_branch_objective_of_any_table(case, u_mode):
     z, y, kind, alpha, rule, weights = case
     c, h = z.shape[-1], 1e-5
     table, coefs = batch_tables(y, np.zeros(1, dtype=np.intp), c, u_mode, weights)
-    tables = (weights, _term_masks(c, u_mode).take(y, axis=1), table[..., 0, :], coefs[..., 0, :],
-              _resolve_terms(kind, alpha, z.shape))
+    masks, terms = _term_masks(c, u_mode).take(y, axis=1), _resolve_terms(kind, alpha, z.shape)
+
+    def call(x):
+        # A binding of its own, as the reports below are read side by side.
+        tables = bind_tables(weights, [masks], table, coefs, [terms], np.empty((1, *table.shape[1:-2], c)))[0]
+        return cpu_risk_with_grad(x, None, None, kind, tables=tables)
 
     def report(x):
-        return cpu_risk_with_grad(x, None, None, kind, tables=tables)[0]
+        return call(x)[0]
 
-    rep, grad = cpu_risk_with_grad(z, None, None, kind, tables=tables)
+    rep, grad = call(z)
     if rule == "clamp":
         assert np.array_equal(rep.objective_value, rep.value)
     corrected = rep.parts[5]
@@ -305,7 +317,8 @@ def test_gradient_follows_the_branch_objective_of_any_table(case, u_mode):
 def epoch_tables_input(draw):
     """(labels, starts, c, weights, pick): (n,), (1, n) or (3, n) labels
     whose batches, of two or more examples each, span two classes; and
-    branch weights of the runs that ``pick`` selects among the label rows."""
+    branch weights of the runs whose labels ``pick`` selects among the label
+    rows."""
     c = draw(st.integers(2, 5))
     sizes = draw(st.lists(st.integers(2, 8), min_size=1, max_size=6))
     starts = np.cumsum([0, *sizes[:-1]])
@@ -331,7 +344,8 @@ def epoch_tables_input(draw):
 @given(case=epoch_tables_input(), u_mode=st.sampled_from(["complement", "full"]), data=st.data())
 def test_epoch_tables_equal_per_batch_mask_sums(case, u_mode, data):
     y, starts, c, weights, pick = case
-    table, coefs = batch_tables(y, starts, c, u_mode, weights, pick)
+    y = y[pick]  # the runs' labels
+    table, coefs = batch_tables(y, starts, c, u_mode, weights)
     assert table.shape == (2, 3, *y.shape[:-1], starts.size, c)
     for b, (lo, hi) in enumerate(zip(starts, [*starts[1:], y.shape[-1]])):
         masks = _term_masks(c, u_mode).take(y[..., lo:hi], axis=1)
@@ -341,7 +355,7 @@ def test_epoch_tables_equal_per_batch_mask_sums(case, u_mode, data):
     # Each term's weight takes its target's gradient sign (r_p_plus reads the
     # +1 target, the other two the -1 target) over c.
     signs = (_PAIR_SIGN[[0, 1, 1]] / c).reshape(3, *[1] * (weights.ndim - 2))
-    assert np.array_equal(coefs, (weights * signs)[..., None, :] / table[1][:, pick])
+    assert np.array_equal(coefs, (weights * signs)[..., None, :] / table[1])
 
     # The checks of a one-batch call, made for every batch at once.
     b = data.draw(st.integers(0, starts.size - 1))
@@ -349,11 +363,11 @@ def test_epoch_tables_equal_per_batch_mask_sums(case, u_mode, data):
     bad = y.copy()
     bad[..., lo:hi] = data.draw(st.integers(0, c - 1))
     with pytest.raises(ValueError, match="span at least 2 classes; resample"):
-        batch_tables(bad, starts, c, u_mode, weights, pick)
+        batch_tables(bad, starts, c, u_mode, weights)
     bad = y.copy()
     bad[..., data.draw(st.integers(lo, hi - 1))] = data.draw(st.sampled_from([-1, c, c + 1, 2**40]))
     with pytest.raises(ValueError, match=rf"labels must lie in \[0, {c}\)"):
-        batch_tables(bad, starts, c, u_mode, weights, pick)
+        batch_tables(bad, starts, c, u_mode, weights)
 
 
 @st.composite

@@ -19,6 +19,7 @@ from qll.risk import (
     _branch_weights,
     _term_masks,
     batch_tables,
+    bind_tables,
     cpu_risk,
     cpu_risk_grad,
     cpu_risk_with_grad,
@@ -285,6 +286,26 @@ class TestCpuRiskGrad:
         assert rep1 == rep2
         assert np.array_equal(grad1, grad2)
 
+    @pytest.mark.parametrize("loss,alpha", [(KL, None), (SJS, 0.3)])
+    @pytest.mark.parametrize("runs", [None, 3])
+    def test_calls_without_tables_share_no_buffers(self, runs, loss, alpha):
+        # A report reads its arrays when a value is first asked for, so a
+        # later call on other logits must not rewrite an earlier call's.
+        rng = np.random.default_rng(12)
+        lead = () if runs is None else (runs,)
+        y = np.broadcast_to([0, 1, 2, 3, 0, 1], (*lead, 6))
+        priors = ClassPriors(0.1, 0.9) if runs is None else [ClassPriors(0.1, 0.9)] * runs
+        z1, z2 = rng.normal(size=(2, *lead, 6, 4)) * 3.0
+        first, first_grad = cpu_risk_with_grad(z1, y, priors, loss, alpha)
+        first_risk = cpu_risk(z1, y, priors, loss, alpha)
+        second, second_grad = cpu_risk_with_grad(z2, y, priors, loss, alpha)
+        cpu_risk(z2, y, priors, loss, alpha)
+        again, again_grad = cpu_risk_with_grad(z1, y, priors, loss, alpha)
+        assert first.per_class == first_risk.per_class == again.per_class != second.per_class
+        assert np.array_equal(first.value, again.value) and np.array_equal(first_risk.value, again.value)
+        assert np.array_equal(first.objective_value, again.objective_value)
+        assert np.array_equal(first_grad, again_grad) and not np.array_equal(first_grad, second_grad)
+
 
 # Both clamp regions (+-40), the sigmoid's branch point (0, +-1e-9) and
 # ordinary logits; class 3 is absent, so its P side is empty.
@@ -448,32 +469,41 @@ class TestBatchCounts:
     @pytest.mark.parametrize("loss,alpha", [(KL, None), (SJS, 0.25)])
     @pytest.mark.parametrize("runs", [None, 3])
     def test_risk_with_counts_matches_without(self, runs, loss, alpha, u_mode):
-        # The trainer's path: per-epoch masks and tables, the run's branch
-        # weights and alpha terms from an array of per-batch alphas, sliced
-        # per batch; the labels are then not read.
+        # The trainer's path: every batch bound once to views of per-epoch
+        # buffers (masks, tables, alpha columns and a risk log), the full
+        # batches to one workspace and the final one to another; each epoch
+        # refills the buffers in place, and the labels are then not read.
+        rng = np.random.default_rng(41)
         y = self.epoch_labels(runs)
+        lead = y.shape[:-1]
         priors = ClassPriors(0.1, 0.5) if runs is None else [ClassPriors(0.1, p) for p in (0.2, 0.5, 0.9)]
         weights = _branch_weights(priors if runs is None else tuple(priors), 4)
-        table, coefs = batch_tables(y, self.STARTS, 4, u_mode, weights)
-        masks = _term_masks(4, u_mode).take(y, axis=1)
-        alphas = np.full((*y.shape[:-1], self.STARTS.size), alpha or 0.0)
-        terms = _alpha_terms(alphas)[..., None, None] if alpha else None
-        rng = np.random.default_rng(41)
-        for b, (lo, hi) in enumerate(zip(self.STARTS, [*self.STARTS[1:], 23])):
-            z = rng.normal(size=(*y.shape[:-1], hi - lo, 4)) * 3.0
-            rep, grad = cpu_risk_with_grad(z, y[..., lo:hi], priors, loss, alpha, u_mode)
-            batch = (weights, masks[..., lo:hi, :], table[..., b, :], coefs[..., b, :],
-                     None if terms is None else terms[..., b, :, :])
-            got, got_grad = cpu_risk_with_grad(z, None, priors, loss, u_mode=u_mode, tables=batch)
-            assert np.array_equal(got.value, rep.value)
-            assert np.array_equal(got.objective_value, rep.objective_value)
-            assert got.per_class == rep.per_class
-            assert np.array_equal(got_grad, grad)
-            # With a row of the trainer's epoch log, the risks land in it
-            # and the report reads them from there.
-            row = np.full((3, *y.shape[:-1], 4), np.nan)
-            logged, logged_grad = cpu_risk_with_grad(z, None, priors, loss, u_mode=u_mode, tables=(*batch, row))
-            assert logged == rep
-            assert np.array_equal(logged_grad, grad)
-            assert np.array_equal(row, np.stack([got.parts[0], got.parts[2], got.parts[1]]))
-            assert all(np.shares_memory(part, row) for part in logged.parts[:3])
+        bounds = list(zip(self.STARTS, [*self.STARTS[1:], 23]))
+        masks = np.empty((3, *y.shape, 4))
+        tables = np.empty((2, 2, 3, *lead, self.STARTS.size, 4))
+        alpha_columns = np.empty((5, self.STARTS.size, *lead, 1, 1))
+        log = np.full((self.STARTS.size, 3, *lead, 4), np.nan)
+        terms = [tuple(t) if alpha else None for t in np.moveaxis(alpha_columns, 1, 0)]
+        bound = bind_tables(weights, [masks[..., lo:hi, :] for lo, hi in bounds], *tables, terms, log)
+        for _ in range(2):
+            y = rng.permutation(y, axis=-1)
+            batch_tables(y, self.STARTS, 4, u_mode, weights, out=tables)
+            _term_masks(4, u_mode).take(y, axis=1, out=masks)
+            alphas = rng.uniform(ALPHA_FLOOR, 0.5, size=(*lead, self.STARTS.size)) if alpha else None
+            if alpha:
+                alpha_columns[...] = _alpha_terms(alphas.T[..., None, None])
+            for b, (lo, hi) in enumerate(bounds):
+                z = rng.normal(size=(*lead, hi - lo, 4)) * 3.0
+                a = None if not alpha else alphas[..., b].tolist()
+                rep, grad = cpu_risk_with_grad(z, y[..., lo:hi], priors, loss, a, u_mode)
+                got, got_grad = cpu_risk_with_grad(z, None, None, loss, tables=bound[b])
+                assert np.array_equal(got_grad, grad)
+                for part, want in zip(got.parts[:6], rep.parts[:6]):  # risks, counts, corrected
+                    assert np.array_equal(part, want)
+                assert np.array_equal(got.value, rep.value)
+                assert np.array_equal(got.objective_value, rep.objective_value)
+                assert got.per_class == rep.per_class
+                # The risks land in the batch's row of the log, which the
+                # report reads.
+                assert np.array_equal(log[b], np.stack([rep.parts[0], rep.parts[2], rep.parts[1]]))
+                assert all(np.shares_memory(part, log[b]) for part in got.parts[:3])

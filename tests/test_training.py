@@ -12,12 +12,13 @@ from qll.core import (
     AmbiguousDataset,
     ClassPriors,
     RngStream,
+    STREAM_ALPHA,
     STREAM_BATCHING,
     STREAM_DATAGEN,
     STREAM_INIT,
 )
 from qll.datagen import BaseSpec, MixSpec, generate_ambiguous_dataset, synth_base
-from qll.losses import BinaryLossKind, MulticlassLossKind
+from qll.losses import BinaryLossKind, MulticlassLossKind, sample_alpha
 from qll.models import LinearModel, forward, predict, save_model
 from qll.training import (
     METRICS_HEADER,
@@ -417,6 +418,51 @@ class TestTrainRuns:
         for group in (cfgs[:1], cfgs):
             with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
                 train_runs(ambig, test, group)
+
+    @pytest.mark.parametrize("bad", [-1, 99])
+    def test_test_labels_changed_after_construction_are_refused(self, bad):
+        _, test, ambig = small_data()
+        _, other_test, _ = small_data(seed=8)
+        other_test.labels[3] = bad
+        cfgs = [TrainConfig(epochs=1, loss=MulticlassLossKind.ce(), seed=s) for s in (1, 2)]
+        for trains, tests, group in ((ambig, other_test, cfgs[:1]), (ambig, [test, other_test], cfgs)):
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
+                train_runs(trains, tests, group)
+
+    @pytest.mark.parametrize("u_mode", ["complement", "full"])
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("loss", [BinaryLossKind.scaled_sjs(), BinaryLossKind.kl()], ids=["cpu-sjs", "cpu-kl"])
+    def test_bound_risk_calls_equal_calls_without_tables(self, monkeypatch, loss, runs, u_mode):
+        # Every step's call on its bound tables, for full batches of 16 and
+        # the final batch of 6, against a call without tables on the batch's
+        # labels (the columns its P masks mark), priors and alpha, which is
+        # its run's draw for the batch.
+        _, test, ambig = small_data(n_out=230)
+        cfgs = [TrainConfig(epochs=2, loss=loss, priors=ClassPriors(0.1, 0.25 * (k + 1)), seed=4 + k % 2,
+                            hidden_dim=8, u_mode=u_mode) for k in range(runs)]
+        streams = {seed: RngStream(seed, STREAM_ALPHA) for seed in (4, 5)}
+        draws = {seed: np.concatenate([sample_alpha(rng, size=15) for _ in range(2)]) for seed, rng in streams.items()}
+        risk, sizes = qll.training.cpu_risk_with_grad, Counter()
+
+        def checked(logits, labels, priors, loss, *, tables):
+            got, grad = risk(logits, labels, priors, loss, tables=tables)
+            y = tables.masks[0].argmax(axis=-1)
+            alpha = None
+            if tables.terms is not None:
+                alpha = tables.terms[0].ravel().tolist()
+                assert alpha == [draws[cfg.seed][sum(sizes.values())] for cfg in cfgs]
+            want, want_grad = risk(logits, y, priors, loss, alpha if runs > 1 else alpha and alpha[0], u_mode)
+            assert np.array_equal(grad, want_grad)
+            for part, expected in zip(got.parts[:6], want.parts[:6]):  # risks, counts, corrected
+                assert np.array_equal(part, expected)
+            assert np.array_equal(got.value, want.value)
+            assert np.array_equal(got.objective_value, want.objective_value)
+            sizes[logits.shape[-2]] += 1
+            return got, grad
+
+        monkeypatch.setattr(qll.training, "cpu_risk_with_grad", checked)
+        train_runs(ambig, test, cfgs)
+        assert sizes == Counter({16: 2 * 14, 6: 2})
 
     def test_configs_must_differ_only_in_seed_and_priors(self):
         _, test, ambig = small_data()

@@ -14,10 +14,14 @@ trains ``--runs`` stacked runs of ``cpu-<loss>`` (seeds 1..K, pi1 0.1 and
 pi2 cycling over 0.25, 0.5, 0.75) and one run of the ``--baseline`` loss
 (default ce, at the CLI's default parameters) through the tree's own
 ``train_runs``, stops each at step 60, and keeps the arguments that
-``train_runs`` passed to ``forward``, ``cpu_risk_with_grad`` (with its
-resolved tables), ``backward`` and ``baseline_loss_batch`` on that step. So
-each side's call is timed on the arguments its own trainer builds, whatever
-their layout.
+``train_runs`` passed to ``forward``, ``cpu_risk_with_grad`` (with the
+batch's tables in the form the tree's trainer passes them, bound once per
+run since ``risk.bind_tables``), ``backward`` and ``baseline_loss_batch``
+on that step. So each side's call is timed on the arguments its own
+trainer builds, whatever their layout. A bound call writes into the
+buffers its binding holds, so each timed call rewrites them as the step
+did. Work a trainer does per step outside these calls, such as slicing a
+batch's tables before the risk call, is in the ``train`` block only.
 
 Then, for ``--rounds`` rounds, each call is timed in one block of ``--calls``
 calls per side, the side that goes first alternating by round; the short
